@@ -20,6 +20,10 @@ summary table (CI fails on any non-OK row).  Checks:
 10. service-chaos  — SIGKILLed serve loops resume to byte-identical
                      artifacts with zero re-simulated items
                      (chaos_smoke kill matrix + stale-lease reclaim)
+11. pattern-golden — the full-universe pattern campaign matches the
+                     committed ``perfbench/reference/patterns.json``
+                     (each fault's tiers and outcome, each stimulus's
+                     healthy-lock summary); every moved fault is named
 
 Run locally: ``python scripts/guard_suite.py`` (from the repo root).
 Select a subset: ``python scripts/guard_suite.py mc-parity pattern-parity``.
@@ -37,6 +41,7 @@ from pathlib import Path
 from typing import Callable, List, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+PATTERN_GOLDEN = REPO_ROOT / "perfbench" / "reference" / "patterns.json"
 ENV = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
 
 
@@ -270,6 +275,44 @@ def check_service_chaos(tmp: str) -> str:
     return "kill matrix resumed byte-identical; stale lease reclaimed"
 
 
+def check_pattern_golden(tmp: str) -> str:
+    """The full 236-fault pattern campaign against the committed
+    verdicts: a refactor that moves any verdict or healthy lock time
+    fails here, with every moved fault named."""
+    _repro(
+        "patterns --workers 2 --no-ber-sweep --export patterns-full.json",
+        cwd=tmp,
+    )
+    got = _load(tmp, "patterns-full.json")
+    with open(PATTERN_GOLDEN) as fh:
+        want = json.load(fh)
+    problems = []
+    if got["patterns"] != want["patterns"]:
+        problems.append(
+            f"stimuli {got['patterns']} != golden {want['patterns']}"
+        )
+    for name in sorted(set(want["faults"]) | set(got["faults"])):
+        was, now = want["faults"].get(name), got["faults"].get(name)
+        if was != now:
+            problems.append(f"{name}: golden {was}, now {now}")
+    for pattern, lock in sorted(want["lock"].items()):
+        now = got["per_pattern"].get(pattern, {}).get("lock")
+        if now != lock:
+            problems.append(
+                f"healthy lock under {pattern}: golden {lock}, now {now}"
+            )
+    if problems:
+        golden = PATTERN_GOLDEN.relative_to(REPO_ROOT)
+        raise RuntimeError(
+            f"{len(problems)} difference(s) from {golden}\n"
+            + "\n".join(problems)
+        )
+    return (
+        f"{len(got['faults'])} fault verdicts + "
+        f"{len(want['lock'])} healthy locks match the golden file"
+    )
+
+
 CHECKS: List[Tuple[str, Callable[[str], str]]] = [
     ("private-access", check_private_access),
     ("campaign-resume", check_campaign_resume),
@@ -281,6 +324,7 @@ CHECKS: List[Tuple[str, Callable[[str], str]]] = [
     ("pattern-parity", check_pattern_parity),
     ("service-parity", check_service_parity),
     ("service-chaos", check_service_chaos),
+    ("pattern-golden", check_pattern_golden),
 ]
 
 

@@ -45,6 +45,16 @@ class AlexanderPD:
     def reset(self) -> None:
         self._prev_bit = None
 
+    @property
+    def prev_bit(self) -> Optional[int]:
+        """The last bit the PD saw (None after a reset): the memory
+        that decides whether the next bit is a transition."""
+        return self._prev_bit
+
+    @prev_bit.setter
+    def prev_bit(self, bit: Optional[int]) -> None:
+        self._prev_bit = bit
+
     def decide(self, bit: int, sampling_phase: float) -> Tuple[int, int]:
         """PD verdict for the transition into *bit*.
 

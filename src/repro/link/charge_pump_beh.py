@@ -30,8 +30,9 @@ class ChargePumpBeh:
     def _clamp(self) -> None:
         self.vc = min(max(self.vc, 0.0), self.params.vdd)
 
-    def step(self, up: int, dn: int, dt: float) -> float:
-        """Apply one weak-pump interval; returns the new V_c."""
+    def increment(self, up: int, dn: int, dt: float) -> float:
+        """V_c change of one weak-pump interval, before the rail
+        clamp."""
         p = self.params
         i = 0.0
         if up:
@@ -39,7 +40,11 @@ class ChargePumpBeh:
         if dn:
             i -= p.i_dn * p.i_dn_scale
         i -= p.leak_current
-        self.vc += i * dt / p.c_loop
+        return i * dt / p.c_loop
+
+    def step(self, up: int, dn: int, dt: float) -> float:
+        """Apply one weak-pump interval; returns the new V_c."""
+        self.vc += self.increment(up, dn, dt)
         self._clamp()
         return self.vc
 

@@ -246,6 +246,9 @@ class CrosstalkAggressor:
             # every victim bit sees one aggressor edge
             self.pattern = ClockSource()
         self._last = self.pattern.next_bit()
+        #: per-edge penalty memo keyed by the eye parameters it reads;
+        #: ``lanes`` and ``swing`` are fixed for the hook's life
+        self._edge_penalty: Dict[Tuple[float, float, float], float] = {}
 
     def penalty(self, params) -> float:
         """Margin loss [s] for the current bit period."""
@@ -254,9 +257,15 @@ class CrosstalkAggressor:
         self._last = bit
         if not toggled:
             return 0.0
-        shift = self.lanes.victim_timing_shift(
-            self.swing, params.eye_amplitude, params.eye_half_width)
-        return shift + JITTER_CREST * params.sampling_jitter_rms
+        key = (params.eye_amplitude, params.eye_half_width,
+               params.sampling_jitter_rms)
+        value = self._edge_penalty.get(key)
+        if value is None:
+            shift = self.lanes.victim_timing_shift(
+                self.swing, params.eye_amplitude, params.eye_half_width)
+            value = shift + JITTER_CREST * params.sampling_jitter_rms
+            self._edge_penalty[key] = value
+        return value
 
     def reset(self) -> None:
         self.pattern.reset()

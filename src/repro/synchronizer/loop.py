@@ -71,18 +71,13 @@ class LoopResult:
     #: eye region resolves to the wrong/metastable value)
     errors_before_lock: int = 0
     errors_after_lock: int = 0
+    #: bit period at which lock was declared (None when never locked)
+    lock_cycles: Optional[int] = None
 
     @property
     def post_lock_error_free(self) -> bool:
         """The link's actual job: clean data once locked."""
         return self.locked and self.errors_after_lock == 0
-
-    @property
-    def lock_cycles(self) -> Optional[int]:
-        if self.lock_time is None:
-            return None
-        return int(round(self.lock_time / (self.trace.time[1] - self.trace.time[0]))) \
-            if len(self.trace.time) > 1 else None
 
 
 class SynchronizerLoop:
@@ -120,13 +115,13 @@ class SynchronizerLoop:
     def sampling_phase(self) -> Optional[float]:
         """Current absolute sampling phase within the bit, or None when
         no clock reaches the sampler (dead VCDL / dead switch phase)."""
-        sel = self.switch.select(self.ring.one_hot())
-        if sel is None:
+        tap = self._tap_phase()
+        if tap is None:
             return None
         d = self.vcdl.delay(self.pump.vc)
         if d is None:
             return None
-        return (self.dll.phase(sel) + d) % self.params.bit_time
+        return (tap + d) % self.params.bit_time
 
     def run(self, max_cycles: int = 20000,
             record_every: int = 8,
@@ -137,72 +132,158 @@ class SynchronizerLoop:
         in-window coarse evaluations with the PD dithering (not
         monotonically slewing).  The BIST verdict additionally applies
         the lock-detector bound and the 5000-cycle budget (Section III).
+
+        The body is one hoisted per-bit kernel (DESIGN.md section 8):
+        parameters and bound methods live in locals, the PD decision,
+        pump step and eye-error wrap are inlined with the float
+        expressions of :meth:`AlexanderPD.decide`,
+        :meth:`ChargePumpBeh.step` and :func:`wrap_phase`, and the
+        sampling phase is recomputed only when V_c or the selected tap
+        moves.  The coarse loop stays :meth:`CoarseFSM.evaluate` and
+        :meth:`WindowComparatorBeh.in_window`, called once every
+        ``divider_ratio`` bits.  The run starts from, and leaves, the
+        components' state (pump V_c, ring position, the PD's previous
+        bit and RNG, FSM, lock detector, source, aggressor, checker)
+        exactly as the per-component loop in
+        ``tests/synchronizer/reference_loop.py`` does.
         """
         p = self.params
         dt = p.bit_time
-        dt_slow = p.divider_ratio * dt
+        half = dt / 2.0
+        eye_center = p.eye_center
+        half_width = p.eye_half_width
+        tol = LOCK_PHASE_TOL * p.bit_time
+        ratio = p.divider_ratio
+        dt_slow = ratio * dt
+        divider_live = not p.divider_dead
+        vcdl_live = not p.vcdl_dead
+        vcdl_delay = p.vcdl_delay
+        delay_offset = p.vcdl_delay_offset
+        vdd = p.vdd
+        jitter = p.sampling_jitter_rms
+        pump, ring, fsm = self.pump, self.ring, self.fsm
+        in_window = self.window.in_window
+        evaluate = fsm.evaluate
+        next_bit = self.source.next_bit
+        gauss = self.pd.rng.gauss
+        penalty = (self.aggressor.penalty if self.aggressor is not None
+                   else None)
+        push = self.checker.push if self.checker is not None else None
+        # weak-pump V_c increments of ChargePumpBeh.step, per PD verdict
+        d_hold = pump.increment(0, 0, dt)
+        d_up = pump.increment(1, 0, dt)
+        d_dn = pump.increment(0, 1, dt)
+        # a stuck PD's fixed (up, dn, increment), or None for a live PD
+        pd_forced = {"up": (1, 0, d_up), "dn": (0, 1, d_dn),
+                     "quiet": (0, 0, d_hold)}.get(p.pd_stuck)
 
         trace = LoopTrace()
+        t_time, t_vc = trace.time, trace.vc
+        t_index, t_phase = trace.phase_index, trace.sampling_phase
+        nan = float("nan")
         locked = False
-        lock_time: Optional[float] = None
+        lock_cycle: Optional[int] = None
         divider_count = 0
         on_target_evals = 0
-        tol = LOCK_PHASE_TOL * p.bit_time
         ups_seen = 0
         dns_seen = 0
         errors_before = 0
         errors_after = 0
 
+        vc = pump.vc
+        prev_bit = self.pd.prev_bit
+        track = fsm.state == "TRACK"
+        position = ring.position
+        tap = self._tap_phase()
+        # V_c the cached phase was computed at; None forces a recompute
+        phase_vc: Optional[float] = None
+        phase: Optional[float] = None
+        err = 0.0
+        cycle = -1
+
         for cycle in range(max_cycles):
-            t = cycle * dt
-            bit = self.source.next_bit()
-            phase = self.sampling_phase()
+            bit = next_bit()
+            if vc != phase_vc:
+                # LinkParams.vcdl_delay is a pure function of V_c, so
+                # the phase only moves when V_c or the tap does
+                phase_vc = vc
+                if tap is None or not vcdl_live:
+                    phase = None
+                else:
+                    phase = (tap + (vcdl_delay(vc) + delay_offset)) % dt
+                    err = (phase - eye_center + half) % dt - half
+                    if err == -half:
+                        err = half
 
             # data correctness: a sample outside the open eye region
             # resolves wrongly (or metastably) -- count it as an error
             if phase is None:
                 sample_ok = False
+            elif penalty is None:
+                sample_ok = abs(err) < half_width
             else:
-                e_sample = wrap_phase(phase - p.eye_center, p.bit_time)
-                margin = p.eye_half_width
-                if self.aggressor is not None:
-                    margin = margin - self.aggressor.penalty(p)
-                sample_ok = abs(e_sample) < margin
+                sample_ok = abs(err) < half_width - penalty(p)
             if not sample_ok:
                 if locked:
                     errors_after += 1
                 else:
                     errors_before += 1
-            if self.checker is not None:
+            if push is not None:
                 # a bad sample resolves to the wrong value at the
                 # receiver -- that is what the checker FSM sees
-                self.checker.push(bit if sample_ok else 1 - bit)
+                push(bit if sample_ok else 1 - bit)
 
-            if phase is not None and self.fsm.state == "TRACK":
-                up, dn = self.pd.decide(bit, phase)
-                ups_seen += up
-                dns_seen += dn
-                self.pump.step(up, dn, dt)
-            elif phase is None:
-                # no sampling clock: PD sees no data, pump idles, and the
-                # loop can never lock
-                self.pd.reset()
+            if phase is None:
+                # no sampling clock: PD sees no data, pump idles, and
+                # the loop can never lock
+                prev_bit = None
+            elif track:
+                if pd_forced is not None:
+                    up, dn, d = pd_forced
+                    ups_seen += up
+                    dns_seen += dn
+                    vc += d
+                elif prev_bit is None or prev_bit == bit:
+                    vc += d_hold
+                else:
+                    e = err
+                    if jitter > 0.0:
+                        e += gauss(0.0, jitter)
+                    if e > 0.0:     # late -> UP (raise V_c)
+                        ups_seen += 1
+                        vc += d_up
+                    elif e < 0.0:   # early -> DN
+                        dns_seen += 1
+                        vc += d_dn
+                    else:
+                        vc += d_hold
+                prev_bit = bit
+                if vc < 0.0:    # the rail clamp, min(max(vc, 0), vdd)
+                    vc = 0.0
+                if vc > vdd:
+                    vc = vdd
 
             divider_count += 1
-            if not p.divider_dead and divider_count >= p.divider_ratio:
+            if divider_live and divider_count >= ratio:
                 divider_count = 0
-                request, _ = self.fsm.evaluate(dt_slow)
+                pump.vc = vc
+                request, _ = evaluate(dt_slow)
+                vc = pump.vc
+                track = fsm.state == "TRACK"
+                if ring.position != position:
+                    position = ring.position
+                    tap = self._tap_phase()
+                    phase_vc = None
                 if request:
-                    trace.coarse_requests.append(t)
-                # lock criterion: sampling phase pinned to the eye centre
-                # for several consecutive coarse evaluations, the fine
-                # loop tracking (in window), and the PD visibly dithering
-                # (both UP and DN seen — evidence the loop is regulating,
-                # not merely parked; a dead PD never shows dither)
-                if (self.fsm.state == "TRACK" and phase is not None
-                        and abs(wrap_phase(phase - p.eye_center,
-                                           p.bit_time)) < tol
-                        and self.window.in_window(self.pump.vc)):
+                    trace.coarse_requests.append(cycle * dt)
+                # lock criterion: sampling phase pinned to the eye
+                # centre for several consecutive coarse evaluations,
+                # the fine loop tracking (in window), and the PD
+                # visibly dithering (both UP and DN seen -- evidence
+                # the loop is regulating, not merely parked; a dead PD
+                # never shows dither)
+                if (track and phase is not None and abs(err) < tol
+                        and in_window(vc)):
                     on_target_evals += 1
                 else:
                     on_target_evals = 0
@@ -211,21 +292,23 @@ class SynchronizerLoop:
                 if (not locked and on_target_evals >= LOCK_QUIET_EVALS
                         and ups_seen > 0 and dns_seen > 0):
                     locked = True
-                    lock_time = t
+                    lock_cycle = cycle
 
             if cycle % record_every == 0:
-                trace.time.append(t)
-                trace.vc.append(self.pump.vc)
-                trace.phase_index.append(self.ring.position)
-                trace.sampling_phase.append(
-                    phase if phase is not None else float("nan"))
+                t_time.append(cycle * dt)
+                t_vc.append(vc)
+                t_index.append(position)
+                t_phase.append(phase if phase is not None else nan)
 
             if locked and stop_on_lock:
                 break
 
+        pump.vc = vc
+        self.pd.prev_bit = prev_bit
+        lock_time = lock_cycle * dt if lock_cycle is not None else None
         final_phase = self.sampling_phase()
-        err = (wrap_phase(final_phase - p.eye_center, p.bit_time)
-               if final_phase is not None else None)
+        final_err = (wrap_phase(final_phase - p.eye_center, p.bit_time)
+                     if final_phase is not None else None)
         cycles_budget = int(2e-6 / dt)  # the paper's 2 us budget
         bist_pass = (locked
                      and lock_time is not None
@@ -235,12 +318,19 @@ class SynchronizerLoop:
             locked=locked, lock_time=lock_time,
             cycles_run=cycle + 1,
             coarse_corrections=self.lock_detector.count,
-            final_vc=self.pump.vc,
-            final_phase_index=self.ring.position,
+            final_vc=vc,
+            final_phase_index=ring.position,
             final_sampling_phase=final_phase,
-            phase_error=err, bist_pass=bist_pass, trace=trace,
+            phase_error=final_err, bist_pass=bist_pass, trace=trace,
             errors_before_lock=errors_before,
-            errors_after_lock=errors_after)
+            errors_after_lock=errors_after,
+            lock_cycles=lock_cycle)
+
+    def _tap_phase(self) -> Optional[float]:
+        """Phase of the tap the ring counter selects through the switch
+        matrix, or None when no clock comes out."""
+        sel = self.switch.select(self.ring.one_hot())
+        return None if sel is None else self.dll.phase(sel)
 
 
 def run_synchronizer(params: Optional[LinkParams] = None,
