@@ -24,6 +24,12 @@ summary table (CI fails on any non-OK row).  Checks:
                      committed ``perfbench/reference/patterns.json``
                      (each fault's tiers and outcome, each stimulus's
                      healthy-lock summary); every moved fault is named
+12. result-golden  — the full 336-fault campaign matches the committed
+                     ``perfbench/reference/table1.json`` (each fault's
+                     dc/scan/bist hits and outcome), and the 8-die
+                     Monte-Carlo runs of seeds 1-4 match
+                     ``perfbench/reference/mc.json`` record for record;
+                     every moved fault or die is named
 
 Run locally: ``python scripts/guard_suite.py`` (from the repo root).
 Select a subset: ``python scripts/guard_suite.py mc-parity pattern-parity``.
@@ -42,6 +48,10 @@ from typing import Callable, List, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PATTERN_GOLDEN = REPO_ROOT / "perfbench" / "reference" / "patterns.json"
+TABLE1_GOLDEN = REPO_ROOT / "perfbench" / "reference" / "table1.json"
+MC_GOLDEN = REPO_ROOT / "perfbench" / "reference" / "mc.json"
+#: the Table I tiers whose hits table1.json pins
+TIER_NAMES = ("dc", "scan", "bist")
 ENV = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
 
 
@@ -313,6 +323,55 @@ def check_pattern_golden(tmp: str) -> str:
     )
 
 
+def check_result_golden(tmp: str) -> str:
+    """The full fault campaign and the Monte-Carlo dies against the
+    committed verdicts: a refactor that moves any fault's tier hits or
+    outcome, or any field of a die record, fails here, with every
+    moved fault or die named."""
+    _repro("campaign --workers 2 --export campaign-full.json", cwd=tmp)
+    with open(TABLE1_GOLDEN) as fh:
+        want = json.load(fh)["faults"]
+    got = {}
+    for rec in _load(tmp, "campaign-full.json")["records"]:
+        fault = rec["fault"]
+        name = ":".join(fault[k] for k in ("device", "kind", "block", "role"))
+        got[name] = {t: bool(rec["tiers"].get(t)) for t in TIER_NAMES}
+        got[name]["outcome"] = rec.get("outcome", "ok")
+    problems = [
+        f"{name}: golden {want.get(name)}, now {got.get(name)}"
+        for name in sorted(set(want) | set(got))
+        if want.get(name) != got.get(name)
+    ]
+    with open(MC_GOLDEN) as fh:
+        mc = json.load(fh)
+    dies = 0
+    for seed in sorted(mc["seeds"], key=int):
+        _repro(
+            f"mc --dies {mc['dies']} --seed {seed} --workers 2"
+            f" --export mc-{seed}.json",
+            cwd=tmp,
+        )
+        records = _load(tmp, f"mc-{seed}.json")["records"]
+        golden = mc["seeds"][seed]
+        for die in range(max(len(records), len(golden))):
+            was = golden[die] if die < len(golden) else None
+            now = records[die] if die < len(records) else None
+            if was != now:
+                problems.append(
+                    f"mc seed {seed} die {die}: golden {was}, now {now}"
+                )
+        dies += len(records)
+    if problems:
+        raise RuntimeError(
+            f"{len(problems)} difference(s) from the golden files\n"
+            + "\n".join(problems)
+        )
+    return (
+        f"{len(got)} fault verdicts + {dies} die records "
+        f"({len(mc['seeds'])} seeds) match the golden files"
+    )
+
+
 CHECKS: List[Tuple[str, Callable[[str], str]]] = [
     ("private-access", check_private_access),
     ("campaign-resume", check_campaign_resume),
@@ -325,6 +384,7 @@ CHECKS: List[Tuple[str, Callable[[str], str]]] = [
     ("service-parity", check_service_parity),
     ("service-chaos", check_service_chaos),
     ("pattern-golden", check_pattern_golden),
+    ("result-golden", check_result_golden),
 ]
 
 

@@ -31,16 +31,15 @@ an interrupted multi-hour campaign resumes where it stopped.
 from __future__ import annotations
 
 import json
-import os
 from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Set, Tuple, Union)
+from typing import (Callable, Dict, List, Mapping, Optional, Sequence, Set,
+                    Tuple, Union)
 
 from .._profiling import COUNTERS
 from ..analog.resilience import numerics_policy
 from ..analog.solver import SolverError
-from ..core.jsonl import DurableJsonlWriter
+from ..core.jsonl import DurableJsonlWriter, JsonlCheckpoint
 from ..core.supervisor import (OUTCOME_UNSOLVABLE, SUPERVISOR_TIER, RunTrace,
                                SupervisorPolicy, run_supervised)
 from .model import DetectionRecord, StructuralFault
@@ -217,6 +216,26 @@ class FaultCampaign:
     def tier_names(self) -> Tuple[str, ...]:
         return tuple(name for name, _, _ in self._tiers)
 
+    @property
+    def checkpoints(self) -> JsonlCheckpoint:
+        """The JSONL checkpoint format of this campaign's records.
+
+        Records resume only under the same tier pipeline, collapse
+        policy and numerics policy.  ``collapse`` and
+        ``strict_numerics`` enter the header only when set, so default
+        checkpoints stay byte-identical to earlier ones; ``"audit"``
+        records as ``"on"`` (the audit verifies the same records).
+        """
+        header: Dict[str, object] = {
+            "format": _CHECKPOINT_FORMAT, "version": ARTIFACT_VERSION,
+            "tier_order": list(self.tier_names)}
+        if self.collapse != "off":
+            header["collapse"] = "on"
+        if self.strict_numerics:
+            header["strict_numerics"] = True
+        return JsonlCheckpoint(header, DetectionRecord.from_dict,
+                               lambda rec: rec.fault.key())
+
     def add_tier(self, tier: Union[str, object],
                  detector: Optional[DetectorFunc] = None,
                  applies: Optional[AppliesFunc] = None) -> None:
@@ -316,9 +335,9 @@ class FaultCampaign:
         With ``checkpoint`` set, every finished record is appended to
         that JSONL file as it completes, and faults already present in
         the file (from a previous, possibly interrupted run with the
-        same tier pipeline) are *skipped* — their records are read back
-        instead of re-simulated.  The returned result is identical to
-        an uninterrupted run either way.
+        same :attr:`checkpoints` header) are *skipped* — their records
+        are read back instead of re-simulated.  The returned result is
+        identical to an uninterrupted run either way.
 
         ``trace`` (a path or an open :class:`RunTrace`) streams the
         structured run-event log: worker spawns/deaths, dispatches,
@@ -330,13 +349,10 @@ class FaultCampaign:
         with ExitStack() as stack:
             if isinstance(trace, str):
                 trace = stack.enter_context(RunTrace(trace))
-            writer: Optional[_CheckpointWriter] = None
+            writer: Optional[DurableJsonlWriter] = None
             if checkpoint is not None:
-                done = _load_checkpoint(checkpoint, self.tier_names,
-                                        self.collapse)
-                writer = stack.enter_context(
-                    _CheckpointWriter(checkpoint, self.tier_names,
-                                      self.collapse))
+                done, writer = self.checkpoints.resume(checkpoint)
+                stack.enter_context(writer)
             pending = [f for f in universe if f.key() not in done]
             base = n - len(pending)
             COUNTERS.campaign_faults += len(pending)
@@ -347,7 +363,7 @@ class FaultCampaign:
                           rec: DetectionRecord, outcome: str) -> None:
                 done[fault.key()] = rec
                 if writer is not None:
-                    writer.write(rec)
+                    writer.write_line(rec.to_dict())
                     if isinstance(trace, RunTrace):
                         trace.emit("checkpoint_write", item=index,
                                    fault=str(fault), outcome=outcome)
@@ -495,178 +511,3 @@ class FaultCampaign:
         the outcome label, and the supervisor's reason on ``errors``."""
         return DetectionRecord(fault=fault, outcome=outcome,
                                errors=[(SUPERVISOR_TIER, detail)])
-
-
-def merge_checkpoints(paths: Iterable[str],
-                      universe: Sequence[StructuralFault],
-                      tier_names: Sequence[str],
-                      collapse: str = "off") -> CampaignResult:
-    """Assemble one :class:`CampaignResult` from shard checkpoints.
-
-    The service layer (:mod:`repro.service`) splits a campaign into
-    fault-index-range shards, each running through :meth:`FaultCampaign.run`
-    with its own JSONL checkpoint; this is the merge-on-read side.  Every
-    shard file is validated exactly like a resume (same tier pipeline,
-    same collapse policy, torn-tail tolerance), records are keyed by
-    fault identity, and the result orders them by *universe* — so the
-    merged artifact is byte-identical to what one unsharded run over
-    the same universe would have exported.
-
-    Raises :class:`ValueError` when any universe fault has no record
-    (an incomplete shard must never silently deflate coverage) and on
-    duplicate records with diverging content (two shards evaluated the
-    same fault differently — a sharding bug worth failing loudly for).
-    """
-    done: Dict[Tuple[str, str, str, str], DetectionRecord] = {}
-    for path in paths:
-        shard = _load_checkpoint(path, tier_names, collapse)
-        for key, rec in shard.items():
-            prev = done.get(key)
-            if prev is not None and prev.to_dict() != rec.to_dict():
-                raise ValueError(
-                    f"{path}: record for fault {key} diverges from an "
-                    f"earlier shard's; refusing to merge")
-            done[key] = rec
-    missing = [f for f in universe if f.key() not in done]
-    if missing:
-        raise ValueError(
-            f"shard checkpoints cover {len(done)} fault(s) but the "
-            f"universe has {len(universe)}; first missing: {missing[0]}")
-    return CampaignResult(records=[done[f.key()] for f in universe],
-                          tier_order=tuple(tier_names))
-
-
-def read_checkpoint(path: str, tier_names: Sequence[str],
-                    collapse: str = "off"
-                    ) -> Dict[Tuple[str, str, str, str], DetectionRecord]:
-    """Records a previous (possibly interrupted) run left at *path*.
-
-    The public face of the resume loader, for callers that need to
-    *inspect* durable progress without running anything — the service
-    coordinator's shard-level resume scan counts these records to
-    decide which shards still need dispatching.  Semantics are exactly
-    the resume contract: an empty or missing file is an empty map, a
-    torn final line is discarded and physically truncated (so later
-    appends land on a clean boundary), and a mismatched tier pipeline /
-    collapse policy or mid-file corruption raises ``ValueError``.
-    """
-    return _load_checkpoint(path, tier_names, collapse)
-
-
-# ----------------------------------------------------------------------
-# checkpoint file helpers (JSONL: one header line, then one record/line)
-# ----------------------------------------------------------------------
-def _checkpoint_header(tier_names: Sequence[str],
-                       collapse: str = "off") -> Dict[str, object]:
-    header = {"format": _CHECKPOINT_FORMAT, "version": ARTIFACT_VERSION,
-              "tier_order": list(tier_names)}
-    # emitted only when collapsing, so uncollapsed checkpoints stay
-    # byte-identical to pre-collapse ones ("audit" records as "on": the
-    # audit is a verification layer, the records are the same)
-    if collapse != "off":
-        header["collapse"] = "on"
-    return header
-
-
-def _load_checkpoint(path: str, tier_names: Sequence[str],
-                     collapse: str = "off"
-                     ) -> Dict[Tuple[str, str, str, str], DetectionRecord]:
-    """Records already evaluated by a previous run against *path*.
-
-    An empty/missing file yields an empty map.  A header whose tier
-    pipeline differs from the current campaign is an error — mixing
-    records from different pipelines would corrupt the accounting.
-    Likewise a checkpoint written under a different collapse policy:
-    resuming a ``--collapse on`` checkpoint with ``--collapse off``
-    (or vice versa) would mix per-fault and per-class verdict
-    provenance in one artifact, so it refuses (mirroring the
-    ``--strict-numerics`` resume guard).
-
-    Only the *final* line may be malformed (a write torn by an
-    interrupted run); it is discarded **and physically truncated from
-    the file**, so the writer's subsequent appends land on a clean line
-    boundary instead of gluing onto the torn fragment.  A malformed
-    line with valid records after it means the file is corrupted in the
-    middle — resuming would silently discard every later record and
-    then re-append duplicates, so that raises instead.
-    """
-    if not os.path.exists(path) or os.path.getsize(path) == 0:
-        return {}
-    done: Dict[Tuple[str, str, str, str], DetectionRecord] = {}
-    # binary mode: tell()/truncate() must speak byte offsets
-    with open(path, "rb+") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError:
-            raise ValueError(f"{path}: not a campaign checkpoint") from None
-        if header.get("format") != _CHECKPOINT_FORMAT:
-            raise ValueError(f"{path}: not a campaign checkpoint "
-                             f"(format={header.get('format')!r})")
-        if list(header.get("tier_order", [])) != list(tier_names):
-            raise ValueError(
-                f"{path}: checkpoint was written by tier pipeline "
-                f"{header.get('tier_order')!r}, campaign runs "
-                f"{list(tier_names)!r}")
-        wrote = str(header.get("collapse", "off"))
-        runs = "off" if collapse == "off" else "on"
-        if wrote != runs:
-            raise ValueError(
-                f"{path}: checkpoint was written with collapse={wrote!r}"
-                f", campaign runs collapse={runs!r}; refusing to mix "
-                f"per-fault and per-class records (delete the file or "
-                f"rerun with the matching --collapse policy)")
-        while True:
-            offset = fh.tell()
-            line = fh.readline()
-            if not line:
-                break
-            if not line.strip():
-                continue
-            try:
-                rec = DetectionRecord.from_dict(json.loads(line))
-            except (json.JSONDecodeError, KeyError, ValueError):
-                if fh.read().strip():
-                    raise ValueError(
-                        f"{path}: corrupted checkpoint record at byte "
-                        f"{offset} with valid records after it; "
-                        f"refusing to resume (repair or delete the "
-                        f"file)") from None
-                fh.seek(offset)
-                fh.truncate()
-                break
-            done[rec.fault.key()] = rec
-    return done
-
-
-class _CheckpointWriter:
-    """Appends records to a durable JSONL checkpoint.
-
-    A context manager so interrupted runs (``KeyboardInterrupt``, a
-    worker failure propagating out) still close the stream
-    deterministically.  Durability is the shared
-    :class:`~repro.core.jsonl.DurableJsonlWriter` contract: every
-    record line is a single ``write`` + ``flush`` (the file never
-    holds a half-written record beyond the last flushed line), and the
-    stream is ``fsync``\\ ed on close and every few lines — a record
-    acknowledged to the progress callback survives power loss, not
-    just a killed process.
-    """
-
-    def __init__(self, path: str, tier_names: Sequence[str],
-                 collapse: str = "off"):
-        self._out = DurableJsonlWriter(path)
-        if self._out.fresh:
-            self._out.write_line(_checkpoint_header(tier_names, collapse))
-
-    def write(self, record: DetectionRecord) -> None:
-        self._out.write_line(record.to_dict())
-
-    def close(self) -> None:
-        self._out.close()
-
-    def __enter__(self) -> "_CheckpointWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -42,7 +42,6 @@ own suite.
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import time
@@ -51,6 +50,7 @@ from hashlib import blake2b
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core import failpoints
+from ..core.jsonl import read_events
 from .client import JobQueue, format_result, serve
 from .spec import CampaignSpec
 
@@ -266,40 +266,21 @@ def _count_item_done(shards_dir: str) -> int:
     number of item evaluations *ever completed* for the job — the
     zero-rerun proof compares it against the item count.
     """
-    total = 0
     if not os.path.isdir(shards_dir):
         return 0
+    total = 0
     for name in sorted(os.listdir(shards_dir)):
-        if not (name.startswith("shard-")
-                and name.endswith(".trace.jsonl")):
-            continue
-        with open(os.path.join(shards_dir, name), "rb") as fh:
-            raw = fh.read()
-        for line in raw.decode("utf-8", "replace").splitlines():
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(event, dict) \
-                    and event.get("event") == "item_done":
-                total += 1
+        if name.startswith("shard-") and name.endswith(".trace.jsonl"):
+            events = read_events(os.path.join(shards_dir, name))
+            total += sum(e.get("event") == "item_done" for e in events)
     return total
 
 
 def _job_items(trace_path: str) -> int:
     """The job's item count, read from its ``job_start`` trace event."""
-    try:
-        with open(trace_path, "rb") as fh:
-            raw = fh.read()
-    except OSError:
-        return 0
     items = 0
-    for line in raw.decode("utf-8", "replace").splitlines():
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(event, dict) and event.get("event") == "job_start":
+    for event in read_events(trace_path):
+        if event.get("event") == "job_start":
             try:
                 items = int(event.get("items", 0))
             except (TypeError, ValueError):

@@ -46,7 +46,6 @@ trace file is the single source of progress truth.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import time
 from contextlib import ExitStack
@@ -54,6 +53,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .._profiling import COUNTERS
+from ..core.jsonl import read_events
 from ..core.supervisor import (RunTrace, SupervisorPolicy, run_supervised)
 from .shard import build_job, shard_ranges
 from .spec import CampaignSpec
@@ -109,30 +109,17 @@ def derive_progress(trace_path: Optional[str]) -> Dict[str, object]:
 
     This function **never raises**: a status poll races a live (or
     freshly killed) serve loop, so the trace may be missing, mid-write,
-    torn at any byte, or outright garbage.  Undecodable bytes and
-    unparsable lines are skipped, and the report carries a ``state``
-    field — ``"ok"`` when events were recovered, ``"unknown"`` when
-    the file is missing, unreadable, or held no parsable event —
-    instead of an exception ever reaching ``repro status``.
+    torn at any byte, or outright garbage.  It reads through
+    :func:`~repro.core.jsonl.read_events`, and the report carries a
+    ``state`` field — ``"ok"`` when events were recovered,
+    ``"unknown"`` when the file is missing, unreadable, or held no
+    parsable event — instead of an exception ever reaching
+    ``repro status``.
     """
-    items = done = events = 0
+    items = done = 0
     t_start = t_last = 0.0
-    state = "unknown"
-    raw: Optional[bytes] = None
-    if trace_path is not None:
-        try:
-            with open(trace_path, "rb") as fh:
-                raw = fh.read()
-        except OSError:
-            raw = None
-    for line in (raw or b"").decode("utf-8", "replace").splitlines():
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if not isinstance(event, dict):
-            continue
-        events += 1
+    events = read_events(trace_path) if trace_path is not None else []
+    for event in events:
         name = event.get("event")
         try:
             t = float(event.get("t", 0.0))
@@ -148,8 +135,6 @@ def derive_progress(trace_path: Optional[str]) -> Dict[str, object]:
             t_start = t
         elif name in ("item_done", "timeout", "quarantine"):
             done += 1
-    if events:
-        state = "ok"
     elapsed = max(0.0, t_last - t_start)
     remaining = max(0, items - done)
     eta = (elapsed * remaining / done) if done and remaining else (
@@ -157,7 +142,7 @@ def derive_progress(trace_path: Optional[str]) -> Dict[str, object]:
     return {"shards_total": items, "shards_done": done,
             "elapsed_s": round(elapsed, 3),
             "eta_s": None if eta is None else round(eta, 3),
-            "state": state}
+            "state": "ok" if events else "unknown"}
 
 
 def shard_trace_path(checkpoint: str) -> str:

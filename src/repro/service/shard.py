@@ -19,7 +19,7 @@ campaign workers do.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .spec import CampaignSpec
 
@@ -50,10 +50,12 @@ class ShardedJob:
     """One spec's executable form: items, shard runner, merge-on-read.
 
     Subclasses bind the three campaign kinds to their existing
-    machinery.  ``run_shard`` executes inside a (possibly forked)
-    shard worker and must leave a complete checkpoint at the given
-    path; ``merge`` runs in the coordinator after every shard settled
-    and returns the artifact dict the matching CLI export would have
+    machinery: they set ``campaign`` (whose ``checkpoints`` type reads
+    and merges the shard files) and ``keys`` (the item keys, in item
+    order).  ``run_shard`` executes inside a (possibly forked) shard
+    worker and must leave a complete checkpoint at the given path;
+    ``merge`` runs in the coordinator after every shard settled and
+    returns the artifact dict the matching CLI export would have
     produced.  ``completed_items`` is the crash-recovery scan: it
     counts the shard's durably checkpointed records *without running
     anything*, so a restarted coordinator can dispatch only the
@@ -62,17 +64,20 @@ class ShardedJob:
     """
 
     spec: CampaignSpec
+    campaign: Any
+    keys: Sequence[Hashable]
 
     @property
     def items(self) -> int:
-        raise NotImplementedError
+        return len(self.keys)
 
     def run_shard(self, lo: int, hi: int, checkpoint: str,
                   trace: Optional[str] = None) -> None:
         raise NotImplementedError
 
     def completed_items(self, lo: int, hi: int, checkpoint: str) -> int:
-        raise NotImplementedError
+        done = self.campaign.checkpoints.load(checkpoint)
+        return sum(1 for key in self.keys[lo:hi] if key in done)
 
     def merge(self, checkpoints: Sequence[str]) -> Dict[str, object]:
         raise NotImplementedError
@@ -94,34 +99,22 @@ class FaultCampaignJob(ShardedJob):
             universe = stratified_sample(universe, spec.sample,
                                          seed=spec.seed)
         self.universe = list(universe)
+        self.keys = [f.key() for f in self.universe]
         self.campaign = FaultCampaign(
             strict_numerics=spec.strict_numerics, collapse=spec.collapse)
         for tier in create_tiers(spec.tiers, GoldenSignatures()):
             self.campaign.add_tier(tier)
-
-    @property
-    def items(self) -> int:
-        return len(self.universe)
 
     def run_shard(self, lo: int, hi: int, checkpoint: str,
                   trace: Optional[str] = None) -> None:
         self.campaign.run(self.universe[lo:hi], checkpoint=checkpoint,
                           backend=self.spec.backend, trace=trace)
 
-    def completed_items(self, lo: int, hi: int, checkpoint: str) -> int:
-        from ..faults.campaign import read_checkpoint
-
-        done = read_checkpoint(checkpoint, self.campaign.tier_names,
-                               self.campaign.collapse)
-        return sum(1 for f in self.universe[lo:hi] if f.key() in done)
-
     def merge(self, checkpoints: Sequence[str]) -> Dict[str, object]:
-        from ..faults.campaign import merge_checkpoints
+        from ..faults.campaign import CampaignResult
 
-        result = merge_checkpoints(checkpoints, self.universe,
-                                   self.campaign.tier_names,
-                                   self.campaign.collapse)
-        return result.to_dict()
+        records = self.campaign.checkpoints.merge(checkpoints, self.keys)
+        return CampaignResult(records, self.campaign.tier_names).to_dict()
 
 
 class MonteCarloJob(ShardedJob):
@@ -134,6 +127,7 @@ class MonteCarloJob(ShardedJob):
         from ..variation import MismatchModel, MonteCarloCampaign
 
         self.spec = spec
+        self.keys = range(spec.dies)
         model = MismatchModel(sigma_vt=spec.sigma_vt_mv * 1e-3,
                               sigma_kp_rel=spec.sigma_kp_pct / 100.0)
         self.campaign = MonteCarloCampaign(
@@ -142,22 +136,14 @@ class MonteCarloJob(ShardedJob):
             strict_numerics=spec.strict_numerics,
             collapse=spec.collapse)
 
-    @property
-    def items(self) -> int:
-        return self.spec.dies
-
     def run_shard(self, lo: int, hi: int, checkpoint: str,
                   trace: Optional[str] = None) -> None:
         self.campaign.run(range(lo, hi), checkpoint=checkpoint,
                           backend=self.spec.backend, trace=trace)
 
-    def completed_items(self, lo: int, hi: int, checkpoint: str) -> int:
-        done = self.campaign.read_checkpoint(checkpoint)
-        return sum(1 for die in range(lo, hi) if die in done)
-
     def merge(self, checkpoints: Sequence[str]) -> Dict[str, object]:
-        return self.campaign.merge_checkpoints(
-            checkpoints, self.spec.dies).to_dict()
+        records = self.campaign.checkpoints.merge(checkpoints, self.keys)
+        return self.campaign.result(records).to_dict()
 
 
 class PatternCampaignJob(ShardedJob):
@@ -171,31 +157,21 @@ class PatternCampaignJob(ShardedJob):
         self.spec = spec
         self.pattern_campaign = PatternCampaign(patterns=spec.patterns)
         self.universe = sampled_universe(bist_universe(), spec.sample)
+        self.keys = [f.key() for f in self.universe]
         self.campaign = self.pattern_campaign.build()
-
-    @property
-    def items(self) -> int:
-        return len(self.universe)
 
     def run_shard(self, lo: int, hi: int, checkpoint: str,
                   trace: Optional[str] = None) -> None:
         self.campaign.run(self.universe[lo:hi], checkpoint=checkpoint,
                           trace=trace)
 
-    def completed_items(self, lo: int, hi: int, checkpoint: str) -> int:
-        from ..faults.campaign import read_checkpoint
-
-        done = read_checkpoint(checkpoint, self.campaign.tier_names,
-                               self.campaign.collapse)
-        return sum(1 for f in self.universe[lo:hi] if f.key() in done)
-
     def merge(self, checkpoints: Sequence[str]) -> Dict[str, object]:
-        from ..faults.campaign import merge_checkpoints
+        from ..faults.campaign import CampaignResult
         from ..patterns.campaign import (PatternCampaignResult,
                                          healthy_lock_summary)
 
-        result = merge_checkpoints(checkpoints, self.universe,
-                                   self.campaign.tier_names)
+        records = self.campaign.checkpoints.merge(checkpoints, self.keys)
+        result = CampaignResult(records, self.campaign.tier_names)
         lock = {p: healthy_lock_summary(p)
                 for p in self.pattern_campaign.patterns}
         return PatternCampaignResult(

@@ -31,17 +31,16 @@ so the compiled MNA plans of PR 1 amortise across the whole sweep.
 from __future__ import annotations
 
 import json
-import os
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple, Union)
+from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 from .._profiling import COUNTERS
 from ..analog.corners import ProcessCorner, get_corner
 from ..analog.resilience import numerics_policy
 from ..analog.solver import SolverError
-from ..core.jsonl import DurableJsonlWriter
+from ..core.jsonl import DurableJsonlWriter, JsonlCheckpoint
 from ..core.supervisor import (OUTCOME_UNSOLVABLE, SUPERVISOR_TIER, RunTrace,
                                SupervisorPolicy, run_supervised)
 from ..faults.model import StructuralFault
@@ -472,17 +471,13 @@ class MonteCarloCampaign:
                    else [int(d) for d in dies])
         n = len(indices)
         done: Dict[int, DieRecord] = {}
-        config = _config_dict(self.seed, self.corner.name,
-                              self.tier_names, self.model,
-                              self.strict_numerics, self.collapse)
         with ExitStack() as stack:
             if isinstance(trace, str):
                 trace = stack.enter_context(RunTrace(trace))
-            writer: Optional[_CheckpointWriter] = None
+            writer: Optional[DurableJsonlWriter] = None
             if checkpoint is not None:
-                done = _load_checkpoint(checkpoint, config)
-                writer = stack.enter_context(
-                    _CheckpointWriter(checkpoint, config))
+                done, writer = self.checkpoints.resume(checkpoint)
+                stack.enter_context(writer)
             pending = [i for i in indices if i not in done]
             self._precompute(pending, backend)
             base = n - len(pending)
@@ -492,7 +487,7 @@ class MonteCarloCampaign:
                           outcome: str) -> None:
                 done[die] = rec
                 if writer is not None:
-                    writer.write(rec)
+                    writer.write_line(rec.to_dict())
                     if isinstance(trace, RunTrace):
                         trace.emit("checkpoint_write", item=index,
                                    die=die, outcome=outcome)
@@ -510,7 +505,28 @@ class MonteCarloCampaign:
                 trace=trace if isinstance(trace, RunTrace) else None)
         if self.collapse == "audit":
             self._audit(done)
-        return MCResult(records=[done[i] for i in indices],
+        return self.result([done[i] for i in indices])
+
+    @property
+    def checkpoints(self) -> JsonlCheckpoint:
+        """The JSONL checkpoint format of this campaign's die records.
+
+        The header carries the full campaign config (seed, corner,
+        tiers, mismatch model, numerics and collapse policy): a record
+        sampled under different parameters is a different die, and
+        mixing them would corrupt every rate.
+        """
+        config = _config_dict(self.seed, self.corner.name,
+                              self.tier_names, self.model,
+                              self.strict_numerics, self.collapse)
+        return JsonlCheckpoint(
+            {"format": _CHECKPOINT_FORMAT, "version": ARTIFACT_VERSION,
+             "config": config},
+            DieRecord.from_dict, lambda rec: rec.die)
+
+    def result(self, records: Sequence[DieRecord]) -> MCResult:
+        """*records* (in die order) as this campaign's result."""
+        return MCResult(records=list(records),
                         tier_order=self.tier_names, seed=self.seed,
                         corner=self.corner.name, model=self.model,
                         strict_numerics=self.strict_numerics,
@@ -594,65 +610,6 @@ class MonteCarloCampaign:
                             f"(via representative {rep}) says "
                             f"{recorded}")
 
-    def read_checkpoint(self, path: str) -> Dict[int, DieRecord]:
-        """Die records a previous (possibly interrupted) run left at
-        *path*, keyed by die index.
-
-        The public face of the resume loader, for callers that need to
-        inspect durable progress without simulating — the service
-        coordinator's shard-level resume scan counts these records to
-        decide which die-range shards still need dispatching.  Resume
-        semantics apply unchanged: empty/missing file → empty map,
-        torn final line discarded and truncated, config mismatch or
-        mid-file corruption → ``ValueError``.
-        """
-        config = _config_dict(self.seed, self.corner.name,
-                              self.tier_names, self.model,
-                              self.strict_numerics, self.collapse)
-        return _load_checkpoint(path, config)
-
-    def merge_checkpoints(self, paths: Iterable[str],
-                          dies: Union[int, Sequence[int]]) -> MCResult:
-        """Assemble one :class:`MCResult` from shard checkpoints.
-
-        The merge-on-read side of die-range sharding
-        (:mod:`repro.service`): every shard file is validated exactly
-        like a resume (the full campaign config must match), records
-        are keyed by die index, and the result orders them by the
-        requested *dies* — byte-identical to what one unsharded
-        :meth:`run` over the same population would have exported.
-
-        Raises :class:`ValueError` on a missing die (an incomplete
-        shard must never silently move a rate) or on duplicate records
-        with diverging content.
-        """
-        config = _config_dict(self.seed, self.corner.name,
-                              self.tier_names, self.model,
-                              self.strict_numerics, self.collapse)
-        done: Dict[int, DieRecord] = {}
-        for path in paths:
-            shard = _load_checkpoint(path, config)
-            for die, rec in shard.items():
-                prev = done.get(die)
-                if prev is not None and prev.to_dict() != rec.to_dict():
-                    raise ValueError(
-                        f"{path}: record for die {die} diverges from an "
-                        f"earlier shard's; refusing to merge")
-                done[die] = rec
-        indices = (list(range(int(dies))) if isinstance(dies, int)
-                   else [int(d) for d in dies])
-        missing = [i for i in indices if i not in done]
-        if missing:
-            raise ValueError(
-                f"shard checkpoints cover {len(done)} die(s) but the "
-                f"population has {len(indices)}; first missing: "
-                f"{missing[0]}")
-        return MCResult(records=[done[i] for i in indices],
-                        tier_order=self.tier_names, seed=self.seed,
-                        corner=self.corner.name, model=self.model,
-                        strict_numerics=self.strict_numerics,
-                        collapse="off" if self.collapse == "off" else "on")
-
     def _fallback_record(self, die: int, outcome: str,
                          detail: str) -> DieRecord:
         """First-class record for a die the supervisor gave up on.
@@ -668,98 +625,3 @@ class MonteCarloCampaign:
                          detected={t: False for t in self.tier_names},
                          errors=[(SUPERVISOR_TIER, detail)],
                          outcome=outcome)
-
-
-# ----------------------------------------------------------------------
-# checkpoint file helpers (JSONL: one header line, then one record/line)
-# ----------------------------------------------------------------------
-def _checkpoint_header(config: Mapping[str, object]) -> Dict[str, object]:
-    return {"format": _CHECKPOINT_FORMAT, "version": ARTIFACT_VERSION,
-            "config": dict(config)}
-
-
-def _load_checkpoint(path: str, config: Mapping[str, object]
-                     ) -> Dict[int, DieRecord]:
-    """Die records already evaluated by a previous run against *path*.
-
-    The header's full config (seed, corner, tiers, mismatch model) must
-    match the current campaign — a record sampled under different
-    parameters is a different die, and mixing them would corrupt every
-    rate.
-
-    Only the *final* line may be malformed (a write torn by an
-    interrupted run); it is discarded and physically truncated from the
-    file so subsequent appends land on a clean line boundary.  A
-    malformed line with valid records after it means mid-file
-    corruption — resuming would discard later records and then append
-    duplicates, so that raises instead.
-    """
-    if not os.path.exists(path) or os.path.getsize(path) == 0:
-        return {}
-    done: Dict[int, DieRecord] = {}
-    # binary mode: tell()/truncate() must speak byte offsets
-    with open(path, "rb+") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError:
-            raise ValueError(
-                f"{path}: not a Monte-Carlo checkpoint") from None
-        if header.get("format") != _CHECKPOINT_FORMAT:
-            raise ValueError(f"{path}: not a Monte-Carlo checkpoint "
-                             f"(format={header.get('format')!r})")
-        if header.get("config") != dict(config):
-            raise ValueError(
-                f"{path}: checkpoint was written with config "
-                f"{header.get('config')!r}, campaign runs "
-                f"{dict(config)!r}")
-        while True:
-            offset = fh.tell()
-            line = fh.readline()
-            if not line:
-                break
-            if not line.strip():
-                continue
-            try:
-                rec = DieRecord.from_dict(json.loads(line))
-            except (json.JSONDecodeError, KeyError, ValueError):
-                if fh.read().strip():
-                    raise ValueError(
-                        f"{path}: corrupted checkpoint record at byte "
-                        f"{offset} with valid records after it; "
-                        f"refusing to resume (repair or delete the "
-                        f"file)") from None
-                fh.seek(offset)
-                fh.truncate()
-                break
-            done[rec.die] = rec
-    return done
-
-
-class _CheckpointWriter:
-    """Appends die records to a durable JSONL checkpoint.
-
-    A context manager so interrupted runs still close the stream
-    deterministically.  Durability is the shared
-    :class:`~repro.core.jsonl.DurableJsonlWriter` contract: one
-    ``write`` + ``flush`` per record line, plus ``fsync`` on close and
-    every few lines, so acknowledged records survive power loss — not
-    just a killed process.
-    """
-
-    def __init__(self, path: str, config: Mapping[str, object]):
-        self._out = DurableJsonlWriter(path)
-        if self._out.fresh:
-            self._out.write_line(_checkpoint_header(config))
-
-    def write(self, record: DieRecord) -> None:
-        self._out.write_line(record.to_dict())
-
-    def close(self) -> None:
-        self._out.close()
-
-    def __enter__(self) -> "_CheckpointWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -95,6 +95,34 @@ class TestDurableJsonlWriter:
         out.close()
         assert len(calls) == 2
 
+    def test_append_after_a_torn_line_starts_a_new_line(self, tmp_path):
+        """No append ever starts on an unterminated line: a reopened
+        writer ends the torn line first, so both survive as lines."""
+        path = str(tmp_path / "out.jsonl")
+        with open(path, "w") as fh:
+            fh.write('{"i": 0}\n{"i": 1}')          # lost its newline
+        with DurableJsonlWriter(path) as out:
+            assert not out.fresh
+            out.write_line({"i": 2})
+        assert [json.loads(x) for x in open(path)] == \
+            [{"i": 0}, {"i": 1}, {"i": 2}]
+
+    def test_reopened_trace_keeps_its_first_event(self, tmp_path):
+        """A RunTrace reopened after a torn tail used to glue its
+        ``trace_open`` event onto the fragment, losing it."""
+        from repro.core.jsonl import read_events
+        from repro.core.supervisor import RunTrace
+
+        path = str(tmp_path / "trace.jsonl")
+        with RunTrace(path) as trace:
+            trace.emit("step", i=0)
+        with open(path, "a") as fh:
+            fh.write('{"event": "st')                # torn mid-line
+        with RunTrace(path) as trace:
+            trace.emit("step", i=1)
+        assert [e["event"] for e in read_events(path)] == \
+            ["trace_open", "step", "trace_open", "step"]
+
     def test_rejects_nonpositive_cadence(self, tmp_path):
         with pytest.raises(ValueError):
             DurableJsonlWriter(str(tmp_path / "out.jsonl"), fsync_every=0)

@@ -24,9 +24,9 @@ def make_universe(n=8):
     return [F(f"d{i}", kinds[i % len(kinds)]) for i in range(n)]
 
 
-def make_campaign():
+def make_campaign(strict_numerics=False):
     """Two generically named tiers, one of which raises on one fault."""
-    campaign = FaultCampaign()
+    campaign = FaultCampaign(strict_numerics=strict_numerics)
     campaign.add_tier("alpha", lambda f: f.device in ("d0", "d3"))
 
     def beta(fault):
@@ -150,6 +150,32 @@ class TestCheckpointResume:
         other.add_tier("gamma", lambda f: True)
         with pytest.raises(ValueError):
             other.run(universe, checkpoint=ckpt)
+
+    def test_default_header_carries_no_strict_field(self, tmp_path):
+        ckpt = str(tmp_path / "camp.ckpt")
+        make_campaign().run(make_universe(2), checkpoint=ckpt)
+        with open(ckpt) as fh:
+            assert fh.readline() == (
+                '{"format": "repro-campaign-checkpoint", "version": 1, '
+                '"tier_order": ["alpha", "beta"]}\n')
+
+    @pytest.mark.parametrize("wrote,runs", [(True, False), (False, True)])
+    def test_strict_numerics_mismatch_rejected(self, tmp_path, wrote, runs):
+        """Records settled under one numerics policy never resume under
+        the other: a strict checkpoint refuses a default run and vice
+        versa."""
+        universe = make_universe(3)
+        ckpt = str(tmp_path / "camp.ckpt")
+        make_campaign(strict_numerics=wrote).run(universe[:2],
+                                                 checkpoint=ckpt)
+        with open(ckpt) as fh:
+            assert ('"strict_numerics": true' in fh.readline()) == wrote
+        with pytest.raises(ValueError, match="strict_numerics"):
+            make_campaign(strict_numerics=runs).run(universe,
+                                                    checkpoint=ckpt)
+        resumed = make_campaign(strict_numerics=wrote).run(
+            universe, checkpoint=ckpt)
+        assert len(resumed.records) == 3
 
     def test_truncated_tail_is_discarded(self, tmp_path):
         universe = make_universe(4)

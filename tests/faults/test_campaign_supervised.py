@@ -8,7 +8,9 @@ bad faults as timeout/quarantined outcomes in the JSON export and the
 run-event trace.  Plus the checkpoint-integrity bugfixes: a corrupted
 *middle* line makes resume raise (instead of silently discarding later
 records and appending duplicates), while only a torn *final* line is
-discarded — and physically truncated so appends stay clean.
+discarded — and physically truncated so appends stay clean, even
+when the tear left a whole record without its newline or cut the
+header.
 """
 
 import json
@@ -220,6 +222,39 @@ class TestCheckpointIntegrity:
             final = [json.loads(line) for line in fh]
         devices = [rec["fault"]["device"] for rec in final[1:]]
         assert sorted(devices) == sorted(f.device for f in universe)
+
+    def test_record_that_lost_only_its_newline_is_rerun(self, tmp_path):
+        """A final record missing just its newline is torn: the resume
+        re-runs it instead of gluing the next append onto it (which
+        made the load after that refuse the file as corrupt)."""
+        universe, ckpt, campaign = self._write_checkpoint(tmp_path)
+        with open(ckpt, "rb") as fh:
+            data = fh.read()
+        with open(ckpt, "wb") as fh:
+            fh.write(data[:-1])
+        assert len(campaign.checkpoints.load(ckpt)) == len(universe) - 1
+        rerun = campaign.run(universe, checkpoint=ckpt)
+        assert rerun.records == campaign.run(universe).records
+        with open(ckpt, "rb") as fh:
+            assert fh.read() == data
+        again = campaign.run(universe, checkpoint=ckpt)
+        assert again.records == rerun.records
+
+    @pytest.mark.parametrize("cut", [1, 20, -1])
+    def test_torn_header_starts_a_fresh_checkpoint(self, tmp_path, cut):
+        """A cut anywhere inside the header line — including just its
+        newline — leaves no record, so the resume starts a fresh file
+        instead of refusing it or gluing a record onto the header."""
+        universe, ckpt, campaign = self._write_checkpoint(tmp_path)
+        with open(ckpt, "rb") as fh:
+            data = fh.read()
+        header_end = data.index(b"\n") + 1
+        with open(ckpt, "wb") as fh:
+            fh.write(data[:header_end + cut if cut < 0 else cut])
+        rerun = campaign.run(universe, checkpoint=ckpt)
+        assert rerun.records == campaign.run(universe).records
+        with open(ckpt, "rb") as fh:
+            assert fh.read() == data
 
     def test_blank_lines_are_still_tolerated(self, tmp_path):
         universe, ckpt, campaign = self._write_checkpoint(tmp_path)

@@ -160,6 +160,29 @@ class TestShardResume:
         assert len(resumes) == 2
         assert all(e["complete"] for e in resumes)
 
+    def test_record_that_lost_only_its_newline_resumes(self, tmp_path):
+        """A shard checkpoint cut to its header plus three records, the
+        last without its newline: the resume re-runs the torn record
+        and the rest, and the merge reads one clean file."""
+        store = ResultStore(str(tmp_path / "store"))
+        shards_dir = str(tmp_path / "shards")
+        spec = small_spec(tiers=("dc",), shards=1)
+        first = Coordinator(store).run_spec(spec, shards_dir=shards_dir)
+        os.remove(store.path_for(spec.digest()))
+        target = os.path.join(shards_dir, "shard-000.jsonl")
+        with open(target, "rb") as fh:
+            data = fh.read()
+        lines = data.split(b"\n")
+        with open(target, "wb") as fh:
+            fh.write(b"\n".join(lines[:4]))
+        second = Coordinator(store).run_spec(spec, shards_dir=shards_dir)
+        assert second.state == "done"
+        assert second.shards_run == 1
+        assert second.result == first.result
+        with open(target, "rb") as fh:
+            assert fh.read() == data
+        assert not os.path.exists(f"{target}.corrupt")
+
     def test_corrupt_checkpoint_is_quarantined_and_rerun(self, tmp_path):
         store = ResultStore(str(tmp_path / "store"))
         shards_dir = str(tmp_path / "shards")

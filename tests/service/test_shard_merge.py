@@ -11,8 +11,8 @@ import json
 
 import pytest
 
-from repro.faults import FaultCampaign, FaultKind, StructuralFault
-from repro.faults.campaign import merge_checkpoints
+from repro.faults import (CampaignResult, FaultCampaign, FaultKind,
+                          StructuralFault)
 from repro.service.shard import build_job, shard_ranges
 from repro.service.spec import CampaignSpec
 
@@ -60,41 +60,45 @@ def synthetic_campaign():
 
 
 class TestMergeCheckpoints:
-    """The faults-side merge entry point, on a synthetic campaign."""
+    """Merge-on-read through the campaign's checkpoint type, on a
+    synthetic campaign."""
 
     def setup_method(self):
         kinds = list(FaultKind)
         self.universe = [F(f"d{i}", kinds[i % len(kinds)])
                          for i in range(10)]
+        self.keys = [f.key() for f in self.universe]
 
-    def _shard_files(self, tmp_path, ranges):
+    def _shard_files(self, tmp_path, ranges, campaign=synthetic_campaign):
         paths = []
         for i, (lo, hi) in enumerate(ranges):
             path = str(tmp_path / f"shard-{i}.jsonl")
-            synthetic_campaign().run(self.universe[lo:hi],
-                                     checkpoint=path)
+            campaign().run(self.universe[lo:hi], checkpoint=path)
             paths.append(path)
         return paths
 
+    def _merge(self, paths, campaign=None):
+        campaign = campaign or synthetic_campaign()
+        records = campaign.checkpoints.merge(paths, self.keys)
+        return CampaignResult(records, campaign.tier_names)
+
     def test_merged_equals_direct(self, tmp_path):
         paths = self._shard_files(tmp_path, shard_ranges(10, 3))
-        merged = merge_checkpoints(paths, self.universe,
-                                   ("alpha", "beta"))
+        merged = self._merge(paths)
         direct = synthetic_campaign().run(self.universe)
         assert merged.records == direct.records
         assert merged.to_json(indent=2) == direct.to_json(indent=2)
 
     def test_shard_file_order_is_irrelevant(self, tmp_path):
         paths = self._shard_files(tmp_path, shard_ranges(10, 3))
-        merged = merge_checkpoints(list(reversed(paths)), self.universe,
-                                   ("alpha", "beta"))
+        merged = self._merge(list(reversed(paths)))
         direct = synthetic_campaign().run(self.universe)
         assert merged.records == direct.records
 
     def test_missing_items_are_loud(self, tmp_path):
         paths = self._shard_files(tmp_path, shard_ranges(10, 3)[:-1])
         with pytest.raises(ValueError, match="missing"):
-            merge_checkpoints(paths, self.universe, ("alpha", "beta"))
+            self._merge(paths)
 
     def test_diverging_duplicate_is_loud(self, tmp_path):
         paths = self._shard_files(tmp_path, shard_ranges(10, 2))
@@ -106,21 +110,62 @@ class TestMergeCheckpoints:
         with open(paths[1], "a") as fh:
             fh.write(json.dumps(first) + "\n")
         with pytest.raises(ValueError, match="diverges"):
-            merge_checkpoints(paths, self.universe, ("alpha", "beta"))
+            self._merge(paths)
 
     def test_agreeing_duplicate_is_fine(self, tmp_path):
         paths = self._shard_files(tmp_path, shard_ranges(10, 2))
         first = open(paths[0]).read().splitlines()[1]
         with open(paths[1], "a") as fh:
             fh.write(first + "\n")
-        merged = merge_checkpoints(paths, self.universe,
-                                   ("alpha", "beta"))
+        merged = self._merge(paths)
         assert len(merged.records) == 10
 
     def test_tier_mismatch_is_loud(self, tmp_path):
         paths = self._shard_files(tmp_path, shard_ranges(10, 2))
-        with pytest.raises(ValueError):
-            merge_checkpoints(paths, self.universe, ("alpha",))
+        narrow = FaultCampaign()
+        narrow.add_tier("alpha", lambda f: True)
+        with pytest.raises(ValueError, match="tier_order"):
+            self._merge(paths, narrow)
+
+    def test_collapse_mismatch_is_loud(self, tmp_path):
+        paths = self._shard_files(tmp_path, shard_ranges(10, 2))
+        collapsed = FaultCampaign(collapse="on")
+        collapsed.add_tier("alpha", lambda f: True)
+        collapsed.add_tier("beta", lambda f: True)
+        with pytest.raises(ValueError, match="collapse"):
+            self._merge(paths, collapsed)
+
+    def test_corrupted_shard_is_loud(self, tmp_path):
+        paths = self._shard_files(tmp_path, shard_ranges(10, 2))
+        lines = open(paths[0]).read().splitlines(keepends=True)
+        lines[1] = "not-json\n"
+        with open(paths[0], "w") as fh:
+            fh.writelines(lines)
+        with pytest.raises(ValueError, match="corrupted"):
+            self._merge(paths)
+
+    def test_mc_config_mismatch_is_loud(self, tmp_path):
+        from repro.variation import MonteCarloCampaign
+
+        class _Stub:
+            name = "stub"
+
+            def applies_to(self, fault):
+                return True
+
+            def detect(self, fault):
+                return True
+
+        def campaign(seed):
+            return MonteCarloCampaign(tiers=[_Stub()], seed=seed,
+                                      universe=self.universe)
+
+        path = str(tmp_path / "mc.jsonl")
+        campaign(7).run(2, checkpoint=path)
+        assert [r.die for r in
+                campaign(7).checkpoints.merge([path], range(2))] == [0, 1]
+        with pytest.raises(ValueError, match="config.seed"):
+            campaign(8).checkpoints.merge([path], range(2))
 
 
 class TestJobParity:

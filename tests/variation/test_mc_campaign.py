@@ -112,6 +112,25 @@ class TestRunParity:
         fresh = MonteCarloCampaign(tiers=("dc",), seed=7).run(2)
         assert resumed.to_json() == fresh.to_json()
 
+    def test_record_that_lost_only_its_newline_is_rerun(self, tmp_path):
+        """A final die record missing just its newline is torn: it is
+        re-run, and the next append starts on a line of its own — the
+        load after that must not see a glued, corrupt line."""
+        ck = str(tmp_path / "mc.jsonl")
+        MonteCarloCampaign(tiers=("dc",), seed=7).run(2, checkpoint=ck)
+        with open(ck, "rb") as fh:
+            data = fh.read()
+        with open(ck, "wb") as fh:
+            fh.write(data[:-1])
+        resumed = MonteCarloCampaign(tiers=("dc",), seed=7).run(
+            3, checkpoint=ck)
+        again = MonteCarloCampaign(tiers=("dc",), seed=7).run(
+            3, checkpoint=ck)
+        fresh = MonteCarloCampaign(tiers=("dc",), seed=7).run(3)
+        assert resumed.to_json() == again.to_json() == fresh.to_json()
+        with open(ck, "rb") as fh:
+            assert fh.read().startswith(data)
+
     def test_progress_reports_resumed_base(self, tmp_path):
         ck = str(tmp_path / "mc.jsonl")
         MonteCarloCampaign(tiers=("dc",), seed=7).run(2, checkpoint=ck)
