@@ -25,7 +25,8 @@ Environment knobs:
   structural equivalence class; verdicts match the uncollapsed run).
 
 Every session writes a ``BENCH_PR<N>.json`` artifact next to this file
-(name from ``REPRO_BENCH_OUTPUT``, default ``BENCH_PR9.json``):
+(name from ``REPRO_BENCH_OUTPUT``; by default *N* is the highest
+``PR <N>:`` entry of the repository's ``CHANGES.md``):
 per-bench wall time, per-bench ``lu_factor`` deltas, and the engine's
 profiling counters (including the batched-solver counters —
 ``batched_solves``, ``batch_fill``, ``woodbury_hits``,
@@ -51,9 +52,21 @@ import time
 import pytest
 
 _HERE = os.path.dirname(__file__)
+_CHANGES = os.path.join(_HERE, os.pardir, "CHANGES.md")
+
+
+def _default_output():
+    """``BENCH_PR<N>.json`` for the newest ``PR <N>:`` entry of
+    CHANGES.md (``None`` when it has none)."""
+    from repro.core.artifacts import changes_pr_number
+
+    number = changes_pr_number(_CHANGES)
+    return None if number is None else f"BENCH_PR{number}.json"
+
+
 #: this PR's artifact — also the anchor for the no-clobber guard: any
 #: existing BENCH_PR<N> with N below this default's is history
-_DEFAULT_OUTPUT = "BENCH_PR9.json"
+_DEFAULT_OUTPUT = _default_output()
 _OUTPUT_NAME = os.environ.get("REPRO_BENCH_OUTPUT", _DEFAULT_OUTPUT)
 
 _campaign_cache = {}
@@ -150,19 +163,25 @@ def _baseline_name() -> str:
 def pytest_configure(config):
     """Refuse an output name that would clobber an older PR's artifact.
 
-    Rewriting this PR's own artifact (a rerun of ``BENCH_PR9.json`` or
-    newer) is fine; silently destroying the performance history —
-    any existing ``BENCH_PR<N>`` below this PR's number — is not.
+    Rewriting this PR's own artifact (a rerun of the CHANGES.md-derived
+    name, or newer) is fine; silently destroying the performance
+    history — any existing ``BENCH_PR<N>`` below this PR's number — is
+    not.  Without a ``PR <N>:`` entry in CHANGES.md the name must be
+    given explicitly.
     """
     from repro.core.artifacts import bench_pr_number
 
+    if _OUTPUT_NAME is None:
+        raise pytest.UsageError(
+            "CHANGES.md has no 'PR <N>:' entry to name the benchmark "
+            "artifact after; set REPRO_BENCH_OUTPUT")
     ours = bench_pr_number(_OUTPUT_NAME)
     if ours is None:
         return                      # custom name, no artifact at risk
     if not os.path.exists(os.path.join(_HERE, _OUTPUT_NAME)):
         return
-    current = bench_pr_number(_DEFAULT_OUTPUT)
-    if ours < current:
+    current = bench_pr_number(_DEFAULT_OUTPUT or "")
+    if current is None or ours < current:
         raise pytest.UsageError(
             f"REPRO_BENCH_OUTPUT={_OUTPUT_NAME} would overwrite an "
             f"older PR's benchmark artifact (this PR writes "

@@ -37,8 +37,8 @@ _FIELDS = (
     "lu_reuse",              # solves served by a cached factorization
     # campaign
     "campaign_faults",       # faults evaluated (serial or in a worker)
-    "campaign_chunks",       # parallel work units dispatched
     # supervised execution (repro.core.supervisor)
+    "supervisor_dispatches",  # items sent to a worker (incl. retries)
     "supervisor_spawns",     # worker processes forked (incl. respawns)
     "supervisor_worker_deaths",   # workers that died without a result
     "supervisor_timeouts",   # items recorded as timeout outcomes

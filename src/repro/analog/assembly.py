@@ -16,8 +16,8 @@ pair:
   matrix through precompiled flat COO index arrays via ``np.add.at``.
 
 Linear solves go through :class:`LinearSolverCache`, which keeps the
-last ``scipy.linalg.lu_factor`` result and replays ``lu_solve`` whenever
-the matrix is unchanged (always true for linear circuits; common in
+last LAPACK ``getrf`` factorization and replays ``getrs`` whenever the
+matrix is unchanged (always true for linear circuits; common in
 converged Newton tails and across the time steps of linear DUTs).
 
 Cache invalidation contract: a :class:`~repro.analog.netlist.Circuit`
@@ -33,14 +33,13 @@ caches start empty.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.special import expit
 
 from .._profiling import COUNTERS
+from .backend import SERIAL, solve_factored
 from .devices import (
     Capacitor,
     CurrentSource,
@@ -52,16 +51,11 @@ from .devices import (
     is_ground,
 )
 from .mosfet import MOSFET, PHI_T
+from .resilience import condition_estimate_1norm, resilient_solve
 from .solver import DEFAULT_GMIN, SolverError
 
 #: element classes whose stamps never depend on x, t, or xprev
 _STATIC_TYPES = (Resistor, VoltageControlledVoltageSource)
-
-
-#: factorizations retained for matrices seen more than once
-_STICKY_MAX = 12
-#: digest-doorkeeper bound; cleared wholesale when full
-_SEEN_MAX = 4096
 
 
 class LinearSolverCache:
@@ -72,65 +66,21 @@ class LinearSolverCache:
     LAPACK produces (faulted circuits rely on observing the resulting
     non-convergence rather than an exception).
 
-    Two retention layers back the reuse check:
-
-    * the **most recent** factorization — the historical single slot,
-      hit when consecutive assemblies produce the same matrix (linear
-      circuits, converged Newton tails);
-    * a **sticky store** admitted through a digest doorkeeper: a matrix
-      is kept only once its byte digest has been seen twice, which
-      filters out the never-repeating Newton-trajectory matrices while
-      capturing the ones operating-point restarts re-assemble verbatim
-      (every ``dc_operating_point`` on an unchanged circuit starts from
-      the identical ``A(x=0)`` — the BIST window bisection re-solves it
-      dozens of times per fault).
-
-    A hit replays ``lu_solve`` on the stored factorization of a
-    bitwise-equal matrix, so solutions are bit-identical to what a
-    fresh factorization would produce.
+    One slot holds the most recent factorization; it is hit when
+    consecutive solves see a bitwise-equal matrix (linear circuits,
+    converged Newton tails).  A hit replays ``getrs`` on the stored
+    factorization, so solutions are bit-identical to what a fresh
+    factorization would produce.
     """
 
-    __slots__ = ("_last", "_seen", "_sticky", "_tick", "backend")
+    __slots__ = ("_last", "backend")
 
     def __init__(self, backend=None) -> None:
         self.backend = backend
-        self._last = None     # (A, lu, piv) of the newest factorization
-        self._seen = {}       # digest -> sightings (doorkeeper, counts only)
-        self._sticky = {}     # digest -> [A, lu, piv, last_hit_tick]
-        self._tick = 0
+        self._last = None     # (A, (lu, piv)) of the newest factorization
 
     def invalidate(self) -> None:
         self._last = None
-        self._seen.clear()
-        self._sticky.clear()
-
-    # ------------------------------------------------------------------
-    def _lookup(self, A: np.ndarray):
-        """Stored ``(lu, piv)`` for a bitwise-equal *A*, else ``None``."""
-        last = self._last
-        if last is not None and (last[0] is A or np.array_equal(last[0], A)):
-            return last[1], last[2]
-        if self._sticky:
-            entry = self._sticky.get(hash(A.tobytes()))
-            if entry is not None and np.array_equal(entry[0], A):
-                self._tick += 1
-                entry[3] = self._tick
-                return entry[1], entry[2]
-        return None
-
-    def _remember(self, A: np.ndarray, lu, piv) -> None:
-        self._last = (A, lu, piv)
-        if len(self._seen) >= _SEEN_MAX:
-            self._seen.clear()
-        digest = hash(A.tobytes())
-        count = self._seen.get(digest, 0) + 1
-        self._seen[digest] = count
-        if count >= 2 and digest not in self._sticky:
-            if len(self._sticky) >= _STICKY_MAX:
-                stalest = min(self._sticky, key=lambda d: self._sticky[d][3])
-                del self._sticky[stalest]
-            self._tick += 1
-            self._sticky[digest] = [A, lu, piv, self._tick]
 
     # ------------------------------------------------------------------
     def solve(self, A: np.ndarray, b: np.ndarray, *, reuse: bool = True,
@@ -144,48 +94,38 @@ class LinearSolverCache:
         circuits whose matrix is provably constant.  *backend* (or the
         cache-level default) routes factor/solve through a
         :class:`~repro.analog.backend.LinearBackend`; ``None`` keeps the
-        historical scipy path.
+        serial ``getrf``/``getrs`` pair.
         """
         if A.shape[0] == 0:
             return np.zeros(0, dtype=A.dtype)
-        be = backend if backend is not None else self.backend
+        be = backend or self.backend or SERIAL
         if reuse:
             if assume_same and self._last is not None:
-                lu_piv = (self._last[1], self._last[2])
+                lu_piv = self._last[1]
             else:
-                lu_piv = self._lookup(A)
+                lu_piv = self.last_factorization(A)
             if lu_piv is not None:
                 COUNTERS.lu_reuse += 1
-                if be is not None:
-                    return be.solve_factored(lu_piv, b)
-                return lu_solve(lu_piv, b, check_finite=False)
+                return be.solve_factored(lu_piv, b)
         try:
-            if be is not None:
-                lu, piv = be.factor(A)
-            else:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", LinAlgWarning)
-                    try:
-                        lu, piv = lu_factor(A, check_finite=False)
-                    except (ValueError, np.linalg.LinAlgError) as exc:
-                        raise SolverError(
-                            f"MNA factorization failed: {exc}") from exc
-                if np.any(np.diagonal(lu) == 0.0):
-                    raise SolverError("singular MNA matrix: exact zero pivot")
+            lu_piv = be.factor(A)
         except SolverError:
             self.invalidate()
             raise
-        self._remember(A, lu, piv)
+        self._last = (A, lu_piv)
         COUNTERS.lu_factor += 1
-        if be is not None:
-            return be.solve_factored((lu, piv), b)
-        return lu_solve((lu, piv), b, check_finite=False)
+        return be.solve_factored(lu_piv, b)
 
     def last_factorization(self, A: np.ndarray):
-        """``(lu, piv)`` when a cached factorization is of *A*, else
+        """``(lu, piv)`` when the cached factorization is of *A*, else
         ``None`` (lets the resilience ladder refine and estimate the
         condition number without re-factoring)."""
-        return self._lookup(A)
+        last = self._last
+        if last is not None and (
+                last[0] is A or (last[0].shape == A.shape
+                                 and (last[0] == A).all())):
+            return last[1]
+        return None
 
 
 def _vccs_entries(op: int, on: int, cp: int, cn: int, src: int):
@@ -317,17 +257,14 @@ class CompiledAssembly:
         m = len(mosfets)
         if not m:
             return
-        sign, vt0, slope, beta, lam = (np.empty(m) for _ in range(5))
-        for j, e in enumerate(mosfets):
-            sign[j], vt0[j], slope[j], beta[j], lam[j] = e.ekv_params()
-        self._mos_sign, self._mos_vt0 = sign, vt0
-        self._mos_n, self._mos_beta, self._mos_lam = slope, beta, lam
+        self._read_mosfet_params()
 
         term = {k: np.array([self._idx(e.terminals[k]) for e in mosfets],
                             dtype=np.intp)
                 for k in ("d", "g", "s", "b")}
-        self._mos_d, self._mos_g = term["d"], term["g"]
-        self._mos_s, self._mos_b = term["s"], term["b"]
+        # (s, d, g) rows: one gather, and rows 0-1 pair up as (vsb, vdb)
+        self._mos_sdg = np.stack([term["s"], term["d"], term["g"]])
+        self._mos_b = term["b"]
 
         entries = []
         b_entries = []
@@ -346,6 +283,17 @@ class CompiledAssembly:
         self._mos_bsign = np.array([e[2] for e in b_entries])
         self._mos_bsrc = np.array([e[3] for e in b_entries], dtype=np.intp)
         self._mos_vals = np.empty(3 * m)
+
+    def _read_mosfet_params(self) -> None:
+        """(Re-)read every MOSFET's EKV coefficients, plus the derived
+        ``1/n``, ``-beta`` and ``-lambda`` the stamp uses."""
+        params = np.array([e.ekv_params() for e in self._mosfets],
+                          dtype=float).T.copy()
+        (self._mos_sign, self._mos_vt0, self._mos_n, self._mos_beta,
+         self._mos_lam) = params
+        self._mos_inv_n = 1.0 / self._mos_n
+        self._mos_neg_beta = -self._mos_beta
+        self._mos_neg_lam = -self._mos_lam
 
     def _compile_switches(self, switches: List[Switch]) -> None:
         self._switches = switches
@@ -403,9 +351,8 @@ class CompiledAssembly:
         recompiling it.  The LU cache is dropped — the matrix values
         change even though its sparsity pattern does not.
         """
-        for j, e in enumerate(self._mosfets):
-            (self._mos_sign[j], self._mos_vt0[j], self._mos_n[j],
-             self._mos_beta[j], self._mos_lam[j]) = e.ekv_params()
+        if self._mosfets:
+            self._read_mosfet_params()
         for j, e in enumerate(self._switches):
             self._sw_thr[j] = e.threshold
             self._sw_gon[j] = 1.0 / e.r_on
@@ -470,35 +417,28 @@ class CompiledAssembly:
 
     def _stamp_mosfets(self, A: np.ndarray, b: np.ndarray,
                        xpad: np.ndarray) -> None:
+        v = xpad[self._mos_sdg] - xpad[self._mos_b]   # (vs, vd, vg) - vb
         sign = self._mos_sign
-        vd = xpad[self._mos_d]
-        vg = xpad[self._mos_g]
-        vs = xpad[self._mos_s]
-        vb = xpad[self._mos_b]
-        vgb = sign * (vg - vb)
-        vdb = sign * (vd - vb)
-        vsb = sign * (vs - vb)
-
-        slope = self._mos_n
+        sv = sign * v                                 # vsb, vdb, vgb
         beta = self._mos_beta
-        vp = (vgb - self._mos_vt0) / slope
-        af = (vp - vsb) / (2.0 * PHI_T)
-        ar = (vp - vdb) / (2.0 * PHI_T)
-        lf = np.logaddexp(0.0, af)
-        lr = np.logaddexp(0.0, ar)
+        lam = self._mos_lam
 
-        vds = vdb - vsb
-        clm = 1.0 + self._mos_lam * np.abs(vds)
-        i_core = beta * (lf * lf - lr * lr)
+        vp = (sv[2] - self._mos_vt0) / self._mos_n
+        a = (vp - sv[:2]) / (2.0 * PHI_T)             # af, ar
+        ln = np.logaddexp(0.0, a)                     # lf, lr
+        dl = 2.0 * ln * expit(a) / (2.0 * PHI_T)      # dlf, dlr
+        sq = ln * ln
+
+        vds = sv[1] - sv[0]
+        clm = 1.0 + lam * np.abs(vds)
+        i_core = beta * (sq[0] - sq[1])
         i_d = i_core * clm
+        dclm = np.where(vds >= 0.0, lam, self._mos_neg_lam)
+        i_dclm = i_core * dclm
 
-        dlf = 2.0 * lf * expit(af) / (2.0 * PHI_T)
-        dlr = 2.0 * lr * expit(ar) / (2.0 * PHI_T)
-        dclm = np.where(vds >= 0.0, self._mos_lam, -self._mos_lam)
-
-        gm = beta * (dlf - dlr) * (1.0 / slope) * clm
-        gds = beta * dlr * clm + i_core * dclm
-        gms = -beta * dlf * clm - i_core * dclm
+        gm = beta * (dl[0] - dl[1]) * self._mos_inv_n * clm
+        gds = beta * dl[1] * clm + i_dclm
+        gms = self._mos_neg_beta * dl[0] * clm - i_dclm
         gds = np.where(np.abs(gds) > 1e-12, gds, 1e-12)
 
         m = len(self._mosfets)
@@ -509,7 +449,7 @@ class CompiledAssembly:
         flat, asign, asrc = self._mos_A
         np.add.at(A.reshape(-1), flat, asign * vals[asrc])
 
-        i_lin = gm * (vg - vb) + gds * (vd - vb) + gms * (vs - vb)
+        i_lin = gm * v[2] + gds * v[1] + gms * v[0]
         i_res = sign * i_d - i_lin
         np.add.at(b, self._mos_brow, self._mos_bsign * i_res[self._mos_bsrc])
 
@@ -530,30 +470,22 @@ class CompiledAssembly:
         ``assume_same`` shortcut), so healthy solves keep their bit
         pattern; refinement replays the cached factorization.
         """
-        from .resilience import resilient_solve  # lazy: import cycle
-
         def direct(A_, b_):
             return self.lu_cache.solve(A_, b_, reuse=reuse,
                                        assume_same=self.is_linear,
                                        backend=backend)
 
-        lu_piv = None
-
         def refine(r):
-            nonlocal lu_piv
-            if lu_piv is None:
-                lu_piv = self.lu_cache.last_factorization(A)
+            lu_piv = self.lu_cache.last_factorization(A)
             if lu_piv is None:
                 raise SolverError("no factorization available to refine")
-            return lu_solve(lu_piv, r, check_finite=False)
+            return solve_factored(lu_piv, r)
 
         return resilient_solve(A, b, direct=direct, refine=refine,
                                want_condition=want_condition)
 
     def condition_estimate(self, A: np.ndarray) -> float:
         """1-norm condition estimate of *A*, reusing the cached LU."""
-        from .resilience import condition_estimate_1norm
-
         return condition_estimate_1norm(
             A, self.lu_cache.last_factorization(A))
 

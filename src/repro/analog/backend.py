@@ -10,15 +10,16 @@ call shapes:
 * ``solve_stack(As, Bs)`` — *k* independent systems with a shared shape,
   stacked as ``(k, n, n)`` / ``(k, n)``.
 
-A :class:`LinearBackend` supplies all three.  The default
-:class:`SerialBackend` reproduces the historical scipy
-``lu_factor``/``lu_solve`` path bit-for-bit (including the
-zero-pivot check and :class:`~repro.analog.solver.SolverError`
-conversion), so threading a backend beneath the existing layers changes
-nothing unless a caller opts in.  :class:`BatchedBackend` overrides only
-``solve_stack``: the whole stack is dispatched through a single
-broadcast ``numpy.linalg.solve`` (one LAPACK ``gesv`` call over a 3-D
-operand), which is where the batched campaign path gets its speedup.
+A :class:`LinearBackend` supplies all three.  The module-level
+:func:`factor` / :func:`solve_factored` pair is the one LU primitive
+every single-system solve in the engine goes through: it calls LAPACK
+``getrf`` / ``getrs`` directly (resolved once per dtype), which are the
+routines scipy's ``lu_factor`` / ``lu_solve`` call with the same
+arguments, so the bits are scipy's without the per-call wrapper cost.
+The default :class:`SerialBackend` is that pair.  :class:`BatchedBackend`
+overrides only ``solve_stack``: the whole stack is dispatched through a
+single broadcast ``numpy.linalg.solve`` (one LAPACK ``gesv`` call over a
+3-D operand), which is where the batched campaign path gets its speedup.
 
 Backend choice is orthogonal to correctness: ``solve_stack`` returns a
 per-item ``ok`` mask, and every caller is required to route not-ok items
@@ -27,20 +28,19 @@ item may silently lose its ladder (see DESIGN.md §13).
 
 Determinism note: on this BLAS, broadcast ``numpy.linalg.solve`` over a
 ``(k, n, n)`` stack is bit-identical to per-item ``numpy.linalg.solve``
-(the property tests assert it), but *not* to scipy's
-``lu_factor``+``lu_solve``.  Record-level equivalence between backends
-is therefore enforced by the campaign byte-identity gate rather than
-assumed from solver bits.
+(the property tests assert it), but *not* to the ``getrf``+``getrs``
+pair.  Record-level equivalence between backends is therefore enforced
+by the campaign byte-identity gate rather than assumed from solver
+bits.
 """
 
 from __future__ import annotations
 
-import warnings
 from contextlib import contextmanager
-from typing import Iterator, Tuple, Type, Union
+from typing import Callable, Dict, Iterator, Tuple, Type, Union
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs
 
 from .._profiling import COUNTERS
 from .solver import SolverError
@@ -48,22 +48,46 @@ from .solver import SolverError
 Factorization = Tuple[np.ndarray, np.ndarray]
 
 
-def scipy_factor(A: np.ndarray) -> Factorization:
-    """``lu_factor`` with the repo's historical error contract.
+#: ``getrf`` per matrix dtype, ``getrs`` per (factor, rhs) dtype pair
+_GETRF: Dict[np.dtype, Callable] = {}
+_GETRS: Dict[Tuple[np.dtype, np.dtype], Callable] = {}
 
-    Exactly-singular matrices raise :class:`SolverError`; near-singular
-    systems return whatever LAPACK produces (faulted circuits rely on
-    observing the resulting non-convergence rather than an exception).
+
+def factor(A: np.ndarray) -> Factorization:
+    """LU-factor *A* with LAPACK ``getrf``.
+
+    Exactly-singular matrices (an exact zero pivot, LAPACK ``info > 0``)
+    raise :class:`SolverError`; near-singular systems return whatever
+    LAPACK produces (faulted circuits rely on observing the resulting
+    non-convergence rather than an exception).
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
-        try:
-            lu, piv = lu_factor(A, check_finite=False)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            raise SolverError(f"MNA factorization failed: {exc}") from exc
-    if np.any(np.diagonal(lu) == 0.0):
+    getrf = _GETRF.get(A.dtype)
+    if getrf is None:
+        getrf = _GETRF[A.dtype] = get_lapack_funcs(("getrf",), (A,))[0]
+    lu, piv, info = getrf(A)
+    if info < 0:
+        raise SolverError(
+            f"MNA factorization failed: illegal value in {-info}th "
+            f"argument of internal getrf (lu_factor)")
+    if info > 0:
         raise SolverError("singular MNA matrix: exact zero pivot")
     return lu, piv
+
+
+def solve_factored(factorization: Factorization,
+                   b: np.ndarray) -> np.ndarray:
+    """Solve ``A @ x = b`` (*b* a vector or a matrix of columns) with
+    LAPACK ``getrs`` on a :func:`factor` result."""
+    lu, piv = factorization
+    key = (lu.dtype, b.dtype)
+    getrs = _GETRS.get(key)
+    if getrs is None:
+        getrs = _GETRS[key] = get_lapack_funcs(("getrs",), (lu, b))[0]
+    x, info = getrs(lu, piv, b)
+    if info:
+        raise ValueError(
+            f"illegal value in {-info}th argument of internal getrs")
+    return x
 
 
 class LinearBackend:
@@ -96,16 +120,11 @@ class LinearBackend:
 
 
 class SerialBackend(LinearBackend):
-    """scipy ``lu_factor`` per system — the historical bit-exact path."""
+    """LAPACK ``getrf``/``getrs`` per system — the bit-exact path."""
 
     name = "serial"
-
-    def factor(self, A: np.ndarray) -> Factorization:
-        return scipy_factor(A)
-
-    def solve_factored(self, factorization: Factorization,
-                       b: np.ndarray) -> np.ndarray:
-        return lu_solve(factorization, b, check_finite=False)
+    factor = staticmethod(factor)
+    solve_factored = staticmethod(solve_factored)
 
     def solve_stack(self, As: np.ndarray, Bs: np.ndarray
                     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -114,8 +133,7 @@ class SerialBackend(LinearBackend):
         ok = np.ones(k, dtype=bool)
         for j in range(k):
             try:
-                Xs[j] = lu_solve(scipy_factor(As[j]), Bs[j],
-                                 check_finite=False)
+                Xs[j] = solve_factored(factor(As[j]), Bs[j])
             except SolverError:
                 Xs[j] = np.nan
                 ok[j] = False
@@ -126,7 +144,7 @@ class SerialBackend(LinearBackend):
 class BatchedBackend(SerialBackend):
     """Broadcast ``numpy.linalg.solve`` over the whole stack at once.
 
-    Single-system calls inherit the scipy path (so cached-LU replays and
+    Single-system calls inherit the LAPACK pair (so cached-LU replays and
     the refinement rung keep their historical bits); only ``solve_stack``
     differs.  A singular item makes the broadcast call raise, in which
     case the stack is retried per item with the same ``numpy`` solver —
@@ -167,14 +185,15 @@ BACKENDS: "dict[str, Type[LinearBackend]]" = {
 
 BackendSpec = Union[None, str, LinearBackend]
 
-_DEFAULT = SerialBackend()
-_current: LinearBackend = _DEFAULT
+#: the serial backend every single-system solve defaults to
+SERIAL = SerialBackend()
+_current: LinearBackend = SERIAL
 
 
 def resolve_backend(spec: BackendSpec) -> LinearBackend:
     """Turn ``None`` / a name / an instance into a :class:`LinearBackend`.
 
-    ``None`` means "whatever is currently installed" (the serial scipy
+    ``None`` means "whatever is currently installed" (the serial LAPACK
     backend unless :func:`set_backend`/:func:`use_backend` changed it).
     """
     if spec is None:
@@ -190,7 +209,7 @@ def resolve_backend(spec: BackendSpec) -> LinearBackend:
 
 
 def get_backend() -> LinearBackend:
-    """The process-current backend (serial scipy by default)."""
+    """The process-current backend (serial LAPACK by default)."""
     return _current
 
 

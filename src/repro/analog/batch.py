@@ -42,11 +42,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import lu_solve
 
 from .._profiling import COUNTERS
 from .assembly import CompiledAssembly, get_compiled
-from .backend import BatchedBackend, LinearBackend, resolve_backend, scipy_factor
+from .backend import (BatchedBackend, LinearBackend, factor, resolve_backend,
+                      solve_factored)
 from .dc import (GMIN_STEPS, MAX_NEWTON_ITER, MAX_STEP, PTC_ALPHAS,
                  PTC_STEPS_PER_ALPHA, SOURCE_STEPS, VOLTAGE_TOL,
                  OperatingPoint, _restore_sources, _scale_sources,
@@ -74,7 +74,7 @@ WOODBURY_RESIDUAL = 1e-11
 
 #: lockstep Newton convergence is only trusted below this iteration
 #: count.  An item that converges close to the ``MAX_NEWTON_ITER`` stall
-#: limit sits on a knife edge where last-bit solver differences (scipy
+#: limit sits on a knife edge where last-bit solver differences (getrf
 #: LU vs broadcast LAPACK vs a Woodbury first step) decide between
 #: convergence and divergence — such items are peeled to the serial
 #: path so the serial trajectory settles them, keeping campaign records
@@ -148,15 +148,15 @@ def _woodbury_solve(gold_lu, A_gold: np.ndarray, A: np.ndarray,
         rows = np.flatnonzero(np.any(A != A_gold, axis=1))
     r = int(rows.size)
     if r == 0:
-        return lu_solve(gold_lu, b, check_finite=False), 0
+        return solve_factored(gold_lu, b), 0
     if r > WOODBURY_MAX_ROWS:
         return None, r
     n = A.shape[0]
     Vt = A[rows, :] - A_gold[rows, :]      # (r, n)
     U = np.zeros((n, r))
     U[rows, np.arange(r)] = 1.0
-    Z = lu_solve(gold_lu, U, check_finite=False)      # A_gold^-1 U
-    x0 = lu_solve(gold_lu, b, check_finite=False)
+    Z = solve_factored(gold_lu, U)      # A_gold^-1 U
+    x0 = solve_factored(gold_lu, b)
     S = np.eye(r) + Vt @ Z
     try:
         y = np.linalg.solve(S, Vt @ x0)
@@ -251,13 +251,13 @@ def _lockstep_dc_group(circuits, plans, indices, members, n_total, gmin,
             # matrices by replay and few-row perturbations by Woodbury
             g = active[0]
             try:
-                golden = (As[g].copy(), scipy_factor(As[g]))
+                golden = (As[g].copy(), factor(As[g]))
                 COUNTERS.lu_factor += 1
             except SolverError:
                 golden = None
             if golden is not None:
                 A_gold, gold_lu = golden
-                x_g = lu_solve(gold_lu, Bs[g], check_finite=False)
+                x_g = solve_factored(gold_lu, Bs[g])
                 res_g = _stack_residuals(As[g:g + 1], Bs[g:g + 1],
                                          x_g[np.newaxis, :])[0]
                 if np.isfinite(x_g).all() and res_g <= good:

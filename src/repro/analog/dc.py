@@ -111,7 +111,7 @@ def _newton(circuit: Circuit, node_index, n_total, x0, gmin: float,
             dx = x_new - x
             n_nodes = len(node_index)
             dv = dx[:n_nodes]
-            step = float(np.max(np.abs(dv))) if n_nodes else 0.0
+            step = float(np.abs(dv).max()) if n_nodes else 0.0
             if step > MAX_STEP:
                 x = x + dx * (MAX_STEP / step)
             else:
@@ -173,7 +173,7 @@ def _ptc_rescue(circuit: Circuit, node_index, n_total, gmin: float):
                 x_new, diag_seen = resilient_solve(A, b)
             except SolverError:
                 return x, False, total, diag_seen
-            step = (float(np.max(np.abs(x_new[:n_nodes] - x[:n_nodes])))
+            step = (float(np.abs(x_new[:n_nodes] - x[:n_nodes]).max())
                     if n_nodes else 0.0)
             x = x_new
             if step < VOLTAGE_TOL:

@@ -38,15 +38,15 @@ help.
 from __future__ import annotations
 
 import math
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs
 
 from .._profiling import COUNTERS
+from .backend import SERIAL, factor, solve_factored
 from .solver import SolverError
 
 __all__ = [
@@ -212,9 +212,8 @@ def relative_residual(A: np.ndarray, b: np.ndarray,
     """``||Ax - b||_inf / ||b||_inf`` (absolute residual for b == 0)."""
     if b.shape[0] == 0:
         return 0.0
-    r = A @ x - b
-    rnorm = float(np.max(np.abs(r)))
-    bnorm = float(np.max(np.abs(b)))
+    rnorm = float(np.abs(A @ x - b).max())
+    bnorm = float(np.abs(b).max())
     return rnorm / bnorm if bnorm > 0.0 else rnorm
 
 
@@ -223,8 +222,9 @@ def condition_estimate_1norm(A: np.ndarray,
                              = None) -> float:
     """LAPACK ``gecon`` 1-norm condition estimate of *A*.
 
-    Reuses a ``lu_factor`` result when the caller has one (O(n^2));
-    factors once otherwise.  Returns ``inf`` for a singular matrix.
+    Reuses a :func:`~repro.analog.backend.factor` result when the
+    caller has one (O(n^2)); factors once otherwise.  Returns ``inf``
+    for a singular matrix.
     """
     n = A.shape[0]
     if n == 0:
@@ -234,10 +234,8 @@ def condition_estimate_1norm(A: np.ndarray,
         return math.inf
     if lu_piv is None:
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", LinAlgWarning)
-                lu_piv = lu_factor(A, check_finite=False)
-        except (ValueError, np.linalg.LinAlgError):
+            lu_piv = factor(A)
+        except SolverError:
             return math.inf
     lu = lu_piv[0]
     if np.any(np.diagonal(lu) == 0.0):
@@ -250,21 +248,7 @@ def condition_estimate_1norm(A: np.ndarray,
 
 
 def _finite(x: Optional[np.ndarray]) -> bool:
-    return x is not None and bool(np.all(np.isfinite(x)))
-
-
-def _plain_lu(A: np.ndarray, b: np.ndarray
-              ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
-    """One-shot partial-pivot LU solve, zero pivots -> SolverError."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
-        try:
-            lu_piv = lu_factor(A, check_finite=False)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            raise SolverError(f"MNA factorization failed: {exc}") from exc
-    if np.any(np.diagonal(lu_piv[0]) == 0.0):
-        raise SolverError("singular MNA matrix: exact zero pivot")
-    return lu_solve(lu_piv, b, check_finite=False), lu_piv
+    return x is not None and bool(np.isfinite(x).all())
 
 
 # ----------------------------------------------------------------------
@@ -287,10 +271,11 @@ def resilient_solve(A: np.ndarray, b: np.ndarray, *,
     the direct rung's factorization (iterative refinement); when absent
     the ladder factors *A* itself on demand.  *backend* (a
     :class:`~repro.analog.backend.LinearBackend`) supplies rung 0 when
-    no ``direct`` callable is given; ``None`` keeps the historical
-    scipy one-shot LU.  Returns the accepted solution and its
-    :class:`SolveDiagnostics`; raises :class:`UnsolvableError` instead
-    of ever returning NaN/Inf or a residual above
+    no ``direct`` callable is given; ``None`` means the serial
+    ``getrf``/``getrs`` one-shot LU.  A finite rung-0 answer whose
+    residual verifies returns at once.  Returns the accepted solution
+    and its :class:`SolveDiagnostics`; raises :class:`UnsolvableError`
+    instead of ever returning NaN/Inf or a residual above
     ``policy.residual_unsolvable`` (or, under ``policy.strict``,
     anything short of verified good).
     """
@@ -302,8 +287,27 @@ def resilient_solve(A: np.ndarray, b: np.ndarray, *,
                 SolveDiagnostics(residual=0.0, condition=1.0,
                                  threshold=good))
 
-    non_finite_seen = False
+    # -- rung 0: the caller's direct solver ----------------------------
     lu_hint: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    try:
+        if direct is not None:
+            x0 = direct(A, b)
+        else:
+            be = backend or SERIAL
+            lu_hint = be.factor(A)
+            x0 = be.solve_factored(lu_hint, b)
+    except SolverError:
+        x0 = None
+        lu_hint = None
+    if x0 is not None and _finite(x0):
+        res = relative_residual(A, b, x0)
+        if res <= good and res <= policy.residual_unsolvable:
+            diag = SolveDiagnostics(residual=res, threshold=good)
+            if want_condition:
+                diag.condition = condition_estimate_1norm(A, lu_hint)
+            return x0, diag
+
+    non_finite_seen = False
     best: Optional[Tuple[np.ndarray, float, str, int]] = None
 
     def consider(x, rung, refinements=0):
@@ -319,18 +323,6 @@ def resilient_solve(A: np.ndarray, b: np.ndarray, *,
             best = (x, res, rung, refinements)
         return res
 
-    # -- rung 0: the caller's direct solver ----------------------------
-    try:
-        if direct is not None:
-            x0 = direct(A, b)
-        elif backend is not None:
-            lu_hint = backend.factor(A)
-            x0 = backend.solve_factored(lu_hint, b)
-        else:
-            x0, lu_hint = _plain_lu(A, b)
-    except SolverError:
-        x0 = None
-        lu_hint = None
     res = consider(x0, RUNG_DIRECT) if x0 is not None else None
 
     # -- rung 1: iterative refinement on a large residual --------------
@@ -338,16 +330,11 @@ def resilient_solve(A: np.ndarray, b: np.ndarray, *,
         COUNTERS.rescue_refined += 1
         if refine is None and lu_hint is None:
             try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", LinAlgWarning)
-                    lu_hint = lu_factor(A, check_finite=False)
-            except (ValueError, np.linalg.LinAlgError):
-                lu_hint = None
-            if lu_hint is not None and np.any(
-                    np.diagonal(lu_hint[0]) == 0.0):
+                lu_hint = factor(A)
+            except SolverError:
                 lu_hint = None
         solver = (refine if refine is not None else
-                  (lambda r: lu_solve(lu_hint, r, check_finite=False))
+                  (lambda r: solve_factored(lu_hint, r))
                   if lu_hint is not None else None)
         if solver is not None:
             x = best[0]
@@ -436,14 +423,10 @@ def _equilibrated_solve(A: np.ndarray, b: np.ndarray,
     cs = 1.0 / col
     As = As * cs[None, :]
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu_piv = lu_factor(As, check_finite=False)
-    except (ValueError, np.linalg.LinAlgError):
+        lu_piv = factor(As)
+    except SolverError:
         return None
-    if np.any(np.diagonal(lu_piv[0]) == 0.0):
-        return None
-    x = cs * lu_solve(lu_piv, rs * b, check_finite=False)
+    x = cs * solve_factored(lu_piv, rs * b)
     if not _finite(x):
         return None
     # refinement in the scaled basis, residual taken on the original
@@ -451,7 +434,7 @@ def _equilibrated_solve(A: np.ndarray, b: np.ndarray,
         r = b - A @ x
         if relative_residual(A, b, x) <= policy.residual_good:
             break
-        dx = cs * lu_solve(lu_piv, rs * r, check_finite=False)
+        dx = cs * solve_factored(lu_piv, rs * r)
         if not _finite(dx):
             break
         x = x + dx

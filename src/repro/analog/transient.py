@@ -84,7 +84,7 @@ def _newton_step(compiled, x_guess, xprev, t, lu_reuse: bool = True,
             return x, False, agg
         agg = diag.worst(agg)
         dx = x_new - x
-        step = float(np.max(np.abs(dx[:n_nodes]))) if n_nodes else 0.0
+        step = float(np.abs(dx[:n_nodes]).max()) if n_nodes else 0.0
         if step > MAX_STEP:
             x = x + dx * (MAX_STEP / step)
         else:

@@ -6,7 +6,8 @@ by filename string: ``BENCH_PR10.json`` is newer than
 ``repro bench --compare`` and the benchmark suite's baseline discovery
 must agree on that ordering (a disagreement silently compares the
 wrong pair), so this is the one place the ``BENCH_PR(\\d+)`` name is
-parsed.
+parsed.  A bench session names its own artifact after the newest
+``PR <N>:`` entry of ``CHANGES.md`` (:func:`changes_pr_number`).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import re
 from typing import List, Optional
 
 _BENCH_NAME = re.compile(r"BENCH_PR(\d+)\.json")
+_CHANGES_ENTRY = re.compile(r"^PR (\d+):", re.MULTILINE)
 
 
 def bench_pr_number(name: str) -> Optional[int]:
@@ -38,3 +40,14 @@ def bench_artifacts(dirpath: str) -> List[str]:
         if number is not None:
             found.append((number, os.path.join(dirpath, name)))
     return [path for _, path in sorted(found)]
+
+
+def changes_pr_number(path: str) -> Optional[int]:
+    """The highest ``PR <N>:`` entry number of a ``CHANGES.md``, else
+    ``None`` (no file, or no entry)."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError:
+        return None
+    return max(map(int, _CHANGES_ENTRY.findall(text)), default=None)

@@ -378,7 +378,7 @@ class _Supervision:
         worker.deadline = (None if self.policy.timeout is None
                            else worker.started + self.policy.timeout)
         self.attempts[index] += 1
-        COUNTERS.campaign_chunks += 1
+        COUNTERS.supervisor_dispatches += 1
         _emit(self.trace, "dispatch", item=index, pid=worker.proc.pid,
               attempt=self.attempts[index])
         worker.conn.send(index)

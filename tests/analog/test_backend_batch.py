@@ -5,16 +5,16 @@ The batched campaign path rests on three facts this module pins down:
 * the :mod:`repro.analog.backend` registry resolves names / instances /
   ``None`` the way the CLI and campaigns rely on;
 * ``BatchedBackend.solve_stack`` (one broadcast LAPACK call) agrees
-  with ``SerialBackend.solve_stack`` (scipy per item) to solver
+  with ``SerialBackend.solve_stack`` (LAPACK per item) to solver
   precision on well-conditioned stacks, flags singular items instead of
   poisoning their neighbours, and is *bit-identical* to per-item
   ``numpy.linalg.solve`` — the property the lockstep Newton loop's
   peel-to-serial logic depends on;
 * :class:`LinearSolverCache` actually reports its factorization reuse:
-  the ``lu_reuse`` counter must tick for both the single-slot hit and
-  the sticky-store hit (PR 5's artifact recorded ``lu_reuse=0`` over a
-  session that demonstrably replayed factorizations — the accounting,
-  not the cache, was broken).
+  the ``lu_reuse`` counter must tick for a single-slot hit, and only
+  the newest factorization is kept (an earlier bench artifact recorded
+  ``lu_reuse=0`` over a session that demonstrably replayed
+  factorizations — the accounting, not the cache, was broken).
 """
 
 import numpy as np
@@ -28,8 +28,10 @@ from repro.analog.backend import (
     BACKENDS,
     BatchedBackend,
     SerialBackend,
+    factor,
     get_backend,
     resolve_backend,
+    solve_factored,
     use_backend,
 )
 
@@ -154,22 +156,21 @@ class TestLuReuseAccounting:
                            np.array([1.0, 0.0])).tobytes() == x1.tobytes()
         assert np.isfinite(x2).all()
 
-    def test_sticky_store_hit_counts(self):
-        """A-B-A-B alternation defeats the single slot; the sticky store
-        (digest doorkeeper, admitted at second sighting) must catch it
-        and report every replay through ``lu_reuse``."""
+    def test_single_slot_alternation_refactors(self):
+        """The cache keeps only the newest factorization: A-B-A-B
+        alternation factors every solve, and each answer is bitwise the
+        one a fresh factorization gives."""
         A = np.array([[3.0, 1.0], [1.0, 3.0]])
         B = np.array([[7.0, 2.0], [2.0, 9.0]])
         b = np.array([1.0, 1.0])
         cache = LinearSolverCache()
         COUNTERS.reset()
         for _ in range(3):
-            cache.solve(A.copy(), b)
-            cache.solve(B.copy(), b)
-        # sightings 1+2 of each matrix factor (doorkeeper), later ones
-        # replay from the sticky store
-        assert COUNTERS.lu_factor == 4
-        assert COUNTERS.lu_reuse == 2
+            for M in (A, B):
+                x = cache.solve(M.copy(), b)
+                assert x.tobytes() == solve_factored(factor(M), b).tobytes()
+        assert COUNTERS.lu_factor == 6
+        assert COUNTERS.lu_reuse == 0
 
     def test_reuse_is_bit_identical(self):
         rng = np.random.default_rng(3)

@@ -13,7 +13,8 @@ import sys
 
 import pytest
 
-from repro.core.artifacts import bench_artifacts, bench_pr_number
+from repro.core.artifacts import (bench_artifacts, bench_pr_number,
+                                  changes_pr_number)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -62,6 +63,21 @@ class TestBenchArtifacts:
         assert "re.search" not in src        # no private reimplementation
 
 
+class TestChangesPrNumber:
+    def test_highest_entry_wins(self, tmp_path):
+        path = tmp_path / "CHANGES.md"
+        entry = "PR {}: a change\n".format
+        # only lines that start with the entry count
+        path.write_text(entry(1) + entry(12) + entry(9) + "see " + entry(40))
+        assert changes_pr_number(str(path)) == 12
+
+    def test_no_file_or_entry_is_none(self, tmp_path):
+        assert changes_pr_number(str(tmp_path / "nope.md")) is None
+        path = tmp_path / "CHANGES.md"
+        path.write_text("nothing here\n")
+        assert changes_pr_number(str(path)) is None
+
+
 def _collect_benchmarks(output_name):
     env = dict(os.environ,
                PYTHONPATH=os.path.join(REPO_ROOT, "src"),
@@ -79,6 +95,13 @@ class TestNoClobberGuard:
         assert proc.returncode != 0
         assert "would overwrite an older PR's benchmark artifact" \
             in proc.stdout
+
+    def test_default_name_follows_changes(self):
+        """Without REPRO_BENCH_OUTPUT the session writes the artifact of
+        the newest CHANGES.md entry, and the guard anchors on it."""
+        number = changes_pr_number(os.path.join(REPO_ROOT, "CHANGES.md"))
+        proc = _collect_benchmarks("BENCH_PR1.json")
+        assert f"this PR writes BENCH_PR{number}.json" in proc.stdout
 
     def test_own_artifact_name_is_allowed(self):
         # BENCH_PR9935.json cannot exist -> allowed trivially; the

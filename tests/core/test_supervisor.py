@@ -223,3 +223,18 @@ class TestCounters:
         assert counters.supervisor_retries == 1
         assert counters.supervisor_worker_deaths >= 2
         assert counters.supervisor_spawns >= 2
+
+    @needs_fork
+    def test_dispatches_count_retries(self):
+        """Every dispatch to a worker counts, retries included: one
+        retried item makes one dispatch more than there are items."""
+        from repro.core.profiling import profiled
+
+        items = [1, 13, 2, 3]
+        with profiled() as counters:
+            run_supervised(items, evaluate, workers=2,
+                           policy=SupervisorPolicy(timeout=5.0,
+                                                   max_retries=1),
+                           fallback=fallback)
+        assert counters.supervisor_retries == 1
+        assert counters.supervisor_dispatches == len(items) + 1
