@@ -17,9 +17,6 @@ Environment knobs:
 * ``REPRO_MC_WORKERS=<n>`` — fork the die sweep (default serial, which
   keeps the per-die retune/reuse counters in this process for the
   BENCH artifact);
-* ``REPRO_BACKEND=serial|batched`` — linear-solve path for the campaign
-  and Monte-Carlo benches (default ``batched``; records are
-  byte-identical either way, only the counters and walls move);
 * ``REPRO_COLLAPSE=off|on|audit`` — fault-universe compression for the
   campaign bench (default ``on``: one simulated representative per
   structural equivalence class; verdicts match the uncollapsed run).
@@ -28,9 +25,7 @@ Every session writes a ``BENCH_PR<N>.json`` artifact next to this file
 (name from ``REPRO_BENCH_OUTPUT``; by default *N* is the highest
 ``PR <N>:`` entry of the repository's ``CHANGES.md``):
 per-bench wall time, per-bench ``lu_factor`` deltas, and the engine's
-profiling counters (including the batched-solver counters —
-``batched_solves``, ``batch_fill``, ``woodbury_hits``,
-``batch_fallbacks``), so performance PRs have a before/after record.
+profiling counters, so performance PRs have a before/after record.
 An output name that would overwrite an *older* PR's artifact is
 refused at collection time — the whole point of the artifacts is the
 history, and a stale hardcoded name silently destroying it is exactly
@@ -73,25 +68,13 @@ _campaign_cache = {}
 _mc_cache = {}
 _bench_times = {}
 _bench_lu = {}
-_economics = {}
 _patterns = {}
-
-
-def record_economics(name, data):
-    """Store a serial-vs-batched comparison for the BENCH artifact
-    (see ``test_bench_backend_economics``)."""
-    _economics[name] = data
 
 
 def record_patterns(name, data):
     """Store a per-pattern coverage/BER/lock-time block for the BENCH
     artifact (see ``test_bench_patterns``)."""
     _patterns[name] = data
-
-
-def _bench_backend():
-    """Linear-solve backend for the session's expensive artifacts."""
-    return os.environ.get("REPRO_BACKEND", "batched")
 
 
 def _bench_collapse():
@@ -112,8 +95,7 @@ def get_campaign_report():
             universe = random.Random(2016).sample(universe, n)
         workers = int(os.environ.get("REPRO_CAMPAIGN_WORKERS", "0")) or None
         _campaign_cache["report"] = run_paper_campaign(
-            universe, workers=workers, backend=_bench_backend(),
-            collapse=_bench_collapse())
+            universe, workers=workers, collapse=_bench_collapse())
     return _campaign_cache["report"]
 
 
@@ -128,7 +110,7 @@ def get_mc_result():
         # forked sweep would leave them in the (discarded) children
         workers = int(os.environ.get("REPRO_MC_WORKERS", "0")) or None
         _mc_cache["result"] = MonteCarloCampaign(seed=2016).run(
-            dies, workers=workers, backend=_bench_backend())
+            dies, workers=workers)
     return _mc_cache["result"]
 
 
@@ -212,13 +194,11 @@ def pytest_sessionfinish(session, exitstatus):
     hits = COUNTERS.class_hits
     payload = {
         "baseline": _baseline_name(),
-        "backend": _bench_backend(),
         "campaign_sample": os.environ.get("REPRO_CAMPAIGN_SAMPLE"),
         "campaign_workers": os.environ.get("REPRO_CAMPAIGN_WORKERS"),
         "mc_dies": os.environ.get("REPRO_MC_DIES"),
         "bench_wall_s": _bench_times,
         "bench_lu_factor": _bench_lu,
-        "backend_economics": _economics,
         "patterns": _patterns,
         "collapse": {
             "mode": _bench_collapse(),

@@ -9,7 +9,7 @@ matching growth in ``compile_count``).
 
 from repro.core.profiling import COUNTERS
 
-from benchmarks.conftest import _bench_backend, get_mc_result
+from benchmarks.conftest import get_mc_result
 
 
 def test_bench_mc_campaign(benchmark):
@@ -42,11 +42,4 @@ def test_bench_mc_plan_reuse_economics():
         # fixture; the parent's counters then see no per-die work
         return
     assert COUNTERS.mc_bench_reuse > 0
-    if _bench_backend() == "batched":
-        # the batched prepass evaluates dies on fresh clones (their
-        # compiled caches start empty, so nothing is *re*-tuned) and
-        # the main loop then skips the serial per-die benches entirely;
-        # the retune economics are a serial-path invariant
-        assert COUNTERS.batched_solves > 0
-        return
     assert COUNTERS.plan_retunes > 0

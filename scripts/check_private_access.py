@@ -13,9 +13,7 @@ private *module* imports are out of scope.  The ALLOWLIST below is for
 documented exceptions only; every former object-state entry has been
 replaced by a real public accessor (``Capacitor.history_current``
 / ``record_companion``, ``Circuit.revision`` / ``param_revision`` /
-``plan_cache``, ``CompiledAssembly.source_aux_rows``, the tiers'
-``golden_checks`` / ``golden_probe`` / ``golden_receiver`` and
-``batched_receiver_checks``).  The sole remaining entry is not object
+``plan_cache``).  The sole remaining entry is not object
 state at all: ``os._exit`` is the documented way for a forked child to
 exit without running the parent's interpreter teardown, which is
 exactly what the chaos harness's fork()ed victim needs.

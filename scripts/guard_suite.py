@@ -10,21 +10,20 @@ summary table (CI fails on any non-OK row).  Checks:
 3. supervision     — hang/worker-kill isolation (supervision_smoke)
 4. numerics        — singular-circuit isolation ladder (numerics_smoke)
 5. mc-parity       — Monte-Carlo export invariant across worker counts
-6. backend-parity  — batched backend byte-identical to serial
-7. collapse-parity — collapsed verdicts match per-fault verdicts
-8. pattern-parity  — coverage-vs-pattern JSON identical for
+6. collapse-parity — collapsed verdicts match per-fault verdicts
+7. pattern-parity  — coverage-vs-pattern JSON identical for
                      ``--workers 1`` and ``--workers 4``
-9. service-parity  — sharded service jobs (campaign, mc, patterns)
+8. service-parity  — sharded service jobs (campaign, mc, patterns)
                      merge byte-identical to the direct exports, and
                      resubmission is a store cache hit (zero shards)
-10. service-chaos  — SIGKILLed serve loops resume to byte-identical
+9. service-chaos   — SIGKILLed serve loops resume to byte-identical
                      artifacts with zero re-simulated items
                      (chaos_smoke kill matrix + stale-lease reclaim)
-11. pattern-golden — the full-universe pattern campaign matches the
+10. pattern-golden — the full-universe pattern campaign matches the
                      committed ``perfbench/reference/patterns.json``
                      (each fault's tiers and outcome, each stimulus's
                      healthy-lock summary); every moved fault is named
-12. result-golden  — the full 336-fault campaign matches the committed
+11. result-golden  — the full 336-fault campaign matches the committed
                      ``perfbench/reference/table1.json`` (each fault's
                      dc/scan/bist hits and outcome), and the 8-die
                      Monte-Carlo runs of seeds 1-4 match
@@ -144,30 +143,6 @@ def check_mc_parity(tmp: str) -> str:
     if _read(tmp, "mc-w1.json") != _read(tmp, "mc-w2.json"):
         raise RuntimeError("mc export differs between worker counts")
     return "byte-identical for --workers 1/2"
-
-
-def check_backend_parity(tmp: str) -> str:
-    _repro(
-        "campaign --sample 24 --seed 2016 --export campaign-serial.json",
-        cwd=tmp,
-    )
-    _repro(
-        "campaign --sample 24 --seed 2016 --backend batched"
-        " --export campaign-batched.json",
-        cwd=tmp,
-    )
-    if _read(tmp, "campaign-serial.json") != _read(
-        tmp, "campaign-batched.json"
-    ):
-        raise RuntimeError("campaign artifact differs across backends")
-    _repro("mc --dies 8 --seed 2016 --export mc-serial.json", cwd=tmp)
-    _repro(
-        "mc --dies 8 --seed 2016 --backend batched --export mc-batched.json",
-        cwd=tmp,
-    )
-    if _read(tmp, "mc-serial.json") != _read(tmp, "mc-batched.json"):
-        raise RuntimeError("mc artifact differs across backends")
-    return "campaign + mc identical across backends"
 
 
 def check_collapse_parity(tmp: str) -> str:
@@ -378,7 +353,6 @@ CHECKS: List[Tuple[str, Callable[[str], str]]] = [
     ("supervision", check_supervision),
     ("numerics", check_numerics),
     ("mc-parity", check_mc_parity),
-    ("backend-parity", check_backend_parity),
     ("collapse-parity", check_collapse_parity),
     ("pattern-parity", check_pattern_parity),
     ("service-parity", check_service_parity),

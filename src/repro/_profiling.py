@@ -59,19 +59,11 @@ _FIELDS = (
     "dc_ptc_rescues",        # DC points rescued by the PTC homotopy
     "tran_step_rejections",  # transient steps rejected by Newton failure
     "tran_step_halvings",    # dt halvings spent recovering those steps
-    # batched linear backend (repro.analog.backend / batch)
-    "batched_solves",        # broadcast solve_stack dispatches
-    "batch_fill",            # systems carried by those dispatches
-    "woodbury_hits",         # solves served by low-rank golden-LU updates
-    "batch_fallbacks",       # stacked items peeled back to the serial
-                             # resilience ladder / serial analyses
     # fault-universe compression (repro.faults.collapse)
     "classes",               # structural equivalence classes in a campaign
     "class_hits",            # member stage runs served by a class
                              # representative's memoized result
     "collapse_rep_evals",    # representative stage runs actually executed
-    "delta_reassemblies",    # Woodbury difference scans narrowed by a
-                             # recorded PlanDelta rows hint
     "audit_checks",          # equivalence-audit member re-simulations
     # campaign service (repro.service)
     "service_jobs",          # job specs executed by a coordinator

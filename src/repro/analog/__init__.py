@@ -8,17 +8,6 @@ why this substitutes for the paper's UMC 130 nm + commercial-SPICE flow.
 
 from .ac import ACResult, ac_analysis, logspace_freqs
 from .assembly import CompiledAssembly, LinearSolverCache, get_compiled
-from .backend import (
-    BACKENDS,
-    BatchedBackend,
-    LinearBackend,
-    SerialBackend,
-    get_backend,
-    resolve_backend,
-    set_backend,
-    use_backend,
-)
-from .batch import batch_dc_operating_points, batch_transients
 from .corners import (
     ALL_CORNERS,
     FF,
@@ -33,7 +22,6 @@ from .corners import (
     sweep_corners,
 )
 from .dc import OperatingPoint, dc_operating_point, dc_sweep
-from .incremental import PlanDelta, delta_for_circuit, rows_hint
 from .measure import (
     EdgeSummary,
     MeasureError,
@@ -98,9 +86,6 @@ from .transient import (
 __all__ = [
     "ACResult", "ac_analysis", "logspace_freqs",
     "CompiledAssembly", "LinearSolverCache", "get_compiled",
-    "BACKENDS", "BatchedBackend", "LinearBackend", "SerialBackend",
-    "get_backend", "resolve_backend", "set_backend", "use_backend",
-    "batch_dc_operating_points", "batch_transients",
     "ALL_CORNERS", "FF", "FS", "MismatchSpec", "ProcessCorner", "SF",
     "SS", "TT", "get_corner", "monte_carlo", "sweep_corners",
     "EdgeSummary", "MeasureError", "crossings", "fall_time", "overshoot",
@@ -109,7 +94,6 @@ __all__ = [
     "SpiceFormatError", "load_spice", "read_spice", "save_spice",
     "write_spice",
     "OperatingPoint", "dc_operating_point", "dc_sweep",
-    "PlanDelta", "delta_for_circuit", "rows_hint",
     "Capacitor", "CurrentSource", "Diode", "Element", "Resistor",
     "StampContext", "Switch", "VoltageControlledVoltageSource",
     "VoltageSource",

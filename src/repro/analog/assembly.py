@@ -39,7 +39,6 @@ import numpy as np
 from scipy.special import expit
 
 from .._profiling import COUNTERS
-from .backend import SERIAL, solve_factored
 from .devices import (
     Capacitor,
     CurrentSource,
@@ -52,7 +51,7 @@ from .devices import (
 )
 from .mosfet import MOSFET, PHI_T
 from .resilience import condition_estimate_1norm, resilient_solve
-from .solver import DEFAULT_GMIN, SolverError
+from .solver import DEFAULT_GMIN, SolverError, factor, solve_factored
 
 #: element classes whose stamps never depend on x, t, or xprev
 _STATIC_TYPES = (Resistor, VoltageControlledVoltageSource)
@@ -73,10 +72,9 @@ class LinearSolverCache:
     factorization would produce.
     """
 
-    __slots__ = ("_last", "backend")
+    __slots__ = ("_last",)
 
-    def __init__(self, backend=None) -> None:
-        self.backend = backend
+    def __init__(self) -> None:
         self._last = None     # (A, (lu, piv)) of the newest factorization
 
     def invalidate(self) -> None:
@@ -84,21 +82,17 @@ class LinearSolverCache:
 
     # ------------------------------------------------------------------
     def solve(self, A: np.ndarray, b: np.ndarray, *, reuse: bool = True,
-              assume_same: bool = False, backend=None) -> np.ndarray:
+              assume_same: bool = False) -> np.ndarray:
         """Solve ``A @ x = b``, reusing a cached factorization when *A*
         is unchanged.
 
         The caller must not mutate *A* after passing it in (the fast path
         hands over a fresh array each assembly, so this holds by
         construction).  ``assume_same`` skips the equality check for
-        circuits whose matrix is provably constant.  *backend* (or the
-        cache-level default) routes factor/solve through a
-        :class:`~repro.analog.backend.LinearBackend`; ``None`` keeps the
-        serial ``getrf``/``getrs`` pair.
+        circuits whose matrix is provably constant.
         """
         if A.shape[0] == 0:
             return np.zeros(0, dtype=A.dtype)
-        be = backend or self.backend or SERIAL
         if reuse:
             if assume_same and self._last is not None:
                 lu_piv = self._last[1]
@@ -106,15 +100,15 @@ class LinearSolverCache:
                 lu_piv = self.last_factorization(A)
             if lu_piv is not None:
                 COUNTERS.lu_reuse += 1
-                return be.solve_factored(lu_piv, b)
+                return solve_factored(lu_piv, b)
         try:
-            lu_piv = be.factor(A)
+            lu_piv = factor(A)
         except SolverError:
             self.invalidate()
             raise
         self._last = (A, lu_piv)
         COUNTERS.lu_factor += 1
-        return be.solve_factored(lu_piv, b)
+        return solve_factored(lu_piv, b)
 
     def last_factorization(self, A: np.ndarray):
         """``(lu, piv)`` when the cached factorization is of *A*, else
@@ -240,17 +234,6 @@ class CompiledAssembly:
         self._compile_switches(switches)
         self._compile_caps(caps if self.mode == "tran" else [])
         self.is_linear = not (mosfets or switches or fallback)
-
-    @property
-    def source_aux_rows(self) -> Tuple[int, ...]:
-        """Aux-row index of every voltage source, in stamp order.
-
-        Part of the plan's *shape*: the batched lockstep solver groups
-        plans whose right-hand-side scatter is identical, and the
-        source rows are the only RHS structure not captured by the
-        dimensions alone.
-        """
-        return tuple(k for _, k in self._vsources)
 
     def _compile_mosfets(self, mosfets: List[MOSFET]) -> None:
         self._mosfets = mosfets
@@ -455,15 +438,13 @@ class CompiledAssembly:
 
     # ------------------------------------------------------------------
     def solve(self, A: np.ndarray, b: np.ndarray, *,
-              reuse: bool = True, backend=None) -> np.ndarray:
+              reuse: bool = True) -> np.ndarray:
         """Solve through the cached-LU layer (see :class:`LinearSolverCache`)."""
         return self.lu_cache.solve(A, b, reuse=reuse,
-                                   assume_same=self.is_linear,
-                                   backend=backend)
+                                   assume_same=self.is_linear)
 
     def solve_diag(self, A: np.ndarray, b: np.ndarray, *,
-                   reuse: bool = True, want_condition: bool = False,
-                   backend=None):
+                   reuse: bool = True, want_condition: bool = False):
         """Like :meth:`solve` but returns ``(x, SolveDiagnostics)``.
 
         Rung 0 of the ladder is exactly :meth:`solve` (cached LU, same
@@ -472,8 +453,7 @@ class CompiledAssembly:
         """
         def direct(A_, b_):
             return self.lu_cache.solve(A_, b_, reuse=reuse,
-                                       assume_same=self.is_linear,
-                                       backend=backend)
+                                       assume_same=self.is_linear)
 
         def refine(r):
             lu_piv = self.lu_cache.last_factorization(A)

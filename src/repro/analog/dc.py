@@ -39,12 +39,10 @@ VOLTAGE_TOL = 1e-9
 MAX_STEP = 0.5  # volts of damping per Newton update
 
 #: gmin-stepping continuation schedule (S), tightened toward the target
-#: gmin; shared with the lockstep batched rescue so both paths walk the
-#: identical ladder
+#: gmin
 GMIN_STEPS = (1e-2, 1e-3, 1e-4, 1e-6, 1e-8, 1e-10)
 
-#: source-stepping continuation schedule (fraction of full excitation);
-#: shared with the lockstep batched rescue
+#: source-stepping continuation schedule (fraction of full excitation)
 SOURCE_STEPS = (0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
 
 #: decaying pseudo-transient shunt schedule (S); implicit-Euler steps of

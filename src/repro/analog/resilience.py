@@ -46,8 +46,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .._profiling import COUNTERS
-from .backend import SERIAL, factor, solve_factored
-from .solver import SolverError
+from .solver import SolverError, factor, solve_factored
 
 __all__ = [
     "RUNG_DIRECT", "RUNG_REFINED", "RUNG_EQUILIBRATED", "RUNG_LSTSQ",
@@ -222,7 +221,7 @@ def condition_estimate_1norm(A: np.ndarray,
                              = None) -> float:
     """LAPACK ``gecon`` 1-norm condition estimate of *A*.
 
-    Reuses a :func:`~repro.analog.backend.factor` result when the
+    Reuses a :func:`~repro.analog.solver.factor` result when the
     caller has one (O(n^2)); factors once otherwise.  Returns ``inf``
     for a singular matrix.
     """
@@ -261,7 +260,6 @@ def resilient_solve(A: np.ndarray, b: np.ndarray, *,
                     = None,
                     want_condition: bool = False,
                     policy: Optional[NumericsPolicy] = None,
-                    backend=None,
                     ) -> Tuple[np.ndarray, SolveDiagnostics]:
     """Solve ``A @ x = b`` through the fallback ladder.
 
@@ -269,15 +267,14 @@ def resilient_solve(A: np.ndarray, b: np.ndarray, *,
     a healthy solve returns the exact bits it always did; it may raise
     :class:`SolverError`.  ``refine(r)`` solves ``A @ dx = r`` reusing
     the direct rung's factorization (iterative refinement); when absent
-    the ladder factors *A* itself on demand.  *backend* (a
-    :class:`~repro.analog.backend.LinearBackend`) supplies rung 0 when
-    no ``direct`` callable is given; ``None`` means the serial
-    ``getrf``/``getrs`` one-shot LU.  A finite rung-0 answer whose
-    residual verifies returns at once.  Returns the accepted solution
-    and its :class:`SolveDiagnostics`; raises :class:`UnsolvableError`
-    instead of ever returning NaN/Inf or a residual above
-    ``policy.residual_unsolvable`` (or, under ``policy.strict``,
-    anything short of verified good).
+    the ladder factors *A* itself on demand.  Without a ``direct``
+    callable, rung 0 is a one-shot :func:`~repro.analog.solver.factor`
+    / :func:`~repro.analog.solver.solve_factored` LU.  A finite rung-0
+    answer whose residual verifies returns at once.  Returns the
+    accepted solution and its :class:`SolveDiagnostics`; raises
+    :class:`UnsolvableError` instead of ever returning NaN/Inf or a
+    residual above ``policy.residual_unsolvable`` (or, under
+    ``policy.strict``, anything short of verified good).
     """
     policy = policy or _POLICY
     good = policy.residual_good
@@ -293,9 +290,8 @@ def resilient_solve(A: np.ndarray, b: np.ndarray, *,
         if direct is not None:
             x0 = direct(A, b)
         else:
-            be = backend or SERIAL
-            lu_hint = be.factor(A)
-            x0 = be.solve_factored(lu_hint, b)
+            lu_hint = factor(A)
+            x0 = solve_factored(lu_hint, b)
     except SolverError:
         x0 = None
         lu_hint = None

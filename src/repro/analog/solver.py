@@ -2,17 +2,71 @@
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from .._profiling import COUNTERS
 from .devices import StampContext
 from .netlist import Circuit
 
+#: an LU factorization as LAPACK ``getrf`` returns it: ``(lu, piv)``
+Factorization = Tuple[np.ndarray, np.ndarray]
+
 
 class SolverError(Exception):
     """Raised when an analysis fails to converge or is ill-posed."""
+
+
+#: ``getrf`` per matrix dtype, ``getrs`` per (factor, rhs) dtype pair
+_GETRF: Dict[np.dtype, Callable] = {}
+_GETRS: Dict[Tuple[np.dtype, np.dtype], Callable] = {}
+
+
+def factor(A: np.ndarray) -> Factorization:
+    """LU-factor *A* with LAPACK ``getrf``.
+
+    This pair (:func:`factor` / :func:`solve_factored`) is the engine's
+    one LU primitive: the cached-LU solves of the compiled fast path,
+    the resilience ladder's LU rungs and its condition estimate all go
+    through it.  It calls LAPACK directly (resolved once per dtype):
+    ``getrf`` / ``getrs`` are the routines scipy's ``lu_factor`` /
+    ``lu_solve`` call with the same arguments, so the bits are scipy's
+    without the per-call wrapper cost.
+
+    Exactly-singular matrices (an exact zero pivot, LAPACK ``info > 0``)
+    raise :class:`SolverError`; near-singular systems return whatever
+    LAPACK produces (faulted circuits rely on observing the resulting
+    non-convergence rather than an exception).
+    """
+    getrf = _GETRF.get(A.dtype)
+    if getrf is None:
+        getrf = _GETRF[A.dtype] = get_lapack_funcs(("getrf",), (A,))[0]
+    lu, piv, info = getrf(A)
+    if info < 0:
+        raise SolverError(
+            f"MNA factorization failed: illegal value in {-info}th "
+            f"argument of internal getrf (lu_factor)")
+    if info > 0:
+        raise SolverError("singular MNA matrix: exact zero pivot")
+    return lu, piv
+
+
+def solve_factored(factorization: Factorization,
+                   b: np.ndarray) -> np.ndarray:
+    """Solve ``A @ x = b`` (*b* a vector or a matrix of columns) with
+    LAPACK ``getrs`` on a :func:`factor` result."""
+    lu, piv = factorization
+    key = (lu.dtype, b.dtype)
+    getrs = _GETRS.get(key)
+    if getrs is None:
+        getrs = _GETRS[key] = get_lapack_funcs(("getrs",), (lu, b))[0]
+    x, info = getrs(lu, piv, b)
+    if info:
+        raise ValueError(
+            f"illegal value in {-info}th argument of internal getrs")
+    return x
 
 
 #: shunt conductance stamped from every node to ground by default

@@ -141,7 +141,6 @@ def cmd_coverage(args) -> int:
     report = run_paper_campaign(universe,
                                 progress=progress if args.progress else None,
                                 workers=args.workers,
-                                backend=args.backend,
                                 collapse=args.collapse)
     print(report.format_headline())
     print()
@@ -180,7 +179,7 @@ def cmd_campaign(args) -> int:
                           progress=progress if args.progress else None,
                           workers=args.workers, checkpoint=args.resume,
                           timeout=args.timeout, max_retries=args.retries,
-                          trace=args.trace, backend=args.backend)
+                          trace=args.trace)
 
     if tier_names == TIER_ORDER:
         report = CoverageReport(result=result)
@@ -232,7 +231,7 @@ def cmd_mc(args) -> int:
                           progress=progress if args.progress else None,
                           workers=args.workers, checkpoint=args.resume,
                           timeout=args.timeout, max_retries=args.retries,
-                          trace=args.trace, backend=args.backend)
+                          trace=args.trace)
 
     print(format_mc_report(result))
     _print_numerics()
@@ -323,12 +322,10 @@ def cmd_bench(args) -> int:
         universe = stratified_sample(universe, args.sample, seed=args.seed)
     with profiled() as counters:
         t0 = time.perf_counter()
-        report = run_paper_campaign(universe, workers=args.workers,
-                                    backend=args.backend)
+        report = run_paper_campaign(universe, workers=args.workers)
         wall = time.perf_counter() - t0
     print(f"campaign : {len(universe)} faults in {wall:.2f} s "
-          f"({args.workers or 1} worker(s), "
-          f"{args.backend or 'serial'} backend)")
+          f"({args.workers or 1} worker(s))")
     print(f"coverage : dc {report.dc * 100:.1f}%  "
           f"scan {report.scan * 100:.1f}%  bist {report.bist * 100:.1f}%")
     snap = counters.snapshot()
@@ -466,15 +463,6 @@ def _print_collapse(collapse: str) -> None:
     print(line)
 
 
-def _add_backend(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--backend", default=None,
-                   choices=("serial", "batched"),
-                   help="linear-solve path: 'batched' stacks same-"
-                        "pattern systems into broadcast LAPACK calls "
-                        "(records stay byte-identical to serial; "
-                        "default: serial)")
-
-
 def _add_collapse(p: argparse.ArgumentParser) -> None:
     p.add_argument("--collapse", default="off",
                    choices=("off", "on", "audit"),
@@ -577,7 +565,7 @@ def _spec_from_args(args):
         patterns = DEFAULT_CAMPAIGN_PATTERNS
     return CampaignSpec(
         kind=args.kind, seed=args.seed, sample=args.sample,
-        backend=args.backend, collapse=args.collapse,
+        collapse=args.collapse,
         strict_numerics=args.strict_numerics, tiers=tiers,
         dies=args.dies, corner=args.corner,
         sigma_vt_mv=args.sigma_vt, sigma_kp_pct=args.sigma_kp,
@@ -774,7 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--progress", action="store_true")
     p.add_argument("--workers", type=int, default=None,
                    help="fault-simulation worker processes (default: serial)")
-    _add_backend(p)
     _add_collapse(p)
     p.set_defaults(func=cmd_coverage)
 
@@ -795,7 +782,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSONL checkpoint to stream records into and "
                         "resume from")
     _add_supervision(p, "fault")
-    _add_backend(p)
     _add_collapse(p)
     p.set_defaults(func=cmd_campaign)
 
@@ -826,7 +812,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSONL checkpoint to stream die records into and "
                         "resume from")
     _add_supervision(p, "die")
-    _add_backend(p)
     _add_collapse(p)
     p.set_defaults(func=cmd_mc)
 
@@ -862,7 +847,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="instead of running: diff the two newest "
                         "BENCH_PR*.json artifacts in DIR (default "
                         "'benchmarks') counter by counter")
-    _add_backend(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("overhead", help="DFT inventory (Table II)")
@@ -912,7 +896,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="shard worker processes (execution-only; "
                         "default: the serve loop's setting)")
-    _add_backend(p)
     _add_collapse(p)
     p.set_defaults(func=cmd_submit)
 

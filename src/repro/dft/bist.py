@@ -101,12 +101,6 @@ class BISTTest:
         and the pump-current windows."""
         return {"receiver_checks": self._golden}
 
-    @property
-    def golden_checks(self) -> Dict:
-        """The healthy receiver-checks signature (the reference the
-        batched MC screens compare against)."""
-        return self._golden
-
     # ------------------------------------------------------------------
     def applies_to(self, fault: StructuralFault) -> bool:
         return fault.block in ("cp", "window_comp", "vcdl")
@@ -147,77 +141,7 @@ class BISTTest:
         return self._lock_test(fault)
 
     # ------------------------------------------------------------------
-    def detect_batch(self, faults, backend=None) -> Dict:
-        """Batched :meth:`detect`; see DCTest.detect_batch for the
-        resolve/omit contract.
-
-        The netlist stages (receiver checks, VCDL aliveness, VCDL
-        characterisation transients) run batched; the behavioural lock
-        runs and the window-threshold bisection are deterministic pure-
-        Python / cache-accelerated serial code and execute unchanged.
-        """
-        from .batch_stages import vcdl_aliveness
-        from .duts import ReceiverDUT, VCDLDUT
-
-        out: Dict = {}
-        rx = [f for f in faults if f.block in ("window_comp", "cp")]
-        vc = [f for f in faults if f.block == "vcdl"]
-
-        if rx:
-            base = build_receiver_dut()
-            duts, keep = [], []
-            for f in rx:
-                try:
-                    faulted = inject_fault(
-                        base.circuit, f,
-                        retention=self.goldens.retention_receiver)
-                except Exception:
-                    continue
-                duts.append(ReceiverDUT(circuit=faulted, cp=base.cp,
-                                        vdd=base.vdd))
-                keep.append(f)
-            sigs = self.batched_receiver_checks(duts, backend=backend)
-            for f, sig in zip(keep, sigs):
-                if isinstance(sig, Exception):
-                    continue
-                if sig != self._golden:
-                    out[f.key()] = True
-                elif f.block == "window_comp":
-                    out[f.key()] = self._window_lock_test(f)
-                else:
-                    out[f.key()] = self._lock_test(f)
-
-        if vc:
-            base = build_vcdl_dut()
-            duts, keep = [], []
-            for f in vc:
-                try:
-                    faulted = inject_fault(
-                        base.circuit, f,
-                        retention=self.goldens.retention_vcdl)
-                except Exception:
-                    continue
-                duts.append(VCDLDUT(circuit=faulted, ports=base.ports))
-                keep.append(f)
-            alive = vcdl_aliveness(duts, backend=backend)
-            need_lock = []
-            for f, a in zip(keep, alive):
-                if isinstance(a, Exception):
-                    continue
-                if not a:
-                    out[f.key()] = True
-                else:
-                    need_lock.append(f)
-            delays = self._batched_vcdl_delays(need_lock, backend=backend)
-            for f in need_lock:
-                if f in delays:
-                    out[f.key()] = self._vcdl_lock_verdict(*delays[f])
-
-        return out
-
-    # ------------------------------------------------------------------
-    def detect_collapsed(self, faults, collapser, backend=None,
-                         memo=None):
+    def detect_collapsed(self, faults, collapser, memo=None):
         """One-representative-per-class :meth:`detect`; see
         DCTest.detect_collapsed for the memo/provenance contract.
 
@@ -243,7 +167,7 @@ class BISTTest:
         fresh = stage_exec(
             memo,
             {("bist_checks", s[1]): m[0] for s, m in rx_groups.items()},
-            lambda reps: self._run_checks_stage(reps, backend))
+            self._run_receiver_checks)
         lock_need, lock_groups = {}, []
         for sig, members in rx_groups.items():
             key = ("bist_checks", sig[1])
@@ -261,8 +185,7 @@ class BISTTest:
             lock_need.setdefault(lkey, members[0])
             lock_groups.append((lkey, members))
 
-        fresh = stage_exec(memo, lock_need,
-                           lambda reps: self._run_lock_stage(reps))
+        fresh = stage_exec(memo, lock_need, self.at_speed_detect)
         for lkey, members in lock_groups:
             entry = memo[lkey]
             if isinstance(entry, Exception):
@@ -270,12 +193,10 @@ class BISTTest:
             consume(fresh, lkey, len(members))
             expand(resolved, provenance, members, entry)
 
-        from .collapsed import run_vcdl_alive
-
         fresh = stage_exec(
             memo,
             {("vcdl_alive", s[1]): m[0] for s, m in vc_groups.items()},
-            lambda reps: run_vcdl_alive(self.goldens, reps, backend))
+            self._vcdl_alive)
         char_need, char_groups = {}, []
         for sig, members in vc_groups.items():
             key = ("vcdl_alive", sig[1])
@@ -290,8 +211,7 @@ class BISTTest:
                 char_need.setdefault(ckey, members[0])
                 char_groups.append((ckey, members))
 
-        fresh = stage_exec(memo, char_need,
-                           lambda reps: self._run_char_stage(reps, backend))
+        fresh = stage_exec(memo, char_need, self._measure_vcdl_delays)
         for ckey, members in char_groups:
             entry = memo[ckey]
             if isinstance(entry, Exception):
@@ -302,138 +222,11 @@ class BISTTest:
 
         return resolved, provenance
 
-    def _run_checks_stage(self, reps, backend):
-        """Receiver-checks stage over class representatives."""
-        from .collapsed import _injected
-
-        base = build_receiver_dut()
-        from .duts import ReceiverDUT
-
-        results, duts, idx = _injected(
-            reps, lambda inj: ReceiverDUT(circuit=inj(base.circuit),
-                                          cp=base.cp, vdd=base.vdd),
-            self.goldens.retention_receiver)
-        sigs = self.batched_receiver_checks(duts, backend=backend)
-        for i, sig in zip(idx, sigs):
-            results[i] = sig
-        return results
-
-    def _run_lock_stage(self, reps):
-        """Behavioural lock / window-threshold runs per representative."""
-        out = []
-        for f in reps:
-            try:
-                if f.block == "window_comp":
-                    out.append(self._window_lock_test(f))
-                else:
-                    out.append(self._lock_test(f))
-            except Exception as exc:
-                out.append(exc)
-        return out
-
-    def _run_char_stage(self, reps, backend):
-        """VCDL characterisation delays per representative."""
-        reps = list(reps)
-        delays = self._batched_vcdl_delays(reps, backend=backend)
-        return [delays[f] if f in delays
-                else RuntimeError("vcdl characterisation unresolved")
-                for f in reps]
-
-    def batched_receiver_checks(self, duts, backend=None):
-        """Batched :meth:`_run_receiver_checks` over prepared DUTs.
-
-        Stage-lockstep mirror of the serial method: the hold check runs
-        for every DUT, then each pump condition runs only for DUTs whose
-        every earlier stage converged (the serial early-return).  A
-        non-converged stage yields the serial ``{"converged": False}``
-        signature; an exception marks the item unresolved.
-        """
-        from ..analog import batch_dc_operating_points
-
-        n = len(duts)
-        sigs = [dict() for _ in range(n)]
-        resolved = [None] * n
-
-        for d in duts:
-            d.set_condition(hold=True)
-        ops = batch_dc_operating_points([d.circuit for d in duts],
-                                        backend=backend)
-        live = []
-        for j, op in enumerate(ops):
-            if isinstance(op, Exception):
-                resolved[j] = op
-            elif not op.converged:
-                resolved[j] = {"converged": False}
-            else:
-                obs = duts[j].observe(op)
-                sigs[j]["vp_flag"] = (obs["bist_hi"], obs["bist_lo"])
-                currents = self._ota_currents(duts[j], op)
-                for name in self.OTA_DEVICES:
-                    ref = self._healthy_ota_i.get(name, 0.0)
-                    sigs[j][f"slew_{name}_ok"] = bool(
-                        ref == 0.0
-                        or currents[name] >= self.SLEW_COLLAPSE * ref)
-                live.append(j)
-
-        nominal = {"up": 1.83e-6, "dn": 3.66e-6,
-                   "up_st": 14.6e-6, "dn_st": 29e-6}
-        for name, kw in (("up", dict(hold=True, up=1)),
-                         ("dn", dict(hold=True, dn=1)),
-                         ("up_st", dict(hold=True, up_st=1)),
-                         ("dn_st", dict(hold=True, dn_st=1))):
-            if not live:
-                break
-            for j in live:
-                duts[j].set_condition(**kw)
-            ops = batch_dc_operating_points(
-                [duts[j].circuit for j in live], backend=backend)
-            nxt = []
-            for j, op in zip(live, ops):
-                if isinstance(op, Exception):
-                    resolved[j] = op
-                elif not op.converged:
-                    resolved[j] = {"converged": False}
-                else:
-                    i = abs(duts[j].hold_current(op))
-                    ref = nominal[name]
-                    sigs[j][f"i_{name}_ok"] = bool(
-                        CURRENT_LO * ref <= i <= CURRENT_HI * ref)
-                    nxt.append(j)
-            live = nxt
-        for j in live:
-            sigs[j]["converged"] = True
-            resolved[j] = sigs[j]
-        return resolved
-
-    def _batched_vcdl_delays(self, faults, backend=None) -> Dict:
-        """Characterisation delays ``{fault: (d_lo, d_hi)}``, batched.
-
-        Both window-bound transients of every fault go through one
-        :func:`batch_transients` call; a fault whose either transient
-        raised is omitted (unresolved).
-        """
-        from ..analog import batch_transients
-
+    def _measure_vcdl_delays(self, fault: StructuralFault):
+        """Faulted VCDL delays ``(d_lo, d_hi)`` at the window bounds."""
         p0 = LinkParams()
-        circuits, keep = [], []
-        for f in faults:
-            try:
-                pair = (self._vcdl_char_circuit(f, p0.v_window_lo),
-                        self._vcdl_char_circuit(f, p0.v_window_hi))
-            except Exception:
-                continue
-            circuits.extend(pair)
-            keep.append(f)
-        trs = batch_transients(circuits, 1.6e-9, 2e-12,
-                               probes=["clk_out"], backend=backend)
-        out: Dict = {}
-        for i, f in enumerate(keep):
-            tr_lo, tr_hi = trs[2 * i], trs[2 * i + 1]
-            if isinstance(tr_lo, Exception) or isinstance(tr_hi, Exception):
-                continue
-            out[f] = (self._vcdl_delay_from(tr_lo),
-                      self._vcdl_delay_from(tr_hi))
-        return out
+        return (self._measure_faulted_vcdl(fault, p0.v_window_lo),
+                self._measure_faulted_vcdl(fault, p0.v_window_hi))
 
     # ------------------------------------------------------------------
     def _run_receiver_checks(self, fault: Optional[StructuralFault],
@@ -572,10 +365,7 @@ class BISTTest:
         """
         ckey = ("vcdl_delays", fault.key())
         if ckey not in self.measure_cache:
-            p0 = LinkParams()
-            self.measure_cache[ckey] = (
-                self._measure_faulted_vcdl(fault, p0.v_window_lo),
-                self._measure_faulted_vcdl(fault, p0.v_window_hi))
+            self.measure_cache[ckey] = self._measure_vcdl_delays(fault)
         return self._vcdl_lock_verdict(*self.measure_cache[ckey])
 
     def _vcdl_lock_verdict(self, d_lo: float, d_hi: float) -> bool:

@@ -18,6 +18,11 @@ Accounting convention (the BENCH ratio depends on it):
   representatives otherwise;
 * groups whose stage raised tick nothing: they stay unresolved, and the
   serial detector reproduces each member's exact error record.
+
+Every stage runs the owning tier's own serial stage code on the
+representative (``ScanTest._run_probe`` and friends); the one stage no
+single tier owns, the combined ``link_static`` solve pair, is
+:func:`run_link_static` below.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from ..faults.model import StructuralFault
 def group_by_signature(faults, collapser, tier: str
                        ) -> Dict[Tuple, List[StructuralFault]]:
     """Signature -> members (in order); unsignable faults are left out
-    (they take the uncollapsed batched / serial path unchanged)."""
+    (they take the uncollapsed serial path unchanged)."""
     groups: Dict[Tuple, List[StructuralFault]] = {}
     for f in faults:
         sig = collapser.tier_signature(f, tier)
@@ -41,18 +46,21 @@ def group_by_signature(faults, collapser, tier: str
 
 
 def stage_exec(memo: Dict, need: Dict[Tuple, StructuralFault],
-               runner: Callable[[List[StructuralFault]], list]) -> Set:
-    """Execute a stage for every representative whose key is not yet
-    memoized.  *runner* returns one result-or-Exception per rep, in
-    order; results land in *memo*.  Returns the freshly executed keys
-    (consumed by :func:`consume` for rep-eval accounting)."""
-    todo = [(key, rep) for key, rep in need.items() if key not in memo]
-    if not todo:
-        return set()
-    results = runner([rep for _, rep in todo])
+               stage: Callable[[StructuralFault], object]) -> Set:
+    """Run *stage* on every representative whose key is not yet
+    memoized; results land in *memo*.  A representative whose stage
+    raised gets the exception in its slot, so its class stays
+    unresolved and falls back to the serial detector.  Returns the
+    freshly executed keys (consumed by :func:`consume` for rep-eval
+    accounting)."""
     fresh: Set = set()
-    for (key, _), res in zip(todo, results):
-        memo[key] = res
+    for key, rep in need.items():
+        if key in memo:
+            continue
+        try:
+            memo[key] = stage(rep)
+        except Exception as exc:  # noqa: BLE001 - serial path covers it
+            memo[key] = exc
         fresh.add(key)
     return fresh
 
@@ -77,105 +85,33 @@ def expand(resolved: Dict, provenance: Dict,
         provenance[f.key()] = rep_key
 
 
-# ----------------------------------------------------------------------
-# stage runners shared between tiers (inject the representative, run the
-# batched stage helper, return aligned result-or-Exception slots)
-# ----------------------------------------------------------------------
-def _injected(reps, build_dut, retention):
-    """Inject each rep; returns (results, duts, positions)."""
-    from ..faults.inject import inject_fault
+def run_link_static(goldens, fault: StructuralFault) -> Tuple[Dict, Dict]:
+    """The combined DC-signature + probe-capture stage on the full link.
 
-    results: list = [None] * len(reps)
-    duts, idx = [], []
-    for i, f in enumerate(reps):
-        try:
-            dut = build_dut(lambda circ: inject_fault(
-                circ, f, retention=retention))
-        except Exception as exc:
-            results[i] = exc
-            continue
-        duts.append(dut)
-        idx.append(i)
-    return results, duts, idx
+    The DC tier's two-pattern link observation
+    (:meth:`FullLinkPorts.run_dc_test`) and the scan tier's probe
+    capture (:meth:`ScanTest._run_probe`) drive identical source values
+    on the same faulted netlist, so one serial solve per data bit
+    serves both tiers.  Returns ``(dc_signature, probe_capture)``.
+    """
+    from dataclasses import replace
 
-
-def run_link_static(goldens, reps, backend) -> list:
-    """The combined DC-signature + probe-capture stage on the full link."""
-    from dataclasses import replace as dc_replace
-
+    from ..analog import dc_operating_point
     from ..circuits.full_link import build_full_link
-    from .batch_stages import link_static_signatures
-    from .scan_test import ScanTest
+    from ..faults.inject import inject_fault
+    from .scan_test import ScanTest, _digitize
 
     link = build_full_link()
-    results, duts, idx = _injected(
-        reps, lambda inj: dc_replace(link, circuit=inj(link.circuit)),
-        goldens.retention_link)
-    outs = link_static_signatures(duts, ScanTest.PROBE_NODES,
-                                  backend=backend)
-    for i, out in zip(idx, outs):
-        results[i] = out
-    return results
-
-
-def run_receiver_dc(goldens, reps, backend) -> list:
-    """Quiescent receiver observation stage (the DC tier's rx stage)."""
-    from .batch_stages import receiver_dc_observations
-    from .duts import ReceiverDUT, build_receiver_dut
-
-    base = build_receiver_dut()
-    results, duts, idx = _injected(
-        reps, lambda inj: ReceiverDUT(circuit=inj(base.circuit),
-                                      cp=base.cp, vdd=base.vdd),
-        goldens.retention_receiver)
-    for i, ob in zip(idx, receiver_dc_observations(duts, backend=backend)):
-        results[i] = ob
-    return results
-
-
-def run_toggle(goldens, reps, backend) -> list:
-    """Toggle-test excursion stage on the clocked full link."""
-    from .batch_stages import toggle_excursions
-    from .duts import ToggleDUT, build_toggle_dut
-
-    base = build_toggle_dut()
-    results, duts, idx = _injected(
-        reps, lambda inj: ToggleDUT(circuit=inj(base.circuit),
-                                    vcm_node=base.vcm_node,
-                                    ref_node=base.ref_node),
-        goldens.retention_link)
-    for i, exc in zip(idx, toggle_excursions(duts, backend=backend)):
-        results[i] = exc
-    return results
-
-
-def run_receiver_scan(goldens, reps, backend) -> list:
-    """Receiver scan-condition sweep stage."""
-    from .batch_stages import receiver_scan_signatures
-    from .duts import ReceiverDUT, build_receiver_dut
-    from .scan_test import SCAN_CONDITIONS
-
-    base = build_receiver_dut()
-    results, duts, idx = _injected(
-        reps, lambda inj: ReceiverDUT(circuit=inj(base.circuit),
-                                      cp=base.cp, vdd=base.vdd),
-        goldens.retention_receiver)
-    sigs = receiver_scan_signatures(duts, SCAN_CONDITIONS, backend=backend)
-    for i, sig in zip(idx, sigs):
-        results[i] = sig
-    return results
-
-
-def run_vcdl_alive(goldens, reps, backend) -> list:
-    """Static VCDL aliveness stage."""
-    from .batch_stages import vcdl_aliveness
-    from .duts import VCDLDUT, build_vcdl_dut
-
-    base = build_vcdl_dut()
-    results, duts, idx = _injected(
-        reps, lambda inj: VCDLDUT(circuit=inj(base.circuit),
-                                  ports=base.ports),
-        goldens.retention_vcdl)
-    for i, a in zip(idx, vcdl_aliveness(duts, backend=backend)):
-        results[i] = a
-    return results
+    link = replace(link, circuit=inject_fault(
+        link.circuit, fault, retention=goldens.retention_link))
+    dc_sig: Dict = {}
+    probe: Dict = {}
+    for bit in (1, 0):
+        link.apply_data(bit)
+        op = dc_operating_point(link.circuit)
+        obs = link.observe(op) if op.converged else {}
+        obs["converged"] = op.converged
+        dc_sig[bit] = obs
+        probe[bit] = (_digitize(op, ScanTest.PROBE_NODES, link.vdd)
+                      if op.converged else ("no_convergence",))
+    return dc_sig, probe

@@ -137,7 +137,6 @@ def run_paper_campaign(universe: Optional[List[StructuralFault]] = None,
                        timeout: Optional[float] = None,
                        max_retries: int = 1,
                        trace: Optional[str] = None,
-                       backend: Optional[object] = None,
                        collapse: str = "off") -> CoverageReport:
     """Run the complete three-tier campaign over the fault universe.
 
@@ -147,12 +146,10 @@ def run_paper_campaign(universe: Optional[List[StructuralFault]] = None,
     the fork, so every worker inherits them for free.  ``checkpoint``
     names a JSONL file to stream completed records into (and resume
     from); ``timeout``/``max_retries``/``trace`` configure the
-    supervision layer.  ``backend`` selects the linear-solve path
-    (``"batched"`` stacks same-pattern faulted systems into broadcast
-    LAPACK calls via the pre-fork prepass; records stay byte-identical).
-    ``collapse`` enables fault-universe compression (one simulated
-    representative per structural equivalence class, DESIGN.md §14);
-    ``"audit"`` additionally re-checks a seeded member sample serially.
+    supervision layer.  ``collapse`` enables fault-universe compression
+    (one simulated representative per structural equivalence class,
+    DESIGN.md §14); ``"audit"`` additionally re-checks a seeded member
+    sample serially.
     """
     if universe is None:
         universe = build_fault_universe()
@@ -162,6 +159,5 @@ def run_paper_campaign(universe: Optional[List[StructuralFault]] = None,
         campaign.add_tier(tier)
     result = campaign.run(universe, progress=progress, workers=workers,
                           checkpoint=checkpoint, timeout=timeout,
-                          max_retries=max_retries, trace=trace,
-                          backend=backend)
+                          max_retries=max_retries, trace=trace)
     return CoverageReport(result=result)

@@ -18,14 +18,13 @@ on a tester it shows as an out-of-spec supply current).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 from typing import ClassVar, Dict, Iterable, Tuple
 
 from ..circuits.full_link import FullLinkPorts, build_full_link
 from ..faults.inject import inject_fault
 from ..faults.model import StructuralFault
-from .batch_stages import link_dc_signatures, receiver_dc_observations
-from .duts import ReceiverDUT, build_receiver_dut
+from .duts import build_receiver_dut
 from .golden import GoldenSignatures
 from .registry import register_tier
 
@@ -99,70 +98,21 @@ class DCTest:
             return dut.run_dc_test() != self.goldens.dc_link
 
         if fault.block in RECEIVER_BLOCKS:
-            dut = build_receiver_dut()
-            dut.circuit = inject_fault(
-                dut.circuit, fault,
-                retention=self.goldens.retention_receiver)
-            dut.set_condition()
-            op = dut.solve()
-            return dut.observe(op) != self.goldens.dc_receiver
+            return self._observe_receiver(fault) != self.goldens.dc_receiver
 
         return False
 
-    # ------------------------------------------------------------------
-    def detect_batch(self, faults: Iterable[StructuralFault],
-                     backend=None) -> Dict[Tuple, bool]:
-        """Batched :meth:`detect` over many faults at once.
-
-        Returns ``{fault.key(): detected}`` for every fault the batched
-        path fully resolved; faults whose injection or solve raised are
-        *omitted* so the serial detector reproduces the exact error
-        record (DESIGN.md §13 fallback contract).
-        """
-        out: Dict[Tuple, bool] = {}
-        link_faults = [f for f in faults if f.block in LINK_BLOCKS]
-        rx_faults = [f for f in faults if f.block in RECEIVER_BLOCKS]
-
-        if link_faults:
-            link = build_full_link()
-            duts, keep = [], []
-            for f in link_faults:
-                try:
-                    faulted = inject_fault(
-                        link.circuit, f,
-                        retention=self.goldens.retention_link)
-                except Exception:
-                    continue        # serial detect reproduces the error
-                duts.append(dc_replace(link, circuit=faulted))
-                keep.append(f)
-            sigs = link_dc_signatures(duts, backend=backend)
-            for f, sig in zip(keep, sigs):
-                if not isinstance(sig, Exception):
-                    out[f.key()] = sig != self.goldens.dc_link
-
-        if rx_faults:
-            base = build_receiver_dut()
-            duts, keep = [], []
-            for f in rx_faults:
-                try:
-                    faulted = inject_fault(
-                        base.circuit, f,
-                        retention=self.goldens.retention_receiver)
-                except Exception:
-                    continue
-                duts.append(ReceiverDUT(circuit=faulted, cp=base.cp,
-                                        vdd=base.vdd))
-                keep.append(f)
-            obs = receiver_dc_observations(duts, backend=backend)
-            for f, ob in zip(keep, obs):
-                if not isinstance(ob, Exception):
-                    out[f.key()] = ob != self.goldens.dc_receiver
-
-        return out
+    def _observe_receiver(self, fault: StructuralFault) -> Dict[str, int]:
+        """Quiescent receiver observation of the faulted bench."""
+        dut = build_receiver_dut()
+        dut.circuit = inject_fault(
+            dut.circuit, fault, retention=self.goldens.retention_receiver)
+        dut.set_condition()
+        return dut.observe(dut.solve())
 
     # ------------------------------------------------------------------
     def detect_collapsed(self, faults: Iterable[StructuralFault],
-                         collapser, backend=None, memo=None
+                         collapser, memo=None
                          ) -> Tuple[Dict[Tuple, bool], Dict[Tuple, Tuple]]:
         """One-representative-per-class :meth:`detect` (DESIGN.md §14).
 
@@ -176,8 +126,7 @@ class DCTest:
         records per member.
         """
         from .collapsed import (consume, expand, group_by_signature,
-                                run_link_static, run_receiver_dc,
-                                stage_exec)
+                                run_link_static, stage_exec)
 
         memo = {} if memo is None else memo
         resolved: Dict[Tuple, bool] = {}
@@ -189,7 +138,7 @@ class DCTest:
         fresh = stage_exec(
             memo,
             {("link_static", s[1]): m[0] for s, m in link_groups.items()},
-            lambda reps: run_link_static(self.goldens, reps, backend))
+            lambda rep: run_link_static(self.goldens, rep))
         for sig, members in link_groups.items():
             key = ("link_static", sig[1])
             entry = memo[key]
@@ -202,7 +151,7 @@ class DCTest:
 
         fresh = stage_exec(
             memo, {("rx_dc", s[1]): m[0] for s, m in rx_groups.items()},
-            lambda reps: run_receiver_dc(self.goldens, reps, backend))
+            self._observe_receiver)
         for sig, members in rx_groups.items():
             key = ("rx_dc", sig[1])
             entry = memo[key]

@@ -29,13 +29,7 @@ import numpy as np
 from ..analog import dc_operating_point, transient
 from ..faults.inject import inject_fault
 from ..faults.model import StructuralFault
-from .batch_stages import (
-    probe_captures,
-    receiver_scan_signatures,
-    toggle_excursions,
-)
-from .duts import ReceiverDUT, ToggleDUT, build_receiver_dut, \
-    build_toggle_dut
+from .duts import build_receiver_dut, build_toggle_dut
 from .golden import GoldenSignatures
 from .registry import register_tier
 
@@ -94,17 +88,6 @@ class ScanTest:
                 "receiver": self._golden_receiver,
                 "toggle": self._golden_toggle}
 
-    @property
-    def golden_probe(self) -> Dict:
-        """The healthy probe-FF capture signature (batched MC screens
-        compare per-die captures against this)."""
-        return self._golden_probe
-
-    @property
-    def golden_receiver(self) -> Dict:
-        """The healthy receiver scan-condition signature."""
-        return self._golden_receiver
-
     # ------------------------------------------------------------------
     def applies_to(self, fault: StructuralFault) -> bool:
         return fault.block in ("tx", "termination", "cp", "window_comp")
@@ -140,84 +123,8 @@ class ScanTest:
         return False
 
     # ------------------------------------------------------------------
-    def detect_batch(self, faults: Iterable[StructuralFault],
-                     backend=None) -> Dict[Tuple, bool]:
-        """Batched :meth:`detect`; see DCTest.detect_batch for the
-        resolve/omit contract.  Stage order matches the serial detector:
-        probe short-circuits the toggle test for transmitter faults."""
-        out: Dict[Tuple, bool] = {}
-        tx = [f for f in faults if f.block == "tx"]
-        term = [f for f in faults if f.block == "termination"]
-        rx = [f for f in faults if f.block in ("cp", "window_comp")]
-
-        toggle_pending = []
-        if tx:
-            from ..circuits.full_link import build_full_link
-
-            link = build_full_link()
-            circuits, keep = [], []
-            for f in tx:
-                try:
-                    circuits.append(inject_fault(
-                        link.circuit, f,
-                        retention=self.goldens.retention_link))
-                except Exception:
-                    continue
-                keep.append(f)
-            caps = probe_captures(circuits, link.vdd, self.PROBE_NODES,
-                                  backend=backend)
-            for f, cap in zip(keep, caps):
-                if isinstance(cap, Exception):
-                    continue
-                if cap != self._golden_probe:
-                    out[f.key()] = True
-                else:
-                    toggle_pending.append(f)
-
-        tog = toggle_pending + term
-        if tog:
-            base = build_toggle_dut()
-            duts, keep = [], []
-            for f in tog:
-                try:
-                    faulted = inject_fault(
-                        base.circuit, f,
-                        retention=self.goldens.retention_link)
-                except Exception:
-                    continue
-                duts.append(ToggleDUT(circuit=faulted,
-                                      vcm_node=base.vcm_node,
-                                      ref_node=base.ref_node))
-                keep.append(f)
-            excs = toggle_excursions(duts, backend=backend)
-            for f, exc in zip(keep, excs):
-                if not isinstance(exc, Exception):
-                    out[f.key()] = exc > TOGGLE_THRESHOLD
-
-        if rx:
-            base = build_receiver_dut()
-            duts, keep = [], []
-            for f in rx:
-                try:
-                    faulted = inject_fault(
-                        base.circuit, f,
-                        retention=self.goldens.retention_receiver)
-                except Exception:
-                    continue
-                duts.append(ReceiverDUT(circuit=faulted, cp=base.cp,
-                                        vdd=base.vdd))
-                keep.append(f)
-            sigs = receiver_scan_signatures(duts, SCAN_CONDITIONS,
-                                            backend=backend)
-            for f, sig in zip(keep, sigs):
-                if not isinstance(sig, Exception):
-                    out[f.key()] = sig != self._golden_receiver
-
-        return out
-
-    # ------------------------------------------------------------------
     def detect_collapsed(self, faults: Iterable[StructuralFault],
-                         collapser, backend=None, memo=None
+                         collapser, memo=None
                          ) -> Tuple[Dict[Tuple, bool], Dict[Tuple, Tuple]]:
         """One-representative-per-class :meth:`detect`; see
         DCTest.detect_collapsed for the memo/provenance contract.
@@ -228,8 +135,7 @@ class ScanTest:
         golden, mirroring the serial short-circuit.
         """
         from .collapsed import (consume, expand, group_by_signature,
-                                run_link_static, run_receiver_scan,
-                                run_toggle, stage_exec)
+                                run_link_static, stage_exec)
 
         memo = {} if memo is None else memo
         resolved: Dict[Tuple, bool] = {}
@@ -242,7 +148,7 @@ class ScanTest:
         fresh = stage_exec(
             memo,
             {("link_static", s[1]): m[0] for s, m in tx_groups.items()},
-            lambda reps: run_link_static(self.goldens, reps, backend))
+            lambda rep: run_link_static(self.goldens, rep))
         toggle_need: Dict[Tuple, StructuralFault] = {}
         toggle_groups = []
         for sig, members in tx_groups.items():
@@ -263,9 +169,7 @@ class ScanTest:
             toggle_need.setdefault(tkey, members[0])
             toggle_groups.append((tkey, members))
 
-        fresh = stage_exec(
-            memo, toggle_need,
-            lambda reps: run_toggle(self.goldens, reps, backend))
+        fresh = stage_exec(memo, toggle_need, self._run_toggle)
         for tkey, members in toggle_groups:
             entry = memo[tkey]
             if isinstance(entry, Exception):
@@ -276,7 +180,7 @@ class ScanTest:
 
         fresh = stage_exec(
             memo, {("rx_scan", s[1]): m[0] for s, m in rx_groups.items()},
-            lambda reps: run_receiver_scan(self.goldens, reps, backend))
+            self._run_receiver)
         for sig, members in rx_groups.items():
             key = ("rx_scan", sig[1])
             entry = memo[key]

@@ -202,10 +202,10 @@ class FaultCampaign:
         self._tiers: List[Tuple[str, DetectorFunc, AppliesFunc]] = []
         self.strict_numerics = strict_numerics
         self.collapse = collapse
-        # tier objects (protocol form only) — the batched prepass needs
-        # the object to reach its detect_batch method
+        # tier objects (protocol form only) — the collapse prepass needs
+        # the object to reach its detect_collapsed method
         self._tier_objects: Dict[str, object] = {}
-        # (tier name, fault.key()) -> detected, filled by the batched
+        # (tier name, fault.key()) -> detected, filled by the collapse
         # prepass and consulted by evaluate() before running a detector
         self._precomputed: Dict[Tuple[str, Tuple], bool] = {}
         # (tier name, fault.key()) -> representative fault.key(), filled
@@ -303,22 +303,14 @@ class FaultCampaign:
             checkpoint: Optional[str] = None,
             timeout: Optional[float] = None,
             max_retries: int = 1,
-            trace: Optional[Union[str, RunTrace]] = None,
-            backend: Optional[object] = None) -> CampaignResult:
+            trace: Optional[Union[str, RunTrace]] = None
+            ) -> CampaignResult:
         """Evaluate every fault against every applicable tier.
 
-        ``backend`` selects the linear-solve path (a
-        :class:`repro.analog.backend.LinearBackend`, a registry name, or
-        ``None`` for the historical serial path).  With the ``batched``
-        backend a *prepass* runs every tier's ``detect_batch`` over the
-        pending faults in the parent process — same-pattern faulted
-        systems stack into broadcast LAPACK solves — and the per-fault
-        evaluation then consults those precomputed verdicts.  Faults the
-        prepass could not fully resolve (any exception along their
-        batched path) are simply absent from the precomputed map and
-        evaluate serially, reproducing the exact serial record; records
-        are byte-identical between backends either way (the parity gate
-        in CI enforces it).
+        With ``collapse`` on, a prepass in the parent process resolves
+        whole equivalence classes from one representative each (see
+        :meth:`_precompute_collapsed`) and the per-fault evaluation
+        consults those verdicts; everything else evaluates serially.
 
         Execution is handed to :func:`repro.core.supervisor.run_supervised`:
         with ``workers`` > 1 (or a ``timeout`` set) and fork available,
@@ -356,7 +348,8 @@ class FaultCampaign:
             pending = [f for f in universe if f.key() not in done]
             base = n - len(pending)
             COUNTERS.campaign_faults += len(pending)
-            self._precompute(pending, backend)
+            if self.collapse != "off":
+                self._precompute_collapsed(pending)
             completed = [base]
 
             def on_record(index: int, fault: StructuralFault,
@@ -382,49 +375,8 @@ class FaultCampaign:
         return CampaignResult(records=[done[f.key()] for f in universe],
                               tier_order=self.tier_names)
 
-    def _precompute(self, pending: Sequence[StructuralFault],
-                    backend: Optional[object]) -> None:
-        """Prepasses: fill ``_precomputed`` before workers fork.
-
-        The collapse prepass (when enabled) runs first and resolves
-        whole equivalence classes from one representative each; the
-        batched detect_batch prepass then covers only the still-
-        unresolved faults.  Runs before workers fork, so the verdict
-        map is inherited by every worker.  A ``None`` or serial backend
-        skips the batched prepass (the historical bit-exact path); a
-        tier whose prepass raises is skipped wholesale — its faults all
-        evaluate serially.
-        """
-        self._precomputed.clear()
-        self._collapsed_from.clear()
-        if self.collapse != "off":
-            self._precompute_collapsed(pending, backend)
-        if backend is None:
-            return
-        from ..analog.backend import resolve_backend
-
-        be = resolve_backend(backend)
-        if be.name == "serial":
-            return
-        with numerics_policy(strict=self.strict_numerics):
-            for name, _, applies in self._tiers:
-                batch = getattr(self._tier_objects.get(name),
-                                "detect_batch", None)
-                if batch is None:
-                    continue
-                faults = [f for f in pending if applies(f)
-                          and (name, f.key()) not in self._precomputed]
-                if not faults:
-                    continue
-                try:
-                    resolved = batch(faults, backend=be)
-                except Exception:  # noqa: BLE001 - serial path covers it
-                    continue
-                for key, hit in resolved.items():
-                    self._precomputed[(name, key)] = bool(hit)
-
-    def _precompute_collapsed(self, pending: Sequence[StructuralFault],
-                              backend: Optional[object]) -> None:
+    def _precompute_collapsed(self,
+                              pending: Sequence[StructuralFault]) -> None:
         """Collapse prepass: one representative simulation per class.
 
         Only runs when at least one tier object implements
@@ -432,8 +384,12 @@ class FaultCampaign:
         collapser's reference circuits).  The sub-stage memo is shared
         across tiers — the DC and scan tiers split the cost of the
         combined ``link_static`` stage.  A tier whose collapsed pass
-        raises is skipped wholesale, exactly like the batched prepass.
+        raises is skipped wholesale: its faults all evaluate serially.
+        Runs before workers fork, so every worker inherits the verdict
+        maps.
         """
+        self._precomputed.clear()
+        self._collapsed_from.clear()
         tiers_with = [(name, self._tier_objects.get(name), applies)
                       for name, _, applies in self._tiers
                       if hasattr(self._tier_objects.get(name),
@@ -454,7 +410,7 @@ class FaultCampaign:
                     continue
                 try:
                     resolved, provenance = obj.detect_collapsed(
-                        faults, collapser, backend=backend, memo=memo)
+                        faults, collapser, memo=memo)
                 except Exception:  # noqa: BLE001 - serial path covers it
                     continue
                 for key, hit in resolved.items():

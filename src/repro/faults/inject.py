@@ -52,46 +52,27 @@ def inject_fault(circuit: Circuit, fault: StructuralFault,
     elem = dup[fault.device]
     kind = fault.kind
 
-    # plan-delta bookkeeping (repro.analog.incremental): which nodes the
-    # fault's stamps write, which aux rows it appends, and whether the
-    # matrix topology changed.  Public attribute: the batched solver
-    # reads it off the clone to bound its changed-row scan.
-    touched: set = set()
-    aux: list = []
-    topology = False
-
-    def edits() -> Circuit:
-        dup.fault_edits = {"nodes": tuple(sorted(touched)),
-                           "aux": tuple(aux),
-                           "topology_changed": topology}
-        return dup
-
     if kind == FaultKind.CAP_SHORT:
         if not isinstance(elem, Capacitor):
             raise InjectionError(f"{fault.device!r} is not a capacitor")
         dup.add_resistor(elem.terminals["p"], elem.terminals["n"], R_SHORT,
                          name=f"FLT_{fault.device}_short")
-        touched.update((elem.terminals["p"], elem.terminals["n"]))
-        return edits()
+        return dup
 
     if not isinstance(elem, MOSFET):
         raise InjectionError(f"{fault.device!r} is not a MOSFET")
 
     def lift(term: str) -> str:
-        nonlocal topology
         old = elem.terminals[term]
         floating = f"flt_{fault.device}_{term}"
         elem.terminals[term] = floating
         dup.add_resistor(floating, old, R_OPEN,
                          name=f"FLT_{fault.device}_{term}_open")
-        touched.update((old, floating))
-        topology = True        # a fresh node: the matrix grew a row
         return floating
 
     def bridge(t1: str, t2: str) -> None:
         dup.add_resistor(elem.terminals[t1], elem.terminals[t2], R_SHORT,
                          name=f"FLT_{fault.device}_{t1}{t2}_short")
-        touched.update((elem.terminals[t1], elem.terminals[t2]))
 
     if kind == FaultKind.DRAIN_OPEN:
         lift("d")
@@ -126,8 +107,6 @@ def inject_fault(circuit: Circuit, fault: StructuralFault,
                         name=f"FLT_{fault.device}_ret_src")
         dup.add_resistor(f"flt_ret_{fault.device}", floating, R_GATE_RETAIN,
                          name=f"FLT_{fault.device}_ret")
-        touched.add(f"flt_ret_{fault.device}")
-        aux.append(f"FLT_{fault.device}_ret_src")
     elif kind == FaultKind.GATE_DRAIN_SHORT:
         bridge("g", "d")
     elif kind == FaultKind.GATE_SOURCE_SHORT:
@@ -136,7 +115,7 @@ def inject_fault(circuit: Circuit, fault: StructuralFault,
         bridge("d", "s")
     else:  # pragma: no cover - exhaustive
         raise InjectionError(f"unhandled fault kind {kind}")
-    return edits()
+    return dup
 
 
 def make_injector(circuit_factory: Callable[[], Circuit],

@@ -124,11 +124,12 @@ def sampled_universe(universe: Sequence[StructuralFault],
                      sample: Optional[int]) -> List[StructuralFault]:
     """Deterministic subsample shared by :meth:`PatternCampaign.run`
     and the service layer's sharder — one rule, so a sharded service
-    run sees exactly the faults an unsharded ``--sample`` run sees."""
+    run sees exactly the faults an unsharded ``--sample`` run sees.
+    ``None`` or 0 keeps the whole universe."""
     import random
 
     universe = list(universe)
-    if sample is not None and sample < len(universe):
+    if sample and sample < len(universe):
         picks = sorted(random.Random(0).sample(range(len(universe)),
                                                sample))
         universe = [universe[i] for i in picks]

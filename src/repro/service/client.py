@@ -147,6 +147,10 @@ class JobQueue:
         writes the job's lease (``active/<job>.lease``); keep it fresh
         with :meth:`heartbeat` or the claim is up for
         :meth:`reclaim_expired` once ``lease_ttl_s`` elapses.
+
+        A claimed spec that does not parse settles its job as
+        ``failed`` (the parse error in its status document), drops the
+        lease and moves on to the next queued job.
         """
         qdir = os.path.join(self.root, _QUEUE)
         names = sorted(
@@ -161,10 +165,26 @@ class JobQueue:
                 continue        # another coordinator won the rename
             job_id = name[:-5]
             self.heartbeat(job_id, lease_ttl_s, owner=owner)
-            with open(dst) as fh:
-                spec = CampaignSpec.from_dict(json.load(fh))
+            try:
+                with open(dst) as fh:
+                    spec = CampaignSpec.from_dict(json.load(fh))
+            except (ValueError, KeyError, TypeError) as exc:
+                self._fail_unparsable(job_id, exc)
+                continue
             return job_id, spec
         return None
+
+    def _fail_unparsable(self, job_id: str, exc: Exception) -> None:
+        """Settle a claimed job whose spec does not parse as failed."""
+        try:
+            with open(self.status_path(job_id)) as fh:
+                doc = json.load(fh)
+        except (OSError, json.JSONDecodeError):
+            doc = {}
+        doc.update(id=job_id, state="failed",
+                   error=f"invalid spec: {exc}")
+        self.write_status(job_id, doc)
+        self.release(job_id)
 
     def heartbeat(self, job_id: str,
                   lease_ttl_s: float = DEFAULT_LEASE_TTL_S,

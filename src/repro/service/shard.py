@@ -108,7 +108,7 @@ class FaultCampaignJob(ShardedJob):
     def run_shard(self, lo: int, hi: int, checkpoint: str,
                   trace: Optional[str] = None) -> None:
         self.campaign.run(self.universe[lo:hi], checkpoint=checkpoint,
-                          backend=self.spec.backend, trace=trace)
+                          trace=trace)
 
     def merge(self, checkpoints: Sequence[str]) -> Dict[str, object]:
         from ..faults.campaign import CampaignResult
@@ -139,7 +139,7 @@ class MonteCarloJob(ShardedJob):
     def run_shard(self, lo: int, hi: int, checkpoint: str,
                   trace: Optional[str] = None) -> None:
         self.campaign.run(range(lo, hi), checkpoint=checkpoint,
-                          backend=self.spec.backend, trace=trace)
+                          trace=trace)
 
     def merge(self, checkpoints: Sequence[str]) -> Dict[str, object]:
         records = self.campaign.checkpoints.merge(checkpoints, self.keys)

@@ -6,8 +6,8 @@ a campaign run: the campaign kind (fault ``campaign``, Monte-Carlo
 CLI command exposes.  Two groups of fields matter differently:
 
 * **result-determining** fields (tiers/patterns, collapse policy,
-  backend, numerics policy, seed, sample, die population, corner,
-  mismatch sigmas) — together with the *netlist digest* of the fault
+  numerics policy, seed, sample, die population, corner, mismatch
+  sigmas) — together with the *netlist digest* of the fault
   universe they form the store key: two specs with equal keys produce
   byte-identical artifacts, so the second submission may be served
   from the store;
@@ -63,13 +63,17 @@ class CampaignSpec:
     ``tiers`` applies to the ``campaign`` and ``mc`` kinds,
     ``patterns`` to the ``patterns`` kind; the irrelevant group is
     normalised away in :meth:`store_key` so it cannot split the cache.
-    ``sigma_vt_mv`` / ``sigma_kp_pct`` carry the CLI units (mV, %).
+    ``sample`` subsamples the fault universe of the ``campaign`` and
+    ``patterns`` kinds (``None`` or 0: the full universe); an mc run
+    draws its own per-die faults and ignores it.  The ``patterns`` kind
+    runs neither collapsed nor under strict numerics, so it refuses
+    both.  ``sigma_vt_mv`` / ``sigma_kp_pct`` carry the CLI units
+    (mV, %).
     """
 
     kind: str
     seed: int = 2016
     sample: Optional[int] = None
-    backend: Optional[str] = None
     collapse: str = "off"
     strict_numerics: bool = False
     tiers: Tuple[str, ...] = _DEFAULT_TIERS
@@ -85,6 +89,8 @@ class CampaignSpec:
     workers: Optional[int] = None
 
     def __post_init__(self):
+        from ..faults.collapse import COLLAPSE_MODES
+
         if self.kind not in SPEC_KINDS:
             raise ValueError(f"kind must be one of {SPEC_KINDS}, "
                              f"got {self.kind!r}")
@@ -92,6 +98,17 @@ class CampaignSpec:
             raise ValueError("shards must be >= 1")
         if self.kind == "mc" and self.dies < 1:
             raise ValueError("mc spec needs dies >= 1")
+        if self.sample is not None and self.sample < 0:
+            raise ValueError("sample must be >= 0")
+        if self.collapse not in COLLAPSE_MODES:
+            raise ValueError(f"collapse must be one of {COLLAPSE_MODES}, "
+                             f"got {self.collapse!r}")
+        if self.kind == "patterns" and self.collapse != "off":
+            raise ValueError("patterns spec runs uncollapsed "
+                             "(collapse must be 'off')")
+        if self.kind == "patterns" and self.strict_numerics:
+            raise ValueError("patterns spec does not support "
+                             "strict_numerics")
         object.__setattr__(self, "tiers", tuple(self.tiers))
         object.__setattr__(self, "patterns", tuple(self.patterns))
 
@@ -103,14 +120,18 @@ class CampaignSpec:
         the service's parity contract is that they never change the
         artifact.  Fields of the other kinds are normalised to their
         defaults so e.g. an mc spec's ``patterns`` noise cannot split
-        the cache.
+        the cache, and a ``sample`` of 0 keys like ``None`` (both mean
+        the full universe).
         """
         key: Dict[str, object] = {
             "netlist": netlist_digest(),
             "kind": self.kind,
             "seed": self.seed,
-            "sample": self.sample,
-            "backend": self.backend or "serial",
+            "sample": None if self.kind == "mc" else (self.sample or None),
+            # constant since the batched linear-solve backend was
+            # retired: keeps every spec's digest, so stores and shard
+            # checkpoints written with the entry stay valid
+            "backend": "serial",
             "collapse": self.collapse,
             "strict_numerics": self.strict_numerics,
         }
@@ -137,7 +158,6 @@ class CampaignSpec:
             "kind": self.kind,
             "seed": self.seed,
             "sample": self.sample,
-            "backend": self.backend,
             "collapse": self.collapse,
             "strict_numerics": self.strict_numerics,
             "tiers": list(self.tiers),
@@ -152,6 +172,9 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "CampaignSpec":
+        """Parse a :meth:`to_dict` document.  Keys this version does
+        not know are ignored, so documents older versions wrote (with
+        entries since retired) still load."""
         if data.get("format") != _SPEC_FORMAT:
             raise ValueError(
                 f"not a campaign spec: {data.get('format')!r}")
@@ -163,8 +186,6 @@ class CampaignSpec:
             seed=int(data.get("seed", 2016)),
             sample=(None if data.get("sample") is None
                     else int(data["sample"])),
-            backend=(None if data.get("backend") is None
-                     else str(data["backend"])),
             collapse=str(data.get("collapse", "off")),
             strict_numerics=bool(data.get("strict_numerics", False)),
             tiers=tuple(data.get("tiers") or _DEFAULT_TIERS),

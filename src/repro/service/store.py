@@ -3,8 +3,8 @@
 Entries live under ``<root>/<digest[:2]>/<digest>.json``, keyed by the
 spec's :meth:`~repro.service.spec.CampaignSpec.digest` — a hash over
 the netlist digest, the result-determining campaign config (tiers or
-patterns, collapse policy, backend, numerics policy, sample, die
-population, corner, sigmas) and the seed.  Anything that could move a
+patterns, collapse policy, numerics policy, sample, die population,
+corner, sigmas) and the seed.  Anything that could move a
 verdict changes the key; anything that only changes scheduling
 (shards, workers) does not.
 

@@ -356,10 +356,6 @@ class MonteCarloCampaign:
 
             collapser = FaultCollapser(goldens=goldens)
             self._rep_map = collapser.representative_map(self.universe)
-        # (tier name, die index) -> verdict, filled by the batched
-        # prepass and consulted by evaluate_die before running a stage
-        self._pre_screen: Dict[Tuple[str, int], bool] = {}
-        self._pre_detect: Dict[Tuple[str, int], bool] = {}
 
     def _rep_for(self, fault: StructuralFault) -> StructuralFault:
         """The fault actually simulated for detection: the fault's class
@@ -393,10 +389,6 @@ class MonteCarloCampaign:
                 if screen is None:
                     healthy[tier.name] = True
                     continue
-                pre = self._pre_screen.get((tier.name, die_index))
-                if pre is not None:
-                    healthy[tier.name] = pre
-                    continue
                 try:
                     healthy[tier.name] = bool(screen())
                 except SolverError as exc:
@@ -410,17 +402,13 @@ class MonteCarloCampaign:
             for tier in self._tiers:
                 hit = False
                 if tier.applies_to(fault):
-                    pre = self._pre_detect.get((tier.name, die_index))
-                    if pre is not None:
-                        hit = pre
-                    else:
-                        try:
-                            hit = bool(tier.detect(rep))
-                        except SolverError as exc:
-                            errors.append((tier.name, repr(exc)))
-                            outcome = OUTCOME_UNSOLVABLE
-                        except Exception as exc:  # noqa: BLE001
-                            errors.append((tier.name, repr(exc)))
+                    try:
+                        hit = bool(tier.detect(rep))
+                    except SolverError as exc:
+                        errors.append((tier.name, repr(exc)))
+                        outcome = OUTCOME_UNSOLVABLE
+                    except Exception as exc:  # noqa: BLE001
+                        errors.append((tier.name, repr(exc)))
                 detected[tier.name] = hit
         return DieRecord(die=die_index, fault=fault, healthy=healthy,
                          detected=detected, errors=errors, outcome=outcome)
@@ -431,8 +419,7 @@ class MonteCarloCampaign:
             checkpoint: Optional[str] = None,
             timeout: Optional[float] = None,
             max_retries: int = 1,
-            trace: Optional[Union[str, RunTrace]] = None,
-            backend: Optional[object] = None) -> MCResult:
+            trace: Optional[Union[str, RunTrace]] = None) -> MCResult:
         """Evaluate the dies and assemble the result.
 
         ``dies`` is either a count (evaluate dies ``0..dies-1``, the
@@ -441,19 +428,6 @@ class MonteCarloCampaign:
         die is a pure function of ``(seed, die_index)``, so a shard's
         records are identical to the same dies' records in an
         unsharded run.
-
-        ``backend`` selects the linear-solve path (a
-        :class:`repro.analog.backend.LinearBackend`, a registry name,
-        or ``None`` for the historical serial path).  With the
-        ``batched`` backend a *prepass* runs the healthy-die screens of
-        all pending dies in cross-die lockstep (every die solves the
-        same bench schedule, so the stacked systems share one pattern)
-        and each die's fault detection through the tiers'
-        ``detect_batch``; the per-die evaluation then consults those
-        precomputed verdicts.  Any (tier, die) stage the prepass could
-        not fully resolve is simply absent from the maps and evaluates
-        serially — records are byte-identical between backends either
-        way.
 
         Mirrors :meth:`repro.faults.campaign.FaultCampaign.run`:
         execution goes through the supervised runner
@@ -479,7 +453,6 @@ class MonteCarloCampaign:
                 done, writer = self.checkpoints.resume(checkpoint)
                 stack.enter_context(writer)
             pending = [i for i in indices if i not in done]
-            self._precompute(pending, backend)
             base = n - len(pending)
             completed = [base]
 
@@ -531,37 +504,6 @@ class MonteCarloCampaign:
                         corner=self.corner.name, model=self.model,
                         strict_numerics=self.strict_numerics,
                         collapse="off" if self.collapse == "off" else "on")
-
-    def _precompute(self, pending: Sequence[int],
-                    backend: Optional[object]) -> None:
-        """Batched prepass: fill the per-die screen/detect verdict maps.
-
-        Runs before workers fork, so the maps (plain picklable dicts)
-        are inherited by every worker.  A ``None`` or serial backend is
-        a no-op; a stage that raises resolves nothing — its dies all
-        evaluate serially, reproducing the exact serial records
-        including their error accounting.
-        """
-        self._pre_screen.clear()
-        self._pre_detect.clear()
-        if backend is None or not pending:
-            return
-        from ..analog.backend import resolve_backend
-
-        be = resolve_backend(backend)
-        if be.name == "serial":
-            return
-        from .batch_mc import precompute_die_maps
-
-        # the prepass simulates what evaluate_die would: the class
-        # representative when collapsing, the die's own fault otherwise
-        faults = {die: self._rep_for(
-                      pick_die_fault(self.universe, self.seed, die))
-                  for die in pending}
-        with activated(self._ctx), \
-                numerics_policy(strict=self.strict_numerics):
-            precompute_die_maps(self._ctx, self._tiers, pending, faults,
-                                be, self._pre_screen, self._pre_detect)
 
     def _audit(self, done: Mapping[int, DieRecord]) -> None:
         """Equivalence audit under variation (DESIGN.md §14): for a

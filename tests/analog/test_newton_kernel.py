@@ -29,9 +29,9 @@ from repro.analog import (Circuit, ac_analysis, dc_operating_point,
 from repro.analog import dc as dc_module
 from repro.analog import resilience
 from repro.analog.assembly import CompiledAssembly, LinearSolverCache
-from repro.analog.backend import factor, solve_factored
 from repro.analog.resilience import UnsolvableError
-from repro.analog.solver import SolverError, build_index
+from repro.analog.solver import (SolverError, build_index, factor,
+                                 solve_factored)
 from repro.circuits.full_link import build_full_link
 from repro.core.profiling import COUNTERS
 from repro.dft.duts import build_receiver_dut, build_vcdl_dut
@@ -81,12 +81,11 @@ class Shadow:
             return A, b
 
         def checked_solve_diag(plan, A, b, *, reuse=True,
-                               want_condition=False, backend=None):
+                               want_condition=False):
             cache = shadow.cache_for(plan)
             return shadow.compare(
                 lambda: solve_diag(plan, A, b, reuse=reuse,
-                                   want_condition=want_condition,
-                                   backend=backend),
+                                   want_condition=want_condition),
                 lambda: reference_solve_diag(plan, cache, A, b, reuse=reuse,
                                              want_condition=want_condition))
 

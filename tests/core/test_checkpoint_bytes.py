@@ -75,7 +75,7 @@ class _StubTier:
             raise RuntimeError("tier bug")
         return fault.device in ("d0", "d4")
 
-    def detect_collapsed(self, faults, collapser, backend=None, memo=None):
+    def detect_collapsed(self, faults, collapser, memo=None):
         d5 = [f for f in faults if f.device == "d5"]
         return ({f.key(): True for f in d5},
                 {f.key(): UNIVERSE[4].key() for f in d5})

@@ -1,10 +1,14 @@
-"""CLI tests for ``repro bench --compare`` and the ``--backend`` flag."""
+"""CLI tests for ``repro bench --compare`` and the ``--collapse`` flag."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def _write_bench(path, counters, wall):
@@ -40,6 +44,28 @@ class TestBenchCompare:
         line = next(l for l in out.splitlines() if "batched_solves" in l)
         assert "-" in line and "7" in line
 
+    def test_diffs_the_last_batched_backend_artifact(self, tmp_path,
+                                                     capsys):
+        """BENCH_PR14.json still carries the retired ``backend`` /
+        ``backend_economics`` keys and the batched-only counters; an
+        artifact of today's engine has neither, and the diff runs."""
+        from repro._profiling import COUNTERS
+
+        pr14 = REPO_ROOT / "benchmarks" / "BENCH_PR14.json"
+        shutil.copy(pr14, tmp_path / "BENCH_PR14.json")
+        _write_bench(tmp_path / "BENCH_PR15.json", COUNTERS.snapshot(),
+                     {"test_bench_x": 1.0})
+        assert main(["bench", "--compare", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "BENCH_PR14.json -> BENCH_PR15.json" in out
+        rows = {line.split()[0]: line.split()[1:]
+                for line in out.splitlines()[1:]}
+        for retired in ("batched_solves", "batch_fill", "woodbury_hits",
+                        "batch_fallbacks", "delta_reassemblies"):
+            assert retired not in COUNTERS.snapshot()
+            assert rows[retired][1] == "-"
+        assert rows["lu_factor"][1] == str(COUNTERS.lu_factor)
+
     def test_needs_two_artifacts(self, tmp_path, capsys):
         _write_bench(tmp_path / "BENCH_PR1.json", {}, {})
         assert main(["bench", "--compare", str(tmp_path)]) == 1
@@ -62,21 +88,6 @@ class TestBenchCompare:
         assert "2.00x" in capsys.readouterr().out
 
 
-class TestBackendFlag:
-    @pytest.mark.parametrize("command", ["coverage", "campaign", "mc",
-                                         "bench"])
-    def test_accepted(self, command):
-        args = build_parser().parse_args([command, "--backend", "batched"])
-        assert args.backend == "batched"
-
-    def test_rejects_unknown(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["campaign", "--backend", "gpu"])
-
-    def test_default_is_none(self):
-        assert build_parser().parse_args(["campaign"]).backend is None
-
-
 class TestCollapseFlag:
     @pytest.mark.parametrize("command", ["coverage", "campaign", "mc"])
     @pytest.mark.parametrize("mode", ["off", "on", "audit"])
@@ -91,6 +102,18 @@ class TestCollapseFlag:
     @pytest.mark.parametrize("command", ["coverage", "campaign", "mc"])
     def test_default_is_off(self, command):
         assert build_parser().parse_args([command]).collapse == "off"
+
+
+class TestBackendFlagRetired:
+    @pytest.mark.parametrize("command", ["coverage", "campaign", "mc",
+                                         "bench", "submit"])
+    def test_is_a_usage_error(self, command, capsys):
+        argv = [command] + (["campaign"] if command == "submit" else [])
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + ["--backend", "serial"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --backend" in \
+            capsys.readouterr().err
 
 
 class TestFaultsCommand:

@@ -1,10 +1,10 @@
 """Campaign-level tests for fault-universe compression.
 
-The collapse contract mirrors the batched backend's: with
-``collapse="on"`` every verdict, error and outcome must match the
-uncollapsed run field for field — the only permitted difference is the
-``collapsed_from`` provenance.  ``collapse="off"`` artifacts must stay
-byte-identical to the pre-collapse format (no provenance key at all),
+The collapse contract: with ``collapse="on"`` every verdict, error and
+outcome must match the uncollapsed run field for field — the only
+permitted difference is the ``collapsed_from`` provenance.
+``collapse="off"`` artifacts must stay byte-identical to the
+pre-collapse format (no provenance key at all),
 ``"audit"`` must fail loudly on a lying tier, and checkpoints refuse
 cross-policy resumes.
 """
@@ -81,6 +81,47 @@ class TestVerdictParity:
         assert back.records == on_result.records
         assert [r.collapsed_from for r in back.records] == \
             [r.collapsed_from for r in on_result.records]
+
+
+class TestRepresentativeStageFailure:
+    def test_raising_class_falls_back_to_serial_records(
+            self, universe, on_result, monkeypatch):
+        """A representative whose stage raises leaves its class to the
+        serial detector, so every member gets the serial ``unsolvable``
+        record; the tier's other classes stay collapsed."""
+        from repro.analog.solver import SolverError
+        from repro.dft.scan_test import ScanTest
+
+        classes = {}
+        for rec in on_result.records:
+            rep = rec.collapsed_from.get("scan")
+            if rep is not None:
+                classes.setdefault(tuple(rep), {tuple(rep)}).add(
+                    rec.fault.key())
+        assert len(classes) >= 2, "need a failing and a healthy class"
+        bad_rep, bad = max(classes.items(), key=lambda kv: len(kv[1]))
+
+        original = ScanTest._run_toggle
+
+        def toggle(tier, fault):
+            if fault is not None and fault.key() in bad:
+                raise SolverError("singular toggle transient")
+            return original(tier, fault)
+
+        monkeypatch.setattr(ScanTest, "_run_toggle", toggle)
+        off = _run(universe, "off")
+        on = _run(universe, "on")
+        for a, b in zip(on.records, off.records):
+            assert (a.fault, a.tiers, a.errors, a.outcome) == \
+                (b.fault, b.tiers, b.errors, b.outcome)
+            if a.fault.key() in bad:
+                assert a.outcome == "unsolvable"
+                assert a.errors[0][0] == "scan"
+                assert "singular toggle transient" in a.errors[0][1]
+                assert "scan" not in a.collapsed_from
+        healthy = {tuple(r.collapsed_from["scan"]) for r in on.records
+                   if "scan" in r.collapsed_from}
+        assert healthy == set(classes) - {bad_rep}
 
 
 class TestAudit:

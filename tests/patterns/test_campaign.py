@@ -13,6 +13,7 @@ from repro.patterns.campaign import (
     bist_universe,
     fault_class,
     healthy_lock_summary,
+    sampled_universe,
 )
 from repro.patterns.sources import PATTERN_NAMES
 
@@ -45,6 +46,16 @@ class TestConstruction:
     def test_fault_class_label(self):
         f = bist_universe()[0]
         assert fault_class(f) == f"{f.block}/{f.kind.table_label}"
+
+
+class TestSampling:
+    def test_sample_zero_keeps_the_whole_universe(self):
+        """``--sample 0`` means no sampling, as for ``repro campaign``,
+        not an empty campaign that reports coverage 1.000."""
+        universe = bist_universe()
+        assert sampled_universe(universe, 0) == universe
+        assert sampled_universe(universe, None) == universe
+        assert len(sampled_universe(universe, 5)) == 5
 
 
 class TestWorkerParity:

@@ -6,6 +6,7 @@ tested against synthetic traces so no timing races are involved.
 
 import json
 import os
+import time
 
 import pytest
 
@@ -216,6 +217,31 @@ class TestJobQueue:
         assert doc["cache_hit"] and doc["shards_run"] == 0
         assert queue.result(second)[1] == result
 
+    def test_unparsable_queued_spec_fails_and_serve_goes_on(self,
+                                                            tmp_path):
+        """A queued spec edited into one that no longer parses settles
+        its job as failed (the parse error in its status), keeps no
+        lease, is never reclaimed, and serve runs the next job."""
+        root = str(tmp_path / "svc")
+        queue = JobQueue(root)
+        bad = queue.submit(small_spec())
+        good = queue.submit(small_spec(seed=7))
+        path = os.path.join(root, "queue", f"{bad}.json")
+        with open(path) as fh:
+            doc = json.load(fh)
+        doc["shards"] = 0
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        os.utime(path, (1, 1))          # the oldest: claimed first
+        assert serve(root, once=True) == 1
+        status = queue.status(bad)
+        assert status["state"] == "failed"
+        assert "shards must be >= 1" in status["error"]
+        assert not os.path.exists(queue.lease_path(bad))
+        assert queue.status(good)["state"] == "done"
+        assert queue.reclaim_expired(now=time.time() + 3600) == []
+        assert serve(root, once=True) == 0
+
     def test_jobs_lists_everything(self, tmp_path):
         root = str(tmp_path / "svc")
         queue = JobQueue(root)
@@ -259,6 +285,18 @@ class TestServiceCli:
         code, out = self._run(capsys, "status", job_id, "--root", root,
                               "--json")
         assert json.loads(out)["state"] == "done"
+
+    @pytest.mark.parametrize("flags", [["--strict-numerics"],
+                                       ["--collapse", "on"]])
+    def test_submit_refuses_patterns_knobs(self, tmp_path, capsys, flags):
+        """The pattern campaign cannot honour these, so the spec is
+        refused instead of published under a key that promises them."""
+        from repro.cli import main
+
+        root = str(tmp_path / "svc")
+        assert main(["submit", "patterns", "--root", root, *flags]) == 1
+        assert "invalid spec:" in capsys.readouterr().err
+        assert not os.path.exists(root)     # nothing was enqueued
 
     def test_result_of_unknown_job_exits_nonzero(self, tmp_path, capsys):
         code, _ = self._run(capsys, "result", "nope", "--root",

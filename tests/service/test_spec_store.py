@@ -2,10 +2,11 @@
 
 The cache contract: a resubmitted spec hits if and only if nothing
 result-determining changed.  Every key component — netlist digest,
-tier list, collapse policy, backend, numerics policy, seed, sample,
-and the mc/patterns extras — must miss on change; the execution-only
-knobs (shards, workers) must *not* split the cache.  Concurrent
-writers racing on one key must leave exactly one valid entry.
+tier list, collapse policy, numerics policy, seed, sample, and the
+mc/patterns extras — must miss on change; the execution-only knobs
+(shards, workers) and the fields a kind ignores must *not* split the
+cache.  Concurrent writers racing on one key must leave exactly one
+valid entry.
 """
 
 import dataclasses
@@ -58,6 +59,35 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             CampaignSpec.from_dict(data)
 
+    @pytest.mark.parametrize("backend", [None, "batched"])
+    def test_from_dict_ignores_a_retired_backend_entry(self, backend):
+        """Spec documents written before the batched backend was
+        retired carry a ``backend`` entry (``null`` by default): they
+        still load, to the spec without it."""
+        s = spec(sample=24, collapse="on")
+        data = dict(s.to_dict(), backend=backend)
+        assert CampaignSpec.from_dict(data) == s
+        assert CampaignSpec.from_dict(data).digest() == s.digest()
+
+    @pytest.mark.parametrize("kind", ["campaign", "mc", "patterns"])
+    def test_rejects_unknown_collapse_mode(self, kind):
+        with pytest.raises(ValueError, match="collapse"):
+            spec(kind=kind, collapse="bogus")
+
+    @pytest.mark.parametrize("change", [dict(strict_numerics=True),
+                                        dict(collapse="on"),
+                                        dict(collapse="audit")])
+    def test_patterns_kind_refuses_knobs_it_cannot_honour(self, change):
+        """The pattern campaign runs uncollapsed under the default
+        numerics policy; a spec asking otherwise would publish that
+        artifact under a key that promises something else."""
+        with pytest.raises(ValueError):
+            spec(kind="patterns", **change)
+
+    def test_rejects_negative_sample(self):
+        with pytest.raises(ValueError, match="sample"):
+            spec(sample=-1)
+
 
 class TestDigest:
     def test_execution_knobs_do_not_change_digest(self):
@@ -71,10 +101,36 @@ class TestDigest:
         b = dataclasses.replace(a, dies=999, patterns=("prbs7",))
         assert a.digest() == b.digest()
 
+    def test_mc_digest_ignores_sample(self):
+        """An mc run draws its own per-die faults: ``sample`` does not
+        reach the artifact, so it must not split the key."""
+        assert spec(kind="mc", dies=4, sample=5).digest() == \
+            spec(kind="mc", dies=4).digest()
+
+    @pytest.mark.parametrize("kind", ["campaign", "patterns"])
+    def test_sample_zero_keys_like_the_full_universe(self, kind):
+        assert spec(kind=kind, sample=0).digest() == \
+            spec(kind=kind).digest()
+
+    def test_default_digests_match_the_published_ones(self, monkeypatch):
+        """The real netlist digest plus today's key: the digests every
+        store and shard checkpoint written since the service landed
+        resolve through."""
+        monkeypatch.setattr("repro.service.spec.netlist_digest",
+                            netlist_digest)
+        assert spec().digest() == "e209c2e194cea4efedf1d8c14dcf8857"
+        assert spec(kind="patterns").digest() == \
+            "ae2b8915acceb4dd38fa03f165872608"
+        mc = {1: "256dbb6adb698f80702e85318445e006",
+              2: "f796375b6e4f933b62ba86e07c2ae567",
+              3: "0612e37c0571127ee93124aeee055853",
+              4: "7e35a102605237d57a6f57fd612811d2"}
+        for seed, digest in mc.items():
+            assert spec(kind="mc", dies=8, seed=seed).digest() == digest
+
     @pytest.mark.parametrize("change", [
         dict(seed=7),
         dict(sample=25),
-        dict(backend="batched"),
         dict(collapse="on"),
         dict(strict_numerics=True),
         dict(tiers=("dc", "scan")),
@@ -140,7 +196,6 @@ class TestResultStore:
     @pytest.mark.parametrize("change", [
         dict(seed=7),
         dict(sample=9),
-        dict(backend="batched"),
         dict(collapse="on"),
         dict(strict_numerics=True),
         dict(tiers=("dc",)),
