@@ -48,6 +48,8 @@ import pytest
 
 _HERE = os.path.dirname(__file__)
 _CHANGES = os.path.join(_HERE, os.pardir, "CHANGES.md")
+#: the committed per-fault verdicts the guard suite also pins
+_REFERENCE = os.path.join(_HERE, os.pardir, "perfbench", "reference")
 
 
 def _default_output():
@@ -112,6 +114,17 @@ def get_mc_result():
         _mc_cache["result"] = MonteCarloCampaign(seed=2016).run(
             dies, workers=workers)
     return _mc_cache["result"]
+
+
+def moved_from_reference(name, got):
+    """One line per fault of *got* (fault id -> verdict) whose verdict
+    differs from ``perfbench/reference/<name>.json``, which is only
+    read, never written."""
+    with open(os.path.join(_REFERENCE, f"{name}.json")) as fh:
+        want = json.load(fh)["faults"]
+    return [f"{fault}: reference {want.get(fault)}, now {verdict}"
+            for fault, verdict in sorted(got.items())
+            if want.get(fault) != verdict]
 
 
 @pytest.fixture(scope="session")

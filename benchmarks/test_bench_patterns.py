@@ -5,11 +5,13 @@ lock time vs the stimulus-scaled 2 us budget) and a per-stimulus BER
 block into the BENCH artifact, and pins the pattern engine's headline
 claim: at least one non-random stimulus class (the crosstalk
 aggressor) detects a fault class at speed that plain PRBS7 misses.
+The campaign bench also holds every fault it ran to the detecting
+stages and outcome committed in ``perfbench/reference/patterns.json``.
 """
 
 import os
 
-from .conftest import record_patterns
+from .conftest import moved_from_reference, record_patterns
 
 
 def _campaign_sample():
@@ -41,6 +43,10 @@ def test_bench_pattern_campaign(benchmark):
     floor = len(result.static_detected()) / max(result.total, 1)
     for pattern in result.patterns:
         assert result.coverage(pattern) >= floor
+
+    # every fault's detecting stages and outcome are the committed ones
+    moved = moved_from_reference("patterns", result.to_dict()["faults"])
+    assert not moved, "\n".join(moved)
 
     record_patterns("campaign", {
         "sample": _campaign_sample(),

@@ -13,11 +13,15 @@ models; see EXPERIMENTS.md):
 * total coverage lands in the high-80s-to-mid-90s band;
 * on a full-universe run with collapsing on, the equivalence-class
   compression delivers >= 1.5x as many stage verdicts as it simulates.
+
+Beyond the shapes, every record the run produced must carry the dc,
+scan and bist hits and the outcome committed in
+``perfbench/reference/table1.json``; each moved fault is named.
 """
 
 import os
 
-from benchmarks.conftest import get_campaign_report
+from benchmarks.conftest import get_campaign_report, moved_from_reference
 from repro.core.profiling import COUNTERS
 
 
@@ -46,6 +50,13 @@ def test_bench_table1_coverage(benchmark):
     assert by_label["Source open"][3] >= 0.8
     # total lands in the paper's band
     assert total_cov >= 0.8
+    # and every verdict is the committed one
+    got = {":".join(rec.fault.key()):
+           dict({t: rec.hit(t) for t in ("dc", "scan", "bist")},
+                outcome=rec.outcome)
+           for rec in report.result.records}
+    moved = moved_from_reference("table1", got)
+    assert not moved, "\n".join(moved)
 
     # the compression claim only holds on the full universe (a sampled
     # smoke run mostly draws singleton classes) with collapsing on

@@ -27,8 +27,10 @@ summary table (CI fails on any non-OK row).  Checks:
                      ``perfbench/reference/table1.json`` (each fault's
                      dc/scan/bist hits and outcome), and the 8-die
                      Monte-Carlo runs of seeds 1-4 match
-                     ``perfbench/reference/mc.json`` record for record;
-                     every moved fault or die is named
+                     ``perfbench/reference/mc.json`` record for record,
+                     each once under the default numerics policy and
+                     once under ``--strict-numerics``; every moved
+                     fault or die is named
 
 Run locally: ``python scripts/guard_suite.py`` (from the repo root).
 Select a subset: ``python scripts/guard_suite.py mc-parity pattern-parity``.
@@ -300,50 +302,60 @@ def check_pattern_golden(tmp: str) -> str:
 
 def check_result_golden(tmp: str) -> str:
     """The full fault campaign and the Monte-Carlo dies against the
-    committed verdicts: a refactor that moves any fault's tier hits or
-    outcome, or any field of a die record, fails here, with every
-    moved fault or die named."""
-    _repro("campaign --workers 2 --export campaign-full.json", cwd=tmp)
+    committed verdicts, under the default and the strict numerics
+    policy: a refactor that moves any fault's tier hits or outcome, or
+    any field of a die record, fails here, with every moved fault or
+    die named.  Strict runs escalate degraded solves to ``unsolvable``,
+    so they are where a stage that skipped a solve it used to run (and
+    that solve's error) would show."""
     with open(TABLE1_GOLDEN) as fh:
         want = json.load(fh)["faults"]
-    got = {}
-    for rec in _load(tmp, "campaign-full.json")["records"]:
-        fault = rec["fault"]
-        name = ":".join(fault[k] for k in ("device", "kind", "block", "role"))
-        got[name] = {t: bool(rec["tiers"].get(t)) for t in TIER_NAMES}
-        got[name]["outcome"] = rec.get("outcome", "ok")
-    problems = [
-        f"{name}: golden {want.get(name)}, now {got.get(name)}"
-        for name in sorted(set(want) | set(got))
-        if want.get(name) != got.get(name)
-    ]
     with open(MC_GOLDEN) as fh:
         mc = json.load(fh)
-    dies = 0
-    for seed in sorted(mc["seeds"], key=int):
-        _repro(
-            f"mc --dies {mc['dies']} --seed {seed} --workers 2"
-            f" --export mc-{seed}.json",
-            cwd=tmp,
-        )
-        records = _load(tmp, f"mc-{seed}.json")["records"]
-        golden = mc["seeds"][seed]
-        for die in range(max(len(records), len(golden))):
-            was = golden[die] if die < len(golden) else None
-            now = records[die] if die < len(records) else None
-            if was != now:
-                problems.append(
-                    f"mc seed {seed} die {die}: golden {was}, now {now}"
-                )
-        dies += len(records)
+    problems = []
+    for policy, flags in (("default", ""), ("strict", " --strict-numerics")):
+        export = f"campaign-{policy}.json"
+        _repro(f"campaign --workers 2{flags} --export {export}", cwd=tmp)
+        got = {}
+        for rec in _load(tmp, export)["records"]:
+            fault = rec["fault"]
+            name = ":".join(
+                fault[k] for k in ("device", "kind", "block", "role")
+            )
+            got[name] = {t: bool(rec["tiers"].get(t)) for t in TIER_NAMES}
+            got[name]["outcome"] = rec.get("outcome", "ok")
+        problems += [
+            f"{policy} {name}: golden {want.get(name)}, now {got.get(name)}"
+            for name in sorted(set(want) | set(got))
+            if want.get(name) != got.get(name)
+        ]
+        for seed in sorted(mc["seeds"], key=int):
+            export = f"mc-{policy}-{seed}.json"
+            _repro(
+                f"mc --dies {mc['dies']} --seed {seed} --workers 2{flags}"
+                f" --export {export}",
+                cwd=tmp,
+            )
+            records = _load(tmp, export)["records"]
+            golden = mc["seeds"][seed]
+            for die in range(max(len(records), len(golden))):
+                was = golden[die] if die < len(golden) else None
+                now = records[die] if die < len(records) else None
+                if was != now:
+                    problems.append(
+                        f"{policy} mc seed {seed} die {die}: "
+                        f"golden {was}, now {now}"
+                    )
     if problems:
         raise RuntimeError(
             f"{len(problems)} difference(s) from the golden files\n"
             + "\n".join(problems)
         )
+    dies = sum(len(records) for records in mc["seeds"].values())
     return (
-        f"{len(got)} fault verdicts + {dies} die records "
-        f"({len(mc['seeds'])} seeds) match the golden files"
+        f"{len(want)} fault verdicts + {dies} die records "
+        f"({len(mc['seeds'])} seeds) match the golden files under "
+        f"default and strict numerics"
     )
 
 

@@ -123,23 +123,31 @@ def _newton(circuit: Circuit, node_index, n_total, x0, gmin: float,
 
 
 def _scale_sources(circuit: Circuit, scale: float):
-    """Temporarily scale all independent sources; returns restore info."""
+    """Temporarily scale all independent sources, waveform-driven ones
+    included (their ``value_at`` reads the waveform, not the level);
+    returns restore info."""
     if scale == 1.0:
         return []
     saved = []
     for elem in circuit:
         if isinstance(elem, VoltageSource):
-            saved.append((elem, "voltage", elem.voltage))
-            elem.voltage *= scale
+            attr = "voltage"
         elif isinstance(elem, CurrentSource):
-            saved.append((elem, "current", elem.current))
-            elem.current *= scale
+            attr = "current"
+        else:
+            continue
+        value, waveform = getattr(elem, attr), elem.waveform
+        saved.append((elem, attr, value, waveform))
+        setattr(elem, attr, value * scale)
+        if waveform is not None:
+            elem.waveform = lambda t, wf=waveform: float(wf(t)) * scale
     return saved
 
 
 def _restore_sources(saved) -> None:
-    for elem, attr, value in saved:
+    for elem, attr, value, waveform in saved:
         setattr(elem, attr, value)
+        elem.waveform = waveform
 
 
 def _ptc_rescue(circuit: Circuit, node_index, n_total, gmin: float):

@@ -206,6 +206,12 @@ class Capacitor(Element):
         """Branch current of the last accepted step (trap history)."""
         return self._i_hist
 
+    @history_current.setter
+    def history_current(self, i_hist: float) -> None:
+        # restores a saved history when a rejected sub-step sequence
+        # is retried from the interval's start
+        self._i_hist = i_hist
+
     def record_companion(self, geq: float, ieq: float) -> None:
         """Adopt externally stamped companion values.
 

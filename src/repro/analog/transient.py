@@ -9,7 +9,9 @@ at dt/2, dt/4, then dt/8 before the interval is given up.  Every linear
 solve goes through the :mod:`repro.analog.resilience` ladder; the result
 carries the worst :class:`SolveDiagnostics` seen across the run, and a
 step whose systems the ladder declares unsolvable raises
-:class:`UnsolvableError` when no halving level recovers it.
+:class:`UnsolvableError` when no halving level recovers it.  A caller
+whose answer is decided before *t_stop* passes a ``stop`` predicate and
+gets the samples up to the deciding step.
 """
 
 from __future__ import annotations
@@ -100,7 +102,9 @@ def transient(circuit: Circuit, t_stop: float, dt: float,
               probes: Optional[Sequence[str]] = None,
               method: str = "be",
               x0: Optional[np.ndarray] = None,
-              lu_reuse: bool = True) -> TransientResult:
+              lu_reuse: bool = True,
+              stop: Optional[Callable[[float, Sequence[float]], bool]] = None
+              ) -> TransientResult:
     """Integrate *circuit* from 0 to *t_stop* with step *dt*.
 
     Parameters
@@ -116,6 +120,12 @@ def transient(circuit: Circuit, t_stop: float, dt: float,
         assembled matrix is unchanged from the previous solve (always
         true for linear circuits).  Disable to force a factorization
         every solve, e.g. for numerical cross-checks.
+    stop:
+        Optional predicate ``stop(t, v)`` evaluated after each accepted
+        step on its time and the recorded probe voltages (``v`` in
+        ``probes`` order).  A true return ends the run; the result holds
+        the samples up to and including that step, a bitwise prefix of
+        the unstopped run, without its final condition estimate.
     """
     node_index, n_nodes, n_total = build_index(circuit)
     if x0 is None:
@@ -135,6 +145,11 @@ def transient(circuit: Circuit, t_stop: float, dt: float,
         vn = 0.0 if is_ground(cap.terminals["n"]) else xv[node_index[cap.terminals["n"]]]
         return float(vp - vn)
 
+    def accept(xv):
+        """Adopt the step ending at *xv* as the trapezoidal history."""
+        for cap in caps:
+            cap.accept_step(cap_voltage(cap, xv))
+
     record = list(probes) if probes is not None else circuit.nodes()
     idx_of = {p: node_index[p] for p in record if not is_ground(p)}
 
@@ -148,6 +163,7 @@ def transient(circuit: Circuit, t_stop: float, dt: float,
     compiled = get_compiled(circuit, "tran", node_index=node_index,
                             n_total=n_total, dt=dt, method=method)
     halved = {}  # level -> compiled plan, built lazily on stalled steps
+    trap = method == "trap"
 
     all_converged = True
     run_diag: Optional[SolveDiagnostics] = None
@@ -162,6 +178,7 @@ def transient(circuit: Circuit, t_stop: float, dt: float,
         if not ok:
             # reject the step; retry at dt/2, dt/4, dt/8
             COUNTERS.tran_step_rejections += 1
+            start_hist = [cap.history_current for cap in caps]
             for level in HALVING_LEVELS:
                 COUNTERS.tran_step_halvings += 1
                 sub = halved.get(level)
@@ -178,10 +195,18 @@ def transient(circuit: Circuit, t_stop: float, dt: float,
                         if diag is not None and diag.rung == RUNG_UNSOLVABLE:
                             unsolv_diag = diag
                         break
+                    if trap and j < level:
+                        # the next sub-step integrates from this one
+                        accept(x_sub)
                 if sub_ok:
                     x_new, ok = x_sub, True
                     unsolv_diag = None
                     break
+                if trap:
+                    # the level failed midway: the next one starts over
+                    # from the interval's own history
+                    for cap, i_hist in zip(caps, start_hist):
+                        cap.history_current = i_hist
         if not ok:
             if unsolv_diag is not None:
                 raise UnsolvableError(
@@ -191,14 +216,17 @@ def transient(circuit: Circuit, t_stop: float, dt: float,
             all_converged = False
         if diag is not None:
             run_diag = diag.worst(run_diag)
-        if method == "trap":
-            for cap in caps:
-                cap.accept_step(cap_voltage(cap, x_new))
+        if trap:
+            accept(x_new)
         x = x_new
         t = t_next
         times[k] = t
         for p in record:
             data[p][k] = 0.0 if is_ground(p) else float(x[idx_of[p]])
+        if stop is not None and stop(t, [data[p][k] for p in record]):
+            times = times[:k + 1]
+            data = {p: wave[:k + 1] for p, wave in data.items()}
+            break
 
     return TransientResult(time=times, waves=data, converged=all_converged,
                            diagnostics=run_diag)

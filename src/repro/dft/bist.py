@@ -27,6 +27,7 @@ stimulus-specific lock-budget stretch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -223,10 +224,17 @@ class BISTTest:
         return resolved, provenance
 
     def _measure_vcdl_delays(self, fault: StructuralFault):
-        """Faulted VCDL delays ``(d_lo, d_hi)`` at the window bounds."""
+        """Faulted VCDL delays ``(d_lo, d_hi)`` at the window bounds.
+
+        A line dead at the low bound (``d_lo`` NaN) alone decides
+        :meth:`_vcdl_lock_verdict`, so the high bound is then left
+        unmeasured (NaN).
+        """
         p0 = LinkParams()
-        return (self._measure_faulted_vcdl(fault, p0.v_window_lo),
-                self._measure_faulted_vcdl(fault, p0.v_window_hi))
+        d_lo = self._measure_faulted_vcdl(fault, p0.v_window_lo)
+        if math.isnan(d_lo):
+            return d_lo, float("nan")
+        return d_lo, self._measure_faulted_vcdl(fault, p0.v_window_hi)
 
     # ------------------------------------------------------------------
     def _run_receiver_checks(self, fault: Optional[StructuralFault],
@@ -236,7 +244,11 @@ class BISTTest:
         ``calibrate=True`` (construction only) records the healthy OTA
         bias currents as the speed-screen reference; every later call —
         faulted or the healthy-die screen — compares against that stored
-        nominal.
+        nominal, and returns at the first group that differs from the
+        golden (the hold point's V_p and slew flags, then each
+        pump-current window in order): the checks already differ there,
+        whatever the later groups would read.  Calibration runs every
+        group.
         """
         dut = build_receiver_dut()
         if fault is not None:
@@ -244,6 +256,10 @@ class BISTTest:
                 dut.circuit, fault,
                 retention=self.goldens.retention_receiver)
         out: Dict[str, object] = {}
+
+        def decided(keys) -> bool:
+            return not calibrate and any(
+                out[k] != self._golden.get(k) for k in keys)
 
         # V_p tracking at the locked operating point
         dut.set_condition(hold=True)
@@ -266,6 +282,8 @@ class BISTTest:
                 ref = self._healthy_ota_i.get(name, 0.0)
                 out[f"slew_{name}_ok"] = bool(
                     ref == 0.0 or currents[name] >= self.SLEW_COLLAPSE * ref)
+        if decided(out):
+            return out
 
         # pump currents (digitised into in-window / out-of-window).
         # The strong pump is included: during scan its source is a
@@ -283,8 +301,10 @@ class BISTTest:
                 return {"converged": False}
             i = abs(dut.hold_current(op))
             ref = nominal[name]
-            out[f"i_{name}_ok"] = bool(
-                CURRENT_LO * ref <= i <= CURRENT_HI * ref)
+            key = f"i_{name}_ok"
+            out[key] = bool(CURRENT_LO * ref <= i <= CURRENT_HI * ref)
+            if decided((key,)):
+                return out
         out["converged"] = True
         return out
 
@@ -345,12 +365,18 @@ class BISTTest:
 
     def _measure_faulted_vcdl(self, fault: StructuralFault,
                               vctl: float) -> float:
-        """Propagation delay of the faulted VCDL at *vctl* (transient)."""
+        """Propagation delay of the faulted VCDL at *vctl* (transient).
+
+        The transient ends at the first 0.6 V output crossing after the
+        input step, the sample the delay is read from.
+        """
 
         from ..analog import transient
 
         faulted = self._vcdl_char_circuit(fault, vctl)
-        tr = transient(faulted, 1.6e-9, 2e-12, probes=["clk_out"])
+        t_step = self.VCDL_CHAR_T_STEP
+        tr = transient(faulted, 1.6e-9, 2e-12, probes=["clk_out"],
+                       stop=lambda t, v: t > t_step and v[0] > 0.6)
         return self._vcdl_delay_from(tr)
 
     def _vcdl_lock_test(self, fault: StructuralFault) -> bool:
@@ -370,8 +396,6 @@ class BISTTest:
 
     def _vcdl_lock_verdict(self, d_lo: float, d_hi: float) -> bool:
         """Behavioural lock run on a measured (d_lo, d_hi) delay pair."""
-        import math
-
         if math.isnan(d_lo) or math.isnan(d_hi):
             return True     # clock does not propagate at speed
         p0 = LinkParams()

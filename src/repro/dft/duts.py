@@ -9,7 +9,7 @@ Three canonical netlists cover the whole analog fault universe:
   comparator + CP-BIST comparator, with every control (UP/DN, strong
   pump, scan enable, window-input force, V_c hold) brought out as a
   source.  One netlist, many excitations: the quiet DC signature, the
-  six scan conditions, and the BIST V_p/current checks all run here.
+  five scan conditions, and the BIST V_p/current checks all run here.
 * :func:`build_vcdl_dut` — the VCDL with a static input drive.
 
 Device names are identical across all tests touching a block, so a

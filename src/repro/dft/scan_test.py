@@ -38,6 +38,9 @@ from .registry import register_tier
 #: comparator; the healthy toggle excursion is ~2 mV after the
 #: slew-symmetric driver sizing)
 TOGGLE_THRESHOLD = 13e-3
+#: the toggle test ignores the bias excursion before this time [s]
+#: (the link's start-up settling, not a fault signature)
+TOGGLE_MASK = 5e-9
 #: the receiver scan conditions (Section II-B).  The PD can only assert
 #: UP or DN (never both), so there is no contention condition — which is
 #: precisely why a drain-source short in a current-source transistor is
@@ -63,7 +66,7 @@ class ScanTest:
     goldens: GoldenSignatures = field(default_factory=GoldenSignatures)
     _golden_probe: Dict = field(default_factory=dict, repr=False)
     _golden_receiver: Dict = field(default_factory=dict, repr=False)
-    _golden_toggle: float = field(default=0.0, repr=False)
+    _golden_toggle: Optional[float] = field(default=None, repr=False)
 
     name: ClassVar[str] = "scan"
 
@@ -76,6 +79,8 @@ class ScanTest:
         # pre-fork even in campaigns without a DC tier
         self.goldens.retention_link
         self.goldens.retention_receiver
+        # the stages stop at a decided verdict only once the goldens
+        # exist, so each golden below is a full pass
         self._golden_probe = self._run_probe(None)
         self._golden_receiver = self._run_receiver(None)
         self._golden_toggle = self._run_toggle(None)
@@ -215,12 +220,19 @@ class ScanTest:
         return out
 
     def _run_receiver(self, fault: Optional[StructuralFault]) -> Dict:
-        """Window-comparator captures across the six scan conditions."""
+        """Window-comparator captures across the five scan conditions.
+
+        Returns at the first condition whose capture differs from the
+        golden: the captures already differ there, whatever the later
+        conditions would read.  Building the golden (no golden yet)
+        runs every condition.
+        """
         dut = build_receiver_dut()
         if fault is not None:
             dut.circuit = inject_fault(
                 dut.circuit, fault,
                 retention=self.goldens.retention_receiver)
+        golden = self._golden_receiver
         out = {}
         for label, kw in SCAN_CONDITIONS:
             dut.set_condition(**kw)
@@ -229,16 +241,28 @@ class ScanTest:
                 out[label] = ("no_convergence",)
             else:
                 out[label] = _digitize(op, ("win_hi", "win_lo"))
+            if golden and out[label] != golden[label]:
+                break
         return out
 
     def _run_toggle(self, fault: Optional[StructuralFault]) -> float:
-        """Peak bias-node excursion during the 100 MHz toggle [V]."""
+        """Peak bias-node excursion during the 100 MHz toggle [V].
+
+        The transient ends at the first sample after the settling mask
+        whose excursion exceeds :data:`TOGGLE_THRESHOLD`: the peak is
+        then over the threshold whatever the later samples read.
+        Building the golden (no golden yet) integrates the whole run.
+        """
         dut = build_toggle_dut()
         circuit = dut.circuit
         if fault is not None:
             circuit = inject_fault(circuit, fault,
                                    retention=self.goldens.retention_link)
+        stop = None
+        if self._golden_toggle is not None:
+            def stop(t, v):
+                return t > TOGGLE_MASK and abs(v[0] - v[1]) > TOGGLE_THRESHOLD
         tr = transient(circuit, 25e-9, 0.1e-9,
-                       probes=[dut.vcm_node, dut.ref_node])
-        mask = tr.time > 5e-9
+                       probes=[dut.vcm_node, dut.ref_node], stop=stop)
+        mask = tr.time > TOGGLE_MASK
         return float(np.abs(tr.vdiff(dut.vcm_node, dut.ref_node))[mask].max())

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analog import Circuit, dc_operating_point, dc_sweep
-from repro.analog.solver import SolverError
+from repro.analog import dc as dc_module
+from repro.analog.solver import DEFAULT_GMIN, SolverError, build_index
 
 
 class TestLinearCircuits:
@@ -204,3 +205,36 @@ class TestSweepAndRobustness:
         op = dc_operating_point(c)
         assert op["a"] == pytest.approx(1.0)
         assert op.v("0") == 0.0
+
+
+class TestSourceStepping:
+    """The source-stepping homotopy scales every independent source,
+    waveform-driven ones included, and restores each afterwards."""
+
+    def _scaled(self, c, node, scale):
+        node_index, _, n_total = build_index(c)
+        x, ok, _, _ = dc_module._newton(c, node_index, n_total,
+                                        np.zeros(n_total), DEFAULT_GMIN,
+                                        source_scale=scale)
+        assert ok
+        return x[node_index[node]]
+
+    @pytest.mark.parametrize("waveform", [None, lambda t: 1.0],
+                             ids=["level", "waveform"])
+    def test_voltage_divider_at_a_tenth(self, waveform):
+        c = Circuit()
+        src = c.add_vsource("a", "0", 1.0, name="V1")
+        src.waveform = waveform
+        c.add_resistor("a", "b", 1e3)
+        c.add_resistor("b", "0", 1e3)
+        assert self._scaled(c, "b", 0.1) == pytest.approx(0.05, rel=1e-6)
+        assert src.voltage == 1.0 and src.waveform is waveform
+        assert dc_operating_point(c).v("b") == pytest.approx(0.5, rel=1e-6)
+
+    def test_current_source_waveform_at_a_quarter(self):
+        c = Circuit()
+        src = c.add_isource("0", "a", 1e-3, name="I1")
+        wf = src.waveform = lambda t: 1e-3
+        c.add_resistor("a", "0", 1e3)
+        assert self._scaled(c, "a", 0.25) == pytest.approx(0.25, rel=1e-6)
+        assert src.current == 1e-3 and src.waveform is wf
