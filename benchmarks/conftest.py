@@ -11,15 +11,14 @@ Environment knobs:
 * ``REPRO_CAMPAIGN_SAMPLE=<n>`` — run the campaign on a random *n*-fault
   sample (coarser percentages, much faster smoke runs);
 * ``REPRO_CAMPAIGN_WORKERS=<n>`` — fan the campaign out over *n* worker
-  processes (results are identical to a serial run);
+  processes (results are identical to a serial run, which collapses
+  the fault universe: one simulated representative per structural
+  equivalence class; a forked run evaluates every fault);
 * ``REPRO_MC_DIES=<n>`` — die count for the Monte-Carlo variation bench
   (default 8);
 * ``REPRO_MC_WORKERS=<n>`` — fork the die sweep (default serial, which
   keeps the per-die retune/reuse counters in this process for the
-  BENCH artifact);
-* ``REPRO_COLLAPSE=off|on|audit`` — fault-universe compression for the
-  campaign bench (default ``on``: one simulated representative per
-  structural equivalence class; verdicts match the uncollapsed run).
+  BENCH artifact).
 
 Every session writes a ``BENCH_PR<N>.json`` artifact next to this file
 (name from ``REPRO_BENCH_OUTPUT``; by default *N* is the highest
@@ -79,12 +78,6 @@ def record_patterns(name, data):
     _patterns[name] = data
 
 
-def _bench_collapse():
-    """Collapse policy for the campaign bench (default on: the bench
-    measures the engine as shipped; parity with off is CI-guarded)."""
-    return os.environ.get("REPRO_COLLAPSE", "on")
-
-
 def get_campaign_report():
     """Run (or fetch) the full three-tier fault campaign."""
     if "report" not in _campaign_cache:
@@ -97,7 +90,7 @@ def get_campaign_report():
             universe = random.Random(2016).sample(universe, n)
         workers = int(os.environ.get("REPRO_CAMPAIGN_WORKERS", "0")) or None
         _campaign_cache["report"] = run_paper_campaign(
-            universe, workers=workers, collapse=_bench_collapse())
+            universe, workers=workers)
     return _campaign_cache["report"]
 
 
@@ -214,7 +207,6 @@ def pytest_sessionfinish(session, exitstatus):
         "bench_lu_factor": _bench_lu,
         "patterns": _patterns,
         "collapse": {
-            "mode": _bench_collapse(),
             "classes": COUNTERS.classes,
             "rep_evals": rep,
             "class_hits": hits,

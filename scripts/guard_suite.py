@@ -10,7 +10,10 @@ summary table (CI fails on any non-OK row).  Checks:
 3. supervision     — hang/worker-kill isolation (supervision_smoke)
 4. numerics        — singular-circuit isolation ladder (numerics_smoke)
 5. mc-parity       — Monte-Carlo export invariant across worker counts
-6. collapse-parity — collapsed verdicts match per-fault verdicts
+6. collapse-parity — an in-process ``repro campaign --sample 48``
+                     (which collapses the fault universe, class hits
+                     > 0) exports byte-identically to the same command
+                     with ``--workers 2`` (which evaluates per fault)
 7. pattern-parity  — coverage-vs-pattern JSON identical for
                      ``--workers 1`` and ``--workers 4``
 8. service-parity  — sharded service jobs (campaign, mc, patterns)
@@ -23,7 +26,8 @@ summary table (CI fails on any non-OK row).  Checks:
                      committed ``perfbench/reference/patterns.json``
                      (each fault's tiers and outcome, each stimulus's
                      healthy-lock summary); every moved fault is named
-11. result-golden  — the full 336-fault campaign matches the committed
+11. result-golden  — the full 336-fault campaign, run in-process and
+                     so collapsed, matches the committed
                      ``perfbench/reference/table1.json`` (each fault's
                      dc/scan/bist hits and outcome), and the 8-die
                      Monte-Carlo runs of seeds 1-4 match
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -155,29 +160,32 @@ def check_mc_parity(tmp: str) -> str:
 
 
 def check_collapse_parity(tmp: str) -> str:
-    _repro(
-        "campaign --sample 48 --seed 2016 --export collapse-off.json",
+    """An in-process run collapses the fault universe and a ``--workers
+    2`` run evaluates each fault on its own: the two exports must be
+    byte-identical, and the in-process run must have collapsed."""
+    out = _repro_out(
+        "campaign --sample 48 --seed 2016 --export in-process.json",
         cwd=tmp,
     )
     _repro(
-        "campaign --sample 48 --seed 2016 --collapse audit"
-        " --export collapse-on.json",
+        "campaign --sample 48 --seed 2016 --workers 2"
+        " --export workers-2.json",
         cwd=tmp,
     )
-    off = _load(tmp, "collapse-off.json")
-    on = _load(tmp, "collapse-on.json")
-    # provenance is the one permitted difference: every other field of
-    # every record must match the uncollapsed run
-    stripped = []
-    for rec in on["records"]:
-        rec = dict(rec)
-        rec.pop("collapsed_from", None)
-        stripped.append(rec)
-    if stripped != off["records"]:
-        raise RuntimeError("collapse moved a verdict")
-    if "collapsed_from" in json.dumps(off):
-        raise RuntimeError("uncollapsed artifact grew a provenance key")
-    return f"verdicts match over {len(stripped)} records"
+    if _read(tmp, "in-process.json") != _read(tmp, "workers-2.json"):
+        raise RuntimeError(
+            "in-process (collapsed) export differs from --workers 2"
+        )
+    line = next(
+        (ln for ln in out.splitlines() if ln.startswith("collapse:")), ""
+    )
+    hits = re.search(r"(\d+) class hit", line)
+    if hits is None or int(hits.group(1)) == 0:
+        raise RuntimeError(
+            f"in-process run did not collapse: {line or 'no collapse line'}"
+        )
+    records = len(_load(tmp, "in-process.json")["records"])
+    return f"{records} records byte-identical to --workers 2; {line}"
 
 
 def check_pattern_parity(tmp: str) -> str:
@@ -317,9 +325,11 @@ def check_result_golden(tmp: str) -> str:
     committed verdicts, under the default and the strict numerics
     policy: a refactor that moves any fault's tier hits or outcome, or
     any field of a die record, fails here, with every moved fault or
-    die named.  Strict runs escalate degraded solves to ``unsolvable``,
-    so they are where a stage that skipped a solve it used to run (and
-    that solve's error) would show."""
+    die named.  Strict runs escalate degraded solves to
+    ``unsolvable``, so they are where a stage that skipped a solve it
+    used to run (and that solve's error) would show.  The campaigns run
+    in-process, so they pin the collapsed path; ``collapse-parity``
+    pins the per-fault path to it."""
     with open(TABLE1_GOLDEN) as fh:
         want = json.load(fh)["faults"]
     with open(MC_GOLDEN) as fh:
@@ -327,7 +337,7 @@ def check_result_golden(tmp: str) -> str:
     problems = []
     for policy, flags in (("default", ""), ("strict", " --strict-numerics")):
         export = f"campaign-{policy}.json"
-        _repro(f"campaign --workers 2{flags} --export {export}", cwd=tmp)
+        _repro(f"campaign{flags} --export {export}", cwd=tmp)
         got = {}
         for rec in _load(tmp, export)["records"]:
             fault = rec["fault"]

@@ -44,7 +44,7 @@ try:
 except ImportError:  # numpy < 2
     from numpy.core.umath import clip as _clip
 
-from .._profiling import COUNTERS
+from ..core.profiling import COUNTERS
 from .devices import (
     Capacitor,
     CurrentSource,

@@ -22,7 +22,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .._profiling import COUNTERS
+from ..core.profiling import COUNTERS
 from .assembly import get_compiled
 from .devices import CurrentSource, VoltageSource
 from .netlist import Circuit

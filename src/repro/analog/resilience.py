@@ -45,7 +45,7 @@ from typing import Callable, Dict, Iterator, Optional, Tuple
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .._profiling import COUNTERS
+from ..core.profiling import COUNTERS
 from .solver import SolverError, factor, solve_factored
 
 __all__ = [

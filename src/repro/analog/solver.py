@@ -7,7 +7,7 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .._profiling import COUNTERS
+from ..core.profiling import COUNTERS
 from .devices import StampContext
 from .netlist import Circuit
 

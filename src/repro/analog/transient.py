@@ -21,7 +21,7 @@ from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from .._profiling import COUNTERS
+from ..core.profiling import COUNTERS
 from .assembly import get_compiled
 from .dc import MAX_STEP, VOLTAGE_TOL, dc_operating_point
 from .netlist import Circuit, is_ground

@@ -140,12 +140,11 @@ def cmd_coverage(args) -> int:
 
     report = run_paper_campaign(universe,
                                 progress=progress if args.progress else None,
-                                workers=args.workers,
-                                collapse=args.collapse)
+                                workers=args.workers)
     print(report.format_headline())
     print()
     print(report.format_table1())
-    _print_collapse(args.collapse)
+    _print_collapse()
     return 0
 
 
@@ -171,8 +170,7 @@ def cmd_campaign(args) -> int:
         if i % 25 == 0 or i == n:
             print(f"  {i}/{n} faults simulated", file=sys.stderr)
 
-    campaign = FaultCampaign(strict_numerics=args.strict_numerics,
-                             collapse=args.collapse)
+    campaign = FaultCampaign(strict_numerics=args.strict_numerics)
     for tier in create_tiers(tier_names, GoldenSignatures()):
         campaign.add_tier(tier)
     result = campaign.run(universe,
@@ -196,7 +194,7 @@ def cmd_campaign(args) -> int:
           f"({n_detected}/{result.total})")
     _print_outcomes(result.outcome_counts())
     _print_numerics()
-    _print_collapse(args.collapse)
+    _print_collapse()
 
     if args.export:
         with open(args.export, "w") as fh:
@@ -225,8 +223,7 @@ def cmd_mc(args) -> int:
     campaign = MonteCarloCampaign(tiers=tier_names,
                                   corner=get_corner(args.corner),
                                   model=model, seed=args.seed,
-                                  strict_numerics=args.strict_numerics,
-                                  collapse=args.collapse)
+                                  strict_numerics=args.strict_numerics)
     result = campaign.run(args.dies,
                           progress=progress if args.progress else None,
                           workers=args.workers, checkpoint=args.resume,
@@ -235,7 +232,6 @@ def cmd_mc(args) -> int:
 
     print(format_mc_report(result))
     _print_numerics()
-    _print_collapse(args.collapse)
     if args.export:
         with open(args.export, "w") as fh:
             fh.write(result.to_json(indent=2))
@@ -441,16 +437,16 @@ def _print_numerics() -> None:
         print(f"numerics rescues: {', '.join(engaged)}")
 
 
-def _print_collapse(collapse: str) -> None:
-    """One line of fault-collapse counters when collapsing is on.
+def _print_collapse() -> None:
+    """One line of fault-collapse counters when the run collapsed.
 
-    Like :func:`_print_numerics`, counters are process-local; a
-    ``--workers N`` run collapses in the pre-fork prepass, so these
-    remain accurate there too.
+    Only an in-process run (one worker, no ``--timeout``) collapses the
+    fault universe; a forked or deadline-supervised run evaluates each
+    fault on its own and prints nothing here.
     """
     from .core.profiling import COUNTERS
 
-    if collapse == "off":
+    if not COUNTERS.classes:
         return
     rep = COUNTERS.collapse_rep_evals
     hits = COUNTERS.class_hits
@@ -458,21 +454,7 @@ def _print_collapse(collapse: str) -> None:
             f"{rep} representative eval(s), {hits} class hit(s)")
     if rep:
         line += f" ({(rep + hits) / rep:.2f}x fewer simulations)"
-    if COUNTERS.audit_checks:
-        line += f", {COUNTERS.audit_checks} audited"
     print(line)
-
-
-def _add_collapse(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--collapse", default="off",
-                   choices=("off", "on", "audit"),
-                   help="fault-universe compression: 'on' simulates one "
-                        "representative per structural equivalence "
-                        "class and copies its verdict to the members "
-                        "(provenance recorded per fault); 'audit' "
-                        "additionally re-simulates a seeded member "
-                        "sample serially and fails loudly on any "
-                        "verdict mismatch (default: off)")
 
 
 def _add_supervision(p: argparse.ArgumentParser, noun: str) -> None:
@@ -565,7 +547,6 @@ def _spec_from_args(args):
         patterns = DEFAULT_CAMPAIGN_PATTERNS
     return CampaignSpec(
         kind=args.kind, seed=args.seed, sample=args.sample,
-        collapse=args.collapse,
         strict_numerics=args.strict_numerics, tiers=tiers,
         dies=args.dies, corner=args.corner,
         sigma_vt_mv=args.sigma_vt, sigma_kp_pct=args.sigma_kp,
@@ -762,7 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--progress", action="store_true")
     p.add_argument("--workers", type=int, default=None,
                    help="fault-simulation worker processes (default: serial)")
-    _add_collapse(p)
     p.set_defaults(func=cmd_coverage)
 
     p = sub.add_parser("campaign",
@@ -782,7 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSONL checkpoint to stream records into and "
                         "resume from")
     _add_supervision(p, "fault")
-    _add_collapse(p)
     p.set_defaults(func=cmd_campaign)
 
     p = sub.add_parser("mc",
@@ -812,7 +791,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSONL checkpoint to stream die records into and "
                         "resume from")
     _add_supervision(p, "die")
-    _add_collapse(p)
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("patterns",
@@ -896,7 +874,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="shard worker processes (execution-only; "
                         "default: the serve loop's setting)")
-    _add_collapse(p)
     p.set_defaults(func=cmd_submit)
 
     p = sub.add_parser("serve",

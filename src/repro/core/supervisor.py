@@ -60,7 +60,7 @@ from multiprocessing.connection import wait as _wait_ready
 from typing import (Any, Callable, Dict, Iterator, List, Optional,
                     Sequence)
 
-from .._profiling import COUNTERS
+from .profiling import COUNTERS
 from .failpoints import failpoint
 from .jsonl import DurableJsonlWriter
 
@@ -68,7 +68,7 @@ __all__ = [
     "OUTCOME_OK", "OUTCOME_TIMEOUT", "OUTCOME_QUARANTINED",
     "OUTCOME_UNSOLVABLE",
     "ItemDeadline", "RunTrace", "SupervisorError", "SupervisorPolicy",
-    "record_outcome", "run_supervised",
+    "evaluates_in_process", "record_outcome", "run_supervised",
 ]
 
 #: item outcome labels recorded on campaign records
@@ -567,6 +567,20 @@ def run_serial(items: Sequence[Any], evaluate: Callable[[Any], Any],
     return results
 
 
+def evaluates_in_process(workers: int, timeout: Optional[float]) -> bool:
+    """Whether :func:`run_supervised` evaluates every item in the calling
+    process under no per-item deadline.
+
+    That is the case for one worker and no timeout, or for any worker
+    count where fork is unavailable and no timeout is set.  Anything
+    else runs forked, supervised workers (or, without fork, SIGALRM
+    deadlines).  Campaigns ask this before doing work whose result only
+    the evaluating process can use, such as the fault-collapse prepass.
+    """
+    fork_ok = "fork" in multiprocessing.get_all_start_methods()
+    return timeout is None and (workers <= 1 or not fork_ok)
+
+
 def run_supervised(items: Sequence[Any],
                    evaluate: Callable[[Any], Any],
                    *,
@@ -602,9 +616,9 @@ def run_supervised(items: Sequence[Any],
             and fallback is None:
         raise TypeError("run_supervised needs a fallback record factory "
                         "when timeouts/quarantine are possible")
-    fork_ok = "fork" in multiprocessing.get_all_start_methods()
-    use_fork = (bool(items) and fork_ok
-                and (workers > 1 or policy.timeout is not None))
+    use_fork = (bool(items)
+                and "fork" in multiprocessing.get_all_start_methods()
+                and not evaluates_in_process(workers, policy.timeout))
     _emit(trace, "run_start", items=len(items),
           workers=workers if use_fork else 1,
           mode="fork" if use_fork else "serial",

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Sequence, Set, Tuple
 
-from .._profiling import COUNTERS
+from ..core.profiling import COUNTERS
 from ..faults.model import StructuralFault
 
 

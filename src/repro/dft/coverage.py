@@ -136,8 +136,7 @@ def run_paper_campaign(universe: Optional[List[StructuralFault]] = None,
                        checkpoint: Optional[str] = None,
                        timeout: Optional[float] = None,
                        max_retries: int = 1,
-                       trace: Optional[str] = None,
-                       collapse: str = "off") -> CoverageReport:
+                       trace: Optional[str] = None) -> CoverageReport:
     """Run the complete three-tier campaign over the fault universe.
 
     ``workers`` > 1 fans the universe out over supervised forked worker
@@ -146,15 +145,14 @@ def run_paper_campaign(universe: Optional[List[StructuralFault]] = None,
     the fork, so every worker inherits them for free.  ``checkpoint``
     names a JSONL file to stream completed records into (and resume
     from); ``timeout``/``max_retries``/``trace`` configure the
-    supervision layer.  ``collapse`` enables fault-universe compression
-    (one simulated representative per structural equivalence class,
-    DESIGN.md §14); ``"audit"`` additionally re-checks a seeded member
-    sample serially.
+    supervision layer.  An in-process run (one worker, no timeout)
+    simulates one representative per structural equivalence class
+    (DESIGN.md §14); the records are the same either way.
     """
     if universe is None:
         universe = build_fault_universe()
 
-    campaign = FaultCampaign(collapse=collapse)
+    campaign = FaultCampaign()
     for tier in create_tiers(("dc", "scan", "bist"), GoldenSignatures()):
         campaign.add_tier(tier)
     result = campaign.run(universe, progress=progress, workers=workers,

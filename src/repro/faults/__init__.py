@@ -7,8 +7,6 @@ from .campaign import (
     TIER_ORDER,
 )
 from .collapse import (
-    COLLAPSE_MODES,
-    CollapseAuditError,
     CollapseReport,
     FaultCollapser,
     universe_report,
@@ -39,8 +37,7 @@ from .sampling import (
 __all__ = [
     "map_fault_to_knobs",
     "CampaignResult", "FaultCampaign", "TIER_ORDER",
-    "COLLAPSE_MODES", "CollapseAuditError", "CollapseReport",
-    "FaultCollapser", "universe_report",
+    "CollapseReport", "FaultCollapser", "universe_report",
     "faults_for_caps", "faults_for_devices", "universe_summary",
     "InjectionError", "inject_fault", "make_injector",
     "DetectionRecord", "FaultKind", "MOSFET_FAULT_KINDS",

@@ -36,12 +36,13 @@ from dataclasses import dataclass
 from typing import (Callable, Dict, List, Mapping, Optional, Sequence, Set,
                     Tuple, Union)
 
-from .._profiling import COUNTERS
+from ..core.profiling import COUNTERS
 from ..analog.resilience import numerics_policy
 from ..analog.solver import SolverError
 from ..core.jsonl import DurableJsonlWriter, JsonlCheckpoint
 from ..core.supervisor import (OUTCOME_UNSOLVABLE, SUPERVISOR_TIER, RunTrace,
-                               SupervisorPolicy, run_supervised)
+                               SupervisorPolicy, evaluates_in_process,
+                               run_supervised)
 from .model import DetectionRecord, StructuralFault
 
 DetectorFunc = Callable[[StructuralFault], bool]
@@ -181,36 +182,27 @@ class FaultCampaign:
     outcomes — the ``--strict-numerics`` CLI semantics.  It is applied
     inside :meth:`evaluate`, so forked campaign workers inherit it.
 
-    ``collapse`` selects fault-universe compression (DESIGN.md §14):
-    ``"off"`` (default) evaluates every fault; ``"on"`` runs each tier's
-    ``detect_collapsed`` prepass, simulating one representative per
-    structural equivalence class and expanding the verdict to the class
-    members (records carry ``collapsed_from`` provenance); ``"audit"``
-    additionally re-runs a seeded sample of non-representatives through
-    the serial detectors and raises
-    :class:`~repro.faults.collapse.CollapseAuditError` on any verdict
-    mismatch.
+    A run that evaluates in-process (one worker, no timeout: see
+    :func:`~repro.core.supervisor.evaluates_in_process`) collapses the
+    fault universe first (DESIGN.md §14): each tier's
+    ``detect_collapsed`` simulates one representative per structural
+    equivalence class, and its verdict stands for every member.  Any
+    other run evaluates each fault on its own, since a forked run would
+    pay for the prepass serially before the fork and a ``timeout`` run
+    would simulate representatives outside the supervision it asked
+    for.  Records are the same either way and do not say which path
+    produced them.
     """
 
-    def __init__(self, strict_numerics: bool = False,
-                 collapse: str = "off"):
-        from .collapse import COLLAPSE_MODES
-
-        if collapse not in COLLAPSE_MODES:
-            raise ValueError(f"collapse must be one of {COLLAPSE_MODES}, "
-                             f"got {collapse!r}")
+    def __init__(self, strict_numerics: bool = False):
         self._tiers: List[Tuple[str, DetectorFunc, AppliesFunc]] = []
         self.strict_numerics = strict_numerics
-        self.collapse = collapse
         # tier objects (protocol form only) — the collapse prepass needs
         # the object to reach its detect_collapsed method
         self._tier_objects: Dict[str, object] = {}
         # (tier name, fault.key()) -> detected, filled by the collapse
         # prepass and consulted by evaluate() before running a detector
         self._precomputed: Dict[Tuple[str, Tuple], bool] = {}
-        # (tier name, fault.key()) -> representative fault.key(), filled
-        # by the collapse prepass for non-representative members
-        self._collapsed_from: Dict[Tuple[str, Tuple], Tuple] = {}
 
     @property
     def tier_names(self) -> Tuple[str, ...]:
@@ -220,17 +212,13 @@ class FaultCampaign:
     def checkpoints(self) -> JsonlCheckpoint:
         """The JSONL checkpoint format of this campaign's records.
 
-        Records resume only under the same tier pipeline, collapse
-        policy and numerics policy.  ``collapse`` and
-        ``strict_numerics`` enter the header only when set, so default
-        checkpoints stay byte-identical to earlier ones; ``"audit"``
-        records as ``"on"`` (the audit verifies the same records).
+        Records resume only under the same tier pipeline and numerics
+        policy.  ``strict_numerics`` enters the header only when set, so
+        default checkpoints stay byte-identical to earlier ones.
         """
         header: Dict[str, object] = {
             "format": _CHECKPOINT_FORMAT, "version": ARTIFACT_VERSION,
             "tier_order": list(self.tier_names)}
-        if self.collapse != "off":
-            header["collapse"] = "on"
         if self.strict_numerics:
             header["strict_numerics"] = True
         return JsonlCheckpoint(header, DetectionRecord.from_dict,
@@ -283,9 +271,6 @@ class FaultCampaign:
                 if pre is not None:
                     if pre:
                         rec.tiers[name] = True
-                    prov = self._collapsed_from.get((name, fault.key()))
-                    if prov is not None:
-                        rec.collapsed_from[name] = prov
                     continue
                 try:
                     if detector(fault):
@@ -307,10 +292,10 @@ class FaultCampaign:
             ) -> CampaignResult:
         """Evaluate every fault against every applicable tier.
 
-        With ``collapse`` on, a prepass in the parent process resolves
-        whole equivalence classes from one representative each (see
-        :meth:`_precompute_collapsed`) and the per-fault evaluation
-        consults those verdicts; everything else evaluates serially.
+        With one worker and no ``timeout`` the run evaluates in-process,
+        and a prepass first resolves whole equivalence classes from one
+        representative each (see :meth:`_precompute_collapsed`); the
+        per-fault evaluation then consults those verdicts.
 
         Execution is handed to :func:`repro.core.supervisor.run_supervised`:
         with ``workers`` > 1 (or a ``timeout`` set) and fork available,
@@ -333,7 +318,8 @@ class FaultCampaign:
 
         ``trace`` (a path or an open :class:`RunTrace`) streams the
         structured run-event log: worker spawns/deaths, dispatches,
-        per-fault durations, retries, timeouts and checkpoint writes.
+        per-fault durations, retries, timeouts and checkpoint writes,
+        and one ``class_resolved`` event per class the prepass resolved.
         """
         universe = list(universe)
         n = len(universe)
@@ -345,11 +331,16 @@ class FaultCampaign:
             if checkpoint is not None:
                 done, writer = self.checkpoints.resume(checkpoint)
                 stack.enter_context(writer)
+            if not isinstance(trace, RunTrace):
+                trace = None
             pending = [f for f in universe if f.key() not in done]
             base = n - len(pending)
             COUNTERS.campaign_faults += len(pending)
-            if self.collapse != "off":
-                self._precompute_collapsed(pending)
+            n_workers = (1 if workers is None
+                         else min(int(workers), max(len(pending), 1)))
+            self._precomputed.clear()
+            if evaluates_in_process(n_workers, timeout):
+                self._precompute_collapsed(pending, trace)
             completed = [base]
 
             def on_record(index: int, fault: StructuralFault,
@@ -357,26 +348,24 @@ class FaultCampaign:
                 done[fault.key()] = rec
                 if writer is not None:
                     writer.write_line(rec.to_dict())
-                    if isinstance(trace, RunTrace):
+                    if trace is not None:
                         trace.emit("checkpoint_write", item=index,
                                    fault=str(fault), outcome=outcome)
                 completed[0] += 1
                 if progress is not None:
                     progress(completed[0], n)
 
-            n_workers = (1 if workers is None
-                         else min(int(workers), max(len(pending), 1)))
             run_supervised(
                 pending, self.evaluate, workers=n_workers,
                 policy=SupervisorPolicy(timeout=timeout,
                                         max_retries=max_retries),
                 fallback=self._fallback_record, on_record=on_record,
-                trace=trace if isinstance(trace, RunTrace) else None)
+                trace=trace)
         return CampaignResult(records=[done[f.key()] for f in universe],
                               tier_order=self.tier_names)
 
-    def _precompute_collapsed(self,
-                              pending: Sequence[StructuralFault]) -> None:
+    def _precompute_collapsed(self, pending: Sequence[StructuralFault],
+                              trace: Optional[RunTrace]) -> None:
         """Collapse prepass: one representative simulation per class.
 
         Only runs when at least one tier object implements
@@ -385,11 +374,11 @@ class FaultCampaign:
         across tiers — the DC and scan tiers split the cost of the
         combined ``link_static`` stage.  A tier whose collapsed pass
         raises is skipped wholesale: its faults all evaluate serially.
-        Runs before workers fork, so every worker inherits the verdict
-        maps.
+        With *trace* open, each class whose verdict a representative
+        supplied to other members is logged as one ``class_resolved``
+        event (tier, representative, members) — the provenance records
+        do not carry.
         """
-        self._precomputed.clear()
-        self._collapsed_from.clear()
         tiers_with = [(name, self._tier_objects.get(name), applies)
                       for name, _, applies in self._tiers
                       if hasattr(self._tier_objects.get(name),
@@ -415,50 +404,16 @@ class FaultCampaign:
                     continue
                 for key, hit in resolved.items():
                     self._precomputed[(name, key)] = bool(hit)
-                for key, rep in provenance.items():
-                    self._collapsed_from[(name, key)] = tuple(rep)
-        if self.collapse == "audit":
-            self._audit(pending)
-
-    def _audit(self, pending: Sequence[StructuralFault]) -> None:
-        """Equivalence audit: serially re-detect a seeded sample of the
-        non-representative members and fail loudly on any divergence
-        from the class verdict (DESIGN.md §14)."""
-        import random
-
-        from .collapse import (AUDIT_FRACTION, AUDIT_SEED,
-                               CollapseAuditError)
-
-        pairs = sorted(self._collapsed_from)
-        if not pairs:
-            return
-        by_key = {f.key(): f for f in pending}
-        rng = random.Random(AUDIT_SEED)
-        n = max(1, int(len(pairs) * AUDIT_FRACTION))
-        sample = rng.sample(pairs, min(n, len(pairs)))
-        with numerics_policy(strict=self.strict_numerics):
-            for name, key in sample:
-                fault = by_key.get(key)
-                tier = self._tier_objects.get(name)
-                if fault is None or tier is None:
-                    continue
-                COUNTERS.audit_checks += 1
-                collapsed = self._precomputed[(name, key)]
-                try:
-                    serial = bool(tier.detect(fault))
-                except Exception as exc:  # noqa: BLE001 - audit is strict
-                    raise CollapseAuditError(
-                        f"collapse audit: tier {name!r} raised {exc!r} "
-                        f"for member {fault} whose class verdict is "
-                        f"{collapsed} (representative "
-                        f"{self._collapsed_from[(name, key)]})") from exc
-                if serial != collapsed:
-                    raise CollapseAuditError(
-                        f"collapse audit mismatch: tier {name!r}, fault "
-                        f"{fault}: serial detect says {serial}, class "
-                        f"verdict (via representative "
-                        f"{self._collapsed_from[(name, key)]}) says "
-                        f"{collapsed}")
+                if trace is not None:
+                    by_key = {f.key(): f for f in faults}
+                    classes: Dict[Tuple, List[str]] = {}
+                    for key, rep in provenance.items():
+                        classes.setdefault(tuple(rep), []).append(
+                            str(by_key[key]))
+                    for rep, members in classes.items():
+                        trace.emit("class_resolved", tier=name,
+                                   representative=str(by_key[rep]),
+                                   members=members)
 
     def _fallback_record(self, fault: StructuralFault, outcome: str,
                          detail: str) -> DetectionRecord:

@@ -10,10 +10,11 @@ no-op.  This module maps each
 perturbation* its injection applies to the relevant golden circuit — a
 node-renaming-invariant digest of the added / rewired stamps restricted
 to the observation cone — and groups faults whose perturbations are
-identical per test tier.  Campaigns then simulate one representative
-per group and expand its verdict to the members
-(``FaultCampaign(collapse="on")``), with a seeded audit mode that fully
-re-simulates sampled members and fails loudly on any mismatch.
+identical per test tier.  A campaign that evaluates in-process then
+simulates one representative per group and expands its verdict to the
+members (:meth:`repro.faults.campaign.FaultCampaign.run`); CI proves
+the equivalence by comparing whole exports with the per-fault path and
+the committed verdicts.
 
 The digests are structural, not stimulus-specific: two faults with the
 same digest in a context produce identical netlists up to the renaming
@@ -36,13 +37,6 @@ from .behavior_map import map_fault_to_knobs
 from .inject import GATE_LEAK_DRIFT
 from .model import FaultKind, R_SHORT, StructuralFault
 
-#: recognised ``--collapse`` modes
-COLLAPSE_MODES = ("off", "on", "audit")
-
-#: seed + fraction for the equivalence audit's member sample
-AUDIT_SEED = 2016
-AUDIT_FRACTION = 0.1
-
 #: test tiers that consume structural signatures, in evaluation order
 SIGNATURE_TIERS = ("dc", "scan", "bist")
 
@@ -54,10 +48,6 @@ BLOCK_TAGS = {
     "window_comp": ("R",),
     "vcdl": ("V", "C"),
 }
-
-
-class CollapseAuditError(AssertionError):
-    """A collapsed verdict disagreed with a full member re-simulation."""
 
 
 def canon_value(v: Any) -> Any:

@@ -116,21 +116,17 @@ class DetectionRecord:
     an unevaluated fault must never inflate coverage — and they stay
     visible in the accounting instead of being silently dropped.
 
-    ``collapsed_from`` is the equivalence-class provenance of a
-    collapsed campaign (DESIGN.md §14): tier name -> the ``key()`` of
-    the representative fault whose simulation produced this record's
-    verdict for that tier.  Empty for representatives and for
-    uncollapsed runs, and serialized only when non-empty, so
-    ``--collapse off`` artifacts stay byte-identical to earlier PRs.
+    A record does not say how its verdicts were reached: a collapsed
+    campaign's records equal per-fault ones, and the representative
+    behind each copied verdict goes to the run trace (DESIGN.md §14).
     """
 
-    __slots__ = ("fault", "tiers", "errors", "outcome", "collapsed_from")
+    __slots__ = ("fault", "tiers", "errors", "outcome")
 
     def __init__(self, fault: StructuralFault,
                  tiers: Optional[Mapping[str, bool]] = None,
                  errors: Optional[Iterable[Sequence[str]]] = None,
                  outcome: str = "ok",
-                 collapsed_from: Optional[Mapping[str, Sequence[str]]] = None,
                  **tier_flags: bool):
         self.fault = fault
         self.tiers: Dict[str, bool] = {name: True for name, hit
@@ -141,9 +137,6 @@ class DetectionRecord:
         self.errors: List[Tuple[str, str]] = \
             [tuple(e) for e in (errors or [])]
         self.outcome = outcome
-        self.collapsed_from: Dict[str, Tuple[str, str, str, str]] = \
-            {name: tuple(key) for name, key
-             in (collapsed_from or {}).items()}
 
     # -- paper-tier attribute compatibility ----------------------------
     @property
@@ -182,8 +175,7 @@ class DetectionRecord:
             return NotImplemented
         return (self.fault == other.fault and self.tiers == other.tiers
                 and self.errors == other.errors
-                and self.outcome == other.outcome
-                and self.collapsed_from == other.collapsed_from)
+                and self.outcome == other.outcome)
 
     __hash__ = None  # mutable
 
@@ -203,17 +195,14 @@ class DetectionRecord:
             "errors": [list(e) for e in self.errors]}
         if self.outcome != "ok":
             data["outcome"] = self.outcome
-        # provenance only when non-trivial: uncollapsed artifacts stay
-        # byte-identical to pre-collapse ones
-        if self.collapsed_from:
-            data["collapsed_from"] = {name: list(key) for name, key
-                                      in self.collapsed_from.items()}
         return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "DetectionRecord":
+        """Parse a :meth:`to_dict` document; keys it does not know, such
+        as the per-member provenance that older collapsed runs stored,
+        are ignored."""
         return cls(fault=StructuralFault.from_dict(data["fault"]),
                    tiers=data.get("tiers") or {},
                    errors=data.get("errors") or [],
-                   outcome=str(data.get("outcome", "ok")),
-                   collapsed_from=data.get("collapsed_from") or {})
+                   outcome=str(data.get("outcome", "ok")))

@@ -51,7 +51,7 @@ import threading
 import time
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from .._profiling import COUNTERS
+from ..core.profiling import COUNTERS
 from .coordinator import Coordinator, JobOutcome, derive_progress
 from .spec import CampaignSpec
 from .store import ResultStore

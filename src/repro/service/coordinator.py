@@ -52,7 +52,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .._profiling import COUNTERS
+from ..core.profiling import COUNTERS
 from ..core.jsonl import read_events
 from ..core.supervisor import (RunTrace, SupervisorPolicy, run_supervised)
 from .shard import build_job, shard_ranges

@@ -100,8 +100,7 @@ class FaultCampaignJob(ShardedJob):
                                          seed=spec.seed)
         self.universe = list(universe)
         self.keys = [f.key() for f in self.universe]
-        self.campaign = FaultCampaign(
-            strict_numerics=spec.strict_numerics, collapse=spec.collapse)
+        self.campaign = FaultCampaign(strict_numerics=spec.strict_numerics)
         for tier in create_tiers(spec.tiers, GoldenSignatures()):
             self.campaign.add_tier(tier)
 
@@ -133,8 +132,7 @@ class MonteCarloJob(ShardedJob):
         self.campaign = MonteCarloCampaign(
             tiers=spec.tiers, corner=get_corner(spec.corner),
             model=model, seed=spec.seed,
-            strict_numerics=spec.strict_numerics,
-            collapse=spec.collapse)
+            strict_numerics=spec.strict_numerics)
 
     def run_shard(self, lo: int, hi: int, checkpoint: str,
                   trace: Optional[str] = None) -> None:

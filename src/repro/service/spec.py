@@ -5,12 +5,11 @@ a campaign run: the campaign kind (fault ``campaign``, Monte-Carlo
 ``mc``, coverage-vs-pattern ``patterns``) plus the knobs the matching
 CLI command exposes.  Two groups of fields matter differently:
 
-* **result-determining** fields (tiers/patterns, collapse policy,
-  numerics policy, seed, sample, die population, corner, mismatch
-  sigmas) — together with the *netlist digest* of the fault
-  universe they form the store key: two specs with equal keys produce
-  byte-identical artifacts, so the second submission may be served
-  from the store;
+* **result-determining** fields (tiers/patterns, numerics policy,
+  seed, sample, die population, corner, mismatch sigmas) — together
+  with the *netlist digest* of the fault universe they form the store
+  key: two specs with equal keys produce byte-identical artifacts, so
+  the second submission may be served from the store;
 * **execution-only** fields (``shards``, ``workers``) — they change
   how the work is scheduled, never what it produces (the
   ``service-parity`` guard pins that), so they are excluded from the
@@ -66,15 +65,15 @@ class CampaignSpec:
     ``sample`` subsamples the fault universe of the ``campaign`` and
     ``patterns`` kinds (``None`` or 0: the full universe); an mc run
     draws its own per-die faults and ignores it.  The ``patterns`` kind
-    runs neither collapsed nor under strict numerics, so it refuses
-    both.  ``sigma_vt_mv`` / ``sigma_kp_pct`` carry the CLI units
-    (mV, %).
+    does not run under strict numerics, so it refuses that.  The tier
+    list of the ``campaign`` and ``mc`` kinds and the pattern list of
+    the ``patterns`` kind must not be empty.  ``sigma_vt_mv`` /
+    ``sigma_kp_pct`` carry the CLI units (mV, %).
     """
 
     kind: str
     seed: int = 2016
     sample: Optional[int] = None
-    collapse: str = "off"
     strict_numerics: bool = False
     tiers: Tuple[str, ...] = _DEFAULT_TIERS
     # -- mc only -------------------------------------------------------
@@ -89,8 +88,6 @@ class CampaignSpec:
     workers: Optional[int] = None
 
     def __post_init__(self):
-        from ..faults.collapse import COLLAPSE_MODES
-
         if self.kind not in SPEC_KINDS:
             raise ValueError(f"kind must be one of {SPEC_KINDS}, "
                              f"got {self.kind!r}")
@@ -100,17 +97,15 @@ class CampaignSpec:
             raise ValueError("mc spec needs dies >= 1")
         if self.sample is not None and self.sample < 0:
             raise ValueError("sample must be >= 0")
-        if self.collapse not in COLLAPSE_MODES:
-            raise ValueError(f"collapse must be one of {COLLAPSE_MODES}, "
-                             f"got {self.collapse!r}")
-        if self.kind == "patterns" and self.collapse != "off":
-            raise ValueError("patterns spec runs uncollapsed "
-                             "(collapse must be 'off')")
         if self.kind == "patterns" and self.strict_numerics:
             raise ValueError("patterns spec does not support "
                              "strict_numerics")
         object.__setattr__(self, "tiers", tuple(self.tiers))
         object.__setattr__(self, "patterns", tuple(self.patterns))
+        if self.kind in ("campaign", "mc") and not self.tiers:
+            raise ValueError(f"{self.kind} spec needs at least one tier")
+        if self.kind == "patterns" and not self.patterns:
+            raise ValueError("patterns spec needs at least one pattern")
 
     # -- content addressing --------------------------------------------
     def store_key(self) -> Dict[str, object]:
@@ -132,7 +127,10 @@ class CampaignSpec:
             # retired: keeps every spec's digest, so stores and shard
             # checkpoints written with the entry stay valid
             "backend": "serial",
-            "collapse": self.collapse,
+            # constant since collapsing became an execution detail (an
+            # in-process run collapses, records never show it): keeps
+            # every spec's digest for the same reason
+            "collapse": "off",
             "strict_numerics": self.strict_numerics,
         }
         if self.kind in ("campaign", "mc"):
@@ -158,7 +156,6 @@ class CampaignSpec:
             "kind": self.kind,
             "seed": self.seed,
             "sample": self.sample,
-            "collapse": self.collapse,
             "strict_numerics": self.strict_numerics,
             "tiers": list(self.tiers),
             "dies": self.dies,
@@ -174,7 +171,10 @@ class CampaignSpec:
     def from_dict(cls, data: Mapping[str, object]) -> "CampaignSpec":
         """Parse a :meth:`to_dict` document.  Keys this version does
         not know are ignored, so documents older versions wrote (with
-        entries since retired) still load."""
+        the since retired ``backend`` and ``collapse`` entries) still
+        load.  A stored empty tier or pattern list reaches the
+        constructor's check as written instead of becoming the
+        default."""
         if data.get("format") != _SPEC_FORMAT:
             raise ValueError(
                 f"not a campaign spec: {data.get('format')!r}")
@@ -186,14 +186,15 @@ class CampaignSpec:
             seed=int(data.get("seed", 2016)),
             sample=(None if data.get("sample") is None
                     else int(data["sample"])),
-            collapse=str(data.get("collapse", "off")),
             strict_numerics=bool(data.get("strict_numerics", False)),
-            tiers=tuple(data.get("tiers") or _DEFAULT_TIERS),
+            tiers=tuple(_DEFAULT_TIERS if data.get("tiers") is None
+                        else data["tiers"]),
             dies=int(data.get("dies", 64)),
             corner=str(data.get("corner", "TT")),
             sigma_vt_mv=float(data.get("sigma_vt_mv", 5.0)),
             sigma_kp_pct=float(data.get("sigma_kp_pct", 2.0)),
-            patterns=tuple(data.get("patterns") or _DEFAULT_PATTERNS),
+            patterns=tuple(_DEFAULT_PATTERNS if data.get("patterns") is None
+                           else data["patterns"]),
             shards=int(data.get("shards", 1)),
             workers=(None if data.get("workers") is None
                      else int(data["workers"])),

@@ -3,8 +3,8 @@
 Entries live under ``<root>/<digest[:2]>/<digest>.json``, keyed by the
 spec's :meth:`~repro.service.spec.CampaignSpec.digest` — a hash over
 the netlist digest, the result-determining campaign config (tiers or
-patterns, collapse policy, numerics policy, sample, die population,
-corner, sigmas) and the seed.  Anything that could move a
+patterns, numerics policy, sample, die population, corner, sigmas) and
+the seed.  Anything that could move a
 verdict changes the key; anything that only changes scheduling
 (shards, workers) does not.
 
@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .._profiling import COUNTERS
+from ..core.profiling import COUNTERS
 from ..core.failpoints import failpoint
 from .spec import SERVICE_VERSION, CampaignSpec
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
-from .._profiling import COUNTERS
+from ..core.profiling import COUNTERS
 from ..analog.corners import ProcessCorner, get_corner
 from ..analog.resilience import numerics_policy
 from ..analog.solver import SolverError
@@ -155,7 +155,6 @@ class MCResult:
     corner: str = "TT"
     model: MismatchModel = field(default_factory=MismatchModel)
     strict_numerics: bool = False
-    collapse: str = "off"
 
     def __post_init__(self):
         self.tier_order = tuple(self.tier_order)
@@ -226,8 +225,7 @@ class MCResult:
                 "version": ARTIFACT_VERSION,
                 "config": _config_dict(self.seed, self.corner,
                                        self.tier_order, self.model,
-                                       self.strict_numerics,
-                                       self.collapse),
+                                       self.strict_numerics),
                 "dies": self.total,
                 "records": [r.to_dict() for r in self.records]}
 
@@ -249,8 +247,7 @@ class MCResult:
                    corner=str(config.get("corner", "TT")),
                    model=_model_from_config(config),
                    strict_numerics=bool(config.get("strict_numerics",
-                                                   False)),
-                   collapse=str(config.get("collapse", "off")))
+                                                   False)))
 
     @classmethod
     def from_json(cls, text: str) -> "MCResult":
@@ -268,17 +265,13 @@ class MCResult:
 
 def _config_dict(seed: int, corner: str, tiers: Sequence[str],
                  model: MismatchModel,
-                 strict_numerics: bool = False,
-                 collapse: str = "off") -> Dict[str, object]:
+                 strict_numerics: bool = False) -> Dict[str, object]:
     """The campaign parameters that must match for records to mix.
 
     ``strict_numerics`` is emitted only when set: strict runs settle
     degraded solves differently, so their records must not mix with
     default-policy ones — while default-policy artifacts stay
-    byte-identical to pre-resilience ones.  ``collapse`` likewise: a
-    collapsed run detects through class representatives, so its records
-    must not mix with per-fault ones (``audit`` records as ``"on"`` —
-    the audit is a verification layer over the same records).
+    byte-identical to pre-resilience ones.
     """
     config: Dict[str, object] = {
         "seed": seed, "corner": corner, "tiers": list(tiers),
@@ -287,8 +280,6 @@ def _config_dict(seed: int, corner: str, tiers: Sequence[str],
         "reference_area": model.reference_area}
     if strict_numerics:
         config["strict_numerics"] = True
-    if collapse != "off":
-        config["collapse"] = "on"
     return config
 
 
@@ -310,23 +301,17 @@ class MonteCarloCampaign:
                  model: Optional[MismatchModel] = None,
                  seed: int = 2016,
                  universe: Optional[Sequence[StructuralFault]] = None,
-                 strict_numerics: bool = False,
-                 collapse: str = "off"):
+                 strict_numerics: bool = False):
         # the dft package routes its DUT builders through this package's
         # context seam, so import it lazily to keep the layering acyclic
         from ..dft.coverage import build_fault_universe
         from ..dft.golden import GoldenSignatures
         from ..dft.registry import create_tier
-        from ..faults.collapse import COLLAPSE_MODES
 
-        if collapse not in COLLAPSE_MODES:
-            raise ValueError(f"collapse must be one of {COLLAPSE_MODES}, "
-                             f"got {collapse!r}")
         self.seed = int(seed)
         self.corner = corner if corner is not None else get_corner("TT")
         self.model = model if model is not None else MismatchModel()
         self.strict_numerics = bool(strict_numerics)
-        self.collapse = collapse
         # tiers (and their goldens) are built OUTSIDE any die context:
         # the tester's expected signatures are the nominal design's, and
         # a die fails a screen exactly when mismatch moves an observable
@@ -346,21 +331,6 @@ class MonteCarloCampaign:
                              "fault universe")
         self._ctx = DieContext(seed=self.seed, model=self.model,
                                corner=self.corner)
-        # fault key -> class-representative fault (DESIGN.md §14).  The
-        # map is built here, OUTSIDE any die context: the structural
-        # digests must come from the nominal netlists, not a die-shifted
-        # realisation, so the substitution is the same for every die.
-        self._rep_map: Dict[Tuple, StructuralFault] = {}
-        if self.collapse != "off":
-            from ..faults.collapse import FaultCollapser
-
-            collapser = FaultCollapser(goldens=goldens)
-            self._rep_map = collapser.representative_map(self.universe)
-
-    def _rep_for(self, fault: StructuralFault) -> StructuralFault:
-        """The fault actually simulated for detection: the fault's class
-        representative under collapsing, the fault itself otherwise."""
-        return self._rep_map.get(fault.key(), fault)
 
     # ------------------------------------------------------------------
     def evaluate_die(self, die_index: int) -> DieRecord:
@@ -398,12 +368,11 @@ class MonteCarloCampaign:
                 except Exception as exc:  # noqa: BLE001 - keep run alive
                     healthy[tier.name] = False
                     errors.append((tier.name, repr(exc)))
-            rep = self._rep_for(fault)
             for tier in self._tiers:
                 hit = False
                 if tier.applies_to(fault):
                     try:
-                        hit = bool(tier.detect(rep))
+                        hit = bool(tier.detect(fault))
                     except SolverError as exc:
                         errors.append((tier.name, repr(exc)))
                         outcome = OUTCOME_UNSOLVABLE
@@ -476,8 +445,6 @@ class MonteCarloCampaign:
                                         max_retries=max_retries),
                 fallback=self._fallback_record, on_record=on_record,
                 trace=trace if isinstance(trace, RunTrace) else None)
-        if self.collapse == "audit":
-            self._audit(done)
         return self.result([done[i] for i in indices])
 
     @property
@@ -485,13 +452,13 @@ class MonteCarloCampaign:
         """The JSONL checkpoint format of this campaign's die records.
 
         The header carries the full campaign config (seed, corner,
-        tiers, mismatch model, numerics and collapse policy): a record
+        tiers, mismatch model and numerics policy): a record
         sampled under different parameters is a different die, and
         mixing them would corrupt every rate.
         """
         config = _config_dict(self.seed, self.corner.name,
                               self.tier_names, self.model,
-                              self.strict_numerics, self.collapse)
+                              self.strict_numerics)
         return JsonlCheckpoint(
             {"format": _CHECKPOINT_FORMAT, "version": ARTIFACT_VERSION,
              "config": config},
@@ -502,55 +469,7 @@ class MonteCarloCampaign:
         return MCResult(records=list(records),
                         tier_order=self.tier_names, seed=self.seed,
                         corner=self.corner.name, model=self.model,
-                        strict_numerics=self.strict_numerics,
-                        collapse="off" if self.collapse == "off" else "on")
-
-    def _audit(self, done: Mapping[int, DieRecord]) -> None:
-        """Equivalence audit under variation (DESIGN.md §14): for a
-        seeded sample of cleanly evaluated dies whose fault was
-        substituted by a class representative, re-run the *actual*
-        fault through every applicable tier on that die and fail
-        loudly on any divergence from the recorded verdicts."""
-        import random
-
-        from ..faults.collapse import (AUDIT_FRACTION, AUDIT_SEED,
-                                       CollapseAuditError)
-
-        candidates = [die for die in sorted(done)
-                      if done[die].outcome == "ok"
-                      and self._rep_for(done[die].fault).key()
-                      != done[die].fault.key()]
-        if not candidates:
-            return
-        rng = random.Random(AUDIT_SEED)
-        n = max(1, int(len(candidates) * AUDIT_FRACTION))
-        sample = rng.sample(candidates, min(n, len(candidates)))
-        with activated(self._ctx), \
-                numerics_policy(strict=self.strict_numerics):
-            for die in sample:
-                rec = done[die]
-                self._ctx.set_die(die)
-                rep = self._rep_for(rec.fault)
-                for tier in self._tiers:
-                    if not tier.applies_to(rec.fault):
-                        continue
-                    COUNTERS.audit_checks += 1
-                    recorded = rec.detected.get(tier.name, False)
-                    try:
-                        serial = bool(tier.detect(rec.fault))
-                    except Exception as exc:  # noqa: BLE001 - strict
-                        raise CollapseAuditError(
-                            f"collapse audit: die {die}, tier "
-                            f"{tier.name!r} raised {exc!r} for fault "
-                            f"{rec.fault} (representative {rep}, "
-                            f"recorded verdict {recorded})") from exc
-                    if serial != recorded:
-                        raise CollapseAuditError(
-                            f"collapse audit mismatch: die {die}, tier "
-                            f"{tier.name!r}, fault {rec.fault}: direct "
-                            f"detect says {serial}, recorded verdict "
-                            f"(via representative {rep}) says "
-                            f"{recorded}")
+                        strict_numerics=self.strict_numerics)
 
     def _fallback_record(self, die: int, outcome: str,
                          detail: str) -> DieRecord:

@@ -38,7 +38,7 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .._profiling import COUNTERS
+from ..core.profiling import COUNTERS
 from ..analog.corners import TT
 from ..analog.devices import CurrentSource, VoltageSource
 from ..analog.mosfet import MOSFET, MOSParams

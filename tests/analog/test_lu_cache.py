@@ -9,7 +9,7 @@ factorizations — the accounting, not the cache, was broken).
 
 import numpy as np
 
-from repro._profiling import COUNTERS
+from repro.core.profiling import COUNTERS
 from repro.analog.assembly import LinearSolverCache
 from repro.analog.solver import factor, solve_factored
 

@@ -9,7 +9,7 @@ freshly compiled circuit carrying the same parameters.
 
 import pytest
 
-from repro._profiling import COUNTERS
+from repro.core.profiling import COUNTERS
 from repro.analog import Circuit, dc_operating_point
 from repro.analog.mosfet import MOSFET
 

@@ -72,13 +72,19 @@ class TestPublicMethodsDocumented:
 
 class TestNoCircularImportSurprises:
     def test_substrates_import_without_core(self):
-        """The lazy top-level exports must keep substrates standalone."""
+        """The lazy top-level exports must keep substrates standalone:
+        the engines count through ``repro.core.profiling``, and the
+        lazy ``repro.core`` package must load nothing else with it (no
+        facade, report, supervisor or config module)."""
         import subprocess
         import sys
 
         code = ("import repro.analog, repro.channel, repro.digital; "
                 "import sys; "
-                "assert 'repro.core' not in sys.modules, 'core leaked'; "
+                "core = sorted(m for m in sys.modules "
+                "if m.startswith('repro.core')); "
+                "assert core == ['repro.core', 'repro.core.profiling'], "
+                "f'core leaked: {core}'; "
                 "print('ok')")
         out = subprocess.run([sys.executable, "-c", code],
                              capture_output=True, text=True)

@@ -6,7 +6,8 @@ tail and corruption policy is proved here once, on files written by the
 real writers:
 
 * a stub-tier fault campaign whose records include an ``unsolvable``
-  record with errors, a tier-bug record and a ``collapsed_from`` record;
+  record with errors, a tier-bug record and a record whose verdict came
+  from the collapse prepass;
 * a one-tier Monte-Carlo campaign;
 * a :class:`~repro.core.supervisor.RunTrace`.
 
@@ -88,7 +89,7 @@ def singleton_collapser(monkeypatch):
 
 
 def stub_campaign():
-    campaign = FaultCampaign(collapse="on")
+    campaign = FaultCampaign()
     campaign.add_tier(_StubTier())
     campaign.add_tier("beta", lambda f: f.kind.is_short)
     return campaign
@@ -135,7 +136,8 @@ def fault_file(tmp_path_factory):
     outcomes = {r.fault.device: r for r in result.records}
     assert outcomes["d2"].outcome == "unsolvable" and outcomes["d2"].errors
     assert outcomes["d3"].errors and outcomes["d3"].outcome == "ok"
-    assert outcomes["d5"].collapsed_from == {"alpha": UNIVERSE[4].key()}
+    # the prepass verdict: alpha's own detector would miss d5
+    assert outcomes["d5"].hit("alpha")
     with open(path, "rb") as fh:
         data = fh.read()
     return _Written(data, DetectionRecord.from_dict,

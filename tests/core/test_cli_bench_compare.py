@@ -1,4 +1,5 @@
-"""CLI tests for ``repro bench --compare`` and the ``--collapse`` flag."""
+"""CLI tests for ``repro bench --compare``, the retired ``--backend`` and
+``--collapse`` flags, and the ``collapse:`` counter line."""
 
 import json
 import shutil
@@ -49,7 +50,7 @@ class TestBenchCompare:
         """BENCH_PR14.json still carries the retired ``backend`` /
         ``backend_economics`` keys and the batched-only counters; an
         artifact of today's engine has neither, and the diff runs."""
-        from repro._profiling import COUNTERS
+        from repro.core.profiling import COUNTERS
 
         pr14 = REPO_ROOT / "benchmarks" / "BENCH_PR14.json"
         shutil.copy(pr14, tmp_path / "BENCH_PR14.json")
@@ -89,19 +90,68 @@ class TestBenchCompare:
 
 
 class TestCollapseFlag:
-    @pytest.mark.parametrize("command", ["coverage", "campaign", "mc"])
-    @pytest.mark.parametrize("mode", ["off", "on", "audit"])
-    def test_accepted(self, command, mode):
-        args = build_parser().parse_args([command, "--collapse", mode])
-        assert args.collapse == mode
+    """``--collapse`` is retired: a fault campaign collapses exactly when
+    it evaluates in-process, and no record shows whether it did."""
+
+    @pytest.mark.parametrize("command", ["coverage", "campaign", "mc",
+                                         "submit"])
+    def test_is_a_usage_error(self, command, capsys):
+        argv = [command] + (["campaign"] if command == "submit" else [])
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + ["--collapse", "on"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --collapse" in \
+            capsys.readouterr().err
 
     def test_rejects_unknown(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["campaign", "--collapse", "maybe"])
 
     @pytest.mark.parametrize("command", ["coverage", "campaign", "mc"])
-    def test_default_is_off(self, command):
-        assert build_parser().parse_args([command]).collapse == "off"
+    def test_default_is_off(self, command, tmp_path, capsys):
+        """The flag's default, ``off``, evaluated every fault (die) on its
+        own, and a default run still reports exactly that: it collapses
+        in-process now, yet prints and exports what the per-item path
+        (``--workers 2``) does."""
+        from repro.core.profiling import profiled
+
+        size = ["--dies", "2"] if command == "mc" else ["--sample", "12"]
+        seen = []
+        for flags in ([], ["--workers", "2"]):
+            argv = [command, *size, *flags]
+            export = tmp_path / f"run{len(seen)}.json"
+            if command != "coverage":
+                argv += ["--export", str(export)]
+            with profiled() as counters:
+                assert main(argv) == 0
+            if not flags:
+                # the in-process run really went through the classes
+                assert (counters.class_hits > 0) == (command != "mc")
+            out = [line for line in capsys.readouterr().out.splitlines()
+                   if not line.startswith(("collapse:", "wrote "))]
+            seen.append((out, export.read_bytes()
+                         if export.exists() else None))
+        assert seen[0] == seen[1]
+
+
+class TestCollapseLine:
+    """Only an in-process run collapses, so only it prints the
+    ``collapse:`` counter line."""
+
+    @pytest.mark.parametrize("flags, printed", [
+        ([], True),
+        (["--workers", "2"], False),
+        (["--timeout", "600"], False),
+    ], ids=["in-process", "workers-2", "timeout"])
+    def test_printed_only_in_process(self, flags, printed, capsys):
+        from repro.core.profiling import profiled
+
+        # a CLI process starts with zeroed counters; so does this run
+        with profiled():
+            assert main(["campaign", "--sample", "8", "--tiers", "dc",
+                         *flags]) == 0
+        out = capsys.readouterr().out
+        assert ("collapse:" in out) == printed
 
 
 class TestBackendFlagRetired:

@@ -1,202 +1,256 @@
 """Campaign-level tests for fault-universe compression.
 
-The collapse contract: with ``collapse="on"`` every verdict, error and
-outcome must match the uncollapsed run field for field — the only
-permitted difference is the ``collapsed_from`` provenance.
-``collapse="off"`` artifacts must stay byte-identical to the
-pre-collapse format (no provenance key at all),
-``"audit"`` must fail loudly on a lying tier, and checkpoints refuse
-cross-policy resumes.
+The collapse contract: a campaign collapses exactly when it evaluates
+in-process (one worker, no timeout), and its records are the per-fault
+path's byte for byte — a record never says how it was reached.  The
+representative behind each copied verdict goes to the run trace, one
+``class_resolved`` event per class.  The 24 termination faults form
+real multi-member classes, so every execution path below (in-process,
+``workers=2``, a 2-shard service merge, a resume from a checkpoint
+holding the first half) mixes copied and simulated verdicts, and the
+classes of a half or a shard differ from those of the whole.
 """
+
+import json
 
 import pytest
 
+from repro.core.jsonl import read_events
 from repro.core.profiling import profiled
 from repro.dft.coverage import build_fault_universe
 from repro.dft.golden import GoldenSignatures
 from repro.dft.registry import create_tiers
 from repro.faults import CampaignResult, FaultCampaign
-from repro.faults.collapse import CollapseAuditError
 from repro.faults.model import FaultKind, StructuralFault
 
 
 @pytest.fixture(scope="module")
 def universe():
     """The termination block: 24 faults rich in series-chain opens, so
-    real multi-member classes exist and provenance is exercised."""
+    real multi-member classes exist."""
     return [f for f in build_fault_universe() if f.block == "termination"]
 
 
-def _run(universe, collapse, **kwargs):
-    campaign = FaultCampaign(collapse=collapse)
+def _campaign():
+    campaign = FaultCampaign()
     for tier in create_tiers(("dc", "scan", "bist"), GoldenSignatures()):
         campaign.add_tier(tier)
-    return campaign.run(universe, **kwargs)
+    return campaign
+
+
+def _run(universe, **kwargs):
+    return _campaign().run(universe, **kwargs)
+
+
+def _per_fault(universe):
+    """The oracle: every fault through every tier's own detector, with
+    no collapse prepass."""
+    campaign = _campaign()
+    return CampaignResult([campaign.evaluate(f) for f in universe],
+                          campaign.tier_names)
+
+
+def _classes(path):
+    return [e for e in read_events(path) if e["event"] == "class_resolved"]
 
 
 @pytest.fixture(scope="module")
-def off_result(universe):
-    return _run(universe, "off")
+def per_fault(universe):
+    return _per_fault(universe)
 
 
 @pytest.fixture(scope="module")
-def on_result(universe):
-    return _run(universe, "on")
+def traced(universe, tmp_path_factory):
+    """An in-process traced run, its class events and its counters."""
+    path = str(tmp_path_factory.mktemp("trace") / "run.jsonl")
+    with profiled() as counters:
+        result = _run(universe, trace=path)
+        snapshot = counters.snapshot()
+    return result, _classes(path), snapshot
 
 
 class TestVerdictParity:
-    def test_field_wise_parity_ignoring_provenance(self, universe,
-                                                   off_result, on_result):
-        assert len(on_result.records) == len(off_result.records)
-        for a, b in zip(on_result.records, off_result.records):
-            assert a.fault == b.fault
-            assert a.tiers == b.tiers
-            assert a.errors == b.errors
-            assert a.outcome == b.outcome
+    def test_collapsed_export_matches_per_fault_export(self, traced,
+                                                       per_fault):
+        assert traced[0].to_json() == per_fault.to_json()
 
-    def test_collapse_actually_engaged(self, universe):
-        with profiled() as counters:
-            _run(universe, "on")
-        assert counters.classes
-        assert counters.classes < len(universe)
-        assert counters.collapse_rep_evals
-        assert counters.class_hits, \
+    def test_collapse_actually_engaged(self, universe, traced):
+        counters = traced[2]
+        assert counters["classes"]
+        assert counters["classes"] < len(universe)
+        assert counters["collapse_rep_evals"]
+        assert counters["class_hits"], \
             "no verdict was ever copied from a representative"
 
-    def test_off_artifact_has_no_provenance_key(self, off_result):
-        """Byte-level format stability: uncollapsed exports must be
-        indistinguishable from pre-collapse ones."""
-        assert "collapsed_from" not in off_result.to_json()
+    def test_artifact_has_no_provenance_key(self, traced):
+        for rec in traced[0].to_dict()["records"]:
+            assert set(rec) <= {"fault", "tiers", "errors", "outcome"}
 
-    def test_on_artifact_carries_provenance(self, on_result):
-        collapsed = [r for r in on_result.records if r.collapsed_from]
-        assert collapsed, "expected at least one non-representative"
-        for rec in collapsed:
-            for tier, rep_key in rec.collapsed_from.items():
-                assert tier in on_result.tier_order
-                assert tuple(rep_key) != rec.fault.key()
+    def test_stored_provenance_is_ignored(self, traced):
+        """Exports older collapsed runs wrote carry per-member
+        provenance; they load to the same records and re-export to the
+        bytes of today's."""
+        doc = traced[0].to_dict()
+        for rec in doc["records"]:
+            rec["collapsed_from"] = {"dc": list(rec["fault"].values())}
+        back = CampaignResult.from_dict(doc)
+        assert back.records == traced[0].records
+        assert back.to_json() == traced[0].to_json()
 
-    def test_provenance_round_trips(self, on_result):
-        back = CampaignResult.from_json(on_result.to_json())
-        assert back.records == on_result.records
-        assert [r.collapsed_from for r in back.records] == \
-            [r.collapsed_from for r in on_result.records]
+
+class TestOnlyInProcessRunsCollapse:
+    @pytest.mark.parametrize("kwargs", [dict(workers=2),
+                                        dict(timeout=600.0)],
+                             ids=["workers-2", "timeout"])
+    def test_supervised_runs_evaluate_per_fault(self, universe, per_fault,
+                                                kwargs, tmp_path):
+        """No prepass runs in the parent (its class counter stays 0 and
+        the trace names no class), and the export is the same."""
+        path = str(tmp_path / "run.jsonl")
+        with profiled() as counters:
+            result = _run(universe, trace=path, **kwargs)
+            classes = counters.classes
+        assert classes == 0
+        assert _classes(path) == []
+        assert result.to_json() == per_fault.to_json()
+
+
+class TestExportIsPathIndependent:
+    """The shard and resume cases collapse a part of the universe, so
+    their classes differ from the whole run's; their exports must not."""
+
+    def test_two_shard_job_merge(self, universe, traced, tmp_path,
+                                 monkeypatch):
+        from repro.service.shard import FaultCampaignJob, shard_ranges
+        from repro.service.spec import CampaignSpec
+
+        monkeypatch.setattr("repro.dft.coverage.build_fault_universe",
+                            lambda: list(universe))
+        job = FaultCampaignJob(CampaignSpec("campaign", shards=2))
+        paths = []
+        for i, (lo, hi) in enumerate(shard_ranges(job.items, 2)):
+            paths.append(str(tmp_path / f"shard-{i}.jsonl"))
+            job.run_shard(lo, hi, paths[-1])
+        merged = json.dumps(job.merge(paths))
+        assert merged == traced[0].to_json()
+
+    def test_resumed_from_first_half(self, universe, traced, tmp_path):
+        ckpt = str(tmp_path / "half.ckpt")
+        _run(universe[:len(universe) // 2], checkpoint=ckpt)
+        resumed = _run(universe, checkpoint=ckpt)
+        assert resumed.to_json() == traced[0].to_json()
+
+
+class TestTraceProvenance:
+    def test_trace_carries_provenance(self, traced):
+        """Each event names a tier, a representative and the members
+        whose verdict for that tier is the representative's."""
+        result, classes, _ = traced
+        assert classes
+        by_name = {str(r.fault): r for r in result.records}
+        for event in classes:
+            tier, rep = event["tier"], event["representative"]
+            assert tier in result.tier_order
+            assert event["members"] and rep not in event["members"]
+            for member in event["members"]:
+                assert by_name[member].hit(tier) == by_name[rep].hit(tier)
+
+    def test_members_cover_every_fault_not_simulated_itself(
+            self, universe, tmp_path, monkeypatch):
+        """A fault no stage injected got every verdict from a class
+        representative, so some event must name it as a member."""
+        from repro.faults import inject
+
+        injected = set()
+        original = inject.inject_fault
+
+        def spy(circuit, fault, *args, **kwargs):
+            injected.add(str(fault))
+            return original(circuit, fault, *args, **kwargs)
+
+        for module in ("repro.faults.inject", "repro.dft.dc_test",
+                       "repro.dft.scan_test", "repro.dft.bist"):
+            monkeypatch.setattr(f"{module}.inject_fault", spy)
+        path = str(tmp_path / "run.jsonl")
+        _run(universe, trace=path)
+        members = {m for event in _classes(path) for m in event["members"]}
+        not_simulated = {str(f) for f in universe} - injected
+        assert not_simulated, "every fault was simulated: nothing collapsed"
+        assert not_simulated <= members
 
 
 class TestRepresentativeStageFailure:
     def test_raising_class_falls_back_to_serial_records(
-            self, universe, on_result, monkeypatch):
+            self, universe, traced, monkeypatch, tmp_path):
         """A representative whose stage raises leaves its class to the
         serial detector, so every member gets the serial ``unsolvable``
         record; the tier's other classes stay collapsed."""
         from repro.analog.solver import SolverError
         from repro.dft.scan_test import ScanTest
 
-        classes = {}
-        for rec in on_result.records:
-            rep = rec.collapsed_from.get("scan")
-            if rep is not None:
-                classes.setdefault(tuple(rep), {tuple(rep)}).add(
-                    rec.fault.key())
+        classes = {e["representative"]: {e["representative"], *e["members"]}
+                   for e in traced[1] if e["tier"] == "scan"}
         assert len(classes) >= 2, "need a failing and a healthy class"
         bad_rep, bad = max(classes.items(), key=lambda kv: len(kv[1]))
 
         original = ScanTest._run_toggle
 
         def toggle(tier, fault):
-            if fault is not None and fault.key() in bad:
+            if fault is not None and str(fault) in bad:
                 raise SolverError("singular toggle transient")
             return original(tier, fault)
 
         monkeypatch.setattr(ScanTest, "_run_toggle", toggle)
-        off = _run(universe, "off")
-        on = _run(universe, "on")
-        for a, b in zip(on.records, off.records):
-            assert (a.fault, a.tiers, a.errors, a.outcome) == \
-                (b.fault, b.tiers, b.errors, b.outcome)
-            if a.fault.key() in bad:
-                assert a.outcome == "unsolvable"
-                assert a.errors[0][0] == "scan"
-                assert "singular toggle transient" in a.errors[0][1]
-                assert "scan" not in a.collapsed_from
-        healthy = {tuple(r.collapsed_from["scan"]) for r in on.records
-                   if "scan" in r.collapsed_from}
+        path = str(tmp_path / "run.jsonl")
+        collapsed = _run(universe, trace=path)
+        assert collapsed.to_json() == _per_fault(universe).to_json()
+        for rec in collapsed.records:
+            if str(rec.fault) in bad:
+                assert rec.outcome == "unsolvable"
+                assert rec.errors[0][0] == "scan"
+                assert "singular toggle transient" in rec.errors[0][1]
+        healthy = {e["representative"] for e in _classes(path)
+                   if e["tier"] == "scan"}
         assert healthy == set(classes) - {bad_rep}
-
-
-class TestAudit:
-    def test_honest_tiers_pass_the_audit(self, universe, off_result):
-        with profiled() as counters:
-            audited = _run(universe, "audit")
-        assert counters.audit_checks >= 1
-        for a, b in zip(audited.records, off_result.records):
-            assert a.tiers == b.tiers
-
-    def test_lying_tier_fails_loudly(self, universe):
-        """Flip the serial detectors after the collapsed verdicts are
-        computed: the seeded member re-simulation must now disagree and
-        raise instead of quietly shipping wrong coverage."""
-        campaign = FaultCampaign(collapse="audit")
-        tiers = create_tiers(("dc", "scan", "bist"), GoldenSignatures())
-        for tier in tiers:
-            campaign.add_tier(tier)
-        for tier in tiers:
-            original = tier.detect
-            tier.detect = (lambda f, _orig=original: not _orig(f))
-        with pytest.raises(CollapseAuditError):
-            campaign.run(universe)
 
 
 class TestModeValidation:
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            FaultCampaign(collapse="bogus")
-
-    @pytest.mark.parametrize("mode", ["off", "on", "audit"])
-    def test_known_modes_accepted(self, mode):
-        assert FaultCampaign(collapse=mode).collapse == mode
+        """The run decides when to collapse, so the campaign takes no
+        collapse mode at all: ``on`` is as unknown as ``bogus``."""
+        for mode in ("bogus", "on"):
+            with pytest.raises(TypeError, match="collapse"):
+                FaultCampaign(collapse=mode)
 
 
 def F(dev):
     return StructuralFault(dev, FaultKind.DRAIN_OPEN, "cp", "")
 
 
-class TestCheckpointPolicy:
-    """Cross-policy resumes are refused: a per-class record stream and
-    a per-fault one must never be mixed.  Stub tiers suffice — the
-    policy lives in the checkpoint header, not the detectors."""
+class TestCheckpointHeader:
+    """The header names the tier pipeline and numerics policy only: how
+    a run executed never enters it.  Stub tiers suffice."""
 
-    def _campaign(self, collapse):
-        campaign = FaultCampaign(collapse=collapse)
+    def _campaign(self):
+        campaign = FaultCampaign()
         campaign.add_tier("stub", lambda f: True)
         return campaign
 
-    def test_on_checkpoint_refuses_off_resume(self, tmp_path):
-        ckpt = str(tmp_path / "camp.ckpt")
-        self._campaign("on").run([F("d0"), F("d1")], checkpoint=ckpt)
+    def test_header_names_no_execution_path(self, tmp_path):
+        ckpt = tmp_path / "camp.ckpt"
+        self._campaign().run([F("d0"), F("d1")], checkpoint=str(ckpt))
+        header = json.loads(ckpt.read_text().splitlines()[0])
+        assert header == {"format": "repro-campaign-checkpoint",
+                          "version": 1, "tier_order": ["stub"]}
+
+    def test_stale_collapse_entry_is_refused(self, tmp_path):
+        """A checkpoint written while collapsing was a knob records the
+        policy in its header; resuming it fails loudly, naming it."""
+        ckpt = tmp_path / "camp.ckpt"
+        self._campaign().run([F("d0"), F("d1")], checkpoint=str(ckpt))
+        lines = ckpt.read_text().splitlines(keepends=True)
+        header = dict(json.loads(lines[0]), collapse="on")
+        ckpt.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
         with pytest.raises(ValueError, match="collapse"):
-            self._campaign("off").run([F("d0"), F("d1"), F("d2")],
-                                      checkpoint=ckpt)
-
-    def test_off_checkpoint_refuses_on_resume(self, tmp_path):
-        ckpt = str(tmp_path / "camp.ckpt")
-        self._campaign("off").run([F("d0"), F("d1")], checkpoint=ckpt)
-        with pytest.raises(ValueError, match="collapse"):
-            self._campaign("on").run([F("d0"), F("d1"), F("d2")],
-                                     checkpoint=ckpt)
-
-    def test_matching_policy_resumes(self, tmp_path):
-        ckpt = str(tmp_path / "camp.ckpt")
-        universe = [F("d0"), F("d1"), F("d2")]
-        self._campaign("on").run(universe[:2], checkpoint=ckpt)
-        full = self._campaign("on").run(universe, checkpoint=ckpt)
-        assert [r.fault for r in full.records] == universe
-
-    def test_audit_counts_as_on(self, tmp_path):
-        """Audit is a verification knob on top of the same record
-        stream, so on <-> audit resumes are legitimate."""
-        ckpt = str(tmp_path / "camp.ckpt")
-        universe = [F("d0"), F("d1"), F("d2")]
-        self._campaign("on").run(universe[:2], checkpoint=ckpt)
-        full = self._campaign("audit").run(universe, checkpoint=ckpt)
-        assert [r.fault for r in full.records] == universe
+            self._campaign().run([F("d0"), F("d1"), F("d2")],
+                                 checkpoint=str(ckpt))

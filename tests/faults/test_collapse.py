@@ -10,12 +10,7 @@ by the campaign-integration tests; these pin the algebra.
 import pytest
 
 from repro.dft.coverage import build_fault_universe
-from repro.faults.collapse import (
-    COLLAPSE_MODES,
-    CollapseAuditError,
-    FaultCollapser,
-    universe_report,
-)
+from repro.faults.collapse import FaultCollapser, universe_report
 from repro.faults.enumerate import universe_summary
 from repro.faults.model import FaultKind, StructuralFault
 
@@ -62,10 +57,6 @@ class TestUniverseSummary:
 
 
 class TestClassAlgebra:
-    def test_modes_tuple(self):
-        assert COLLAPSE_MODES == ("off", "on", "audit")
-        assert issubclass(CollapseAuditError, AssertionError)
-
     def test_digests_deterministic_across_instances(self, universe,
                                                     collapser):
         fresh = FaultCollapser()

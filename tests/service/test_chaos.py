@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro._profiling import COUNTERS
+from repro.core.profiling import COUNTERS
 from repro.service import (CampaignSpec, Coordinator, JobQueue,
                            ResultStore, seeded_kill_matrix, serve)
 from repro.service.chaos import (reference_artifact, run_chaos_case,

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from repro._profiling import COUNTERS
+from repro.core.profiling import COUNTERS
 from repro.service import (CampaignSpec, Coordinator, JobQueue,
                            derive_progress, serve)
 from repro.service.client import JobError, format_result
@@ -287,14 +287,27 @@ class TestServiceCli:
         assert json.loads(out)["state"] == "done"
 
     @pytest.mark.parametrize("flags", [["--strict-numerics"],
-                                       ["--collapse", "on"]])
+                                       ["--patterns", ","]])
     def test_submit_refuses_patterns_knobs(self, tmp_path, capsys, flags):
-        """The pattern campaign cannot honour these, so the spec is
-        refused instead of published under a key that promises them."""
+        """The pattern campaign cannot honour these (strict numerics,
+        an empty stimulus list), so the spec is refused instead of
+        published under a key that promises them."""
         from repro.cli import main
 
         root = str(tmp_path / "svc")
         assert main(["submit", "patterns", "--root", root, *flags]) == 1
+        assert "invalid spec:" in capsys.readouterr().err
+        assert not os.path.exists(root)     # nothing was enqueued
+
+    @pytest.mark.parametrize("kind", ["campaign", "mc"])
+    def test_submit_refuses_an_empty_tier_list(self, tmp_path, capsys,
+                                               kind):
+        """``--tiers ,`` names no tier: refused at submit, instead of
+        the serve loop running the default three tiers."""
+        from repro.cli import main
+
+        root = str(tmp_path / "svc")
+        assert main(["submit", kind, "--root", root, "--tiers", ","]) == 1
         assert "invalid spec:" in capsys.readouterr().err
         assert not os.path.exists(root)     # nothing was enqueued
 

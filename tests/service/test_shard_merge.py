@@ -128,12 +128,15 @@ class TestMergeCheckpoints:
             self._merge(paths, narrow)
 
     def test_collapse_mismatch_is_loud(self, tmp_path):
+        """A shard checkpoint written while collapsing was a knob
+        records the policy in its header; the merge refuses it."""
         paths = self._shard_files(tmp_path, shard_ranges(10, 2))
-        collapsed = FaultCampaign(collapse="on")
-        collapsed.add_tier("alpha", lambda f: True)
-        collapsed.add_tier("beta", lambda f: True)
+        lines = open(paths[1]).read().splitlines(keepends=True)
+        header = dict(json.loads(lines[0]), collapse="on")
+        with open(paths[1], "w") as fh:
+            fh.write(json.dumps(header) + "\n" + "".join(lines[1:]))
         with pytest.raises(ValueError, match="collapse"):
-            self._merge(paths, collapsed)
+            self._merge(paths)
 
     def test_corrupted_shard_is_loud(self, tmp_path):
         paths = self._shard_files(tmp_path, shard_ranges(10, 2))

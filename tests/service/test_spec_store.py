@@ -2,8 +2,8 @@
 
 The cache contract: a resubmitted spec hits if and only if nothing
 result-determining changed.  Every key component — netlist digest,
-tier list, collapse policy, numerics policy, seed, sample, and the
-mc/patterns extras — must miss on change; the execution-only knobs
+tier list, numerics policy, seed, sample, and the mc/patterns extras —
+must miss on change; the execution-only knobs
 (shards, workers) and the fields a kind ignores must *not* split the
 cache.  Concurrent writers racing on one key must leave exactly one
 valid entry.
@@ -64,25 +64,59 @@ class TestSpecValidation:
         """Spec documents written before the batched backend was
         retired carry a ``backend`` entry (``null`` by default): they
         still load, to the spec without it."""
-        s = spec(sample=24, collapse="on")
+        s = spec(sample=24)
         data = dict(s.to_dict(), backend=backend)
         assert CampaignSpec.from_dict(data) == s
         assert CampaignSpec.from_dict(data).digest() == s.digest()
 
     @pytest.mark.parametrize("kind", ["campaign", "mc", "patterns"])
     def test_rejects_unknown_collapse_mode(self, kind):
-        with pytest.raises(ValueError, match="collapse"):
-            spec(kind=kind, collapse="bogus")
+        """A spec takes no collapse mode any more, so ``on`` is as
+        unknown to it as ``bogus``; only a stored document's entry is
+        tolerated (below)."""
+        for mode in ("bogus", "on"):
+            with pytest.raises(TypeError, match="collapse"):
+                spec(kind=kind, collapse=mode)
 
-    @pytest.mark.parametrize("change", [dict(strict_numerics=True),
-                                        dict(collapse="on"),
-                                        dict(collapse="audit")])
+    @pytest.mark.parametrize("kind", ["campaign", "mc", "patterns"])
+    @pytest.mark.parametrize("collapse", ["off", "on", "audit"])
+    def test_from_dict_ignores_a_retired_collapse_entry(self, kind,
+                                                        collapse):
+        """Spec documents written while collapsing was a knob carry a
+        ``collapse`` entry: they still load, to the spec without it and
+        its digest (the key keeps a constant ``"off"`` entry)."""
+        s = spec(kind=kind, sample=24)
+        data = dict(s.to_dict(), collapse=collapse)
+        assert CampaignSpec.from_dict(data) == s
+        assert CampaignSpec.from_dict(data).digest() == s.digest()
+        assert s.store_key()["collapse"] == "off"
+        assert "collapse" not in s.to_dict()
+
+    @pytest.mark.parametrize("change", [dict(strict_numerics=True)])
     def test_patterns_kind_refuses_knobs_it_cannot_honour(self, change):
-        """The pattern campaign runs uncollapsed under the default
-        numerics policy; a spec asking otherwise would publish that
-        artifact under a key that promises something else."""
+        """The pattern campaign runs under the default numerics policy;
+        a spec asking otherwise would publish that artifact under a key
+        that promises something else."""
         with pytest.raises(ValueError):
             spec(kind="patterns", **change)
+
+    @pytest.mark.parametrize("kind, field", [("campaign", "tiers"),
+                                             ("mc", "tiers"),
+                                             ("patterns", "patterns")])
+    def test_rejects_an_empty_item_list(self, kind, field):
+        """An empty tier or pattern list is refused, also when a stored
+        spec document carries it: the serve loop reloads the document,
+        and it must not turn into the default list there."""
+        with pytest.raises(ValueError, match=field[:-1]):
+            spec(kind=kind, **{field: ()})
+        data = dict(spec(kind=kind).to_dict(), **{field: []})
+        with pytest.raises(ValueError, match=field[:-1]):
+            CampaignSpec.from_dict(data)
+
+    def test_ignores_the_item_list_of_another_kind(self):
+        """A campaign spec's pattern list is normalised away, so an
+        empty one is no reason to refuse it."""
+        assert spec(patterns=()).digest() == spec().digest()
 
     def test_rejects_negative_sample(self):
         with pytest.raises(ValueError, match="sample"):
@@ -131,7 +165,7 @@ class TestDigest:
     @pytest.mark.parametrize("change", [
         dict(seed=7),
         dict(sample=25),
-        dict(collapse="on"),
+        dict(tiers=("scan", "dc", "bist")),
         dict(strict_numerics=True),
         dict(tiers=("dc", "scan")),
         dict(kind="mc"),
@@ -182,7 +216,7 @@ class TestResultStore:
         assert entry["kind"] == "campaign"
 
     def test_hit_counters(self, tmp_path):
-        from repro._profiling import COUNTERS
+        from repro.core.profiling import COUNTERS
 
         store = ResultStore(str(tmp_path / "store"))
         s = spec(sample=8)
@@ -196,7 +230,7 @@ class TestResultStore:
     @pytest.mark.parametrize("change", [
         dict(seed=7),
         dict(sample=9),
-        dict(collapse="on"),
+        dict(tiers=("bist", "scan", "dc")),
         dict(strict_numerics=True),
         dict(tiers=("dc",)),
     ])

@@ -121,7 +121,7 @@ class TestGc:
             ResultStore(str(tmp_path)).gc(-1.0)
 
     def test_gc_counter_ticks(self, tmp_path):
-        from repro._profiling import COUNTERS
+        from repro.core.profiling import COUNTERS
 
         store = ResultStore(str(tmp_path))
         now = time.time()
