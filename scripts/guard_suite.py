@@ -16,9 +16,11 @@ summary table (CI fails on any non-OK row).  Checks:
                      with ``--workers 2`` (which evaluates per fault)
 7. pattern-parity  — coverage-vs-pattern JSON identical for
                      ``--workers 1`` and ``--workers 4``
-8. service-parity  — sharded service jobs (campaign, mc, patterns)
-                     merge byte-identical to the direct exports, and
-                     resubmission is a store cache hit (zero shards)
+8. service-parity  — sharded service jobs (campaign, two mc seeds,
+                     patterns) served by one ``serve --once``, so over
+                     one shared golden cache, merge byte-identical to
+                     the direct exports, and resubmission is a store
+                     cache hit (zero shards)
 9. service-chaos   — SIGKILLed serve loops resume to byte-identical
                      artifacts with zero re-simulated items
                      (chaos_smoke kill matrix + stale-lease reclaim)
@@ -208,9 +210,11 @@ def check_pattern_parity(tmp: str) -> str:
 
 def check_service_parity(tmp: str) -> str:
     """Sharded service runs vs direct CLI exports, plus the cache-hit
-    contract: the resubmitted spec must run zero shards."""
+    contract: the resubmitted spec must run zero shards.  One serve
+    process runs every job, so the second mc job (and the patterns
+    job) builds its tiers over the references an earlier job built."""
     jobs = []
-    for kind, submit_args, direct_args in (
+    for label, submit_args, direct_args in (
         (
             "campaign",
             "campaign --sample 24 --seed 2016 --shards 4 --workers 2",
@@ -222,6 +226,11 @@ def check_service_parity(tmp: str) -> str:
             "mc --dies 8 --seed 2016 --export direct-mc.json",
         ),
         (
+            "mc-seed3",
+            "mc --dies 8 --seed 3 --shards 2 --workers 2",
+            "mc --dies 8 --seed 3 --export direct-mc-seed3.json",
+        ),
+        (
             "patterns",
             "patterns --sample 12 --patterns prbs7,isi --shards 4"
             " --workers 2",
@@ -230,23 +239,23 @@ def check_service_parity(tmp: str) -> str:
         ),
     ):
         out = _repro_out(f"submit {submit_args} --root svc", cwd=tmp)
-        jobs.append((kind, out.split()[1]))
+        jobs.append((label, out.split()[1]))
         _repro(direct_args, cwd=tmp)
     _repro("serve --root svc --once", cwd=tmp)
-    for kind, job_id in jobs:
+    for label, job_id in jobs:
         status = json.loads(
             _repro_out(f"status {job_id} --root svc --json", cwd=tmp)
         )
         if status["state"] != "done" or status["cache_hit"]:
-            raise RuntimeError(f"{kind} job unexpected status: {status}")
+            raise RuntimeError(f"{label} job unexpected status: {status}")
         _repro(
-            f"result {job_id} --root svc -o service-{kind}.json", cwd=tmp
+            f"result {job_id} --root svc -o service-{label}.json", cwd=tmp
         )
-        if _read(tmp, f"service-{kind}.json") != _read(
-            tmp, f"direct-{kind}.json"
+        if _read(tmp, f"service-{label}.json") != _read(
+            tmp, f"direct-{label}.json"
         ):
             raise RuntimeError(
-                f"sharded {kind} artifact differs from the direct export"
+                f"sharded {label} artifact differs from the direct export"
             )
 
     # resubmission: same result-determining spec, different execution
@@ -269,7 +278,8 @@ def check_service_parity(tmp: str) -> str:
     _repro(f"result {resubmit_id} --root svc -o resubmit.json", cwd=tmp)
     if _read(tmp, "resubmit.json") != _read(tmp, "direct-campaign.json"):
         raise RuntimeError("cached artifact differs from the direct export")
-    return "campaign+mc+patterns byte-identical at 4 shards; resubmit hit"
+    return ("campaign+2 mc+patterns byte-identical from one serve; "
+            "resubmit hit")
 
 
 def check_service_chaos(tmp: str) -> str:

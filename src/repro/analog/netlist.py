@@ -14,7 +14,7 @@ transformation rather than a special simulator mode.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .devices import (Capacitor,
                       CurrentSource,
@@ -48,6 +48,10 @@ class Circuit:
         self._revision = 0
         self._param_revision = 0
         self._compiled_cache: Dict = {}
+        #: :func:`repro.analog.solver.build_index`'s result for this
+        #: structural revision (its only writer), None until a solve
+        #: builds it; dropped by :meth:`touch` and on :meth:`clone`
+        self.index: Optional[Tuple] = None
 
     # ------------------------------------------------------------------
     # revision tracking (read by the compiled-assembly plan cache)
@@ -99,7 +103,8 @@ class Circuit:
         return elem
 
     def touch(self) -> None:
-        """Invalidate compiled assembly plans after a structural edit.
+        """Invalidate compiled assembly plans and the node index after a
+        structural edit.
 
         ``add``/``remove`` call this automatically; callers that rewire
         terminals or mutate element parameters in place between solves
@@ -107,6 +112,7 @@ class Circuit:
         """
         self._revision += 1
         self._compiled_cache.clear()
+        self.index = None
 
     def retune(self) -> None:
         """Signal an element-*parameter* edit that keeps the topology.
@@ -169,7 +175,7 @@ class Circuit:
         state.update(name=name or f"{self.name}_copy",
                      _elements={key: elem.clone()
                                 for key, elem in self._elements.items()},
-                     _compiled_cache={})
+                     _compiled_cache={}, index=None)
         dup = object.__new__(type(self))
         dup.__dict__.update(state)
         return dup

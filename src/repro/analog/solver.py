@@ -77,8 +77,12 @@ def build_index(circuit: Circuit) -> Tuple[Dict[str, int], int, int]:
     """Assign matrix indices to nodes and auxiliary branch currents.
 
     Returns ``(node_index, n_nodes, n_total)``; element ``aux_base``
-    attributes are set as a side effect.
+    attributes are set as a side effect.  The result is kept on the
+    circuit (``Circuit.index``) until its next structural edit, so
+    repeated solves of one netlist sort its node set once.
     """
+    if circuit.index is not None:
+        return circuit.index
     nodes = circuit.nodes()
     node_index = {name: i for i, name in enumerate(nodes)}
     n_nodes = len(nodes)
@@ -87,7 +91,8 @@ def build_index(circuit: Circuit) -> Tuple[Dict[str, int], int, int]:
         if elem.num_aux:
             elem.aux_base = aux
             aux += elem.num_aux
-    return node_index, n_nodes, aux
+    circuit.index = (node_index, n_nodes, aux)
+    return circuit.index
 
 
 def assemble(circuit: Circuit, node_index: Dict[str, int], n_total: int,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -126,9 +126,11 @@ def cmd_faults(args) -> int:
 
 
 def cmd_coverage(args) -> int:
+    from .core.profiling import COUNTERS
     from .dft.coverage import build_fault_universe, run_paper_campaign
     from .faults.sampling import stratified_sample
 
+    start = COUNTERS.snapshot()
     universe = build_fault_universe()
     if args.sample:
         universe = stratified_sample(universe, args.sample,
@@ -144,11 +146,12 @@ def cmd_coverage(args) -> int:
     print(report.format_headline())
     print()
     print(report.format_table1())
-    _print_collapse()
+    _print_collapse(start)
     return 0
 
 
 def cmd_campaign(args) -> int:
+    from .core.profiling import COUNTERS
     from .dft.coverage import CoverageReport, build_fault_universe
     from .dft.golden import GoldenSignatures
     from .dft.registry import create_tiers
@@ -160,6 +163,7 @@ def cmd_campaign(args) -> int:
         print("no tiers requested", file=sys.stderr)
         return 1
 
+    start = COUNTERS.snapshot()
     universe = build_fault_universe()
     if args.sample:
         universe = stratified_sample(universe, args.sample,
@@ -193,8 +197,8 @@ def cmd_campaign(args) -> int:
     print(f"overall: {result.overall_coverage * 100:.1f}% "
           f"({n_detected}/{result.total})")
     _print_outcomes(result.outcome_counts())
-    _print_numerics()
-    _print_collapse()
+    _print_numerics(start)
+    _print_collapse(start)
 
     if args.export:
         with open(args.export, "w") as fh:
@@ -205,6 +209,7 @@ def cmd_campaign(args) -> int:
 
 def cmd_mc(args) -> int:
     from .analog.corners import get_corner
+    from .core.profiling import COUNTERS
     from .variation import MismatchModel, MonteCarloCampaign
     from .variation.report import format_mc_report
 
@@ -213,6 +218,7 @@ def cmd_mc(args) -> int:
         print("no tiers requested", file=sys.stderr)
         return 1
 
+    start = COUNTERS.snapshot()
     model = MismatchModel(sigma_vt=args.sigma_vt * 1e-3,
                           sigma_kp_rel=args.sigma_kp / 100.0)
 
@@ -231,7 +237,7 @@ def cmd_mc(args) -> int:
                           trace=args.trace)
 
     print(format_mc_report(result))
-    _print_numerics()
+    _print_numerics(start)
     if args.export:
         with open(args.export, "w") as fh:
             fh.write(result.to_json(indent=2))
@@ -417,40 +423,49 @@ def _print_outcomes(counts) -> None:
               f"records' __supervisor__ errors)")
 
 
-def _print_numerics() -> None:
-    """One line of fallback-ladder counters when any rescue engaged.
+def _since(start: Dict[str, int]) -> Dict[str, int]:
+    """Counter deltas since the *start* snapshot: a command reports its
+    own run, not earlier ones in the same process (the global totals
+    stay for ``repro bench`` and other readers)."""
+    from .core.profiling import COUNTERS
+
+    return {k: v - start[k] for k, v in COUNTERS.snapshot().items()}
+
+
+def _print_numerics(start: Dict[str, int]) -> None:
+    """One line of fallback-ladder counters when any rescue engaged
+    since *start*.
 
     Counters are process-local: a ``--workers N`` run increments them
     in the forked workers, so this line reflects in-process (serial)
     evaluation only.
     """
-    from .core.profiling import COUNTERS
-
-    rungs = (("refined", COUNTERS.rescue_refined),
-             ("equilibrated", COUNTERS.rescue_equilibrated),
-             ("lstsq", COUNTERS.rescue_lstsq),
-             ("ptc", COUNTERS.dc_ptc_rescues),
-             ("degraded", COUNTERS.degraded_solves),
-             ("unsolvable", COUNTERS.unsolvable_systems))
+    c = _since(start)
+    rungs = (("refined", c["rescue_refined"]),
+             ("equilibrated", c["rescue_equilibrated"]),
+             ("lstsq", c["rescue_lstsq"]),
+             ("ptc", c["dc_ptc_rescues"]),
+             ("degraded", c["degraded_solves"]),
+             ("unsolvable", c["unsolvable_systems"]))
     engaged = [f"{name} {count}" for name, count in rungs if count]
     if engaged:
         print(f"numerics rescues: {', '.join(engaged)}")
 
 
-def _print_collapse() -> None:
-    """One line of fault-collapse counters when the run collapsed.
+def _print_collapse(start: Dict[str, int]) -> None:
+    """One line of fault-collapse counters when the run since *start*
+    collapsed.
 
     Only an in-process run (one worker, no ``--timeout``) collapses the
     fault universe; a forked or deadline-supervised run evaluates each
     fault on its own and prints nothing here.
     """
-    from .core.profiling import COUNTERS
-
-    if not COUNTERS.classes:
+    c = _since(start)
+    if not c["classes"]:
         return
-    rep = COUNTERS.collapse_rep_evals
-    hits = COUNTERS.class_hits
-    line = (f"collapse: {COUNTERS.classes} classes, "
+    rep = c["collapse_rep_evals"]
+    hits = c["class_hits"]
+    line = (f"collapse: {c['classes']} classes, "
             f"{rep} representative eval(s), {hits} class hit(s)")
     if rep:
         line += f" ({(rep + hits) / rep:.2f}x fewer simulations)"

@@ -15,13 +15,21 @@ campaign the tiers are constructed (and therefore the cache populated)
 *before* worker processes fork, so workers inherit every signature
 without re-solving.
 
+Every reference is the *nominal* design's: a build runs with any
+active :class:`~repro.variation.context.DieContext` suspended, so a
+reference first read on a Monte-Carlo die never carries that die's
+mismatch.  That makes one cache valid for every campaign of a process
+(the service builds all its jobs' tiers over one).
+
 Custom tiers can park their own build-once data in the same cache via
 :meth:`GoldenSignatures.get` with a namespaced key.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, Tuple
+
+from ..variation.context import activated
 
 
 class GoldenSignatures:
@@ -37,9 +45,16 @@ class GoldenSignatures:
 
     # -- generic extension hook ----------------------------------------
     def get(self, key: str, build: Callable[[], object]) -> object:
-        """Memoized ``build()``: compute once per cache, reuse after."""
+        """Memoized ``build()``: compute once per cache, reuse after.
+
+        ``build`` runs with any active die context suspended.
+        """
+        return self._once(key, build)
+
+    def _once(self, key: str, build: Callable[[], object]) -> object:
         if key not in self._store:
-            self._store[key] = build()
+            with activated(None):
+                self._store[key] = build()
         return self._store[key]
 
     def __contains__(self, key: str) -> bool:
@@ -49,66 +64,56 @@ class GoldenSignatures:
     @property
     def dc_link(self) -> Dict:
         """Two-pattern DC-test signature of the healthy full link."""
-        self._build_link()
-        return self._store["dc_link"]
+        return self._once("link", _healthy_link)[0]
 
     @property
     def retention_link(self) -> Dict[str, float]:
         """Healthy full-link operating point at data = 1 (the retention
         condition floating gates fall back to when opened)."""
-        self._build_link()
-        return self._store["retention_link"]
+        return self._once("link", _healthy_link)[1]
 
     @property
     def dc_receiver(self) -> Dict:
         """Quiescent observation of the healthy receiver bench."""
-        self._build_receiver()
-        return self._store["dc_receiver"]
+        return self._once("receiver", _healthy_receiver)[0]
 
     @property
     def retention_receiver(self) -> Dict[str, float]:
         """Healthy receiver-bench operating point (quiescent)."""
-        self._build_receiver()
-        return self._store["retention_receiver"]
+        return self._once("receiver", _healthy_receiver)[1]
 
     @property
     def retention_vcdl(self) -> Dict[str, float]:
         """Healthy VCDL operating point with the clock input low."""
-        self._build_vcdl()
-        return self._store["retention_vcdl"]
+        return self._once("retention_vcdl", _healthy_vcdl)
 
-    # ------------------------------------------------------------------
-    def _build_link(self) -> None:
-        if "dc_link" in self._store:
-            return
-        from ..analog import dc_operating_point
-        from ..circuits.full_link import build_full_link
 
-        link = build_full_link()
-        self._store["dc_link"] = link.run_dc_test()
-        link.apply_data(1)
-        op = dc_operating_point(link.circuit)
-        self._store["retention_link"] = dict(op.voltages)
+# ----------------------------------------------------------------------
+def _healthy_link() -> Tuple[Dict, Dict[str, float]]:
+    from ..analog import dc_operating_point
+    from ..circuits.full_link import build_full_link
 
-    def _build_receiver(self) -> None:
-        if "dc_receiver" in self._store:
-            return
-        from .duts import build_receiver_dut
+    link = build_full_link()
+    dc = link.run_dc_test()
+    link.apply_data(1)
+    op = dc_operating_point(link.circuit)
+    return dc, dict(op.voltages)
 
-        dut = build_receiver_dut()
-        dut.set_condition()
-        op = dut.solve()
-        self._store["dc_receiver"] = dut.observe(op)
-        self._store["retention_receiver"] = dict(op.voltages)
 
-    def _build_vcdl(self) -> None:
-        if "retention_vcdl" in self._store:
-            return
-        from ..analog import dc_operating_point
-        from .duts import build_vcdl_dut
+def _healthy_receiver() -> Tuple[Dict, Dict[str, float]]:
+    from .duts import build_receiver_dut
 
-        dut = build_vcdl_dut()
-        dut.set_input(0)
-        op = dc_operating_point(dut.circuit)
-        self._store["retention_vcdl"] = \
-            dict(op.voltages) if op.converged else {}
+    dut = build_receiver_dut()
+    dut.set_condition()
+    op = dut.solve()
+    return dut.observe(op), dict(op.voltages)
+
+
+def _healthy_vcdl() -> Dict[str, float]:
+    from ..analog import dc_operating_point
+    from .duts import build_vcdl_dut
+
+    dut = build_vcdl_dut()
+    dut.set_input(0)
+    op = dc_operating_point(dut.circuit)
+    return dict(op.voltages) if op.converged else {}

@@ -32,6 +32,7 @@ for one campaign reuses the same healthy-circuit reference data.
 from __future__ import annotations
 
 import importlib
+import inspect
 from typing import (Callable, Dict, List, Mapping, Optional, Protocol,
                     Sequence, Tuple, runtime_checkable)
 
@@ -151,9 +152,13 @@ def create_tiers(names: Sequence[str],
 
 def _validate_tier(tier: object, name: str) -> None:
     for attr in ("name", "applies_to", "detect", "golden"):
-        if not hasattr(tier, attr):
+        # looked up without evaluating: ``golden`` may be a property
+        # that builds what it returns (ScanTest's toggle transient)
+        try:
+            inspect.getattr_static(tier, attr)
+        except AttributeError:
             raise TypeError(f"tier {name!r} factory returned {tier!r}, "
-                            f"which lacks TestTier.{attr}")
+                            f"which lacks TestTier.{attr}") from None
     if tier.name != name:
         raise TypeError(f"tier registered as {name!r} reports "
                         f"name={tier.name!r}")

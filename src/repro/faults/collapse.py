@@ -328,15 +328,6 @@ class FaultCollapser:
             grouped.setdefault(self.class_key(f), []).append(f)
         return grouped
 
-    def representative_map(self, universe: Sequence[StructuralFault]):
-        """fault key -> class representative (its first member)."""
-        reps: Dict[Tuple, StructuralFault] = {}
-        out: Dict[Tuple, StructuralFault] = {}
-        for f in universe:
-            rep = reps.setdefault(self.class_key(f), f)
-            out[f.key()] = rep
-        return out
-
     def report(self, universe: Sequence[StructuralFault]):
         """Structural analysis of *universe*: classes, dominance,
         golden-equivalent faults (report only — no verdicts move)."""

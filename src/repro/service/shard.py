@@ -14,14 +14,33 @@ all three kinds).
 into the kind-specific :class:`ShardedJob`, built once in the
 coordinator process — shard workers are forked *after* the tiers and
 golden signatures exist, so they inherit them exactly like ordinary
-campaign workers do.
+campaign workers do.  The golden signatures are the nominal design's
+whatever the spec, so every job of one process builds its tiers over
+one :func:`shared_goldens` cache and only the first pays for the
+references.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .spec import CampaignSpec
+
+
+@functools.lru_cache(maxsize=None)
+def shared_goldens():
+    """The process-wide :class:`~repro.dft.golden.GoldenSignatures`,
+    created on first use.
+
+    A reference is a function of the nominal design alone (the cache
+    builds it with any die context suspended), never of a spec's seed,
+    corner, mismatch model, sample or numerics policy, so one cache
+    serves every job a serve loop runs.
+    """
+    from ..dft.golden import GoldenSignatures
+
+    return GoldenSignatures()
 
 
 def shard_ranges(items: int, shards: int) -> List[Tuple[int, int]]:
@@ -88,7 +107,6 @@ class FaultCampaignJob(ShardedJob):
 
     def __init__(self, spec: CampaignSpec):
         from ..dft.coverage import build_fault_universe
-        from ..dft.golden import GoldenSignatures
         from ..dft.registry import create_tiers
         from ..faults.campaign import FaultCampaign
         from ..faults.sampling import stratified_sample
@@ -101,7 +119,7 @@ class FaultCampaignJob(ShardedJob):
         self.universe = list(universe)
         self.keys = [f.key() for f in self.universe]
         self.campaign = FaultCampaign(strict_numerics=spec.strict_numerics)
-        for tier in create_tiers(spec.tiers, GoldenSignatures()):
+        for tier in create_tiers(spec.tiers, shared_goldens()):
             self.campaign.add_tier(tier)
 
     def run_shard(self, lo: int, hi: int, checkpoint: str,
@@ -123,6 +141,7 @@ class MonteCarloJob(ShardedJob):
 
     def __init__(self, spec: CampaignSpec):
         from ..analog.corners import get_corner
+        from ..dft.registry import create_tiers
         from ..variation import MismatchModel, MonteCarloCampaign
 
         self.spec = spec
@@ -130,7 +149,8 @@ class MonteCarloJob(ShardedJob):
         model = MismatchModel(sigma_vt=spec.sigma_vt_mv * 1e-3,
                               sigma_kp_rel=spec.sigma_kp_pct / 100.0)
         self.campaign = MonteCarloCampaign(
-            tiers=spec.tiers, corner=get_corner(spec.corner),
+            tiers=create_tiers(spec.tiers, shared_goldens()),
+            corner=get_corner(spec.corner),
             model=model, seed=spec.seed,
             strict_numerics=spec.strict_numerics)
 
@@ -153,7 +173,8 @@ class PatternCampaignJob(ShardedJob):
                                          sampled_universe)
 
         self.spec = spec
-        self.pattern_campaign = PatternCampaign(patterns=spec.patterns)
+        self.pattern_campaign = PatternCampaign(patterns=spec.patterns,
+                                                goldens=shared_goldens())
         self.universe = sampled_universe(bist_universe(), spec.sample)
         self.keys = [f.key() for f in self.universe]
         self.campaign = self.pattern_campaign.build()

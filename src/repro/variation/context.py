@@ -137,9 +137,14 @@ class DieContext:
 # activation + the builder seam
 # ----------------------------------------------------------------------
 class activated:
-    """Context manager installing *ctx* as the process-active die context."""
+    """Context manager installing *ctx* as the process-active die context.
 
-    def __init__(self, ctx: DieContext):
+    ``activated(None)`` suspends whatever context is active, so the
+    builders inside the block return nominal benches (how the shared
+    golden cache builds its references).
+    """
+
+    def __init__(self, ctx: Optional[DieContext]):
         self._ctx = ctx
         self._prev: Optional[DieContext] = None
 

@@ -238,3 +238,56 @@ class TestSourceStepping:
         c.add_resistor("a", "0", 1e3)
         assert self._scaled(c, "a", 0.25) == pytest.approx(0.25, rel=1e-6)
         assert src.current == 1e-3 and src.waveform is wf
+
+
+class TestStoredIndex:
+    """``build_index`` keeps its result on the circuit until the next
+    structural edit; the stored index must read exactly like a fresh
+    one (node order, matrix size, every ``aux_base``)."""
+
+    def _circuit(self):
+        c = Circuit("stored_index")
+        c.add_vsource("a", "0", 1.0, name="V1")
+        c.add_resistor("a", "b", 1e3, name="R1")
+        c.add_resistor("b", "0", 1e3, name="R2")
+        c.add_vsource("c", "0", 0.5, name="V2")
+        c.add_resistor("c", "b", 2e3, name="R3")
+        return c
+
+    @staticmethod
+    def _fresh(c):
+        # a clone carries no stored index, so this builds from scratch
+        dup = c.clone()
+        assert dup.index is None
+        index = build_index(dup)
+        return index, {e.name: e.aux_base for e in dup if e.num_aux}
+
+    def test_solves_reuse_one_index_in_node_order(self):
+        c = self._circuit()
+        first = build_index(c)
+        assert build_index(c) is first
+        dc_operating_point(c)
+        assert build_index(c) is first
+        assert list(first[0]) == c.nodes()
+        assert (first, {e.name: e.aux_base for e in c if e.num_aux}) \
+            == self._fresh(c)
+
+    @pytest.mark.parametrize("edit", ["add", "remove", "touch"])
+    def test_structural_edits_drop_it(self, edit):
+        c = self._circuit()
+        stale = build_index(c)
+        if edit == "add":
+            c.add_vsource("d", "0", 0.2, name="V0")
+            c.add_resistor("d", "a", 1e3, name="R4")
+        elif edit == "remove":
+            c.remove("V1")
+            c.remove("R1")
+        else:
+            c["R3"].terminals["n"] = "a"
+            c.touch()
+        assert c.index is None
+        rebuilt = build_index(c)
+        assert rebuilt is not stale
+        assert (rebuilt, {e.name: e.aux_base for e in c if e.num_aux}) \
+            == self._fresh(c)
+        assert dc_operating_point(c).converged

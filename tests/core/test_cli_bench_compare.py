@@ -153,6 +153,23 @@ class TestCollapseLine:
         out = capsys.readouterr().out
         assert ("collapse:" in out) == printed
 
+    def test_each_command_reports_its_own_run(self, capsys):
+        """The counter lines are deltas from the command's start: in one
+        interpreter a forked run after an in-process one prints no
+        collapse line, and a repeat prints the first run's counts."""
+        argv = ["campaign", "--sample", "8", "--tiers", "dc"]
+
+        def collapse_line(extra):
+            assert main(argv + extra) == 0
+            lines = [line for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("collapse:")]
+            return lines[0] if lines else None
+
+        first = collapse_line([])
+        assert first is not None
+        assert collapse_line(["--workers", "2"]) is None
+        assert collapse_line([]) == first
+
 
 class TestBackendFlagRetired:
     @pytest.mark.parametrize("command", ["coverage", "campaign", "mc",

@@ -7,6 +7,9 @@ are the same stages run to completion: every scan condition, every
 receiver-check group, the whole 25 ns toggle transient and the whole
 1.6 ns VCDL characterisation, both window bounds always measured.
 ``tests/dft/test_stop_at_verdict.py`` holds the product stages to them.
+``run_toggle(scan, None)`` is also the toggle golden as tier
+construction used to build it, eagerly and outside any die context;
+``tests/dft/test_golden_cache.py`` holds the lazy golden to it.
 
 Each oracle takes the tier instance and reads its goldens, retention
 references and calibration, so both sides see the same inputs.

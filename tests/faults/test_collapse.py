@@ -80,19 +80,24 @@ class TestClassAlgebra:
         assert len(grouped) < len(universe)
         assert any(len(ms) > 1 for ms in grouped.values())
 
-    def test_representative_map_total_and_idempotent(self, universe,
-                                                     collapser):
-        reps = collapser.representative_map(universe)
+    def test_representatives_total_and_idempotent(self, universe,
+                                                  collapser):
+        """Every fault has exactly one representative (its class's first
+        member), and a representative is its own representative."""
+        grouped = collapser.classes(universe)
+        reps = {f.key(): members[0] for members in grouped.values()
+                for f in members}
         assert set(reps) == {f.key() for f in universe}
         for rep in reps.values():
-            # a representative is its own representative
             assert reps[rep.key()].key() == rep.key()
+            assert grouped[collapser.class_key(rep)][0] is rep
 
     def test_members_share_their_reps_class(self, universe, collapser):
-        reps = collapser.representative_map(universe)
-        for f in universe:
-            assert collapser.class_key(f) == \
-                collapser.class_key(reps[f.key()])
+        for key, members in collapser.classes(universe).items():
+            rep = members[0]
+            for f in members:
+                assert collapser.class_key(f) == key == \
+                    collapser.class_key(rep)
 
     def test_unknown_tier_signature_is_none(self, collapser):
         foreign = StructuralFault("dev_x", FaultKind.DRAIN_OPEN,
