@@ -11,9 +11,9 @@ Environment knobs:
 * ``REPRO_CAMPAIGN_SAMPLE=<n>`` — run the campaign on a random *n*-fault
   sample (coarser percentages, much faster smoke runs);
 * ``REPRO_CAMPAIGN_WORKERS=<n>`` — fan the campaign out over *n* worker
-  processes (results are identical to a serial run, which collapses
-  the fault universe: one simulated representative per structural
-  equivalence class; a forked run evaluates every fault);
+  processes (results are identical to a serial run; each run reuses
+  stage results between faults of one structural equivalence class,
+  and only a serial run's reuse counters reach this process);
 * ``REPRO_MC_DIES=<n>`` — die count for the Monte-Carlo variation bench
   (default 8);
 * ``REPRO_MC_WORKERS=<n>`` — fork the die sweep (default serial, which
@@ -65,6 +65,9 @@ def _default_output():
 _DEFAULT_OUTPUT = _default_output()
 _OUTPUT_NAME = os.environ.get("REPRO_BENCH_OUTPUT", _DEFAULT_OUTPUT)
 
+#: the fault-collapse counters the Table I bench and the artifact read
+_COLLAPSE_COUNTERS = ("classes", "collapse_rep_evals", "class_hits")
+
 _campaign_cache = {}
 _mc_cache = {}
 _bench_times = {}
@@ -81,6 +84,7 @@ def record_patterns(name, data):
 def get_campaign_report():
     """Run (or fetch) the full three-tier fault campaign."""
     if "report" not in _campaign_cache:
+        from repro.core.profiling import COUNTERS
         from repro.dft.coverage import build_fault_universe, run_paper_campaign
 
         universe = build_fault_universe()
@@ -89,9 +93,21 @@ def get_campaign_report():
             n = min(int(sample), len(universe))
             universe = random.Random(2016).sample(universe, n)
         workers = int(os.environ.get("REPRO_CAMPAIGN_WORKERS", "0")) or None
+        start = COUNTERS.snapshot()
         _campaign_cache["report"] = run_paper_campaign(
             universe, workers=workers)
+        end = COUNTERS.snapshot()
+        _campaign_cache["collapse"] = {
+            name: end[name] - start[name] for name in _COLLAPSE_COUNTERS}
     return _campaign_cache["report"]
+
+
+def campaign_collapse():
+    """The session campaign's own collapse counters (zero when it has
+    not run).  The pattern campaign bench reuses stage results too, so
+    the session-wide counters mix both campaigns."""
+    return _campaign_cache.get("collapse",
+                               dict.fromkeys(_COLLAPSE_COUNTERS, 0))
 
 
 def get_mc_result():
@@ -196,8 +212,9 @@ def pytest_sessionfinish(session, exitstatus):
         return
     from repro.core.profiling import COUNTERS
 
-    rep = COUNTERS.collapse_rep_evals
-    hits = COUNTERS.class_hits
+    collapse = campaign_collapse()
+    rep = collapse["collapse_rep_evals"]
+    hits = collapse["class_hits"]
     payload = {
         "baseline": _baseline_name(),
         "campaign_sample": os.environ.get("REPRO_CAMPAIGN_SAMPLE"),
@@ -207,7 +224,7 @@ def pytest_sessionfinish(session, exitstatus):
         "bench_lu_factor": _bench_lu,
         "patterns": _patterns,
         "collapse": {
-            "classes": COUNTERS.classes,
+            "classes": collapse["classes"],
             "rep_evals": rep,
             "class_hits": hits,
             # simulated-stages compression: verdicts delivered per

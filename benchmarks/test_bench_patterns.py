@@ -90,12 +90,10 @@ def test_bench_unique_detection(benchmark):
     fault = drift[0]
 
     goldens = GoldenSignatures()
-    cache = {}
 
     def run():
-        prbs7 = BISTTest(goldens, pattern="prbs7", measure_cache=cache)
-        agg = BISTTest(goldens, pattern="aggressor",
-                       measure_cache=cache)
+        prbs7 = BISTTest(goldens, pattern="prbs7")
+        agg = BISTTest(goldens, pattern="aggressor")
         return prbs7.at_speed_detect(fault), agg.at_speed_detect(fault)
 
     prbs7_hit, aggressor_hit = benchmark.pedantic(run, rounds=1,

@@ -11,8 +11,9 @@ models; see EXPERIMENTS.md):
 * gate opens are the weakest class (the paper: 87.8%, the lowest row);
 * the short rows reach >= ~90%, capacitor shorts 100%;
 * total coverage lands in the high-80s-to-mid-90s band;
-* on a full-universe run with collapsing on, the equivalence-class
-  compression delivers >= 1.5x as many stage verdicts as it simulates.
+* on a full-universe run that counts its reuse in this process, the
+  equivalence-class compression delivers >= 1.5x as many stage
+  results as it simulates.
 
 Beyond the shapes, every record the run produced must carry the dc,
 scan and bist hits and the outcome committed in
@@ -21,8 +22,8 @@ scan and bist hits and the outcome committed in
 
 import os
 
-from benchmarks.conftest import get_campaign_report, moved_from_reference
-from repro.core.profiling import COUNTERS
+from benchmarks.conftest import (campaign_collapse, get_campaign_report,
+                                  moved_from_reference)
 
 
 def test_bench_table1_coverage(benchmark):
@@ -60,11 +61,13 @@ def test_bench_table1_coverage(benchmark):
 
     # the compression claim only holds on the full universe (a sampled
     # smoke run mostly draws singleton classes) run in-process, the only
-    # way a campaign collapses (the nightly checks it on its own export)
+    # run whose counters reach this process (the nightly checks a forked
+    # run on its own export); the counts are this campaign's alone
     full_run = not os.environ.get("REPRO_CAMPAIGN_SAMPLE")
-    if full_run and COUNTERS.collapse_rep_evals:
-        delivered = COUNTERS.collapse_rep_evals + COUNTERS.class_hits
-        ratio = delivered / COUNTERS.collapse_rep_evals
+    collapse = campaign_collapse()
+    if full_run and collapse["collapse_rep_evals"]:
+        delivered = collapse["collapse_rep_evals"] + collapse["class_hits"]
+        ratio = delivered / collapse["collapse_rep_evals"]
         assert ratio >= 1.5, (
             f"fault-universe compression regressed: {ratio:.3f}x")
 

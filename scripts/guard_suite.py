@@ -11,9 +11,11 @@ summary table (CI fails on any non-OK row).  Checks:
 4. numerics        — singular-circuit isolation ladder (numerics_smoke)
 5. mc-parity       — Monte-Carlo export invariant across worker counts
 6. collapse-parity — an in-process ``repro campaign --sample 48``
-                     (which collapses the fault universe, class hits
-                     > 0) exports byte-identically to the same command
-                     with ``--workers 2`` (which evaluates per fault)
+                     (whose stages reuse results across the whole
+                     draw, class hits > 0 on its ``collapse:`` line)
+                     exports byte-identically to the same command with
+                     ``--workers 2`` (whose workers each reuse results
+                     only among the faults they evaluate)
 7. pattern-parity  — coverage-vs-pattern JSON identical for
                      ``--workers 1`` and ``--workers 4``
 8. service-parity  — sharded service jobs (campaign, two mc seeds,
@@ -24,12 +26,16 @@ summary table (CI fails on any non-OK row).  Checks:
 9. service-chaos   — SIGKILLed serve loops resume to byte-identical
                      artifacts with zero re-simulated items
                      (chaos_smoke kill matrix + stale-lease reclaim)
-10. pattern-golden — the full-universe pattern campaign matches the
+10. pattern-golden — the full-universe pattern campaign, run with
+                     ``--workers 2`` and in-process (where stage results
+                     are reused across the whole universe), matches the
                      committed ``perfbench/reference/patterns.json``
                      (each fault's tiers and outcome, each stimulus's
-                     healthy-lock summary); every moved fault is named
+                     healthy-lock summary) and the two exports are
+                     byte-identical; every moved fault is named
 11. result-golden  — the full 336-fault campaign, run in-process and
-                     so collapsed, matches the committed
+                     so reusing stage results across the whole
+                     universe, matches the committed
                      ``perfbench/reference/table1.json`` (each fault's
                      dc/scan/bist hits and outcome), and the 8-die
                      Monte-Carlo runs of seeds 1-4 match
@@ -162,9 +168,10 @@ def check_mc_parity(tmp: str) -> str:
 
 
 def check_collapse_parity(tmp: str) -> str:
-    """An in-process run collapses the fault universe and a ``--workers
-    2`` run evaluates each fault on its own: the two exports must be
-    byte-identical, and the in-process run must have collapsed."""
+    """An in-process run reuses stage results across the whole draw and
+    a ``--workers 2`` run only within each worker's share of it: the
+    two exports must be byte-identical, and the in-process run must
+    have reused results (class hits > 0)."""
     out = _repro_out(
         "campaign --sample 48 --seed 2016 --export in-process.json",
         cwd=tmp,
@@ -294,30 +301,34 @@ def check_newton_shadow(tmp: str) -> str:
 
 def check_pattern_golden(tmp: str) -> str:
     """The full 236-fault pattern campaign against the committed
-    verdicts: a refactor that moves any verdict or healthy lock time
-    fails here, with every moved fault named."""
-    _repro(
-        "patterns --workers 2 --no-ber-sweep --export patterns-full.json",
-        cwd=tmp,
-    )
-    got = _load(tmp, "patterns-full.json")
+    verdicts, run with ``--workers 2`` and in-process (the run whose
+    stages reuse results across the whole universe): a refactor that
+    moves any verdict or healthy lock time fails here, with every moved
+    fault named, and the two exports must be byte-identical."""
     with open(PATTERN_GOLDEN) as fh:
         want = json.load(fh)
     problems = []
-    if got["patterns"] != want["patterns"]:
-        problems.append(
-            f"stimuli {got['patterns']} != golden {want['patterns']}"
-        )
-    for name in sorted(set(want["faults"]) | set(got["faults"])):
-        was, now = want["faults"].get(name), got["faults"].get(name)
-        if was != now:
-            problems.append(f"{name}: golden {was}, now {now}")
-    for pattern, lock in sorted(want["lock"].items()):
-        now = got["per_pattern"].get(pattern, {}).get("lock")
-        if now != lock:
-            problems.append(
-                f"healthy lock under {pattern}: golden {lock}, now {now}"
-            )
+    for label, flags in (("workers-2", " --workers 2"), ("in-process", "")):
+        export = f"patterns-{label}.json"
+        _repro(f"patterns{flags} --no-ber-sweep --export {export}", cwd=tmp)
+        got = _load(tmp, export)
+        if got["patterns"] != want["patterns"]:
+            problems.append(f"{label} stimuli {got['patterns']} differ")
+        for name in sorted(set(want["faults"]) | set(got["faults"])):
+            was, now = want["faults"].get(name), got["faults"].get(name)
+            if was != now:
+                problems.append(f"{label} {name}: golden {was}, now {now}")
+        for pattern, lock in sorted(want["lock"].items()):
+            now = got["per_pattern"].get(pattern, {}).get("lock")
+            if now != lock:
+                problems.append(
+                    f"{label} healthy lock under {pattern}: golden {lock}, "
+                    f"now {now}"
+                )
+    if _read(tmp, "patterns-workers-2.json") != _read(
+        tmp, "patterns-in-process.json"
+    ):
+        problems.append("in-process export differs from --workers 2")
     if problems:
         golden = PATTERN_GOLDEN.relative_to(REPO_ROOT)
         raise RuntimeError(
@@ -326,7 +337,8 @@ def check_pattern_golden(tmp: str) -> str:
         )
     return (
         f"{len(got['faults'])} fault verdicts + "
-        f"{len(want['lock'])} healthy locks match the golden file"
+        f"{len(want['lock'])} healthy locks match the golden file, "
+        "--workers 2 and in-process"
     )
 
 
@@ -338,8 +350,8 @@ def check_result_golden(tmp: str) -> str:
     die named.  Strict runs escalate degraded solves to
     ``unsolvable``, so they are where a stage that skipped a solve it
     used to run (and that solve's error) would show.  The campaigns run
-    in-process, so they pin the collapsed path; ``collapse-parity``
-    pins the per-fault path to it."""
+    in-process, so they pin stage reuse across the whole universe;
+    ``collapse-parity`` pins the ``--workers 2`` path to it."""
     with open(TABLE1_GOLDEN) as fh:
         want = json.load(fh)["faults"]
     with open(MC_GOLDEN) as fh:

@@ -252,13 +252,17 @@ def cmd_patterns(args) -> int:
                                     PatternCampaign, ber_vs_length_sweep)
 
     names = (tuple(t.strip() for t in args.patterns.split(",") if t.strip())
-             if args.patterns else DEFAULT_CAMPAIGN_PATTERNS)
+             if args.patterns is not None else DEFAULT_CAMPAIGN_PATTERNS)
+    try:
+        campaign = PatternCampaign(patterns=names)
+    except (KeyError, ValueError) as exc:
+        print(exc.args[0], file=sys.stderr)
+        return 1
 
     def progress(i, n):
         if i % 10 == 0 or i == n:
             print(f"  {i}/{n} faults simulated", file=sys.stderr)
 
-    campaign = PatternCampaign(patterns=names)
     result = campaign.run(sample=args.sample, workers=args.workers,
                           progress=progress if args.progress else None)
 
@@ -454,11 +458,11 @@ def _print_numerics(start: Dict[str, int]) -> None:
 
 def _print_collapse(start: Dict[str, int]) -> None:
     """One line of fault-collapse counters when the run since *start*
-    collapsed.
+    reused a stage result.
 
-    Only an in-process run (one worker, no ``--timeout``) collapses the
-    fault universe; a forked or deadline-supervised run evaluates each
-    fault on its own and prints nothing here.
+    Counters are process-local: a forked run (``--workers N``, or a
+    ``--timeout`` supervised worker) reuses results inside its workers,
+    so its counts never reach this process and no line is printed.
     """
     c = _since(start)
     if not c["classes"]:
@@ -670,6 +674,17 @@ def cmd_result(args) -> int:
 _TTL_UNITS = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0}
 
 
+def _sample_size(text: str) -> int:
+    """A ``--sample`` size: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"sample must be >= 0, got {value}")
+    return value
+
+
 def _parse_ttl(text: str) -> float:
     """A TTL in seconds from ``90``, ``30m``, ``12h``, ``7d`` forms."""
     raw = text.strip().lower()
@@ -752,7 +767,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_faults)
 
     p = sub.add_parser("coverage", help="fault campaign (Table I)")
-    p.add_argument("--sample", type=int, default=None,
+    p.add_argument("--sample", type=_sample_size, default=None,
                    help="stratified sample size (default: full universe)")
     p.add_argument("--seed", type=int, default=2016)
     p.add_argument("--progress", action="store_true")
@@ -762,7 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("campaign",
                        help="tier-configurable campaign with artifacts")
-    p.add_argument("--sample", type=int, default=None,
+    p.add_argument("--sample", type=_sample_size, default=None,
                    help="stratified sample size (default: full universe)")
     p.add_argument("--seed", type=int, default=2016)
     p.add_argument("--tiers", default="dc,scan,bist",
@@ -813,7 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patterns", default=None,
                    help="comma-separated stimulus names (default: "
                         "prbs7,prbs15,scrambler,isi,aggressor)")
-    p.add_argument("--sample", type=int, default=None,
+    p.add_argument("--sample", type=_sample_size, default=None,
                    help="deterministic fault-universe subsample size")
     p.add_argument("--workers", type=int, default=None,
                    help="parallel campaign workers (records identical "
@@ -828,7 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench",
                        help="time a sampled campaign + engine counters")
-    p.add_argument("--sample", type=int, default=32,
+    p.add_argument("--sample", type=_sample_size, default=32,
                    help="stratified sample size (default 32; 0 = full)")
     p.add_argument("--seed", type=int, default=2016)
     p.add_argument("--workers", type=int, default=None,

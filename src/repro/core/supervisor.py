@@ -68,7 +68,7 @@ __all__ = [
     "OUTCOME_OK", "OUTCOME_TIMEOUT", "OUTCOME_QUARANTINED",
     "OUTCOME_UNSOLVABLE",
     "ItemDeadline", "RunTrace", "SupervisorError", "SupervisorPolicy",
-    "evaluates_in_process", "record_outcome", "run_supervised",
+    "record_outcome", "run_supervised",
 ]
 
 #: item outcome labels recorded on campaign records
@@ -567,15 +567,14 @@ def run_serial(items: Sequence[Any], evaluate: Callable[[Any], Any],
     return results
 
 
-def evaluates_in_process(workers: int, timeout: Optional[float]) -> bool:
+def _evaluates_in_process(workers: int, timeout: Optional[float]) -> bool:
     """Whether :func:`run_supervised` evaluates every item in the calling
     process under no per-item deadline.
 
     That is the case for one worker and no timeout, or for any worker
     count where fork is unavailable and no timeout is set.  Anything
     else runs forked, supervised workers (or, without fork, SIGALRM
-    deadlines).  Campaigns ask this before doing work whose result only
-    the evaluating process can use, such as the fault-collapse prepass.
+    deadlines).
     """
     fork_ok = "fork" in multiprocessing.get_all_start_methods()
     return timeout is None and (workers <= 1 or not fork_ok)
@@ -618,7 +617,7 @@ def run_supervised(items: Sequence[Any],
                         "when timeouts/quarantine are possible")
     use_fork = (bool(items)
                 and "fork" in multiprocessing.get_all_start_methods()
-                and not evaluates_in_process(workers, policy.timeout))
+                and not _evaluates_in_process(workers, policy.timeout))
     _emit(trace, "run_start", items=len(items),
           workers=workers if use_fork else 1,
           mode="fork" if use_fork else "serial",

@@ -32,11 +32,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..faults.behavior_map import map_fault_to_knobs
+from ..faults.collapse import canon_knobs, stage_result
 from ..faults.inject import inject_fault
 from ..faults.model import StructuralFault
 from ..link.params import LinkParams
 from ..synchronizer.loop import SynchronizerLoop
-from ..variation.context import active_context
 from .duts import build_receiver_dut, build_vcdl_dut
 from .golden import GoldenSignatures
 from .registry import register_tier
@@ -50,6 +50,27 @@ LOCK_TEST_PHASE = 5
 LOCK_TEST_CYCLES = 7000
 #: the paper's lock-time budget [s]
 LOCK_BUDGET = 2e-6
+#: step instant of the VCDL characterisation stimulus [s]
+VCDL_CHAR_T_STEP = 0.3e-9
+
+
+def vcdl_char_circuit(vctl: float):
+    """The healthy ad-hoc VCDL characterisation netlist at *vctl*: a
+    clock step into the line, the control voltage held by a source."""
+    from ..analog import Circuit, step_waveform
+    from ..circuits.vcdl import build_vcdl
+    from ..variation.context import tune_active
+
+    c = Circuit("vcdl_char")
+    c.add_vsource("vdd", "0", 1.2, name="VDD")
+    c.add_vsource("vctl", "0", vctl, name="VCTL")
+    vin = c.add_vsource("clk_in", "0", 0.0, name="VCLK")
+    vin.waveform = step_waveform(0.0, 1.2, VCDL_CHAR_T_STEP, t_rise=20e-12)
+    build_vcdl(c, "vcdl", "clk_in", "clk_out", "vctl")
+    # bypasses the wrapped builders, so apply the active die's
+    # mismatch explicitly
+    tune_active(c)
+    return c
 
 
 @register_tier("bist")
@@ -60,17 +81,16 @@ class BISTTest:
     *pattern* selects the at-speed stimulus (any
     :data:`repro.patterns.sources.PATTERN_NAMES` entry); the registry
     builds parameterised instances via ``create_tier("bist@isi")``.
-    *measure_cache* memoizes the expensive pattern-independent netlist
-    characterisations (window thresholds, VCDL delay pairs) — pass one
-    shared dict when sweeping many patterns over the same fault list.
-    Inside a Monte-Carlo die (an active
-    :class:`~repro.variation.context.DieContext`) the characterisations
-    run on that die's mismatch and bypass the cache.
+    Within a campaign run every stage goes through the run's stage memo
+    (:func:`repro.faults.collapse.stage_result`): the pattern-
+    independent netlist characterisations (receiver checks, VCDL
+    aliveness, window thresholds, VCDL delay pairs) are shared by every
+    stimulus of the run, and the lock verdicts by every fault with the
+    same stimulus and structural key.
     """
 
     goldens: GoldenSignatures = field(default_factory=GoldenSignatures)
     pattern: str = "prbs7"
-    measure_cache: Dict = field(default_factory=dict, repr=False)
     _golden: Dict = field(default_factory=dict, repr=False)
     _healthy_ota_i: Dict[str, float] = field(default_factory=dict,
                                              repr=False)
@@ -140,101 +160,33 @@ class BISTTest:
         VCDL aliveness).  The pattern campaign runs these once and
         sweeps :meth:`at_speed_detect` per stimulus."""
         if fault.block in ("window_comp", "cp"):
-            return self._run_receiver_checks(fault) != self._golden
+            checks = stage_result(self.goldens, "bist_checks", fault,
+                                  ("R",), self._run_receiver_checks)
+            return checks != self._golden
         if fault.block == "vcdl":
-            return not self._vcdl_alive(fault)
+            return not stage_result(self.goldens, "vcdl_alive", fault,
+                                    ("V",), self._vcdl_alive)
         return False
 
     def at_speed_detect(self, fault: StructuralFault) -> bool:
-        """The stimulus-dependent at-speed stages only."""
+        """The stimulus-dependent at-speed stages only.
+
+        A charge-pump fault reaches the loop only through its knob set,
+        so its lock verdict is keyed by the stimulus and that set; the
+        window and VCDL lock tests key on the digest of the circuit
+        they characterise.
+        """
         if fault.block == "window_comp":
-            return self._window_lock_test(fault)
+            return stage_result(self.goldens, "win_lock", fault, ("R",),
+                                self._window_lock_test, self.pattern)
         if fault.block == "vcdl":
-            return self._vcdl_lock_test(fault)
-        return self._lock_test(fault)
+            return stage_result(self.goldens, "vcdl_lock", fault, ("C",),
+                                self._vcdl_lock_test, self.pattern)
+        knobs = canon_knobs(map_fault_to_knobs(fault))
+        return stage_result(self.goldens, "cp_lock", fault, (),
+                            self._lock_test, (self.pattern, knobs))
 
     # ------------------------------------------------------------------
-    def detect_collapsed(self, faults, collapser, memo=None):
-        """One-representative-per-class :meth:`detect`; see
-        DCTest.detect_collapsed for the memo/provenance contract.
-
-        Receiver checks key on the perturbation digest alone (shared by
-        cp and window-comparator classes, and across stimulus patterns);
-        the follow-on lock run keys on the stimulus pattern plus the
-        behavioural knob set for cp faults (the only inputs
-        :meth:`_lock_test` consumes) or the digest for the
-        window-threshold bisection.
-        """
-        from .collapsed import (consume, expand, group_by_signature,
-                                stage_exec)
-
-        memo = {} if memo is None else memo
-        resolved: Dict = {}
-        provenance: Dict = {}
-        # the collapser's equivalence knowledge is per base tier; the
-        # pattern only enters the lock-stage memo keys below
-        groups = group_by_signature(faults, collapser, "bist")
-        rx_groups = {s: m for s, m in groups.items() if s[0] == "R"}
-        vc_groups = {s: m for s, m in groups.items() if s[0] == "V"}
-
-        fresh = stage_exec(
-            memo,
-            {("bist_checks", s[1]): m[0] for s, m in rx_groups.items()},
-            self._run_receiver_checks)
-        lock_need, lock_groups = {}, []
-        for sig, members in rx_groups.items():
-            key = ("bist_checks", sig[1])
-            entry = memo[key]
-            if isinstance(entry, Exception):
-                continue
-            consume(fresh, key, len(members))
-            if entry != self._golden:
-                expand(resolved, provenance, members, True)
-                continue
-            if members[0].block == "cp":
-                lkey = ("cp_lock", self.pattern, sig[2])
-            else:
-                lkey = ("win_lock", self.pattern, sig[1])
-            lock_need.setdefault(lkey, members[0])
-            lock_groups.append((lkey, members))
-
-        fresh = stage_exec(memo, lock_need, self.at_speed_detect)
-        for lkey, members in lock_groups:
-            entry = memo[lkey]
-            if isinstance(entry, Exception):
-                continue
-            consume(fresh, lkey, len(members))
-            expand(resolved, provenance, members, entry)
-
-        fresh = stage_exec(
-            memo,
-            {("vcdl_alive", s[1]): m[0] for s, m in vc_groups.items()},
-            self._vcdl_alive)
-        char_need, char_groups = {}, []
-        for sig, members in vc_groups.items():
-            key = ("vcdl_alive", sig[1])
-            entry = memo[key]
-            if isinstance(entry, Exception):
-                continue
-            consume(fresh, key, len(members))
-            if not entry:
-                expand(resolved, provenance, members, True)
-            else:
-                ckey = ("vcdl_char", sig[3])
-                char_need.setdefault(ckey, members[0])
-                char_groups.append((ckey, members))
-
-        fresh = stage_exec(memo, char_need, self._measure_vcdl_delays)
-        for ckey, members in char_groups:
-            entry = memo[ckey]
-            if isinstance(entry, Exception):
-                continue
-            consume(fresh, ckey, len(members))
-            expand(resolved, provenance, members,
-                   self._vcdl_lock_verdict(*entry))
-
-        return resolved, provenance
-
     def _measure_vcdl_delays(self, fault: StructuralFault):
         """Faulted VCDL delays ``(d_lo, d_hi)`` at the window bounds.
 
@@ -342,38 +294,19 @@ class BISTTest:
         hi = dut.observe()
         return lo == 0 and hi == 1
 
-    #: step instant of the VCDL characterisation stimulus [s]
-    VCDL_CHAR_T_STEP = 0.3e-9
-
     def _vcdl_char_circuit(self, fault: StructuralFault, vctl: float):
         """Faulted ad-hoc characterisation netlist for one *vctl*."""
-
-        from ..analog import step_waveform
-        from ..circuits.vcdl import build_vcdl
-        from ..analog import Circuit
-        from ..variation.context import tune_active
-
-        c = Circuit("vcdl_char")
-        c.add_vsource("vdd", "0", 1.2, name="VDD")
-        c.add_vsource("vctl", "0", vctl, name="VCTL")
-        vin = c.add_vsource("clk_in", "0", 0.0, name="VCLK")
-        vin.waveform = step_waveform(0.0, 1.2, self.VCDL_CHAR_T_STEP,
-                                     t_rise=20e-12)
-        build_vcdl(c, "vcdl", "clk_in", "clk_out", "vctl")
-        # ad-hoc characterisation netlist: bypasses the wrapped
-        # builders, so apply the active die's mismatch explicitly
-        tune_active(c)
-        return inject_fault(c, fault,
+        return inject_fault(vcdl_char_circuit(vctl), fault,
                             retention=self.goldens.retention_vcdl)
 
     def _vcdl_delay_from(self, tr) -> float:
         """Propagation delay from a characterisation transient."""
         v_out = tr.v("clk_out")
-        after = tr.time > self.VCDL_CHAR_T_STEP
+        after = tr.time > VCDL_CHAR_T_STEP
         crossed = (after & (v_out > 0.6)).nonzero()[0]
         if len(crossed) == 0:
             return float("nan")
-        return float(tr.time[crossed[0]] - self.VCDL_CHAR_T_STEP)
+        return float(tr.time[crossed[0]] - VCDL_CHAR_T_STEP)
 
     def _measure_faulted_vcdl(self, fault: StructuralFault,
                               vctl: float) -> float:
@@ -386,7 +319,7 @@ class BISTTest:
         from ..analog import transient
 
         faulted = self._vcdl_char_circuit(fault, vctl)
-        t_step = self.VCDL_CHAR_T_STEP
+        t_step = VCDL_CHAR_T_STEP
         tr = transient(faulted, 1.6e-9, 2e-12, probes=["clk_out"],
                        stop=lambda t, v: t > t_step and v[0] > 0.6)
         return self._vcdl_delay_from(tr)
@@ -401,23 +334,9 @@ class BISTTest:
         detector overflow; a mild parametric shift locks fine and
         escapes (the Table I open-fault escapes).
         """
-        return self._vcdl_lock_verdict(*self._measured(
-            ("vcdl_delays", fault.key()), self._measure_vcdl_delays, fault))
-
-    def _measured(self, ckey, measure, fault: StructuralFault):
-        """``measure(fault)`` through :attr:`measure_cache`.
-
-        A die's measurement is shifted by its own mismatch, so under an
-        active die context it is neither served from the cache nor
-        stored there: a die's record stays a pure function of
-        ``(seed, die_index)``, whichever dies shared its process.
-        """
-        ctx = active_context()
-        if ctx is not None and ctx.die_index is not None:
-            return measure(fault)
-        if ckey not in self.measure_cache:
-            self.measure_cache[ckey] = measure(fault)
-        return self.measure_cache[ckey]
+        return self._vcdl_lock_verdict(*stage_result(
+            self.goldens, "vcdl_delays", fault, ("C",),
+            self._measure_vcdl_delays))
 
     def _vcdl_lock_verdict(self, d_lo: float, d_hi: float) -> bool:
         """Behavioural lock run on a measured (d_lo, d_hi) delay pair."""
@@ -573,8 +492,8 @@ class BISTTest:
         then fails to fire (or fires constantly), which the lock
         detector observes.
         """
-        th = self._measured(("win_thresholds", fault.key()),
-                            self._measure_window_thresholds, fault)
+        th = stage_result(self.goldens, "win_thresholds", fault, ("R",),
+                          self._measure_window_thresholds)
         if th == "nonconv" or "nonconv" in th:
             return True
         th_lo, th_hi = th

@@ -19,14 +19,15 @@ on a tester it shows as an out-of-spec supply current).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, Iterable, Tuple
+from typing import ClassVar, Dict
 
-from ..circuits.full_link import FullLinkPorts, build_full_link
+from ..faults.collapse import stage_result
 from ..faults.inject import inject_fault
 from ..faults.model import StructuralFault
 from .duts import build_receiver_dut
 from .golden import GoldenSignatures
 from .registry import register_tier
+from .scan_test import link_static, run_link_static
 
 #: blocks whose faults the full-link netlist contains
 LINK_BLOCKS = ("tx", "termination")
@@ -70,8 +71,7 @@ class DCTest:
         this screen exactly when mismatch pushes a DC observable past a
         compare threshold — the DC tier's yield-loss contribution.
         """
-        link = build_full_link()
-        if link.run_dc_test() != self.goldens.dc_link:
+        if run_link_static(self.goldens, None)[0] != self.goldens.dc_link:
             return False
         dut = build_receiver_dut()
         dut.set_condition()
@@ -86,19 +86,20 @@ class DCTest:
         return self.goldens.retention_receiver
 
     def detect(self, fault: StructuralFault) -> bool:
-        """Run the DC tier against *fault*; True when detected."""
+        """Run the DC tier against *fault*; True when detected.
+
+        The link observation is the ``link_static`` stage the scan
+        tier's probe capture shares (one solve per data bit serves
+        both tiers within a run).
+        """
         if fault.block in LINK_BLOCKS:
-            link = build_full_link()
-            faulted = inject_fault(link.circuit, fault,
-                                   retention=self.goldens.retention_link)
-            dut = FullLinkPorts(
-                circuit=faulted, data_source_name=link.data_source_name,
-                datab_source_name=link.datab_source_name, tx=link.tx,
-                term=link.term, vdd=link.vdd)
-            return dut.run_dc_test() != self.goldens.dc_link
+            dc_sig, _probe = link_static(self.goldens, fault)
+            return dc_sig != self.goldens.dc_link
 
         if fault.block in RECEIVER_BLOCKS:
-            return self._observe_receiver(fault) != self.goldens.dc_receiver
+            observed = stage_result(self.goldens, "rx_dc", fault, ("R",),
+                                    self._observe_receiver)
+            return observed != self.goldens.dc_receiver
 
         return False
 
@@ -109,56 +110,3 @@ class DCTest:
             dut.circuit, fault, retention=self.goldens.retention_receiver)
         dut.set_condition()
         return dut.observe(dut.solve())
-
-    # ------------------------------------------------------------------
-    def detect_collapsed(self, faults: Iterable[StructuralFault],
-                         collapser, memo=None
-                         ) -> Tuple[Dict[Tuple, bool], Dict[Tuple, Tuple]]:
-        """One-representative-per-class :meth:`detect` (DESIGN.md §14).
-
-        Groups *faults* by structural DC-tier signature, executes each
-        sub-stage once per distinct digest (results land in the shared
-        cross-tier *memo* — the link stage also carries the scan tier's
-        probe capture), and expands the verdict to every member.
-        Returns ``(resolved, provenance)``; provenance maps a member's
-        key to its representative's.  Groups whose stage raised stay
-        unresolved, so the serial detector reproduces exact error
-        records per member.
-        """
-        from .collapsed import (consume, expand, group_by_signature,
-                                run_link_static, stage_exec)
-
-        memo = {} if memo is None else memo
-        resolved: Dict[Tuple, bool] = {}
-        provenance: Dict[Tuple, Tuple] = {}
-        groups = group_by_signature(faults, collapser, self.name)
-        link_groups = {s: m for s, m in groups.items() if s[0] == "L"}
-        rx_groups = {s: m for s, m in groups.items() if s[0] == "R"}
-
-        fresh = stage_exec(
-            memo,
-            {("link_static", s[1]): m[0] for s, m in link_groups.items()},
-            lambda rep: run_link_static(self.goldens, rep))
-        for sig, members in link_groups.items():
-            key = ("link_static", sig[1])
-            entry = memo[key]
-            if isinstance(entry, Exception):
-                continue
-            consume(fresh, key, len(members))
-            dc_sig, _probe = entry
-            expand(resolved, provenance, members,
-                   dc_sig != self.goldens.dc_link)
-
-        fresh = stage_exec(
-            memo, {("rx_dc", s[1]): m[0] for s, m in rx_groups.items()},
-            self._observe_receiver)
-        for sig, members in rx_groups.items():
-            key = ("rx_dc", sig[1])
-            entry = memo[key]
-            if isinstance(entry, Exception):
-                continue
-            consume(fresh, key, len(members))
-            expand(resolved, provenance, members,
-                   entry != self.goldens.dc_receiver)
-
-        return resolved, provenance

@@ -21,12 +21,14 @@ switch-matrix continuity) lives in :mod:`repro.dft.digital_scan`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import ClassVar, Dict, Iterable, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import ClassVar, Dict, Optional, Tuple
 
 import numpy as np
 
 from ..analog import dc_operating_point, transient
+from ..circuits.full_link import build_full_link
+from ..faults.collapse import stage_result
 from ..faults.inject import inject_fault
 from ..faults.model import StructuralFault
 from .duts import build_receiver_dut, build_toggle_dut
@@ -58,6 +60,41 @@ def _digitize(op, nodes, vdd=1.2) -> Tuple:
     return tuple(1 if op.v(n) > vdd / 2 else 0 for n in nodes)
 
 
+def run_link_static(goldens: GoldenSignatures,
+                    fault: Optional[StructuralFault]) -> Tuple[Dict, Dict]:
+    """The link's static stage: both data values, one solve each.
+
+    The DC tier's two-pattern link observation and the scan tier's
+    probe-FF capture of the transmitter driver nodes drive identical
+    source values on the same (optionally faulted) netlist, so one
+    solve per data bit serves both.  Returns ``(dc_signature,
+    probe_capture)``.
+    """
+    link = build_full_link()
+    if fault is not None:
+        link = replace(link, circuit=inject_fault(
+            link.circuit, fault, retention=goldens.retention_link))
+    dc_sig: Dict = {}
+    probe: Dict = {}
+    for bit in (1, 0):
+        link.apply_data(bit)
+        op = dc_operating_point(link.circuit)
+        obs = link.observe(op) if op.converged else {}
+        obs["converged"] = op.converged
+        dc_sig[bit] = obs
+        probe[bit] = (_digitize(op, ScanTest.PROBE_NODES, link.vdd)
+                      if op.converged else ("no_convergence",))
+    return dc_sig, probe
+
+
+def link_static(goldens: GoldenSignatures,
+                fault: StructuralFault) -> Tuple[Dict, Dict]:
+    """:func:`run_link_static` through the run's stage memo, the one
+    lookup the DC and scan tiers share."""
+    return stage_result(goldens, "link_static", fault, ("L",),
+                        lambda f: run_link_static(goldens, f))
+
+
 @register_tier("scan")
 @dataclass
 class ScanTest:
@@ -81,7 +118,7 @@ class ScanTest:
         # the receiver stage stops at a decided verdict only once its
         # golden exists, so the golden build is a full pass
         self._golden_probe = self.goldens.get(
-            "scan.probe", lambda: self._run_probe(None))
+            "scan.probe", lambda: run_link_static(self.goldens, None)[1])
         self._golden_receiver = self.goldens.get(
             "scan.receiver", lambda: self._run_receiver(None))
 
@@ -111,7 +148,7 @@ class ScanTest:
         threshold the tester uses — the same compares ``detect`` runs,
         minus the fault injection.
         """
-        if self._run_probe(None) != self._golden_probe:
+        if run_link_static(self.goldens, None)[1] != self._golden_probe:
             return False
         if self._run_receiver(None) != self._golden_receiver:
             return False
@@ -123,108 +160,20 @@ class ScanTest:
             # pattern: a weakened driver that still reads correctly at
             # DC cannot deliver its capacitive kick, and the 100 MHz
             # window comparator sees the unbalanced bias glitch
-            if self._run_probe(fault) != self._golden_probe:
+            _dc_sig, probe = link_static(self.goldens, fault)
+            if probe != self._golden_probe:
                 return True
-            return self._run_toggle(fault) > TOGGLE_THRESHOLD
-        if fault.block == "termination":
-            exc = self._run_toggle(fault)
-            return exc > TOGGLE_THRESHOLD
+        if fault.block in ("tx", "termination"):
+            excursion = stage_result(self.goldens, "toggle", fault, ("T",),
+                                     self._run_toggle)
+            return excursion > TOGGLE_THRESHOLD
         if fault.block in ("cp", "window_comp"):
-            return self._run_receiver(fault) != self._golden_receiver
+            captured = stage_result(self.goldens, "rx_scan", fault, ("R",),
+                                    self._run_receiver)
+            return captured != self._golden_receiver
         return False
 
     # ------------------------------------------------------------------
-    def detect_collapsed(self, faults: Iterable[StructuralFault],
-                         collapser, memo=None
-                         ) -> Tuple[Dict[Tuple, bool], Dict[Tuple, Tuple]]:
-        """One-representative-per-class :meth:`detect`; see
-        DCTest.detect_collapsed for the memo/provenance contract.
-
-        The probe stage consumes the same ``link_static`` memo entries
-        the DC tier fills — one solve pair serves both tiers — and the
-        toggle stage runs only for classes whose probe capture matched
-        golden, mirroring the serial short-circuit.
-        """
-        from .collapsed import (consume, expand, group_by_signature,
-                                run_link_static, stage_exec)
-
-        memo = {} if memo is None else memo
-        resolved: Dict[Tuple, bool] = {}
-        provenance: Dict[Tuple, Tuple] = {}
-        groups = group_by_signature(faults, collapser, self.name)
-        tx_groups = {s: m for s, m in groups.items() if s[0] == "L"}
-        term_groups = {s: m for s, m in groups.items() if s[0] == "T"}
-        rx_groups = {s: m for s, m in groups.items() if s[0] == "R"}
-
-        fresh = stage_exec(
-            memo,
-            {("link_static", s[1]): m[0] for s, m in tx_groups.items()},
-            lambda rep: run_link_static(self.goldens, rep))
-        toggle_need: Dict[Tuple, StructuralFault] = {}
-        toggle_groups = []
-        for sig, members in tx_groups.items():
-            key = ("link_static", sig[1])
-            entry = memo[key]
-            if isinstance(entry, Exception):
-                continue
-            consume(fresh, key, len(members))
-            _dc_sig, probe = entry
-            if probe != self._golden_probe:
-                expand(resolved, provenance, members, True)
-            else:
-                tkey = ("toggle", sig[3])
-                toggle_need.setdefault(tkey, members[0])
-                toggle_groups.append((tkey, members))
-        for sig, members in term_groups.items():
-            tkey = ("toggle", sig[1])
-            toggle_need.setdefault(tkey, members[0])
-            toggle_groups.append((tkey, members))
-
-        fresh = stage_exec(memo, toggle_need, self._run_toggle)
-        for tkey, members in toggle_groups:
-            entry = memo[tkey]
-            if isinstance(entry, Exception):
-                continue
-            consume(fresh, tkey, len(members))
-            expand(resolved, provenance, members,
-                   entry > TOGGLE_THRESHOLD)
-
-        fresh = stage_exec(
-            memo, {("rx_scan", s[1]): m[0] for s, m in rx_groups.items()},
-            self._run_receiver)
-        for sig, members in rx_groups.items():
-            key = ("rx_scan", sig[1])
-            entry = memo[key]
-            if isinstance(entry, Exception):
-                continue
-            consume(fresh, key, len(members))
-            expand(resolved, provenance, members,
-                   entry != self._golden_receiver)
-
-        return resolved, provenance
-
-    # ------------------------------------------------------------------
-    def _run_probe(self, fault: Optional[StructuralFault]) -> Dict:
-        """Probe-FF capture of the driver nodes for both data values."""
-        from ..circuits.full_link import build_full_link
-
-        link = build_full_link()
-        circuit = link.circuit
-        if fault is not None:
-            circuit = inject_fault(circuit, fault,
-                                   retention=self.goldens.retention_link)
-        out = {}
-        for bit in (1, 0):
-            v = link.vdd if bit else 0.0
-            circuit["VDATA"].voltage = v
-            circuit["VDATAB"].voltage = link.vdd - v
-            op = dc_operating_point(circuit)
-            if not op.converged:
-                out[bit] = ("no_convergence",)
-            else:
-                out[bit] = _digitize(op, self.PROBE_NODES)
-        return out
-
     def _run_receiver(self, fault: Optional[StructuralFault]) -> Dict:
         """Window-comparator captures across the five scan conditions.
 

@@ -41,8 +41,8 @@ from ..analog.resilience import numerics_policy
 from ..analog.solver import SolverError
 from ..core.jsonl import DurableJsonlWriter, JsonlCheckpoint
 from ..core.supervisor import (OUTCOME_UNSOLVABLE, SUPERVISOR_TIER, RunTrace,
-                               SupervisorPolicy, evaluates_in_process,
-                               run_supervised)
+                               SupervisorPolicy, run_supervised)
+from .collapse import stage_memo
 from .model import DetectionRecord, StructuralFault
 
 DetectorFunc = Callable[[StructuralFault], bool]
@@ -182,27 +182,18 @@ class FaultCampaign:
     outcomes — the ``--strict-numerics`` CLI semantics.  It is applied
     inside :meth:`evaluate`, so forked campaign workers inherit it.
 
-    A run that evaluates in-process (one worker, no timeout: see
-    :func:`~repro.core.supervisor.evaluates_in_process`) collapses the
-    fault universe first (DESIGN.md §14): each tier's
-    ``detect_collapsed`` simulates one representative per structural
-    equivalence class, and its verdict stands for every member.  Any
-    other run evaluates each fault on its own, since a forked run would
-    pay for the prepass serially before the fork and a ``timeout`` run
-    would simulate representatives outside the supervision it asked
-    for.  Records are the same either way and do not say which path
-    produced them.
+    Every :meth:`run` collapses the fault universe as it goes
+    (DESIGN.md §14): it activates a fresh
+    :class:`~repro.faults.collapse.StageMemo`, and the tiers' stages
+    reuse the result of an earlier fault whose injected netlist change
+    is structurally the same.  A forked run's workers each fill their
+    own copy.  Records are the same either way and do not say which
+    fault simulated a stage.
     """
 
     def __init__(self, strict_numerics: bool = False):
         self._tiers: List[Tuple[str, DetectorFunc, AppliesFunc]] = []
         self.strict_numerics = strict_numerics
-        # tier objects (protocol form only) — the collapse prepass needs
-        # the object to reach its detect_collapsed method
-        self._tier_objects: Dict[str, object] = {}
-        # (tier name, fault.key()) -> detected, filled by the collapse
-        # prepass and consulted by evaluate() before running a detector
-        self._precomputed: Dict[Tuple[str, Tuple], bool] = {}
 
     @property
     def tier_names(self) -> Tuple[str, ...]:
@@ -247,8 +238,6 @@ class FaultCampaign:
             applies = applies if applies is not None else tier.applies_to
         if name in self.tier_names:
             raise ValueError(f"duplicate tier name {name!r}")
-        if not isinstance(tier, str):
-            self._tier_objects[name] = tier
         self._tiers.append((name, detector, applies or (lambda f: True)))
 
     def evaluate(self, fault: StructuralFault) -> DetectionRecord:
@@ -266,11 +255,6 @@ class FaultCampaign:
         with numerics_policy(strict=self.strict_numerics):
             for name, detector, applies in self._tiers:
                 if not applies(fault):
-                    continue
-                pre = self._precomputed.get((name, fault.key()))
-                if pre is not None:
-                    if pre:
-                        rec.tiers[name] = True
                     continue
                 try:
                     if detector(fault):
@@ -292,10 +276,10 @@ class FaultCampaign:
             ) -> CampaignResult:
         """Evaluate every fault against every applicable tier.
 
-        With one worker and no ``timeout`` the run evaluates in-process,
-        and a prepass first resolves whole equivalence classes from one
-        representative each (see :meth:`_precompute_collapsed`); the
-        per-fault evaluation then consults those verdicts.
+        The run activates a fresh stage memo (see the class docstring):
+        a stage whose structural key an earlier fault of this run (of
+        this worker, in a forked run) already simulated reuses that
+        result.
 
         Execution is handed to :func:`repro.core.supervisor.run_supervised`:
         with ``workers`` > 1 (or a ``timeout`` set) and fork available,
@@ -319,7 +303,8 @@ class FaultCampaign:
         ``trace`` (a path or an open :class:`RunTrace`) streams the
         structured run-event log: worker spawns/deaths, dispatches,
         per-fault durations, retries, timeouts and checkpoint writes,
-        and one ``class_resolved`` event per class the prepass resolved.
+        and, when the run evaluates in-process, one ``stage_reused``
+        event per stage result a fault took from its representative.
         """
         universe = list(universe)
         n = len(universe)
@@ -338,9 +323,6 @@ class FaultCampaign:
             COUNTERS.campaign_faults += len(pending)
             n_workers = (1 if workers is None
                          else min(int(workers), max(len(pending), 1)))
-            self._precomputed.clear()
-            if evaluates_in_process(n_workers, timeout):
-                self._precompute_collapsed(pending, trace)
             completed = [base]
 
             def on_record(index: int, fault: StructuralFault,
@@ -355,65 +337,15 @@ class FaultCampaign:
                 if progress is not None:
                     progress(completed[0], n)
 
-            run_supervised(
-                pending, self.evaluate, workers=n_workers,
-                policy=SupervisorPolicy(timeout=timeout,
-                                        max_retries=max_retries),
-                fallback=self._fallback_record, on_record=on_record,
-                trace=trace)
+            with stage_memo(trace):
+                run_supervised(
+                    pending, self.evaluate, workers=n_workers,
+                    policy=SupervisorPolicy(timeout=timeout,
+                                            max_retries=max_retries),
+                    fallback=self._fallback_record, on_record=on_record,
+                    trace=trace)
         return CampaignResult(records=[done[f.key()] for f in universe],
                               tier_order=self.tier_names)
-
-    def _precompute_collapsed(self, pending: Sequence[StructuralFault],
-                              trace: Optional[RunTrace]) -> None:
-        """Collapse prepass: one representative simulation per class.
-
-        Only runs when at least one tier object implements
-        ``detect_collapsed`` (so stub-tier campaigns never pay for the
-        collapser's reference circuits).  The sub-stage memo is shared
-        across tiers — the DC and scan tiers split the cost of the
-        combined ``link_static`` stage.  A tier whose collapsed pass
-        raises is skipped wholesale: its faults all evaluate serially.
-        With *trace* open, each class whose verdict a representative
-        supplied to other members is logged as one ``class_resolved``
-        event (tier, representative, members) — the provenance records
-        do not carry.
-        """
-        tiers_with = [(name, self._tier_objects.get(name), applies)
-                      for name, _, applies in self._tiers
-                      if hasattr(self._tier_objects.get(name),
-                                 "detect_collapsed")]
-        if not tiers_with:
-            return
-        from .collapse import FaultCollapser
-
-        goldens = next((obj.goldens for _, obj, _ in tiers_with
-                        if hasattr(obj, "goldens")), None)
-        collapser = FaultCollapser(goldens=goldens)
-        COUNTERS.classes += len(collapser.classes(pending))
-        memo: Dict[Tuple, object] = {}
-        with numerics_policy(strict=self.strict_numerics):
-            for name, obj, applies in tiers_with:
-                faults = [f for f in pending if applies(f)]
-                if not faults:
-                    continue
-                try:
-                    resolved, provenance = obj.detect_collapsed(
-                        faults, collapser, memo=memo)
-                except Exception:  # noqa: BLE001 - serial path covers it
-                    continue
-                for key, hit in resolved.items():
-                    self._precomputed[(name, key)] = bool(hit)
-                if trace is not None:
-                    by_key = {f.key(): f for f in faults}
-                    classes: Dict[Tuple, List[str]] = {}
-                    for key, rep in provenance.items():
-                        classes.setdefault(tuple(rep), []).append(
-                            str(by_key[key]))
-                    for rep, members in classes.items():
-                        trace.emit("class_resolved", tier=name,
-                                   representative=str(by_key[rep]),
-                                   members=members)
 
     def _fallback_record(self, fault: StructuralFault, outcome: str,
                          detail: str) -> DetectionRecord:

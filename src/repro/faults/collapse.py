@@ -10,11 +10,13 @@ no-op.  This module maps each
 perturbation* its injection applies to the relevant golden circuit — a
 node-renaming-invariant digest of the added / rewired stamps restricted
 to the observation cone — and groups faults whose perturbations are
-identical per test tier.  A campaign that evaluates in-process then
-simulates one representative per group and expands its verdict to the
-members (:meth:`repro.faults.campaign.FaultCampaign.run`); CI proves
-the equivalence by comparing whole exports with the per-fault path and
-the committed verdicts.
+identical per test tier.  During a campaign run
+(:meth:`repro.faults.campaign.FaultCampaign.run`) the tiers' stages
+look their results up in a per-run :class:`StageMemo` keyed by these
+digests, so a stage runs once per distinct perturbation and every
+later fault with that perturbation reuses its result; CI proves the
+equivalence by comparing whole exports with the per-fault path and the
+committed verdicts.
 
 The digests are structural, not stimulus-specific: two faults with the
 same digest in a context produce identical netlists up to the renaming
@@ -26,13 +28,16 @@ into a cut chain's interior.
 
 from __future__ import annotations
 
+import os
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Set, Tuple)
 
 from ..analog.devices import Resistor, Switch, is_ground
 from ..analog.mosfet import MOSFET
+from ..core.profiling import COUNTERS
 from .behavior_map import map_fault_to_knobs
 from .inject import GATE_LEAK_DRIFT
 from .model import FaultKind, R_SHORT, StructuralFault
@@ -202,65 +207,65 @@ def canon_perturbation(circuit, inc, observed, retention, fault):
 class FaultCollapser:
     """Digest faults against the golden DUT circuits and group them.
 
-    Contexts are built lazily from the cached benches (the same ones
-    the tiers use); a shared :class:`~repro.dft.golden.GoldenSignatures`
-    may be passed so retention profiles are not re-solved.
+    Each context is built from the cached benches (the same ones the
+    tiers use) the first time a digest needs it, so a run pays only for
+    the contexts its faults touch; a shared
+    :class:`~repro.dft.golden.GoldenSignatures` may be passed so
+    retention profiles are not re-solved.
     """
 
     def __init__(self, goldens=None):
         self._goldens = goldens
-        self._contexts = None
+        self._contexts: Dict[str, Tuple] = {}
         self._digests: Dict[Tuple, Tuple] = {}
 
-    def _build_contexts(self) -> None:
-        from ..analog import Circuit, step_waveform
+    def _context(self, tag: str) -> Tuple:
+        """``(circuit, observed nodes, retention, incidence)``."""
+        ctx = self._contexts.get(tag)
+        if ctx is None:
+            circuit, observed, retention = self._build_context(tag)
+            ctx = self._contexts[tag] = (circuit, observed, retention,
+                                         build_incidence(circuit))
+        return ctx
+
+    def _build_context(self, tag: str) -> Tuple:
         from ..circuits.full_link import build_full_link
-        from ..circuits.vcdl import build_vcdl
+        from ..dft.bist import vcdl_char_circuit
         from ..dft.duts import (build_receiver_dut, build_toggle_dut,
                                 build_vcdl_dut)
         from ..dft.golden import GoldenSignatures
         from ..dft.scan_test import ScanTest
         from ..link.params import LinkParams
-        from ..variation.context import tune_active
 
         goldens = self._goldens
         if goldens is None:
             goldens = self._goldens = GoldenSignatures()
-        link = build_full_link()
-        toggle = build_toggle_dut()
-        receiver = build_receiver_dut()
-        vcdl = build_vcdl_dut()
-
-        # golden VCDL characterisation circuit (mirrors the BIST tier's
-        # _vcdl_char_circuit topology; only source values differ between
-        # the lo/hi control points, which a structural digest ignores)
-        char = Circuit("vcdl_char")
-        char.add_vsource("vdd", "0", 1.2, name="VDD")
-        char.add_vsource("vctl", "0", LinkParams().v_window_lo, name="VCTL")
-        vin = char.add_vsource("clk_in", "0", 0.0, name="VCLK")
-        vin.waveform = step_waveform(0.0, 1.2, 0.3e-9, t_rise=20e-12)
-        build_vcdl(char, "vcdl", "clk_in", "clk_out", "vctl")
-        tune_active(char)
-
-        link_obs = set(ScanTest.PROBE_NODES) | {
-            link.term.cmp_pos_out, link.term.cmp_neg_out,
-            link.term.win_hi, link.term.win_lo}
-        contexts = {
-            "L": (link.circuit, link_obs, goldens.retention_link),
-            "T": (toggle.circuit, {toggle.vcm_node, toggle.ref_node},
-                  goldens.retention_link),
-            "R": (receiver.circuit,
-                  {"win_hi", "win_lo", "bist_hi", "bist_lo"},
-                  goldens.retention_receiver),
-            "V": (vcdl.circuit, {"clk_out"}, goldens.retention_vcdl),
-            "C": (char, {"clk_out"}, goldens.retention_vcdl),
-        }
-        self._contexts = {
-            tag: (circ, obs, ret, build_incidence(circ))
-            for tag, (circ, obs, ret) in contexts.items()}
+        if tag == "L":
+            link = build_full_link()
+            observed = set(ScanTest.PROBE_NODES) | {
+                link.term.cmp_pos_out, link.term.cmp_neg_out,
+                link.term.win_hi, link.term.win_lo}
+            return link.circuit, observed, goldens.retention_link
+        if tag == "T":
+            toggle = build_toggle_dut()
+            return (toggle.circuit, {toggle.vcm_node, toggle.ref_node},
+                    goldens.retention_link)
+        if tag == "R":
+            return (build_receiver_dut().circuit,
+                    {"win_hi", "win_lo", "bist_hi", "bist_lo"},
+                    goldens.retention_receiver)
+        if tag == "V":
+            return (build_vcdl_dut().circuit, {"clk_out"},
+                    goldens.retention_vcdl)
+        # only source values differ between the characterisation's
+        # lo/hi control points, which a structural digest ignores
+        return (vcdl_char_circuit(LinkParams().v_window_lo), {"clk_out"},
+                goldens.retention_vcdl)
 
     def digest(self, fault: StructuralFault, tag: str):
-        """Canonical perturbation of *fault* in context *tag* (memoized).
+        """Canonical perturbation of *fault* in context *tag* (memoized):
+        ``L`` full link, ``T`` toggle bench, ``R`` receiver bench, ``V``
+        VCDL, ``C`` VCDL characterisation circuit.
 
         A digest failure (unknown device in that context, etc.) yields a
         per-device ``("error", ...)`` digest: the fault stays a
@@ -269,9 +274,7 @@ class FaultCollapser:
         key = (fault.key(), tag)
         got = self._digests.get(key)
         if got is None:
-            if self._contexts is None:
-                self._build_contexts()
-            circuit, obs, ret, inc = self._contexts[tag]
+            circuit, obs, ret, inc = self._context(tag)
             try:
                 got = canon_perturbation(circuit, inc, obs, ret, fault)
             except Exception as exc:
@@ -424,3 +427,103 @@ def universe_report(universe: Sequence[StructuralFault],
                     goldens=None) -> CollapseReport:
     """One-call structural analysis used by ``repro faults``."""
     return FaultCollapser(goldens=goldens).report(universe)
+
+
+# ----------------------------------------------------------------------
+# per-run stage memo
+# ----------------------------------------------------------------------
+class StageMemo:
+    """Test-stage results of one campaign run, keyed by structure.
+
+    A result's key is the stage name, the perturbation digest of each
+    circuit the stage simulates (its context *tags*) and any other input
+    it reads (*extra*: the stimulus pattern, the charge-pump knob set).
+    Equal keys mean the same injected netlist change, so the first fault
+    to run a stage (its *representative*) supplies the result to every
+    later one.
+
+    Only a fault's outermost lookup counts: a fresh result ticks
+    ``collapse_rep_evals``, a reused one ``class_hits``, and a lookup
+    made while computing another stage (the thresholds and delays under
+    a lock verdict) ticks nothing.  ``classes`` counts the distinct
+    :meth:`FaultCollapser.class_key` values among the faults served.
+    With *trace* open each counted reuse is one ``stage_reused`` event,
+    written only by the process that opened the memo (never by a
+    forked worker that inherited it).
+    """
+
+    def __init__(self, trace=None):
+        self.trace = trace
+        self._pid = os.getpid()
+        self._collapser: Optional[FaultCollapser] = None
+        self._results: Dict[Tuple, Tuple[Any, StructuralFault]] = {}
+        self._classes: Set[Tuple] = set()
+        self._depth = 0
+
+    def result(self, goldens, stage: str, fault: StructuralFault,
+               tags: Sequence[str], run: Callable[[StructuralFault], Any],
+               extra: Any = None) -> Any:
+        """``run(fault)``, or the result an equal-keyed fault got.  A
+        stage that raises stores nothing, so each fault with its key
+        reproduces its own error."""
+        if self._collapser is None:
+            self._collapser = FaultCollapser(goldens=goldens)
+        collapser = self._collapser
+        key = (stage, tuple(collapser.digest(fault, t) for t in tags), extra)
+        outer = self._depth == 0
+        if outer:
+            cls = collapser.class_key(fault)
+            if cls not in self._classes:
+                self._classes.add(cls)
+                COUNTERS.classes += 1
+        hit = self._results.get(key)
+        if hit is not None:
+            value, representative = hit
+            if outer:
+                COUNTERS.class_hits += 1
+                if self.trace is not None and os.getpid() == self._pid:
+                    self.trace.emit("stage_reused", fault=str(fault),
+                                    stage=stage,
+                                    representative=str(representative))
+            return value
+        self._depth += 1
+        try:
+            value = run(fault)
+        finally:
+            self._depth -= 1
+        self._results[key] = (value, fault)
+        if outer:
+            COUNTERS.collapse_rep_evals += 1
+        return value
+
+
+_active: Optional[StageMemo] = None
+
+
+@contextmanager
+def stage_memo(trace=None) -> Iterator[StageMemo]:
+    """Activate a fresh :class:`StageMemo` for the duration of a run.
+
+    Forked workers inherit it and each fills its own copy.  Outside a
+    run none is active, so a direct ``detect`` call or a Monte-Carlo die
+    never sees another fault's (or die's) result.
+    """
+    global _active
+    outer, _active = _active, StageMemo(trace)
+    try:
+        yield _active
+    finally:
+        _active = outer
+
+
+def stage_result(goldens, stage: str, fault: StructuralFault,
+                 tags: Sequence[str], run: Callable[[StructuralFault], Any],
+                 extra: Any = None) -> Any:
+    """``run(fault)`` through the active run's :class:`StageMemo`.
+
+    *tags* name the contexts of the circuits the stage simulates (see
+    :meth:`FaultCollapser.digest`); *extra* is any other input it reads.
+    """
+    if _active is None:
+        return run(fault)
+    return _active.result(goldens, stage, fault, tags, run, extra)

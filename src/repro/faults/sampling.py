@@ -61,8 +61,11 @@ def stratified_sample(universe: Sequence[StructuralFault], n: int,
 
     Default strata are ``(block, fault kind)``; each stratum contributes
     proportionally (largest-remainder rounding), so a sampled campaign's
-    class composition matches the full universe's.
+    class composition matches the full universe's.  A negative *n* is a
+    ``ValueError``.
     """
+    if n < 0:
+        raise ValueError(f"sample must be >= 0, got {n}")
     if n >= len(universe):
         return list(universe)
     if key is None:

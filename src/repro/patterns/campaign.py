@@ -8,11 +8,13 @@ registered pattern classes and scored per class.
 Shape: one :class:`~repro.faults.campaign.FaultCampaign` carries a
 single pattern-independent ``static`` tier (receiver checks + VCDL
 aliveness, run once per fault) plus one ``at_speed@<pattern>`` tier
-per stimulus, each a thin closure over a shared-golden
-:class:`~repro.dft.bist.BISTTest` instance.  Campaign records are
-assembled in universe order by the supervised runner, so the exported
-JSON is byte-identical across ``--workers`` counts — the pattern-parity
-CI smoke pins that.
+per stimulus, each a stage method of a shared-golden
+:class:`~repro.dft.bist.BISTTest` instance.  The run's stage memo
+(DESIGN.md §14) measures each pattern-independent characterisation once
+per structural class and each lock verdict once per class and
+stimulus.  Campaign records are assembled in universe order by the
+supervised runner, so the exported JSON is byte-identical across
+``--workers`` counts — the pattern-parity CI smoke pins that.
 
 The BER sweep runs the healthy behavioural loop under each stimulus
 with a :class:`~repro.patterns.checker.PatternChecker` attached and
@@ -64,35 +66,6 @@ def bist_universe() -> List[StructuralFault]:
             if f.block in ("cp", "window_comp", "vcdl")]
 
 
-class _AtSpeedDetector:
-    """Memoized at-speed stage closure for one stimulus.
-
-    Charge-pump faults reach the behavioural loop only through their
-    knob set, so equal knob sets share one verdict (the same
-    equivalence :meth:`BISTTest.detect_collapsed` exploits); window and
-    VCDL faults still share the netlist characterisations through the
-    tier's ``measure_cache``.  Verdicts are deterministic, so the memo
-    never changes a record — it only removes repeat simulation.
-    """
-
-    def __init__(self, tier: BISTTest):
-        self.tier = tier
-        self.memo: Dict = {}
-
-    def __call__(self, fault: StructuralFault) -> bool:
-        key = None
-        if fault.block == "cp":
-            from ..faults.behavior_map import map_fault_to_knobs
-            from ..faults.collapse import canon_knobs
-
-            key = ("cp", canon_knobs(map_fault_to_knobs(fault)))
-        if key is None:
-            return self.tier.at_speed_detect(fault)
-        if key not in self.memo:
-            self.memo[key] = self.tier.at_speed_detect(fault)
-        return self.memo[key]
-
-
 def healthy_lock_summary(pattern: str) -> Dict[str, object]:
     """Healthy-die lock behaviour under *pattern* from both worst-case
     startup phases, against the stimulus-scaled 2 us budget."""
@@ -125,9 +98,12 @@ def sampled_universe(universe: Sequence[StructuralFault],
     """Deterministic subsample shared by :meth:`PatternCampaign.run`
     and the service layer's sharder — one rule, so a sharded service
     run sees exactly the faults an unsharded ``--sample`` run sees.
-    ``None`` or 0 keeps the whole universe."""
+    ``None`` or 0 keeps the whole universe; a negative size is a
+    ``ValueError``."""
     import random
 
+    if sample is not None and sample < 0:
+        raise ValueError(f"sample must be >= 0, got {sample}")
     universe = list(universe)
     if sample and sample < len(universe):
         picks = sorted(random.Random(0).sample(range(len(universe)),
@@ -227,6 +203,8 @@ class PatternCampaign:
                  goldens: Optional[GoldenSignatures] = None):
         self.patterns = tuple(patterns if patterns is not None
                               else DEFAULT_CAMPAIGN_PATTERNS)
+        if not self.patterns:
+            raise ValueError("empty pattern sweep")
         for p in self.patterns:
             if p not in PATTERN_NAMES:
                 raise KeyError(f"unknown pattern {p!r}; choices: "
@@ -234,25 +212,21 @@ class PatternCampaign:
         if len(set(self.patterns)) != len(self.patterns):
             raise ValueError("duplicate pattern in sweep")
         goldens = goldens if goldens is not None else GoldenSignatures()
-        # one BISTTest per stimulus over one golden cache and one
-        # netlist-characterisation cache (thresholds / VCDL delays are
-        # pattern-independent, so each is measured once per fault)
-        shared_cache: Dict = {}
+        # one BISTTest per stimulus over one golden cache
         self.tiers: Dict[str, BISTTest] = {
-            p: BISTTest(goldens, pattern=p, measure_cache=shared_cache)
-            for p in self.patterns}
+            p: BISTTest(goldens, pattern=p) for p in self.patterns}
 
     def build(self) -> FaultCampaign:
         """The underlying fault campaign: static tier + one at-speed
-        tier per stimulus (legacy closure form — forked workers inherit
-        the shared goldens without re-solving)."""
+        tier per stimulus (forked workers inherit the shared goldens
+        without re-solving)."""
         campaign = FaultCampaign()
         first = self.tiers[self.patterns[0]]
         campaign.add_tier(STATIC_TIER, first.static_detect,
                           first.applies_to)
         for p in self.patterns:
             tier = self.tiers[p]
-            campaign.add_tier(at_speed_tier(p), _AtSpeedDetector(tier),
+            campaign.add_tier(at_speed_tier(p), tier.at_speed_detect,
                               tier.applies_to)
         return campaign
 

@@ -6,8 +6,7 @@ tail and corruption policy is proved here once, on files written by the
 real writers:
 
 * a stub-tier fault campaign whose records include an ``unsolvable``
-  record with errors, a tier-bug record and a record whose verdict came
-  from the collapse prepass;
+  record with errors and a tier-bug record;
 * a one-tier Monte-Carlo campaign;
 * a :class:`~repro.core.supervisor.RunTrace`.
 
@@ -48,21 +47,8 @@ KINDS = list(FaultKind)
 UNIVERSE = [F(f"d{i}", KINDS[i % len(KINDS)]) for i in range(8)]
 
 
-class _SingletonCollapser:
-    """Stands in for ``FaultCollapser``: every fault is its own class,
-    so the collapse prepass needs no reference circuits."""
-
-    def __init__(self, goldens=None):
-        pass
-
-    def classes(self, faults):
-        return {f.key(): [f] for f in faults}
-
-
 class _StubTier:
-    """``alpha``: d2 is unsolvable, d3 hits a tier bug, and d5's verdict
-    comes from its class representative d4 through the collapse
-    prepass."""
+    """``alpha``: d2 is unsolvable and d3 hits a tier bug."""
 
     name = "alpha"
 
@@ -75,17 +61,6 @@ class _StubTier:
         if fault.device == "d3":
             raise RuntimeError("tier bug")
         return fault.device in ("d0", "d4")
-
-    def detect_collapsed(self, faults, collapser, memo=None):
-        d5 = [f for f in faults if f.device == "d5"]
-        return ({f.key(): True for f in d5},
-                {f.key(): UNIVERSE[4].key() for f in d5})
-
-
-@pytest.fixture
-def singleton_collapser(monkeypatch):
-    monkeypatch.setattr("repro.faults.collapse.FaultCollapser",
-                        _SingletonCollapser)
 
 
 def stub_campaign():
@@ -128,16 +103,10 @@ class _Written:
 @pytest.fixture(scope="module")
 def fault_file(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("fault") / "ckpt.jsonl")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("repro.faults.collapse.FaultCollapser",
-                   _SingletonCollapser)
-        campaign = stub_campaign()
-        result = campaign.run(UNIVERSE, checkpoint=path)
+    result = stub_campaign().run(UNIVERSE, checkpoint=path)
     outcomes = {r.fault.device: r for r in result.records}
     assert outcomes["d2"].outcome == "unsolvable" and outcomes["d2"].errors
     assert outcomes["d3"].errors and outcomes["d3"].outcome == "ok"
-    # the prepass verdict: alpha's own detector would miss d5
-    assert outcomes["d5"].hit("alpha")
     with open(path, "rb") as fh:
         data = fh.read()
     return _Written(data, DetectionRecord.from_dict,
@@ -193,8 +162,7 @@ class TestTruncateEveryByte:
                           str(tmp_path / "cut.jsonl"))
 
     def test_fault_campaign_resumes_identically(self, fault_file,
-                                                tmp_path,
-                                                singleton_collapser):
+                                                tmp_path):
         written, uninterrupted = fault_file
         path = str(tmp_path / "cut.jsonl")
         for cut in range(len(written.data) + 1):

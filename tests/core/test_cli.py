@@ -25,6 +25,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["netlist", "flux_capacitor"])
 
+    @pytest.mark.parametrize("command", ["coverage", "campaign", "bench",
+                                         "patterns"])
+    def test_negative_sample_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--sample", "-3"])
+        assert exc.value.code == 2
+        assert "sample must be >= 0" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_eye_passes_at_paper_point(self, capsys):
@@ -65,6 +73,20 @@ class TestCommands:
 
         c = load_spice(str(path))
         assert len(c.elements_of_type(type(c["vcdl_MN0"]))) >= 10
+
+    @pytest.mark.parametrize("patterns, message", [
+        (",", "empty pattern sweep"),
+        ("", "empty pattern sweep"),
+        ("prbs7,morse", "unknown pattern 'morse'"),
+        ("prbs7,isi,prbs7", "duplicate pattern in sweep"),
+    ], ids=["comma", "empty", "unknown", "duplicate"])
+    def test_patterns_rejects_a_bad_sweep(self, patterns, message, capsys):
+        """One line on stderr and exit 1, as ``campaign --tiers ,``."""
+        assert main(["patterns", "--patterns", patterns]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert message in captured.err
 
     def test_coverage_sampled(self, capsys):
         assert main(["coverage", "--sample", "6", "--seed", "4"]) == 0

@@ -1,14 +1,16 @@
 """Campaign-level tests for fault-universe compression.
 
-The collapse contract: a campaign collapses exactly when it evaluates
-in-process (one worker, no timeout), and its records are the per-fault
-path's byte for byte — a record never says how it was reached.  The
-representative behind each copied verdict goes to the run trace, one
-``class_resolved`` event per class.  The 24 termination faults form
-real multi-member classes, so every execution path below (in-process,
-``workers=2``, a 2-shard service merge, a resume from a checkpoint
-holding the first half) mixes copied and simulated verdicts, and the
-classes of a half or a shard differ from those of the whole.
+The collapse contract: every campaign run activates a fresh stage memo,
+each tier stage reuses the result of an earlier fault of the run whose
+injected netlist change is structurally the same, and the records are
+the per-fault path's byte for byte — a record never says how it was
+reached.  The fault that simulated each reused result goes to the run
+trace of an in-process run, one ``stage_reused`` event per reuse.  The
+24 termination faults form real multi-member classes, so every
+execution path below (in-process, ``workers=2``, a 2-shard service
+merge, a resume from a checkpoint holding the first half) mixes reused
+and simulated stage results, and the classes of a half, a shard or a
+worker differ from those of the whole.
 """
 
 import json
@@ -44,14 +46,14 @@ def _run(universe, **kwargs):
 
 def _per_fault(universe):
     """The oracle: every fault through every tier's own detector, with
-    no collapse prepass."""
+    no run (so no stage memo) active."""
     campaign = _campaign()
     return CampaignResult([campaign.evaluate(f) for f in universe],
                           campaign.tier_names)
 
 
-def _classes(path):
-    return [e for e in read_events(path) if e["event"] == "class_resolved"]
+def _reused(path):
+    return [e for e in read_events(path) if e["event"] == "stage_reused"]
 
 
 @pytest.fixture(scope="module")
@@ -61,12 +63,12 @@ def per_fault(universe):
 
 @pytest.fixture(scope="module")
 def traced(universe, tmp_path_factory):
-    """An in-process traced run, its class events and its counters."""
+    """An in-process traced run, its reuse events and its counters."""
     path = str(tmp_path_factory.mktemp("trace") / "run.jsonl")
     with profiled() as counters:
         result = _run(universe, trace=path)
         snapshot = counters.snapshot()
-    return result, _classes(path), snapshot
+    return result, _reused(path), snapshot
 
 
 class TestVerdictParity:
@@ -98,20 +100,22 @@ class TestVerdictParity:
         assert back.to_json() == traced[0].to_json()
 
 
-class TestOnlyInProcessRunsCollapse:
+class TestForkedRunsReuseInTheirWorkers:
     @pytest.mark.parametrize("kwargs", [dict(workers=2),
                                         dict(timeout=600.0)],
                              ids=["workers-2", "timeout"])
-    def test_supervised_runs_evaluate_per_fault(self, universe, per_fault,
-                                                kwargs, tmp_path):
-        """No prepass runs in the parent (its class counter stays 0 and
-        the trace names no class), and the export is the same."""
+    def test_parent_counts_and_traces_no_reuse(self, universe, per_fault,
+                                               kwargs, tmp_path):
+        """A forked run's stage results are reused inside its workers:
+        the parent evaluates nothing (its class counter stays 0), no
+        worker writes a reuse event to the trace, and the export is the
+        same."""
         path = str(tmp_path / "run.jsonl")
         with profiled() as counters:
             result = _run(universe, trace=path, **kwargs)
             classes = counters.classes
         assert classes == 0
-        assert _classes(path) == []
+        assert _reused(path) == []
         assert result.to_json() == per_fault.to_json()
 
 
@@ -141,24 +145,30 @@ class TestExportIsPathIndependent:
         assert resumed.to_json() == traced[0].to_json()
 
 
+#: the tier whose verdict each termination-fault stage decides
+STAGE_TIERS = {"link_static": "dc", "toggle": "scan"}
+
+
 class TestTraceProvenance:
     def test_trace_carries_provenance(self, traced):
-        """Each event names a tier, a representative and the members
-        whose verdict for that tier is the representative's."""
-        result, classes, _ = traced
-        assert classes
+        """Each event names a fault, the stage whose result it reused
+        and the representative that simulated it; for a termination
+        fault that stage decides one tier's verdict, which the two
+        faults therefore share.  There is one event per class hit."""
+        result, reused, counters = traced
+        assert reused
+        assert len(reused) == counters["class_hits"]
         by_name = {str(r.fault): r for r in result.records}
-        for event in classes:
-            tier, rep = event["tier"], event["representative"]
-            assert tier in result.tier_order
-            assert event["members"] and rep not in event["members"]
-            for member in event["members"]:
-                assert by_name[member].hit(tier) == by_name[rep].hit(tier)
+        for event in reused:
+            fault, rep = event["fault"], event["representative"]
+            assert fault != rep and rep in by_name
+            tier = STAGE_TIERS[event["stage"]]
+            assert by_name[fault].hit(tier) == by_name[rep].hit(tier)
 
     def test_members_cover_every_fault_not_simulated_itself(
             self, universe, tmp_path, monkeypatch):
-        """A fault no stage injected got every verdict from a class
-        representative, so some event must name it as a member."""
+        """A fault no stage injected got every stage result from a
+        representative, so some event must name it."""
         from repro.faults import inject
 
         injected = set()
@@ -173,7 +183,7 @@ class TestTraceProvenance:
             monkeypatch.setattr(f"{module}.inject_fault", spy)
         path = str(tmp_path / "run.jsonl")
         _run(universe, trace=path)
-        members = {m for event in _classes(path) for m in event["members"]}
+        members = {event["fault"] for event in _reused(path)}
         not_simulated = {str(f) for f in universe} - injected
         assert not_simulated, "every fault was simulated: nothing collapsed"
         assert not_simulated <= members
@@ -182,14 +192,17 @@ class TestTraceProvenance:
 class TestRepresentativeStageFailure:
     def test_raising_class_falls_back_to_serial_records(
             self, universe, traced, monkeypatch, tmp_path):
-        """A representative whose stage raises leaves its class to the
-        serial detector, so every member gets the serial ``unsolvable``
-        record; the tier's other classes stay collapsed."""
+        """A representative whose stage raises stores nothing, so every
+        member runs the stage itself and gets its own ``unsolvable``
+        record; the tier's other classes keep reusing results."""
         from repro.analog.solver import SolverError
         from repro.dft.scan_test import ScanTest
 
-        classes = {e["representative"]: {e["representative"], *e["members"]}
-                   for e in traced[1] if e["tier"] == "scan"}
+        classes = {}
+        for e in traced[1]:
+            if e["stage"] == "toggle":
+                classes.setdefault(e["representative"],
+                                   {e["representative"]}).add(e["fault"])
         assert len(classes) >= 2, "need a failing and a healthy class"
         bad_rep, bad = max(classes.items(), key=lambda kv: len(kv[1]))
 
@@ -209,8 +222,8 @@ class TestRepresentativeStageFailure:
                 assert rec.outcome == "unsolvable"
                 assert rec.errors[0][0] == "scan"
                 assert "singular toggle transient" in rec.errors[0][1]
-        healthy = {e["representative"] for e in _classes(path)
-                   if e["tier"] == "scan"}
+        healthy = {e["representative"] for e in _reused(path)
+                   if e["stage"] == "toggle"}
         assert healthy == set(classes) - {bad_rep}
 
 

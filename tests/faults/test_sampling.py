@@ -101,6 +101,13 @@ class TestStratifiedSample:
         sample = stratified_sample(u, 45)
         assert len({str(f) for f in sample}) == 45
 
+    @pytest.mark.parametrize("n", [-1, -3, -48])
+    def test_negative_size_rejected(self, n):
+        """A negative size used to return a short sample (``-3`` gave
+        57 of 60 faults here) or fail inside ``random.sample``."""
+        with pytest.raises(ValueError, match="sample must be >= 0"):
+            stratified_sample(make_universe(), n)
+
     def test_uneven_strata_largest_remainder(self):
         u = (make_universe(n_per=3)[:6]          # 2 small strata
              + make_universe(n_per=20)[-40:])    # bigger strata

@@ -32,6 +32,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PatternCampaign(patterns=("prbs7", "prbs7"))
 
+    def test_empty_sweep_rejected(self):
+        with pytest.raises(ValueError, match="empty pattern sweep"):
+            PatternCampaign(patterns=())
+
     def test_tier_names(self):
         campaign = PatternCampaign(patterns=("prbs7", "isi"))
         fc = campaign.build()
@@ -56,6 +60,11 @@ class TestSampling:
         assert sampled_universe(universe, 0) == universe
         assert sampled_universe(universe, None) == universe
         assert len(sampled_universe(universe, 5)) == 5
+
+    @pytest.mark.parametrize("sample", [-1, -2, -300])
+    def test_negative_sample_rejected(self, sample):
+        with pytest.raises(ValueError, match="sample must be >= 0"):
+            sampled_universe(bist_universe(), sample)
 
 
 class TestWorkerParity:

@@ -58,7 +58,7 @@ class TestPatternAxis:
     def test_applies_to_is_pattern_independent(self):
         goldens = GoldenSignatures()
         plain = BISTTest(goldens)
-        isi = BISTTest(goldens, pattern="isi", measure_cache={})
+        isi = BISTTest(goldens, pattern="isi")
         for fault in (F("cp_wk_MSWU", FaultKind.GATE_OPEN, "cp",
                         "cp_weak_sw"),
                       F("tx_M1", FaultKind.GATE_OPEN, "tx")):
@@ -70,7 +70,7 @@ class TestPatternAxis:
         the historical path for the default stimulus."""
         goldens = GoldenSignatures()
         plain = BISTTest(goldens)
-        named = BISTTest(goldens, pattern="prbs7", measure_cache={})
+        named = BISTTest(goldens, pattern="prbs7")
         faults = [
             F("cp_wk_MSWU", FaultKind.DRAIN_SOURCE_SHORT, "cp",
               "cp_weak_sw"),
@@ -105,9 +105,8 @@ class TestPatternAxis:
         """Receiver checks and VCDL aliveness do not depend on the
         stimulus — the campaign runs them once under one tier."""
         goldens = GoldenSignatures()
-        cache = {}
-        plain = BISTTest(goldens, measure_cache=cache)
-        agg = BISTTest(goldens, pattern="aggressor", measure_cache=cache)
+        plain = BISTTest(goldens)
+        agg = BISTTest(goldens, pattern="aggressor")
         fault = F("win_hi_MINP", FaultKind.GATE_OPEN, "window_comp",
                   "window_comp")
         assert plain.static_detect(fault) == agg.static_detect(fault)

@@ -1,11 +1,12 @@
 """Each Monte-Carlo die characterises its faulted netlist on its own
 mismatch.
 
-``BISTTest.measure_cache`` memoizes the VCDL delay pair and the window
-thresholds per fault.  Two dies that draw the same fault must not share
-them: the later die would run its at-speed lock test on the earlier
-die's mismatch-shifted measurement, and its record would depend on
-which dies shared its process.  The pairs below are the first in their
+Within a fault-campaign run the stage memo shares the VCDL delay pair
+and the window thresholds between faults with the same structural key;
+no memo is active while Monte-Carlo dies are evaluated.  Two dies that
+draw the same fault must not share them: the later die would run its
+at-speed lock test on the earlier die's mismatch-shifted measurement,
+and its record would depend on which dies shared its process.  The pairs below are the first in their
 seeds to repeat a VCDL fault (``vcdl_MBP:gate_open``) and a window
 fault (``win_hi_MLD:gate_drain_short``).
 """
