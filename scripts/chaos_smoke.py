@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Service chaos smoke: a SIGKILLed serve loop never loses work.
 
-Runs the seeded kill matrix (:mod:`repro.service.chaos`) against a
+Runs the seeded kill matrix (``tests/service/chaos.py``) against a
 small fault campaign: for each kill point a forked serve loop is
 SIGKILLed mid-job at a deterministic trace-event breakpoint, its stale
 lease is reclaimed, and a fresh serve resumes the job.  Asserts the
@@ -26,9 +26,14 @@ import multiprocessing
 import os
 import sys
 import tempfile
+from pathlib import Path
 
-from repro.service import CampaignSpec
-from repro.service.chaos import run_kill_matrix
+REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "tests" / "service"))
+
+from chaos import run_kill_matrix  # noqa: E402
+
+from repro.service import CampaignSpec  # noqa: E402
 
 #: small but non-trivial: >= 8 items (the seeded nth ranges assume
 #: that) split over enough shards that kills land mid- and inter-shard

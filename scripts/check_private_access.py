@@ -13,10 +13,8 @@ private *module* imports are out of scope.  The ALLOWLIST below is for
 documented exceptions only; every former object-state entry has been
 replaced by a real public accessor (``Capacitor.history_current``
 / ``record_companion``, ``Circuit.revision`` / ``param_revision`` /
-``plan_cache``).  The sole remaining entry is not object
-state at all: ``os._exit`` is the documented way for a forked child to
-exit without running the parent's interpreter teardown, which is
-exactly what the chaos harness's fork()ed victim needs.
+``plan_cache``), and the last entry, the chaos harness's ``os._exit``
+in its fork()ed victim, left with the harness for ``tests/service/``.
 """
 
 from __future__ import annotations
@@ -33,9 +31,7 @@ SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: deliberate, documented exceptions.  For object state, add a public
 #: accessor instead of an entry; stdlib calls with no public spelling
 #: (``os._exit`` in a forked child) are the only admissible kind.
-ALLOWLIST: set = {
-    ("service/chaos.py", "os", "_exit"),
-}
+ALLOWLIST: set = set()
 
 #: receivers that denote "my own state", never a reach-in
 SELF_NAMES = {"self", "cls"}

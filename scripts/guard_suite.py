@@ -50,6 +50,15 @@ summary table (CI fails on any non-OK row).  Checks:
                      and a 4-fault pattern run (newton_shadow); the
                      first non-bitwise A, b, x or diagnostics fails it,
                      naming its circuit
+13. digital-golden — both default digital fault campaigns (scan chains
+                     A and B under stuck-at faults, the coarse path
+                     under launch-on-capture transition faults), run
+                     through the whole-response oracle of
+                     ``tests/digital/reference_fault_sim.py`` and
+                     through the engine, each reproduce every
+                     per-fault first difference committed in
+                     ``tests/digital/reference_verdicts.json``; every
+                     moved fault is named
 
 Run locally: ``python scripts/guard_suite.py`` (from the repo root).
 Select a subset: ``python scripts/guard_suite.py mc-parity pattern-parity``.
@@ -71,6 +80,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 PATTERN_GOLDEN = REPO_ROOT / "perfbench" / "reference" / "patterns.json"
 TABLE1_GOLDEN = REPO_ROOT / "perfbench" / "reference" / "table1.json"
 MC_GOLDEN = REPO_ROOT / "perfbench" / "reference" / "mc.json"
+DIGITAL_ORACLE = REPO_ROOT / "tests" / "digital" / "reference_fault_sim.py"
 #: the Table I tiers whose hits table1.json pins
 TIER_NAMES = ("dc", "scan", "bist")
 ENV = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
@@ -299,6 +309,15 @@ def check_newton_shadow(tmp: str) -> str:
     return "assemblies, solves and Newton loops bitwise equal to the oracle"
 
 
+def check_digital_golden(tmp: str) -> str:
+    """The stuck-at and transition campaigns against their pin: the
+    oracle (every procedure run to its end, whole responses compared)
+    and the engine (stopped at each fault's first difference) must both
+    give every fault its committed first differing observation."""
+    _run([sys.executable, str(DIGITAL_ORACLE)], cwd=tmp)
+    return "oracle and engine reproduce every pinned first difference"
+
+
 def check_pattern_golden(tmp: str) -> str:
     """The full 236-fault pattern campaign against the committed
     verdicts, run with ``--workers 2`` and in-process (the run whose
@@ -416,6 +435,7 @@ CHECKS: List[Tuple[str, Callable[[str], str]]] = [
     ("pattern-golden", check_pattern_golden),
     ("result-golden", check_result_golden),
     ("newton-shadow", check_newton_shadow),
+    ("digital-golden", check_digital_golden),
 ]
 
 

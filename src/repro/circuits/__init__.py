@@ -39,8 +39,6 @@ from .stdcells import (
     WL_OFFSET,
     build_bias_divider,
     build_inverter,
-    build_nmos_mirror,
-    build_pmos_mirror,
     build_transmission_gate,
 )
 from .termination import TerminationPorts, build_termination
@@ -69,7 +67,7 @@ __all__ = [
     "CLK_SAMPLE", "CLK_SAMPLE_B", "PhaseDetectorPorts",
     "build_alexander_pd", "pd_decision",
     "CellPorts", "WL_DEFAULT", "WL_OFFSET", "build_bias_divider",
-    "build_inverter", "build_nmos_mirror", "build_pmos_mirror",
+    "build_inverter",
     "build_transmission_gate",
     "TerminationPorts", "build_termination",
     "VCDLPorts", "build_vcdl", "measure_vcdl_delay", "vcdl_tuning_range",

@@ -74,20 +74,3 @@ def build_bias_divider(circuit: Circuit, prefix: str, out: str,
     circuit.add_resistor(out, vss, r_bot, name=f"{prefix}_RB")
     return CellPorts(nodes={"out": out}, devices=[])
 
-
-def build_nmos_mirror(circuit: Circuit, prefix: str, i_in: str, out: str,
-                      vss: str = "0", w: float = 0.5e-6,
-                      l: float = 0.5e-6) -> CellPorts:
-    """NMOS current mirror: diode device on *i_in*, output device on *out*."""
-    md = circuit.add_nmos(i_in, i_in, vss, w=w, l=l, name=f"{prefix}_MD")
-    mo = circuit.add_nmos(out, i_in, vss, w=w, l=l, name=f"{prefix}_MO")
-    return CellPorts(nodes={"in": i_in, "out": out}, devices=[md, mo])
-
-
-def build_pmos_mirror(circuit: Circuit, prefix: str, i_in: str, out: str,
-                      vdd: str = "vdd", w: float = 0.5e-6,
-                      l: float = 0.5e-6) -> CellPorts:
-    """PMOS current mirror referenced to *vdd*."""
-    md = circuit.add_pmos(i_in, i_in, vdd, w=w, l=l, name=f"{prefix}_MD")
-    mo = circuit.add_pmos(out, i_in, vdd, w=w, l=l, name=f"{prefix}_MO")
-    return CellPorts(nodes={"in": i_in, "out": out}, devices=[md, mo])

@@ -150,6 +150,22 @@ def cmd_coverage(args) -> int:
     return 0
 
 
+def _tier_list(text: str):
+    """The ``--tiers`` names, or None once the refusal is printed (an
+    empty list, an unknown tier or pattern, a repeated tier)."""
+    from .dft.registry import check_tier_names
+
+    names = tuple(t.strip() for t in text.split(",") if t.strip())
+    try:
+        if not names:
+            raise ValueError("no tiers requested")
+        check_tier_names(names)
+    except ValueError as exc:
+        print(exc.args[0], file=sys.stderr)
+        return None
+    return names
+
+
 def cmd_campaign(args) -> int:
     from .core.profiling import COUNTERS
     from .dft.coverage import CoverageReport, build_fault_universe
@@ -158,9 +174,8 @@ def cmd_campaign(args) -> int:
     from .faults.campaign import TIER_ORDER, FaultCampaign
     from .faults.sampling import stratified_sample
 
-    tier_names = tuple(t.strip() for t in args.tiers.split(",") if t.strip())
-    if not tier_names:
-        print("no tiers requested", file=sys.stderr)
+    tier_names = _tier_list(args.tiers)
+    if tier_names is None:
         return 1
 
     start = COUNTERS.snapshot()
@@ -213,9 +228,8 @@ def cmd_mc(args) -> int:
     from .variation import MismatchModel, MonteCarloCampaign
     from .variation.report import format_mc_report
 
-    tier_names = tuple(t.strip() for t in args.tiers.split(",") if t.strip())
-    if not tier_names:
-        print("no tiers requested", file=sys.stderr)
+    tier_names = _tier_list(args.tiers)
+    if tier_names is None:
         return 1
 
     start = COUNTERS.snapshot()

@@ -1,6 +1,6 @@
 """Deterministic failpoints: named hooks for seeded fault injection.
 
-The chaos harness (:mod:`repro.service.chaos`) proves the service
+The chaos harness (``tests/service/chaos.py``) proves the service
 layer's crash-recovery story by killing a serve loop at *exact*,
 reproducible moments — after the Nth durable checkpoint line, before a
 store entry's atomic rename, mid-item — rather than at whatever
@@ -27,7 +27,7 @@ any layer (core, service) can call into it without cycles.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict
 
 #: armed hooks by failpoint name (process-global, fork-inherited)
 _ARMED: Dict[str, Callable[..., None]] = {}
@@ -42,14 +42,6 @@ def arm(name: str, hook: Callable[..., None]) -> None:
     previous hook.
     """
     _ARMED[name] = hook
-
-
-def disarm(name: Optional[str] = None) -> None:
-    """Disarm one failpoint, or every failpoint when *name* is None."""
-    if name is None:
-        _ARMED.clear()
-    else:
-        _ARMED.pop(name, None)
 
 
 def armed(name: str) -> bool:

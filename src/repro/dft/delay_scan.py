@@ -18,25 +18,19 @@ from __future__ import annotations
 from random import Random
 from typing import Dict, List, Optional, Tuple
 
-from ..digital.delay_faults import (
-    TransitionFault,
-    TransitionFaultInjector,
-    TransitionFaultResult,
-    run_transition_fault_simulation,
-)
+from ..digital.delay_faults import (TransitionFault,
+                                    TransitionFaultInjector,
+                                    enumerate_transition_faults)
 from ..digital.simulator import LogicCircuit
+from ..digital.stuck_at import (FaultSimResult, detects, golden_response,
+                                run_fault_simulation)
 from ..faults.model import StructuralFault
-from ..link.lock_detector import build_lock_detector
-from ..link.ring_counter import build_ring_counter
 from ..scan.chain import ScanChain
+from .digital_scan import CHAIN_B_LEN, LOCK_BITS, N_PHASES, build_chain_b
 from .golden import GoldenSignatures
 from .registry import register_tier
 
 CLOCK = "clk_div"
-N_PHASES = 10
-LOCK_BITS = 3
-#: chain length: 2 capture + 2 FSM + ring + lock
-CHAIN_LEN = 4 + N_PHASES + LOCK_BITS
 #: block tag :class:`DelayScanTier` claims in a structural fault universe
 COARSE_BLOCK = "coarse"
 
@@ -44,41 +38,14 @@ COARSE_BLOCK = "coarse"
 def build_coarse_fabric() -> Tuple[LogicCircuit, ScanChain]:
     """The clock-control path (Scan chain B) as a standalone fabric."""
     c = LogicCircuit("coarse_path")
-    for net in ("win_hi", "win_lo"):
+    for net in ("win_hi", "win_lo", "sen", "si"):
         c.add_input(net, 0)
-    c.add_input("sen", 0)
-    c.add_input("si", 0)
+    return c, build_chain_b(c, "si", CLOCK)
 
-    cap_hi = c.add_scan_dff("win_hi", "cap_hi", scan_in="si",
-                            scan_enable="sen", clock=CLOCK,
-                            name="win_cap_hi")
-    cap_lo = c.add_scan_dff("win_lo", "cap_lo", scan_in="cap_hi",
-                            scan_enable="sen", clock=CLOCK,
-                            name="win_cap_lo")
-    c.add_gate("or", ["win_hi", "win_lo"], "req", name="fsm_or_req")
-    dir_ff = c.add_scan_dff("win_lo", "dir_q", scan_in="cap_lo",
-                            scan_enable="sen", clock=CLOCK,
-                            name="fsm_dir_ff")
-    corr_ff = c.add_scan_dff("req", "corr_q", scan_in="dir_q",
-                             scan_enable="sen", clock=CLOCK,
-                             name="fsm_corr_ff")
-    c.add_gate("and", ["corr_q", "dir_q"], "up_st", name="fsm_and_upst")
-    c.add_gate("inv", ["dir_q"], "dir_qb", name="fsm_inv_dir")
-    c.add_gate("and", ["corr_q", "dir_qb"], "dn_st", name="fsm_and_dnst")
 
-    chain = ScanChain(c, "B", scan_in="si", scan_enable="sen",
-                      clock=CLOCK)
-    for cell in (cap_hi, cap_lo, dir_ff, corr_ff):
-        chain.cells.append(cell)
-    ring = build_ring_counter(c, "ring", N_PHASES, scan_in="corr_q",
-                              scan_enable="sen", up_net="dir_q",
-                              enable_net="req", clock=CLOCK)
-    chain.cells.extend(ring)
-    lock = build_lock_detector(c, "lock", LOCK_BITS,
-                               scan_in=ring[-1].q, scan_enable="sen",
-                               request_net="req", clock=CLOCK)
-    chain.cells.extend(lock)
-    return c, chain
+def coarse_circuit() -> LogicCircuit:
+    """A fresh coarse fabric circuit (the fault simulator's factory)."""
+    return build_coarse_fabric()[0]
 
 
 def _loc_rounds(n_random: int, seed: int) -> List[Tuple[List[int],
@@ -123,7 +90,7 @@ def _loc_rounds(n_random: int, seed: int) -> List[Tuple[List[int],
                    (1, 0), (0, 1)))
 
     for _ in range(n_random):
-        load = [rng.randint(0, 1) for _ in range(CHAIN_LEN)]
+        load = [rng.randint(0, 1) for _ in range(CHAIN_B_LEN)]
         pis = (rng.randint(0, 1), rng.randint(0, 1))
         pis2 = (rng.randint(0, 1), rng.randint(0, 1))
         rounds.append((load, pis, pis2))
@@ -135,20 +102,9 @@ def coarse_delay_procedure(n_random: int = 24, seed: int = 2016):
     rounds = _loc_rounds(n_random, seed)
 
     def procedure(circuit: LogicCircuit,
-                  injector: TransitionFaultInjector) -> List[int]:
-        from ..digital.sequential import ScanDFF
-
-        cells = {comp.name: comp for comp in circuit.components
-                 if isinstance(comp, ScanDFF)}
-        names = (["win_cap_hi", "win_cap_lo", "fsm_dir_ff",
-                  "fsm_corr_ff"]
-                 + [f"ring_ff{i}" for i in range(N_PHASES)]
-                 + [f"lock_ff{i}" for i in range(LOCK_BITS)])
-        chain = ScanChain(circuit, "B2", scan_in="si",
-                          scan_enable="sen", clock=CLOCK)
-        chain.cells = [cells[n] for n in names]
-
-        observed: List[int] = []
+                  injector: TransitionFaultInjector):
+        # the chain handle on the (possibly faulted) circuit copy
+        chain = ScanChain.traced(circuit, "B", "si", "sen", CLOCK)
         for load, launch_pis, capture_pis in rounds:
             chain.load(list(load))
             circuit.poke("win_hi", launch_pis[0])
@@ -168,14 +124,13 @@ def coarse_delay_procedure(n_random: int = 24, seed: int = 2016):
             # the strong-pump drive is consumed by the analog pump
             # *during* this cycle: observe it while the slow net is
             # still held (the analog integration sees the late pulse)
-            observed.append(circuit.peek("up_st"))
-            observed.append(circuit.peek("dn_st"))
+            yield circuit.peek("up_st")
+            yield circuit.peek("dn_st")
             # capture edge: the held transition corrupts what the FFs
             # capture, then the fault releases
             circuit.tick(CLOCK)
             injector.release()
-            observed += chain.unload()
-        return observed
+            yield from chain.unload()
 
     return procedure
 
@@ -195,7 +150,6 @@ def untestable_transition_faults(circuit: LogicCircuit) -> set:
        the falling transition does not exist in the machine's reachable
        behaviour (and its complement's rise likewise).
     """
-    from ..digital.delay_faults import TransitionFault
     from ..digital.sequential import ScanDFF
 
     # class 1: structural scan of functional fanout
@@ -223,14 +177,13 @@ def untestable_transition_faults(circuit: LogicCircuit) -> set:
 
 
 def run_coarse_delay_campaign(n_random: int = 24,
-                              seed: int = 2016) -> TransitionFaultResult:
+                              seed: int = 2016) -> FaultSimResult:
     """Transition-fault simulation of the coarse-path LOC pattern set."""
-    def factory() -> LogicCircuit:
-        return build_coarse_fabric()[0]
-
-    return run_transition_fault_simulation(
-        factory, coarse_delay_procedure(n_random=n_random, seed=seed),
-        exclude=("sen", "si"))
+    faults = enumerate_transition_faults(coarse_circuit(),
+                                         exclude=("sen", "si"))
+    return run_fault_simulation(
+        coarse_circuit, coarse_delay_procedure(n_random=n_random, seed=seed),
+        faults=faults)
 
 
 def transition_fault_for(fault: StructuralFault) -> TransitionFault:
@@ -251,7 +204,8 @@ class DelayScanTier:
     :class:`~repro.faults.campaign.FaultCampaign` next to the paper's
     three tiers: a structural fault tagged ``block="coarse"`` is mapped
     onto a transition fault (see :func:`transition_fault_for`) and the
-    whole LOC procedure is replayed against the faulted fabric.
+    LOC procedure is replayed against the faulted fabric up to its first
+    observation that differs from the healthy response.
     """
 
     name = "delay_scan"
@@ -263,12 +217,7 @@ class DelayScanTier:
         goldens = goldens if goldens is not None else GoldenSignatures()
         self._golden_response = goldens.get(
             f"delay_scan_response[{n_random},{seed}]",
-            self._healthy_response)
-
-    def _healthy_response(self) -> Tuple[int, ...]:
-        circuit = build_coarse_fabric()[0]
-        return tuple(self._procedure(
-            circuit, TransitionFaultInjector(circuit, None)))
+            lambda: golden_response(coarse_circuit, self._procedure))
 
     @property
     def golden(self) -> Dict[str, object]:
@@ -279,16 +228,13 @@ class DelayScanTier:
         return fault.block == COARSE_BLOCK
 
     def detect(self, fault: StructuralFault) -> bool:
-        circuit = build_coarse_fabric()[0]
-        injector = TransitionFaultInjector(circuit,
-                                           transition_fault_for(fault))
-        return tuple(self._procedure(circuit, injector)) \
-            != self._golden_response
+        return detects(coarse_circuit, self._procedure,
+                       transition_fault_for(fault), self._golden_response)
 
 
-def effective_delay_coverage(result: TransitionFaultResult) -> float:
+def effective_delay_coverage(result: FaultSimResult) -> float:
     """Coverage over the *testable* universe (ATPG convention)."""
-    untestable = untestable_transition_faults(build_coarse_fabric()[0])
+    untestable = untestable_transition_faults(coarse_circuit())
     testable_total = result.total - len(untestable)
     detected_testable = len(result.detected - untestable)
     if testable_total <= 0:

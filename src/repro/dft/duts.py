@@ -144,13 +144,6 @@ def build_receiver_dut() -> ReceiverDUT:
     return ReceiverDUT(circuit=c, cp=cp)
 
 
-def receiver_mission_devices(dut: ReceiverDUT):
-    """Mission device/cap inventory of the receiver bench."""
-    win_devices = [e for e in dut.circuit
-                   if getattr(e, "role", "") == "window_comp"]
-    return (dut.cp.mission_devices, dut.cp.mission_caps, win_devices)
-
-
 # ----------------------------------------------------------------------
 # termination toggle bench (the 100 MHz dynamic-mismatch test)
 # ----------------------------------------------------------------------

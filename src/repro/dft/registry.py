@@ -114,6 +114,39 @@ def registered_tiers() -> Tuple[str, ...]:
     return tuple(sorted(_FACTORIES))
 
 
+def check_tier_names(names: Sequence[str]) -> None:
+    """Refuse, with ValueError, a tier list no campaign can run.
+
+    Each name must be a registered tier, or ``base@pattern`` whose base
+    factory takes a ``pattern`` and whose stimulus is known and not the
+    factory's default (that tier is spelled ``base``), and no name may
+    repeat: the names :func:`create_tiers` and
+    ``FaultCampaign.add_tier`` accept.  Front ends call this before
+    anything is built or queued.
+    """
+    from ..patterns.sources import PATTERN_NAMES
+
+    known = registered_tiers()
+    for i, name in enumerate(names):
+        base, at, pattern = name.partition("@")
+        if base not in known:
+            raise ValueError(f"unknown tier {name!r}; registered tiers: "
+                             f"{', '.join(known)}")
+        if at:
+            param = inspect.signature(_FACTORIES[base]).parameters.get(
+                "pattern")
+            if param is None:
+                raise ValueError(f"tier {base!r} takes no pattern: {name!r}")
+            if pattern not in PATTERN_NAMES:
+                raise ValueError(
+                    f"unknown pattern {pattern!r} in tier {name!r}; "
+                    f"choices: {', '.join(PATTERN_NAMES)}")
+            if pattern == param.default:
+                raise ValueError(f"tier {name!r} is spelled {base!r}")
+        if name in names[:i]:
+            raise ValueError(f"duplicate tier name {name!r}")
+
+
 def create_tier(name: str,
                 goldens: Optional[GoldenSignatures] = None) -> TestTier:
     """Build the named tier, sharing *goldens* when given.

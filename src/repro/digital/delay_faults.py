@@ -11,7 +11,9 @@ This module provides the transition-fault machinery that claim needs:
   slow transition;
 * launch-on-capture (broadside) pattern application: load a state via
   scan, pulse the functional clock twice (launch + capture), unload;
-* a fault simulator scoring a pattern set against the TF universe.
+* injection into the shared fault simulator
+  (:func:`repro.digital.stuck_at.run_fault_simulation`), which scores a
+  pattern set against the TF universe.
 
 The model hooks the :class:`LogicCircuit` force mechanism: between the
 launch and capture evaluations the faulted net is pinned to its
@@ -21,10 +23,10 @@ pre-launch value when the slow transition was requested.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Set
+from typing import Callable, Iterable, List, Optional
 
 from .simulator import LogicCircuit
-from .stuck_at import enumerate_stuck_at_faults
+from .stuck_at import LaunchHooks, enumerate_stuck_at_faults
 
 
 @dataclass(frozen=True)
@@ -36,6 +38,16 @@ class TransitionFault:
 
     def __str__(self) -> str:
         return f"{self.net}/{'STR' if self.slow_to else 'STF'}"
+
+    def inject(self, circuit: LogicCircuit) -> "TransitionFaultInjector":
+        """The launch hooks that delay this net's transition.
+
+        The net is checked here, so an unknown net is an injection error
+        rather than a procedure that raises (which would count as a
+        detection).
+        """
+        circuit.peek(self.net)      # SimulationError for an unknown net
+        return TransitionFaultInjector(circuit, self)
 
 
 def enumerate_transition_faults(circuit: LogicCircuit,
@@ -51,7 +63,7 @@ def enumerate_transition_faults(circuit: LogicCircuit,
     return out
 
 
-class TransitionFaultInjector:
+class TransitionFaultInjector(LaunchHooks):
     """Applies the delayed-transition semantics around a launch edge.
 
     Usage inside a test procedure::
@@ -64,7 +76,7 @@ class TransitionFaultInjector:
 
     def __init__(self, circuit: LogicCircuit,
                  fault: Optional[TransitionFault]):
-        self.circuit = circuit
+        super().__init__(circuit)
         self.fault = fault
 
     def launch(self, clock: str,
@@ -79,19 +91,14 @@ class TransitionFaultInjector:
         is the broadside launch semantics: FF updates and PI changes
         both count as launch transitions.
         """
-        c = self.circuit
-
-        def default_event() -> None:
-            c.tick(clock)
-
-        ev = event or default_event
         if self.fault is None:
-            ev()
+            super().launch(clock, event)
             return
+        c = self.circuit
         net = self.fault.net
         c.settle()                     # establish the pre-launch value
         before = c.peek(net)
-        ev()
+        super().launch(clock, event)
         after = c.peek(net)
         slow = (self.fault.slow_to == 1 and before == 0 and after == 1) \
             or (self.fault.slow_to == 0 and before == 1 and after == 0)
@@ -103,52 +110,3 @@ class TransitionFaultInjector:
         if self.fault is not None:
             self.circuit.release(self.fault.net)
             self.circuit.settle()
-
-
-@dataclass
-class TransitionFaultResult:
-    """Outcome of a transition-fault campaign."""
-
-    total: int
-    detected: Set[TransitionFault]
-    undetected: Set[TransitionFault]
-
-    @property
-    def coverage(self) -> float:
-        return len(self.detected) / self.total if self.total else 1.0
-
-
-# a TF test procedure receives (circuit, injector) and returns responses
-TFProcedure = Callable[[LogicCircuit, TransitionFaultInjector],
-                       Sequence[Optional[int]]]
-
-
-def run_transition_fault_simulation(
-        circuit_factory: Callable[[], LogicCircuit],
-        procedure: TFProcedure,
-        faults: Optional[Sequence[TransitionFault]] = None,
-        exclude: Iterable[str] = ()) -> TransitionFaultResult:
-    """Serial transition-fault simulation of *procedure*."""
-    golden_circuit = circuit_factory()
-    golden = list(procedure(golden_circuit,
-                            TransitionFaultInjector(golden_circuit, None)))
-    if faults is None:
-        faults = enumerate_transition_faults(circuit_factory(),
-                                             exclude=exclude)
-
-    detected: Set[TransitionFault] = set()
-    undetected: Set[TransitionFault] = set()
-    for fault in faults:
-        dut = circuit_factory()
-        inj = TransitionFaultInjector(dut, fault)
-        try:
-            response = list(procedure(dut, inj))
-        except Exception:
-            detected.add(fault)
-            continue
-        if response != golden:
-            detected.add(fault)
-        else:
-            undetected.add(fault)
-    return TransitionFaultResult(total=len(faults), detected=detected,
-                                 undetected=undetected)

@@ -16,7 +16,7 @@ from .enumerate import (
     faults_for_devices,
     universe_summary,
 )
-from .inject import InjectionError, inject_fault, make_injector
+from .inject import InjectionError, inject_fault
 from .model import (
     DetectionRecord,
     FaultKind,
@@ -39,7 +39,7 @@ __all__ = [
     "CampaignResult", "FaultCampaign", "TIER_ORDER",
     "CollapseReport", "FaultCollapser", "universe_report",
     "faults_for_caps", "faults_for_devices", "universe_summary",
-    "InjectionError", "inject_fault", "make_injector",
+    "InjectionError", "inject_fault",
     "DetectionRecord", "FaultKind", "MOSFET_FAULT_KINDS",
     "R_GATE_RETAIN", "R_OPEN", "R_SHORT", "StructuralFault",
     "SampledCoverage", "adaptive_estimate", "estimate_coverage",

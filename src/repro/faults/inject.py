@@ -12,7 +12,7 @@ static tests see nothing unless another test condition moves the bias.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from ..analog import Capacitor, Circuit
 from ..analog.mosfet import MOSFET
@@ -117,12 +117,3 @@ def inject_fault(circuit: Circuit, fault: StructuralFault,
         raise InjectionError(f"unhandled fault kind {kind}")
     return dup
 
-
-def make_injector(circuit_factory: Callable[[], Circuit],
-                  retention: Optional[Dict[str, float]] = None):
-    """Factory returning ``fault -> faulted fresh circuit`` closures."""
-
-    def injector(fault: StructuralFault) -> Circuit:
-        return inject_fault(circuit_factory(), fault, retention=retention)
-
-    return injector

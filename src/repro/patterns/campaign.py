@@ -53,6 +53,19 @@ def at_speed_tier(pattern: str) -> str:
     return f"at_speed@{pattern}"
 
 
+def check_pattern_sweep(patterns: Sequence[str]) -> None:
+    """Refuse an empty sweep or a repeated stimulus (ValueError) and an
+    unknown one (KeyError)."""
+    if not patterns:
+        raise ValueError("empty pattern sweep")
+    for p in patterns:
+        if p not in PATTERN_NAMES:
+            raise KeyError(f"unknown pattern {p!r}; choices: "
+                           f"{', '.join(PATTERN_NAMES)}")
+    if len(set(patterns)) != len(patterns):
+        raise ValueError("duplicate pattern in sweep")
+
+
 def fault_class(fault: StructuralFault) -> str:
     """The reporting granularity: block plus Table-I defect kind."""
     return f"{fault.block}/{fault.kind.table_label}"
@@ -203,14 +216,7 @@ class PatternCampaign:
                  goldens: Optional[GoldenSignatures] = None):
         self.patterns = tuple(patterns if patterns is not None
                               else DEFAULT_CAMPAIGN_PATTERNS)
-        if not self.patterns:
-            raise ValueError("empty pattern sweep")
-        for p in self.patterns:
-            if p not in PATTERN_NAMES:
-                raise KeyError(f"unknown pattern {p!r}; choices: "
-                               f"{', '.join(PATTERN_NAMES)}")
-        if len(set(self.patterns)) != len(self.patterns):
-            raise ValueError("duplicate pattern in sweep")
+        check_pattern_sweep(self.patterns)
         goldens = goldens if goldens is not None else GoldenSignatures()
         # one BISTTest per stimulus over one golden cache
         self.tiers: Dict[str, BISTTest] = {

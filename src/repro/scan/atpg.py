@@ -16,32 +16,11 @@ from ..digital.simulator import LogicCircuit
 from ..digital.stuck_at import (
     StuckAtFault,
     apply_patterns_procedure,
+    detects,
     enumerate_stuck_at_faults,
     exhaustive_patterns,
+    golden_response,
 )
-
-
-def _detected_by(circuit_factory: Callable[[], LogicCircuit],
-                 input_nets: Sequence[str], output_nets: Sequence[str],
-                 pattern: Sequence[int],
-                 faults: Sequence[StuckAtFault],
-                 clock: Optional[str]) -> Set[StuckAtFault]:
-    """Faults detected by a single pattern."""
-    proc = apply_patterns_procedure(input_nets, output_nets, [pattern],
-                                    clock=clock)
-    golden = list(proc(circuit_factory()))
-    found: Set[StuckAtFault] = set()
-    for fault in faults:
-        dut = circuit_factory()
-        dut.force(fault.net, fault.value)
-        try:
-            resp = list(proc(dut))
-        except Exception:
-            found.add(fault)
-            continue
-        if resp != golden:
-            found.add(fault)
-    return found
 
 
 def generate_patterns(circuit_factory: Callable[[], LogicCircuit],
@@ -75,8 +54,11 @@ def generate_patterns(circuit_factory: Callable[[], LogicCircuit],
     for pattern in candidates:
         if not remaining:
             break
-        hits = _detected_by(circuit_factory, input_nets, output_nets,
-                            pattern, sorted(remaining, key=str), clock)
+        proc = apply_patterns_procedure(input_nets, output_nets,
+                                        [pattern], clock=clock)
+        golden = golden_response(circuit_factory, proc)
+        hits = {fault for fault in remaining
+                if detects(circuit_factory, proc, fault, golden)}
         if hits:
             kept.append(list(pattern))
             remaining -= hits

@@ -47,6 +47,25 @@ class ScanChain:
         if scan_enable not in circuit.inputs:
             circuit.add_input(scan_enable, 0)
 
+    @classmethod
+    def traced(cls, circuit: LogicCircuit, name: str, scan_in: str,
+               scan_enable: str, clock: str = "clk") -> "ScanChain":
+        """The chain the netlist wires from *scan_in*, in shift order.
+
+        Follows each scan cell's ``scan_in`` net to the next cell, so a
+        fabric builder writes its cell order once, in the wiring, and
+        every copy of the circuit (a faulted one too) yields the same
+        chain.
+        """
+        chain = cls(circuit, name, scan_in, scan_enable, clock)
+        fed_by = {comp.scan_in: comp for comp in circuit.components
+                  if isinstance(comp, ScanDFF)}
+        net = scan_in
+        while net in fed_by:
+            chain.cells.append(fed_by.pop(net))
+            net = chain.cells[-1].q
+        return chain
+
     # ------------------------------------------------------------------
     def append_cell(self, d: str, q: str, name: Optional[str] = None,
                     init: Optional[int] = 0) -> ScanDFF:

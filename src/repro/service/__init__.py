@@ -16,15 +16,14 @@ filesystem job front end behind ``repro serve`` / ``repro submit`` /
 The layer is crash-resilient and testably so: claims carry
 heartbeat-refreshed leases (a dead coordinator's job is reclaimed, not
 deadlocked), restarts resume at shard *and* item granularity from the
-durable checkpoints, failed shards retry under deterministic backoff
-before the job escalates to a first-class ``failed`` state, and
-:mod:`repro.service.chaos` SIGKILLs real serve loops at seeded
-breakpoints to prove the resumed artifact is byte-identical with zero
-re-simulated items.
+durable checkpoints, and failed shards retry under deterministic
+backoff before the job escalates to a first-class ``failed`` state.
+The chaos harness that SIGKILLs real serve loops at the
+:mod:`repro.core.failpoints` seams, to prove the resumed artifact is
+byte-identical with zero re-simulated items, is test code
+(``tests/service/chaos.py``).
 """
 
-from .chaos import (ChaosReport, KillPoint, run_kill_matrix,
-                    seeded_kill_matrix, stale_lease_demo)
 from .coordinator import Coordinator, JobOutcome, derive_progress
 from .client import JobQueue, serve
 from .shard import shard_ranges
@@ -33,18 +32,13 @@ from .store import ResultStore, StoreGcReport
 
 __all__ = [
     "CampaignSpec",
-    "ChaosReport",
     "Coordinator",
     "JobOutcome",
     "JobQueue",
-    "KillPoint",
     "ResultStore",
     "StoreGcReport",
     "derive_progress",
     "netlist_digest",
-    "run_kill_matrix",
-    "seeded_kill_matrix",
     "serve",
     "shard_ranges",
-    "stale_lease_demo",
 ]

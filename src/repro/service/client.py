@@ -462,7 +462,3 @@ def _describe(outcome: JobOutcome) -> str:
                 f"run{resumed}, {outcome.wall_s:.3f}s)")
     return f"job {outcome.job_id}: FAILED — {outcome.error}"
 
-
-def list_jobs(root: str) -> List[Dict[str, object]]:
-    """Status documents of every job under *root* (CLI helper)."""
-    return list(JobQueue(root).jobs())

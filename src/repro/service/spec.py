@@ -67,7 +67,8 @@ class CampaignSpec:
     draws its own per-die faults and ignores it.  The ``patterns`` kind
     does not run under strict numerics, so it refuses that.  The tier
     list of the ``campaign`` and ``mc`` kinds and the pattern list of
-    the ``patterns`` kind must not be empty.  ``sigma_vt_mv`` /
+    the ``patterns`` kind must be non-empty lists of known, distinct
+    names, as the direct commands require.  ``sigma_vt_mv`` /
     ``sigma_kp_pct`` carry the CLI units (mV, %).
     """
 
@@ -102,10 +103,21 @@ class CampaignSpec:
                              "strict_numerics")
         object.__setattr__(self, "tiers", tuple(self.tiers))
         object.__setattr__(self, "patterns", tuple(self.patterns))
-        if self.kind in ("campaign", "mc") and not self.tiers:
-            raise ValueError(f"{self.kind} spec needs at least one tier")
-        if self.kind == "patterns" and not self.patterns:
-            raise ValueError("patterns spec needs at least one pattern")
+        if self.kind in ("campaign", "mc"):
+            from ..dft.registry import check_tier_names
+
+            if not self.tiers:
+                raise ValueError(f"{self.kind} spec needs at least one tier")
+            check_tier_names(self.tiers)
+        if self.kind == "patterns":
+            from ..patterns.campaign import check_pattern_sweep
+
+            if not self.patterns:
+                raise ValueError("patterns spec needs at least one pattern")
+            try:
+                check_pattern_sweep(self.patterns)
+            except KeyError as exc:
+                raise ValueError(exc.args[0]) from None
 
     # -- content addressing --------------------------------------------
     def store_key(self) -> Dict[str, object]:

@@ -23,7 +23,6 @@ from .jitter import (
 from .lock import (
     LOCK_BUDGET_S,
     LockSweepResult,
-    bist_verdict,
     coarse_correction_bound,
     lock_sweep,
 )
@@ -43,7 +42,7 @@ __all__ = [
     "run_foreground_through_drift", "sinusoidal_drift",
     "CHARGE_SHARE", "JitterEstimate", "jitter_from_vp_drift",
     "sampling_jitter_knob",
-    "LOCK_BUDGET_S", "LockSweepResult", "bist_verdict",
+    "LOCK_BUDGET_S", "LockSweepResult",
     "coarse_correction_bound", "lock_sweep",
     "LOCK_PHASE_TOL", "LOCK_QUIET_EVALS", "LoopResult", "LoopTrace",
     "SynchronizerLoop", "run_synchronizer",

@@ -64,8 +64,3 @@ def coarse_correction_bound(params: Optional[LinkParams] = None) -> int:
     """Theoretical maximum coarse corrections: half the DLL phases."""
     p = params or LinkParams()
     return p.n_phases // 2
-
-
-def bist_verdict(result: LoopResult) -> bool:
-    """The paper's BIST pass rule applied to a loop run."""
-    return result.bist_pass

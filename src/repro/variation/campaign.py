@@ -323,6 +323,9 @@ class MonteCarloCampaign:
         self._tiers = [create_tier(t, goldens) if isinstance(t, str) else t
                        for t in tiers]
         self.tier_names = tuple(t.name for t in self._tiers)
+        for i, name in enumerate(self.tier_names):
+            if name in self.tier_names[:i]:
+                raise ValueError(f"duplicate tier name {name!r}")
         self.universe: List[StructuralFault] = (
             list(universe) if universe is not None
             else build_fault_universe())

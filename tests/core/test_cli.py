@@ -88,6 +88,24 @@ class TestCommands:
         assert captured.err.count("\n") == 1
         assert message in captured.err
 
+    @pytest.mark.parametrize("command", ["campaign", "mc"])
+    @pytest.mark.parametrize("tiers, message", [
+        ("nope", "unknown tier 'nope'"),
+        ("dc,dc", "duplicate tier name 'dc'"),
+        ("dc,bist@morse", "unknown pattern 'morse'"),
+        ("dc@isi", "tier 'dc' takes no pattern"),
+        ("bist@prbs7", "tier 'bist@prbs7' is spelled 'bist'"),
+        (",", "no tiers requested"),
+    ], ids=["unknown", "duplicate", "unknown-pattern", "no-pattern",
+            "default-pattern", "empty"])
+    def test_rejects_a_bad_tier_list(self, command, tiers, message, capsys):
+        """One line on stderr and exit 1, before anything is simulated."""
+        assert main([command, "--tiers", tiers]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert message in captured.err
+
     def test_coverage_sampled(self, capsys):
         assert main(["coverage", "--sample", "6", "--seed", "4"]) == 0
         out = capsys.readouterr().out

@@ -1,5 +1,8 @@
 """Tests for the transition-fault model and the coarse-path delay scan."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.digital import (
@@ -7,7 +10,7 @@ from repro.digital import (
     TransitionFault,
     TransitionFaultInjector,
     enumerate_transition_faults,
-    run_transition_fault_simulation,
+    run_fault_simulation,
 )
 from repro.dft.delay_scan import (
     build_coarse_fabric,
@@ -68,7 +71,7 @@ class TestTransitionFaultModel:
             inj.release()
             return [circ.peek("q2")]
 
-        res = run_transition_fault_simulation(
+        res = run_fault_simulation(
             factory, proc, faults=[TransitionFault("q1", 1)])
         assert res.coverage == 1.0
 
@@ -81,10 +84,26 @@ class TestTransitionFaultModel:
         inj.release()   # no-op
 
 
+#: per-fault first differences of both default digital campaigns
+PIN = Path(__file__).resolve().parents[1] / "digital" / \
+    "reference_verdicts.json"
+
+
 class TestCoarsePathDelayScan:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_coarse_delay_campaign(n_random=16)
+        return run_coarse_delay_campaign()
+
+    def test_verdicts_match_the_pin(self, result):
+        pinned = json.loads(PIN.read_text())["transition"]
+        table = pinned["first_difference"]
+        assert pinned["procedure"] == {"n_random": 24, "seed": 2016}
+        assert {str(f) for f in result.detected} == \
+            {name for name, k in table.items() if k is not None}
+        assert {str(f) for f in result.undetected} == \
+            {name for name, k in table.items() if k is None}
+        assert result.undetected == \
+            untestable_transition_faults(build_coarse_fabric()[0])
 
     def test_effective_coverage_is_full(self, result):
         """Section IV: 'the delay faults in this path are also tested

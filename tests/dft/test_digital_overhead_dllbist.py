@@ -1,6 +1,9 @@
 """Tests for the digital scan campaign, Table II overhead, and the DLL
 BIST extension."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.dft import (
@@ -35,10 +38,22 @@ class TestDigitalFabric:
         fab.circuit.settle()  # no oscillation
 
 
+#: per-fault first differences of both default digital campaigns
+PIN = Path(__file__).resolve().parents[1] / "digital" / \
+    "reference_verdicts.json"
+
+
 class TestDigitalScanCampaign:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_digital_scan_campaign(n_random=12)
+        return run_digital_scan_campaign()
+
+    def test_verdicts_match_the_pin(self, result):
+        pinned = json.loads(PIN.read_text())["stuck_at"]
+        assert pinned["procedure"] == {"n_random": 24, "seed": 2016}
+        assert {str(f) for f in result.detected} == \
+            set(pinned["first_difference"])
+        assert result.total == len(pinned["first_difference"]) == 142
 
     def test_full_stuck_at_coverage(self, result):
         """The paper's claim: 100% stuck-at on the digital logic."""

@@ -6,6 +6,7 @@ import pytest
 from repro.dft.golden import GoldenSignatures
 from repro.dft.registry import TestTier as TierProtocol
 from repro.dft.registry import (
+    check_tier_names,
     create_tier,
     create_tiers,
     register_tier,
@@ -28,6 +29,21 @@ class TestRegistry:
     def test_unknown_tier_raises_with_listing(self):
         with pytest.raises(KeyError, match="dc"):
             create_tier("no_such_tier")
+
+    @pytest.mark.parametrize("name", ["dc", "delay_scan", "bist@isi",
+                                      "dll_bist@aggressor"])
+    def test_a_checked_name_builds(self, name):
+        check_tier_names([name])
+        assert create_tier(name).name == name
+
+    @pytest.mark.parametrize("name", ["nope", "nope@isi", "bist@morse",
+                                      "dc@isi", "bist@prbs7"])
+    def test_a_refused_name_does_not_build(self, name):
+        """The check refuses exactly what building would fail on."""
+        with pytest.raises(ValueError):
+            check_tier_names([name])
+        with pytest.raises((KeyError, TypeError)):
+            create_tier(name)
 
     def test_custom_tier_lifecycle(self):
         @register_tier("burn_in")

@@ -91,7 +91,7 @@ class TestFaultSimulation:
             c.add_gate("buf", ["x2"], "x")
             return c
 
-        def proc(circ):
+        def proc(circ, hooks):
             circ.settle()
             return [circ.peek("x")]
 

@@ -1,6 +1,10 @@
 """Chaos harness: SIGKILL a serve loop at seeded breakpoints, prove
 the resume loses nothing.
 
+A test harness, not part of the service: ``tests/service/test_chaos.py``
+imports it directly and ``scripts/chaos_smoke.py`` puts this directory
+on ``sys.path`` for it.
+
 The crash-resilience claims of the service layer are testable only if
 crashes are *reproducible*, so this harness does not rely on timing:
 it arms a :mod:`repro.core.failpoints` hook at a named chaos seam
@@ -49,10 +53,10 @@ from dataclasses import dataclass, field, replace
 from hashlib import blake2b
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..core import failpoints
-from ..core.jsonl import read_events
-from .client import JobQueue, format_result, serve
-from .spec import CampaignSpec
+from repro.core import failpoints
+from repro.core.jsonl import read_events
+from repro.service.client import JobQueue, format_result, serve
+from repro.service.spec import CampaignSpec
 
 #: a chaos case must finish (kill + lease wait + resume) within this
 #: budget; beyond it the harness declares the case wedged

@@ -3,8 +3,8 @@
 Fast paths exercise the lease/reclaim state machine and the
 coordinator's resume/retry logic directly (tiny TTLs, stub jobs, no
 timing races on the assertions); one end-to-end case forks a real
-serve loop and SIGKILLs it at a seeded breakpoint via the
-:mod:`repro.service.chaos` harness.
+serve loop and SIGKILLs it at a seeded breakpoint via the chaos
+harness beside this file (``chaos.py``).
 """
 
 import json
@@ -13,12 +13,12 @@ import os
 import time
 
 import pytest
+from chaos import (reference_artifact, run_chaos_case, seeded_kill_matrix,
+                   stale_lease_demo)
 
 from repro.core.profiling import COUNTERS
 from repro.service import (CampaignSpec, Coordinator, JobQueue,
-                           ResultStore, seeded_kill_matrix, serve)
-from repro.service.chaos import (reference_artifact, run_chaos_case,
-                                 stale_lease_demo)
+                           ResultStore, serve)
 from repro.service.shard import ShardedJob
 
 fork_available = pytest.mark.skipif(

@@ -311,6 +311,26 @@ class TestServiceCli:
         assert "invalid spec:" in capsys.readouterr().err
         assert not os.path.exists(root)     # nothing was enqueued
 
+    @pytest.mark.parametrize("argv", [
+        ["patterns", "--patterns", "morse"],
+        ["patterns", "--patterns", "prbs7,prbs7"],
+        ["campaign", "--tiers", "nope"],
+        ["campaign", "--tiers", "dc,dc"],
+        ["mc", "--tiers", "bist@morse"],
+    ], ids=["unknown-pattern", "duplicate-pattern", "unknown-tier",
+            "duplicate-tier", "unknown-tier-pattern"])
+    def test_submit_refuses_unknown_or_repeated_names(self, tmp_path, capsys,
+                                                      argv):
+        """Refused at submit with one line: a queued job would only
+        die in the serve loop and stay listed as running."""
+        from repro.cli import main
+
+        root = str(tmp_path / "svc")
+        assert main(["submit", argv[0], "--root", root, *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid spec:") and err.count("\n") == 1
+        assert not os.path.exists(root)     # nothing was enqueued
+
     def test_result_of_unknown_job_exits_nonzero(self, tmp_path, capsys):
         code, _ = self._run(capsys, "result", "nope", "--root",
                             str(tmp_path / "svc"))

@@ -113,6 +113,34 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=field[:-1]):
             CampaignSpec.from_dict(data)
 
+    @pytest.mark.parametrize("kind, field, names, message", [
+        ("campaign", "tiers", ("dc", "nope"), "unknown tier 'nope'"),
+        ("mc", "tiers", ("dc", "scan", "dc"), "duplicate tier name 'dc'"),
+        ("campaign", "tiers", ("nope@isi",), "unknown tier 'nope@isi'"),
+        ("mc", "tiers", ("bist@morse",), "unknown pattern 'morse'"),
+        ("campaign", "tiers", ("dc@isi",), "tier 'dc' takes no pattern"),
+        ("mc", "tiers", ("bist@prbs7",), "is spelled 'bist'"),
+        ("patterns", "patterns", ("prbs7", "morse"),
+         "unknown pattern 'morse'"),
+        ("patterns", "patterns", ("prbs7", "isi", "prbs7"),
+         "duplicate pattern"),
+    ], ids=["unknown-tier", "duplicate-tier", "unknown-base",
+            "unknown-tier-pattern", "no-pattern", "default-pattern",
+            "unknown-pattern", "duplicate-pattern"])
+    def test_rejects_what_the_direct_commands_refuse(self, kind, field,
+                                                     names, message):
+        """A list the direct command would refuse is refused here, also
+        from a stored document, instead of failing in the serve loop."""
+        with pytest.raises(ValueError, match=message):
+            spec(kind=kind, **{field: names})
+        data = dict(spec(kind=kind).to_dict(), **{field: list(names)})
+        with pytest.raises(ValueError, match=message):
+            CampaignSpec.from_dict(data)
+
+    def test_accepts_pattern_tiers(self):
+        tiers = ("dc", "bist@isi", "dll_bist@aggressor")
+        assert spec(kind="mc", tiers=tiers).tiers == tiers
+
     def test_ignores_the_item_list_of_another_kind(self):
         """A campaign spec's pattern list is normalised away, so an
         empty one is no reason to refuse it."""

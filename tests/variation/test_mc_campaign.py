@@ -49,6 +49,15 @@ class TestPickDieFault:
             pick_die_fault([], 7, 0)
 
 
+class TestTierList:
+    @pytest.mark.parametrize("tiers", [("dc", "dc"), ("dc", "scan", "dc")])
+    def test_duplicate_tier_names_rejected(self, tiers):
+        """As ``FaultCampaign.add_tier``: a die record keys its verdicts
+        by tier name, so a repeated tier would overwrite its own."""
+        with pytest.raises(ValueError, match="duplicate tier name 'dc'"):
+            MonteCarloCampaign(tiers=tiers, seed=7)
+
+
 class TestScreens:
     def test_zero_sigma_die_passes_every_screen(self):
         mc = MonteCarloCampaign(seed=7, model=MismatchModel(
