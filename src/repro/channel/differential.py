@@ -25,10 +25,6 @@ class DifferentialLevels:
     def differential(self) -> float:
         return self.v_pos - self.v_neg
 
-    @property
-    def common_mode(self) -> float:
-        return 0.5 * (self.v_pos + self.v_neg)
-
 
 @dataclass
 class DifferentialChannel:

@@ -7,8 +7,9 @@ Commands
 ``dc``         the two-pattern DC test on the transistor-level link
 ``bist``       the at-speed BIST verdict
 ``faults``     the structural fault universe (counts, equivalence classes)
-``coverage``   the fault campaign (full or sampled) -> Table I
-``campaign``   a tier-configurable campaign with export/resume artifacts
+``campaign``   the fault campaign (full or sampled) -> Table I, with
+               configurable tiers and export/resume artifacts
+               (``coverage`` is another name for it)
 ``mc``         Monte-Carlo mismatch campaign -> statistical Table I
 ``patterns``   coverage-vs-pattern campaign + BER-vs-length sweep
 ``bench``      time a sampled campaign and print the engine counters
@@ -125,31 +126,6 @@ def cmd_faults(args) -> int:
     return 0
 
 
-def cmd_coverage(args) -> int:
-    from .core.profiling import COUNTERS
-    from .dft.coverage import build_fault_universe, run_paper_campaign
-    from .faults.sampling import stratified_sample
-
-    start = COUNTERS.snapshot()
-    universe = build_fault_universe()
-    if args.sample:
-        universe = stratified_sample(universe, args.sample,
-                                     seed=args.seed)
-        print(f"(stratified sample of {len(universe)} faults)")
-    def progress(i, n):
-        if i % 25 == 0 or i == n:
-            print(f"  {i}/{n} faults simulated", file=sys.stderr)
-
-    report = run_paper_campaign(universe,
-                                progress=progress if args.progress else None,
-                                workers=args.workers)
-    print(report.format_headline())
-    print()
-    print(report.format_table1())
-    _print_collapse(start)
-    return 0
-
-
 def _tier_list(text: str):
     """The ``--tiers`` names, or None once the refusal is printed (an
     empty list, an unknown tier or pattern, a repeated tier)."""
@@ -208,10 +184,11 @@ def cmd_campaign(args) -> int:
             cum = result.cumulative_coverage(name)
             print(f"{'+ ' + name if name != tier_names[0] else name:<20}"
                   f"{cum * 100:>9.1f}%")
+        for line in result.outcome_lines():
+            print(line)
     n_detected = result.total - len(result.undetected())
     print(f"overall: {result.overall_coverage * 100:.1f}% "
           f"({n_detected}/{result.total})")
-    _print_outcomes(result.outcome_counts())
     _print_numerics(start)
     _print_collapse(start)
 
@@ -424,21 +401,6 @@ def _bench_compare(dirpath: str) -> int:
             delta = "        "
         print(f"  {key:<{width}} {sa:>14} {sb:>14} {delta}")
     return 0
-
-
-def _print_outcomes(counts) -> None:
-    """Lines naming the abnormal outcomes: numerics failures
-    (unsolvable) separately from supervisor ones (timeout/quarantine)."""
-    unsolvable = counts.get("unsolvable", 0)
-    if unsolvable:
-        print(f"numerics: {unsolvable} unsolvable (resilience ladder "
-              f"exhausted; see the records' errors)")
-    abnormal = {k: v for k, v in counts.items()
-                if k not in ("ok", "unsolvable")}
-    if abnormal:
-        body = ", ".join(f"{v} {k}" for k, v in sorted(abnormal.items()))
-        print(f"supervisor: {body} (counted undetected; see the "
-              f"records' __supervisor__ errors)")
 
 
 def _since(start: Dict[str, int]) -> Dict[str, int]:
@@ -780,17 +742,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "counts (builds the reference circuits; slower)")
     p.set_defaults(func=cmd_faults)
 
-    p = sub.add_parser("coverage", help="fault campaign (Table I)")
-    p.add_argument("--sample", type=_sample_size, default=None,
-                   help="stratified sample size (default: full universe)")
-    p.add_argument("--seed", type=int, default=2016)
-    p.add_argument("--progress", action="store_true")
-    p.add_argument("--workers", type=int, default=None,
-                   help="fault-simulation worker processes (default: serial)")
-    p.set_defaults(func=cmd_coverage)
-
-    p = sub.add_parser("campaign",
-                       help="tier-configurable campaign with artifacts")
+    p = sub.add_parser("campaign", aliases=["coverage"],
+                       help="fault campaign (Table I): configurable "
+                            "tiers, export/resume artifacts")
     p.add_argument("--sample", type=_sample_size, default=None,
                    help="stratified sample size (default: full universe)")
     p.add_argument("--seed", type=int, default=2016)

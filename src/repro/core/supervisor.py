@@ -45,6 +45,10 @@ supports the timeout budget too, via ``SIGALRM`` — that catches
 pure-Python hangs, though obviously not crashes of the process itself.
 The deadline exception derives from ``BaseException`` so the campaign
 tier loops' ``except Exception`` capture cannot swallow it.
+
+The fault and Monte-Carlo campaigns share one run loop around the
+supervisor, :func:`run_checkpointed`: checkpoint resume, per-record
+appends and trace events, progress, and records in item order.
 """
 
 from __future__ import annotations
@@ -54,21 +58,21 @@ import os
 import signal
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _wait_ready
-from typing import (Any, Callable, Dict, Iterator, List, Optional,
-                    Sequence)
+from typing import (Any, Callable, ContextManager, Dict, Hashable, Iterator,
+                    List, Optional, Sequence, Union)
 
 from .profiling import COUNTERS
 from .failpoints import failpoint
-from .jsonl import DurableJsonlWriter
+from .jsonl import DurableJsonlWriter, JsonlCheckpoint
 
 __all__ = [
     "OUTCOME_OK", "OUTCOME_TIMEOUT", "OUTCOME_QUARANTINED",
     "OUTCOME_UNSOLVABLE",
     "ItemDeadline", "RunTrace", "SupervisorError", "SupervisorPolicy",
-    "record_outcome", "run_supervised",
+    "record_outcome", "run_checkpointed", "run_supervised",
 ]
 
 #: item outcome labels recorded on campaign records
@@ -633,3 +637,69 @@ def run_supervised(items: Sequence[Any],
                          on_record, trace)
     _emit(trace, "run_end", items=len(items), degraded=False)
     return results
+
+
+def run_checkpointed(items: Sequence[Any],
+                     evaluate: Callable[[Any], Any],
+                     *,
+                     key: Callable[[Any], Hashable],
+                     label: Callable[[Any], Dict[str, Any]],
+                     fallback: Callable[[Any, str, str], Any],
+                     checkpoints: JsonlCheckpoint,
+                     checkpoint: Optional[str] = None,
+                     workers: Optional[int] = None,
+                     timeout: Optional[float] = None,
+                     max_retries: int = 1,
+                     progress: Optional[Callable[[int, int], None]] = None,
+                     trace: Optional[Union[str, RunTrace]] = None,
+                     scope: Optional[Callable[[Optional[RunTrace], List[Any]],
+                                              ContextManager]] = None
+                     ) -> List[Any]:
+    """The campaigns' run loop: :func:`run_supervised` over the items a
+    checkpoint does not already hold; returns records in item order.
+
+    ``trace`` is a path (opened and closed here) or an open
+    :class:`RunTrace`.  With ``checkpoint`` set, the records already in
+    that file (in the ``checkpoints`` format, an item's record found by
+    ``key(item)``) are read back instead of re-evaluated, and each
+    settled record is appended as it settles, followed by a
+    ``checkpoint_write`` event carrying ``label(item)``.  ``progress``
+    gets ``(done, total)`` per settled item, resumed ones counted from
+    the start.  ``workers`` is clamped to the pending items.  ``scope``
+    is called with the trace and the pending items just before they are
+    evaluated, and returns the context they are evaluated in.
+    """
+    items = list(items)
+    done: Dict[Hashable, Any] = {}
+    with ExitStack() as stack:
+        if isinstance(trace, str):
+            trace = stack.enter_context(RunTrace(trace))
+        elif not isinstance(trace, RunTrace):
+            trace = None
+        writer: Optional[DurableJsonlWriter] = None
+        if checkpoint is not None:
+            done, writer = checkpoints.resume(checkpoint)
+            stack.enter_context(writer)
+        pending = [item for item in items if key(item) not in done]
+        completed = [len(items) - len(pending)]
+
+        def on_record(index: int, item: Any, record: Any,
+                      outcome: str) -> None:
+            done[key(item)] = record
+            if writer is not None:
+                writer.write_line(record.to_dict())
+                _emit(trace, "checkpoint_write", item=index, **label(item),
+                      outcome=outcome)
+            completed[0] += 1
+            if progress is not None:
+                progress(completed[0], len(items))
+
+        n_workers = (1 if workers is None
+                     else min(int(workers), max(len(pending), 1)))
+        with (nullcontext() if scope is None else scope(trace, pending)):
+            run_supervised(
+                pending, evaluate, workers=n_workers,
+                policy=SupervisorPolicy(timeout=timeout,
+                                        max_retries=max_retries),
+                fallback=fallback, on_record=on_record, trace=trace)
+    return [done[key(item)] for item in items]

@@ -25,7 +25,6 @@ True
 
 from __future__ import annotations
 
-import random
 from typing import Dict, List, Optional, Sequence
 
 from ..channel import EyeResult, equalization_gain, eye_of_channel
@@ -43,6 +42,7 @@ from ..dft.registry import TestTier, create_tier
 from ..dft.scan_test import ScanTest
 from ..faults.campaign import FaultCampaign
 from ..faults.model import StructuralFault
+from ..faults.sampling import stratified_sample
 from ..synchronizer.lock import LockSweepResult, lock_sweep
 from ..synchronizer.loop import LoopResult, SynchronizerLoop
 from .config import LinkConfig
@@ -175,19 +175,20 @@ class TestableLink:
                            tiers: Optional[Sequence[str]] = None,
                            checkpoint: Optional[str] = None
                            ) -> CampaignSummary:
-        """Run a fault campaign (optionally on a random sample).
+        """Run a fault campaign (optionally on a stratified sample).
 
-        The default pipeline is the paper's ``("dc", "scan", "bist")``;
-        *tiers* selects any ordered list of registered tier names
-        instead.  ``workers`` > 1 fans the fault simulations out over
-        forked worker processes; the results are identical to a serial
-        run.  ``checkpoint`` streams completed records to a JSONL file
-        an interrupted campaign resumes from.
+        ``sample`` draws that many faults by
+        :func:`~repro.faults.sampling.stratified_sample`, the rule of
+        ``repro campaign --sample``; None or 0 keeps the whole universe
+        and a negative size is a ``ValueError``.  The default pipeline
+        is the paper's ``("dc", "scan", "bist")``; *tiers* selects any
+        ordered list of registered tier names instead.  ``workers`` > 1
+        fans the fault simulations out over forked worker processes; the
+        results are identical to a serial run.  ``checkpoint`` streams
+        completed records to a JSONL file an interrupted campaign
+        resumes from.
         """
-        universe = self.fault_universe()
-        if sample is not None and sample < len(universe):
-            rng = random.Random(seed)
-            universe = rng.sample(universe, sample)
+        universe = self._sampled_universe(sample, seed)
         if tiers is None:
             report = run_paper_campaign(universe, progress=progress,
                                         workers=workers,
@@ -202,12 +203,17 @@ class TestableLink:
 
     def coverage_report(self, sample: Optional[int] = None, seed: int = 1,
                         workers: Optional[int] = None) -> CoverageReport:
-        """Full CoverageReport (formatting helpers included)."""
+        """Full CoverageReport (formatting helpers included); ``sample``
+        as in :meth:`run_fault_campaign`."""
+        return run_paper_campaign(self._sampled_universe(sample, seed),
+                                  workers=workers)
+
+    def _sampled_universe(self, sample: Optional[int],
+                          seed: int) -> List[StructuralFault]:
         universe = self.fault_universe()
-        if sample is not None and sample < len(universe):
-            rng = random.Random(seed)
-            universe = rng.sample(universe, sample)
-        return run_paper_campaign(universe, workers=workers)
+        if sample:
+            universe = stratified_sample(universe, sample, seed=seed)
+        return universe
 
     # ------------------------------------------------------------------
     # overhead

@@ -113,21 +113,7 @@ class CoverageReport:
         lines = [f"{'Test tier':<20}{'Measured':>10}{'Paper':>8}"]
         for tier, measured, paper in self.headline_rows():
             lines.append(f"{tier:<20}{measured * 100:>9.1f}%{paper * 100:>7.1f}%")
-        counts = self.result.outcome_counts()
-        unsolvable = counts.get("unsolvable", 0)
-        if unsolvable:
-            # solver-quality line: numerics failures are not crashes
-            lines.append(f"  numerics: {unsolvable} fault(s) unsolvable "
-                         f"(resilience ladder exhausted) — unreached "
-                         f"tiers counted undetected")
-        abnormal = {k: v for k, v in counts.items()
-                    if k not in ("ok", "unsolvable")}
-        if abnormal:
-            body = ", ".join(f"{v} {k}"
-                             for k, v in sorted(abnormal.items()))
-            lines.append(f"  supervisor: {body} fault(s) counted "
-                         f"undetected (see records' errors)")
-        return "\n".join(lines)
+        return "\n".join(lines + self.result.outcome_lines())
 
 
 def run_paper_campaign(universe: Optional[List[StructuralFault]] = None,

@@ -80,11 +80,6 @@ class DCTest:
             return False
         return dut.observe(op) == self.goldens.dc_receiver
 
-    def retention_for(self, fault: StructuralFault) -> Dict[str, float]:
-        if fault.block in LINK_BLOCKS:
-            return self.goldens.retention_link
-        return self.goldens.retention_receiver
-
     def detect(self, fault: StructuralFault) -> bool:
         """Run the DC tier against *fault*; True when detected.
 

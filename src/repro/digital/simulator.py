@@ -227,10 +227,6 @@ class LogicCircuit:
         else:
             self._forced.pop(net, None)
 
-    @property
-    def forced_nets(self) -> Dict[str, int]:
-        return dict(self._forced)
-
     # ------------------------------------------------------------------
     # simulation
     # ------------------------------------------------------------------
@@ -246,10 +242,6 @@ class LogicCircuit:
             return self.values[net]
         except KeyError:
             raise SimulationError(f"unknown net {net!r}") from None
-
-    def peek_bus(self, nets: Sequence[str]) -> List[Optional[int]]:
-        """Read several nets at once."""
-        return [self.peek(n) for n in nets]
 
     def _apply_forces(self) -> None:
         for net, val in self._forced.items():

@@ -30,18 +30,15 @@ an interrupted multi-hour campaign resumes where it stopped.
 
 from __future__ import annotations
 
-import json
-from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import (Callable, Dict, List, Mapping, Optional, Sequence, Set,
                     Tuple, Union)
 
 from ..core.profiling import COUNTERS
 from ..analog.resilience import numerics_policy
-from ..analog.solver import SolverError
-from ..core.jsonl import DurableJsonlWriter, JsonlCheckpoint
-from ..core.supervisor import (OUTCOME_UNSOLVABLE, SUPERVISOR_TIER, RunTrace,
-                               SupervisorPolicy, run_supervised)
+from ..core.jsonl import JsonlCheckpoint
+from ..core.records import ARTIFACT_VERSION, ResultEnvelope, call_tier
+from ..core.supervisor import SUPERVISOR_TIER, RunTrace, run_checkpointed
 from .collapse import stage_memo
 from .model import DetectionRecord, StructuralFault
 
@@ -51,19 +48,21 @@ AppliesFunc = Callable[[StructuralFault], bool]
 #: the paper's default tier pipeline (Section IV accounting)
 TIER_ORDER = ("dc", "scan", "bist")
 
-#: artifact / checkpoint schema version
-ARTIFACT_VERSION = 1
-_RESULT_FORMAT = "repro-campaign-result"
 _CHECKPOINT_FORMAT = "repro-campaign-checkpoint"
 
 
 @dataclass
-class CampaignResult:
+class CampaignResult(ResultEnvelope):
     """Per-fault detection records plus coverage accounting.
 
     ``tier_order`` names the tiers the campaign ran, in pipeline order;
     it defaults to the paper's three so hand-built results keep working.
     """
+
+    FORMAT = "repro-campaign-result"
+    KIND = "campaign"
+    NOUN = "fault"
+    COUNTED = "unreached tiers counted undetected"
 
     records: List[DetectionRecord]
     tier_order: Tuple[str, ...] = TIER_ORDER
@@ -72,10 +71,6 @@ class CampaignResult:
         self.tier_order = tuple(self.tier_order)
 
     # ------------------------------------------------------------------
-    @property
-    def total(self) -> int:
-        return len(self.records)
-
     def detected_by(self, tier: str) -> Set[StructuralFault]:
         """Faults the named tier detects (non-cumulative)."""
         return {r.fault for r in self.records if r.hit(tier)}
@@ -116,21 +111,6 @@ class CampaignResult:
     def undetected(self) -> List[StructuralFault]:
         return [r.fault for r in self.records if not r.detected]
 
-    def outcome_counts(self) -> Dict[str, int]:
-        """How many records settled per outcome (``ok`` / ``timeout`` /
-        ``quarantined`` / ``unsolvable``)."""
-        counts: Dict[str, int] = {}
-        for r in self.records:
-            counts[r.outcome] = counts.get(r.outcome, 0) + 1
-        return counts
-
-    def unevaluated(self) -> List[DetectionRecord]:
-        """Records that did not get a full, numerically clean evaluation
-        (timed out, quarantined, or unsolvable).  Tiers they did not
-        reach count as undetected in every coverage number — explicit
-        conservatism, never silent loss."""
-        return [r for r in self.records if r.outcome != "ok"]
-
     def sets_intersect_not_nested(self, a: str = "scan",
                                   b: str = "bist") -> bool:
         """The paper's claim: tiers a and b overlap, neither contains
@@ -139,39 +119,15 @@ class CampaignResult:
         return bool(sa & sb) and bool(sa - sb) and bool(sb - sa)
 
     # -- artifact layer ------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        return {"format": _RESULT_FORMAT,
-                "version": ARTIFACT_VERSION,
-                "tier_order": list(self.tier_order),
+    def fields(self) -> Dict[str, object]:
+        return {"tier_order": list(self.tier_order),
                 "records": [r.to_dict() for r in self.records]}
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
-
     @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "CampaignResult":
-        if data.get("format") != _RESULT_FORMAT:
-            raise ValueError(
-                f"not a campaign result artifact: {data.get('format')!r}")
-        if data.get("version") != ARTIFACT_VERSION:
-            raise ValueError(
-                f"unsupported artifact version {data.get('version')!r}")
+    def from_fields(cls, data: Mapping[str, object]) -> "CampaignResult":
         return cls(records=[DetectionRecord.from_dict(r)
                             for r in data["records"]],
                    tier_order=tuple(data["tier_order"]))
-
-    @classmethod
-    def from_json(cls, text: str) -> "CampaignResult":
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path: str, indent: Optional[int] = 2) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json(indent=indent))
-
-    @classmethod
-    def load(cls, path: str) -> "CampaignResult":
-        with open(path) as fh:
-            return cls.from_json(fh.read())
 
 
 class FaultCampaign:
@@ -243,27 +199,16 @@ class FaultCampaign:
     def evaluate(self, fault: StructuralFault) -> DetectionRecord:
         """Run every applicable tier on one fault.
 
-        A detector that raises is treated as "not detected" for that
-        tier (a broken test must never inflate coverage), with typed
-        triage: :class:`~repro.analog.solver.SolverError` means the
-        analog engine's resilience ladder rejected the faulted circuit's
-        linear systems, so the record is settled with the first-class
-        ``unsolvable`` outcome (alongside the error detail); any other
-        exception is a tier bug and lands on ``errors`` only.
+        A detector that raises counts as "not detected" for that tier,
+        triaged by :func:`~repro.core.records.call_tier`: a solver
+        failure settles the record ``unsolvable``, any other exception
+        is a tier bug; both land on ``errors``.
         """
         rec = DetectionRecord(fault=fault)
         with numerics_policy(strict=self.strict_numerics):
             for name, detector, applies in self._tiers:
-                if not applies(fault):
-                    continue
-                try:
-                    if detector(fault):
-                        rec.tiers[name] = True
-                except SolverError as exc:
-                    rec.outcome = OUTCOME_UNSOLVABLE
-                    rec.errors.append((name, repr(exc)))
-                except Exception as exc:  # noqa: BLE001 - keep campaign alive
-                    rec.errors.append((name, repr(exc)))
+                if applies(fault) and call_tier(rec, name, detector, fault):
+                    rec.tiers[name] = True
         return rec
 
     def run(self, universe: Sequence[StructuralFault],
@@ -281,8 +226,9 @@ class FaultCampaign:
         this worker, in a forked run) already simulated reuses that
         result.
 
-        Execution is handed to :func:`repro.core.supervisor.run_supervised`:
-        with ``workers`` > 1 (or a ``timeout`` set) and fork available,
+        Execution is handed to the campaigns' shared run loop,
+        :func:`repro.core.supervisor.run_checkpointed`: with
+        ``workers`` > 1 (or a ``timeout`` set) and fork available,
         faults are dispatched one at a time to supervised forked
         workers.  Healthy faults produce records identical to a plain
         serial loop — including the per-tier exception capture — while
@@ -306,46 +252,25 @@ class FaultCampaign:
         and, when the run evaluates in-process, one ``stage_reused``
         event per stage result a fault took from its representative.
         """
-        universe = list(universe)
-        n = len(universe)
-        done: Dict[Tuple[str, str, str, str], DetectionRecord] = {}
-        with ExitStack() as stack:
-            if isinstance(trace, str):
-                trace = stack.enter_context(RunTrace(trace))
-            writer: Optional[DurableJsonlWriter] = None
-            if checkpoint is not None:
-                done, writer = self.checkpoints.resume(checkpoint)
-                stack.enter_context(writer)
-            if not isinstance(trace, RunTrace):
-                trace = None
-            pending = [f for f in universe if f.key() not in done]
-            base = n - len(pending)
-            COUNTERS.campaign_faults += len(pending)
-            n_workers = (1 if workers is None
-                         else min(int(workers), max(len(pending), 1)))
-            completed = [base]
+        return self.result(run_checkpointed(
+            universe, self.evaluate, key=StructuralFault.key,
+            label=lambda fault: {"fault": str(fault)},
+            fallback=self._fallback_record, checkpoints=self.checkpoints,
+            checkpoint=checkpoint, workers=workers, timeout=timeout,
+            max_retries=max_retries, progress=progress, trace=trace,
+            scope=self._run_scope))
 
-            def on_record(index: int, fault: StructuralFault,
-                          rec: DetectionRecord, outcome: str) -> None:
-                done[fault.key()] = rec
-                if writer is not None:
-                    writer.write_line(rec.to_dict())
-                    if trace is not None:
-                        trace.emit("checkpoint_write", item=index,
-                                   fault=str(fault), outcome=outcome)
-                completed[0] += 1
-                if progress is not None:
-                    progress(completed[0], n)
-
-            with stage_memo(trace):
-                run_supervised(
-                    pending, self.evaluate, workers=n_workers,
-                    policy=SupervisorPolicy(timeout=timeout,
-                                            max_retries=max_retries),
-                    fallback=self._fallback_record, on_record=on_record,
-                    trace=trace)
-        return CampaignResult(records=[done[f.key()] for f in universe],
+    def result(self, records: Sequence[DetectionRecord]) -> CampaignResult:
+        """*records* (in universe order) as this campaign's result."""
+        return CampaignResult(records=list(records),
                               tier_order=self.tier_names)
+
+    @staticmethod
+    def _run_scope(trace: Optional[RunTrace],
+                   pending: List[StructuralFault]):
+        """Count the faults a run evaluates and activate its stage memo."""
+        COUNTERS.campaign_faults += len(pending)
+        return stage_memo(trace)
 
     def _fallback_record(self, fault: StructuralFault, outcome: str,
                          detail: str) -> DetectionRecord:

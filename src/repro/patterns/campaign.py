@@ -247,13 +247,15 @@ class PatternCampaign:
         if universe is None:
             universe = bist_universe()
         universe = sampled_universe(universe, sample)
-        campaign = self.build()
-        result = campaign.run(universe, workers=workers,
-                              checkpoint=checkpoint, timeout=timeout,
-                              progress=progress)
+        return self.result(self.build().run(
+            universe, workers=workers, checkpoint=checkpoint,
+            timeout=timeout, progress=progress))
+
+    def result(self, result: CampaignResult) -> PatternCampaignResult:
+        """The sweep's result from its fault campaign's, with each
+        stimulus' healthy lock summary."""
         lock = {p: healthy_lock_summary(p) for p in self.patterns}
-        return PatternCampaignResult(result=result,
-                                     patterns=self.patterns,
+        return PatternCampaignResult(result=result, patterns=self.patterns,
                                      lock_summary=lock)
 
 

@@ -69,21 +69,24 @@ class ShardedJob:
     """One spec's executable form: items, shard runner, merge-on-read.
 
     Subclasses bind the three campaign kinds to their existing
-    machinery: they set ``campaign`` (whose ``checkpoints`` type reads
-    and merges the shard files) and ``keys`` (the item keys, in item
-    order).  ``run_shard`` executes inside a (possibly forked) shard
-    worker and must leave a complete checkpoint at the given path;
-    ``merge`` runs in the coordinator after every shard settled and
-    returns the artifact dict the matching CLI export would have
-    produced.  ``completed_items`` is the crash-recovery scan: it
-    counts the shard's durably checkpointed records *without running
-    anything*, so a restarted coordinator can dispatch only the
-    unfinished shards (and the shard's own in-run resume then skips
-    its already-checkpointed items).
+    machinery: they set ``campaign`` (whose ``run`` takes a slice of
+    ``axis``, whose ``checkpoints`` type reads and merges the shard
+    files and whose ``result`` builds the merged result), ``axis`` (the
+    items, in item order) and ``keys`` (their keys, in the same order).
+    ``run_shard`` executes inside a (possibly forked) shard worker and
+    leaves a complete checkpoint at the given path; ``merge`` runs in
+    the coordinator after every shard settled and returns the artifact
+    dict the matching CLI export would have produced.
+    ``completed_items`` is the crash-recovery scan: it counts the
+    shard's durably checkpointed records *without running anything*,
+    so a restarted coordinator can dispatch only the unfinished shards
+    (and the shard's own in-run resume then skips its
+    already-checkpointed items).
     """
 
     spec: CampaignSpec
     campaign: Any
+    axis: Sequence[Any]
     keys: Sequence[Hashable]
 
     @property
@@ -92,11 +95,17 @@ class ShardedJob:
 
     def run_shard(self, lo: int, hi: int, checkpoint: str,
                   trace: Optional[str] = None) -> None:
-        raise NotImplementedError
+        self.campaign.run(self.axis[lo:hi], checkpoint=checkpoint,
+                          trace=trace)
 
     def completed_items(self, lo: int, hi: int, checkpoint: str) -> int:
         done = self.campaign.checkpoints.load(checkpoint)
         return sum(1 for key in self.keys[lo:hi] if key in done)
+
+    def merged(self, checkpoints: Sequence[str]) -> Any:
+        """The campaign result the shard files hold, in item order."""
+        return self.campaign.result(
+            self.campaign.checkpoints.merge(checkpoints, self.keys))
 
     def merge(self, checkpoints: Sequence[str]) -> Dict[str, object]:
         raise NotImplementedError
@@ -116,22 +125,14 @@ class FaultCampaignJob(ShardedJob):
         if spec.sample:
             universe = stratified_sample(universe, spec.sample,
                                          seed=spec.seed)
-        self.universe = list(universe)
-        self.keys = [f.key() for f in self.universe]
+        self.axis = list(universe)
+        self.keys = [f.key() for f in self.axis]
         self.campaign = FaultCampaign(strict_numerics=spec.strict_numerics)
         for tier in create_tiers(spec.tiers, shared_goldens()):
             self.campaign.add_tier(tier)
 
-    def run_shard(self, lo: int, hi: int, checkpoint: str,
-                  trace: Optional[str] = None) -> None:
-        self.campaign.run(self.universe[lo:hi], checkpoint=checkpoint,
-                          trace=trace)
-
     def merge(self, checkpoints: Sequence[str]) -> Dict[str, object]:
-        from ..faults.campaign import CampaignResult
-
-        records = self.campaign.checkpoints.merge(checkpoints, self.keys)
-        return CampaignResult(records, self.campaign.tier_names).to_dict()
+        return self.merged(checkpoints).to_dict()
 
 
 class MonteCarloJob(ShardedJob):
@@ -145,7 +146,7 @@ class MonteCarloJob(ShardedJob):
         from ..variation import MismatchModel, MonteCarloCampaign
 
         self.spec = spec
-        self.keys = range(spec.dies)
+        self.axis = self.keys = range(spec.dies)
         model = MismatchModel(sigma_vt=spec.sigma_vt_mv * 1e-3,
                               sigma_kp_rel=spec.sigma_kp_pct / 100.0)
         self.campaign = MonteCarloCampaign(
@@ -154,14 +155,8 @@ class MonteCarloJob(ShardedJob):
             model=model, seed=spec.seed,
             strict_numerics=spec.strict_numerics)
 
-    def run_shard(self, lo: int, hi: int, checkpoint: str,
-                  trace: Optional[str] = None) -> None:
-        self.campaign.run(range(lo, hi), checkpoint=checkpoint,
-                          trace=trace)
-
     def merge(self, checkpoints: Sequence[str]) -> Dict[str, object]:
-        records = self.campaign.checkpoints.merge(checkpoints, self.keys)
-        return self.campaign.result(records).to_dict()
+        return self.merged(checkpoints).to_dict()
 
 
 class PatternCampaignJob(ShardedJob):
@@ -175,27 +170,13 @@ class PatternCampaignJob(ShardedJob):
         self.spec = spec
         self.pattern_campaign = PatternCampaign(patterns=spec.patterns,
                                                 goldens=shared_goldens())
-        self.universe = sampled_universe(bist_universe(), spec.sample)
-        self.keys = [f.key() for f in self.universe]
+        self.axis = sampled_universe(bist_universe(), spec.sample)
+        self.keys = [f.key() for f in self.axis]
         self.campaign = self.pattern_campaign.build()
 
-    def run_shard(self, lo: int, hi: int, checkpoint: str,
-                  trace: Optional[str] = None) -> None:
-        self.campaign.run(self.universe[lo:hi], checkpoint=checkpoint,
-                          trace=trace)
-
     def merge(self, checkpoints: Sequence[str]) -> Dict[str, object]:
-        from ..faults.campaign import CampaignResult
-        from ..patterns.campaign import (PatternCampaignResult,
-                                         healthy_lock_summary)
-
-        records = self.campaign.checkpoints.merge(checkpoints, self.keys)
-        result = CampaignResult(records, self.campaign.tier_names)
-        lock = {p: healthy_lock_summary(p)
-                for p in self.pattern_campaign.patterns}
-        return PatternCampaignResult(
-            result=result, patterns=self.pattern_campaign.patterns,
-            lock_summary=lock).to_dict()
+        return self.pattern_campaign.result(
+            self.merged(checkpoints)).to_dict()
 
 
 _JOB_KINDS = {

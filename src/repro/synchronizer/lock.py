@@ -9,7 +9,7 @@ conditions and summarise lock-time statistics for the benches.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..link.params import LinkParams
 from .loop import LoopResult, SynchronizerLoop
@@ -43,9 +43,6 @@ class LockSweepResult:
     @property
     def max_coarse_corrections(self) -> int:
         return max(r.coarse_corrections for r in self.results.values())
-
-    def lock_times(self) -> List[Optional[float]]:
-        return [self.results[k].lock_time for k in sorted(self.results)]
 
 
 def lock_sweep(params: Optional[LinkParams] = None,

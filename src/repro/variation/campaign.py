@@ -17,8 +17,8 @@ Each die evaluates as a pure function of ``(seed, die_index)``:
   Newton iteration seeds from zeros, companion models reset per
   transient, faults inject into clones).
 
-Die independence is what lets :meth:`MonteCarloCampaign.run` reuse the
-fault campaign's machinery shape: supervised fork-parallel workers
+Die independence is what lets :meth:`MonteCarloCampaign.run` run on the
+fault campaign's own run loop: supervised fork-parallel workers
 (:mod:`repro.core.supervisor`) whose records reassemble in die order
 (bit-identical to a serial run for every healthy die, with hanging or
 worker-killing dies settled as first-class timeout/quarantine
@@ -30,8 +30,6 @@ so the compiled MNA plans of PR 1 amortise across the whole sweep.
 
 from __future__ import annotations
 
-import json
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Union)
@@ -39,10 +37,9 @@ from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
 from ..core.profiling import COUNTERS
 from ..analog.corners import ProcessCorner, get_corner
 from ..analog.resilience import numerics_policy
-from ..analog.solver import SolverError
-from ..core.jsonl import DurableJsonlWriter, JsonlCheckpoint
-from ..core.supervisor import (OUTCOME_UNSOLVABLE, SUPERVISOR_TIER, RunTrace,
-                               SupervisorPolicy, run_supervised)
+from ..core.jsonl import JsonlCheckpoint
+from ..core.records import ARTIFACT_VERSION, ResultEnvelope, call_tier
+from ..core.supervisor import SUPERVISOR_TIER, RunTrace, run_checkpointed
 from ..faults.model import StructuralFault
 from ..faults.sampling import SampledCoverage, pick_die_fault
 from .context import DieContext, activated
@@ -51,9 +48,6 @@ from .mismatch import MismatchModel
 #: default tier pipeline, mirroring the fault campaign's
 MC_TIER_ORDER = ("dc", "scan", "bist")
 
-#: artifact / checkpoint schema version
-ARTIFACT_VERSION = 1
-_RESULT_FORMAT = "repro-mc-result"
 _CHECKPOINT_FORMAT = "repro-mc-checkpoint"
 
 
@@ -90,9 +84,6 @@ class DieRecord:
     def healthy_pass(self) -> bool:
         """Did the fault-free die pass every tier's screen?"""
         return all(self.healthy.values())
-
-    def screen_failures(self) -> Tuple[str, ...]:
-        return tuple(t for t, ok in self.healthy.items() if not ok)
 
     @property
     def escaped(self) -> bool:
@@ -140,7 +131,7 @@ class DieRecord:
 
 
 @dataclass
-class MCResult:
+class MCResult(ResultEnvelope):
     """Records of a Monte-Carlo campaign plus statistical accounting.
 
     All rate estimates come back as
@@ -148,6 +139,11 @@ class MCResult:
     with its Wilson interval — so a 64-die smoke run and a 4096-die
     nightly report the same schema at honestly different widths.
     """
+
+    FORMAT = "repro-mc-result"
+    KIND = "Monte-Carlo"
+    NOUN = "die"
+    COUNTED = "counted as screen failures and missed detections"
 
     records: List[DieRecord]
     tier_order: Tuple[str, ...] = MC_TIER_ORDER
@@ -160,10 +156,6 @@ class MCResult:
         self.tier_order = tuple(self.tier_order)
 
     # ------------------------------------------------------------------
-    @property
-    def total(self) -> int:
-        return len(self.records)
-
     def yield_loss(self, tier: Optional[str] = None,
                    confidence: float = 0.95) -> SampledCoverage:
         """Healthy dies rejected — by one tier, or (default) by any."""
@@ -204,42 +196,16 @@ class MCResult:
     def error_count(self) -> int:
         return sum(len(r.errors) for r in self.records)
 
-    def outcome_counts(self) -> Dict[str, int]:
-        """How many dies settled per outcome (``ok`` / ``timeout`` /
-        ``quarantined`` / ``unsolvable``)."""
-        counts: Dict[str, int] = {}
-        for r in self.records:
-            counts[r.outcome] = counts.get(r.outcome, 0) + 1
-        return counts
-
-    def unevaluated(self) -> List[DieRecord]:
-        """Dies that did not get a full, numerically clean evaluation
-        (timed out, quarantined, or unsolvable).  Tiers they did not
-        reach count as screen failures and missed detections in every
-        rate — explicit conservatism."""
-        return [r for r in self.records if r.outcome != "ok"]
-
     # -- artifact layer ------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        return {"format": _RESULT_FORMAT,
-                "version": ARTIFACT_VERSION,
-                "config": _config_dict(self.seed, self.corner,
+    def fields(self) -> Dict[str, object]:
+        return {"config": _config_dict(self.seed, self.corner,
                                        self.tier_order, self.model,
                                        self.strict_numerics),
                 "dies": self.total,
                 "records": [r.to_dict() for r in self.records]}
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
-
     @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "MCResult":
-        if data.get("format") != _RESULT_FORMAT:
-            raise ValueError(
-                f"not a Monte-Carlo result artifact: {data.get('format')!r}")
-        if data.get("version") != ARTIFACT_VERSION:
-            raise ValueError(
-                f"unsupported artifact version {data.get('version')!r}")
+    def from_fields(cls, data: Mapping[str, object]) -> "MCResult":
         config = data.get("config") or {}
         return cls(records=[DieRecord.from_dict(r) for r in data["records"]],
                    tier_order=tuple(config.get("tiers", MC_TIER_ORDER)),
@@ -248,19 +214,6 @@ class MCResult:
                    model=_model_from_config(config),
                    strict_numerics=bool(config.get("strict_numerics",
                                                    False)))
-
-    @classmethod
-    def from_json(cls, text: str) -> "MCResult":
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path: str, indent: Optional[int] = 2) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json(indent=indent))
-
-    @classmethod
-    def load(cls, path: str) -> "MCResult":
-        with open(path) as fh:
-            return cls.from_json(fh.read())
 
 
 def _config_dict(seed: int, corner: str, tiers: Sequence[str],
@@ -342,48 +295,24 @@ class MonteCarloCampaign:
         A tier that raises is conservative in both directions: the
         healthy screen counts as *failed* (a tester crash rejects the
         part) and the detection counts as *missed* (a broken test never
-        inflates coverage) — with typed triage:
-        :class:`~repro.analog.solver.SolverError` means the resilience
-        ladder rejected the die's linear systems, so the record settles
-        with the first-class ``unsolvable`` outcome; any other exception
-        is a tier bug and lands on ``errors`` only.
+        inflates coverage), triaged by
+        :func:`~repro.core.records.call_tier` as in the fault campaign.
         """
         COUNTERS.mc_dies += 1
         fault = pick_die_fault(self.universe, self.seed, die_index)
-        healthy: Dict[str, bool] = {}
-        detected: Dict[str, bool] = {}
-        errors: List[Tuple[str, str]] = []
-        outcome = "ok"
+        rec = DieRecord(die=die_index, fault=fault, healthy={}, detected={})
         with activated(self._ctx), \
                 numerics_policy(strict=self.strict_numerics):
             self._ctx.set_die(die_index)
             for tier in self._tiers:
                 screen = getattr(tier, "screen", None)
-                if screen is None:
-                    healthy[tier.name] = True
-                    continue
-                try:
-                    healthy[tier.name] = bool(screen())
-                except SolverError as exc:
-                    healthy[tier.name] = False
-                    errors.append((tier.name, repr(exc)))
-                    outcome = OUTCOME_UNSOLVABLE
-                except Exception as exc:  # noqa: BLE001 - keep run alive
-                    healthy[tier.name] = False
-                    errors.append((tier.name, repr(exc)))
+                rec.healthy[tier.name] = (
+                    screen is None or bool(call_tier(rec, tier.name, screen)))
             for tier in self._tiers:
-                hit = False
-                if tier.applies_to(fault):
-                    try:
-                        hit = bool(tier.detect(fault))
-                    except SolverError as exc:
-                        errors.append((tier.name, repr(exc)))
-                        outcome = OUTCOME_UNSOLVABLE
-                    except Exception as exc:  # noqa: BLE001
-                        errors.append((tier.name, repr(exc)))
-                detected[tier.name] = hit
-        return DieRecord(die=die_index, fault=fault, healthy=healthy,
-                         detected=detected, errors=errors, outcome=outcome)
+                hit = tier.applies_to(fault) and call_tier(
+                    rec, tier.name, tier.detect, fault)
+                rec.detected[tier.name] = bool(hit)
+        return rec
 
     def run(self, dies: Union[int, Sequence[int]],
             progress: Optional[Callable[[int, int], None]] = None,
@@ -401,9 +330,8 @@ class MonteCarloCampaign:
         records are identical to the same dies' records in an
         unsharded run.
 
-        Mirrors :meth:`repro.faults.campaign.FaultCampaign.run`:
-        execution goes through the supervised runner
-        (:func:`repro.core.supervisor.run_supervised`), so with
+        Execution goes through the run loop the fault campaign uses
+        (:func:`repro.core.supervisor.run_checkpointed`), so with
         ``workers`` > 1 (or a ``timeout`` set) and fork available,
         pending dies are dispatched to supervised forked workers —
         records reassemble in die order, identical to a serial run for
@@ -413,42 +341,13 @@ class MonteCarloCampaign:
         finished dies append to a JSONL file and are skipped on resume;
         ``trace`` streams the structured run-event log.
         """
-        indices = (list(range(int(dies))) if isinstance(dies, int)
-                   else [int(d) for d in dies])
-        n = len(indices)
-        done: Dict[int, DieRecord] = {}
-        with ExitStack() as stack:
-            if isinstance(trace, str):
-                trace = stack.enter_context(RunTrace(trace))
-            writer: Optional[DurableJsonlWriter] = None
-            if checkpoint is not None:
-                done, writer = self.checkpoints.resume(checkpoint)
-                stack.enter_context(writer)
-            pending = [i for i in indices if i not in done]
-            base = n - len(pending)
-            completed = [base]
-
-            def on_record(index: int, die: int, rec: DieRecord,
-                          outcome: str) -> None:
-                done[die] = rec
-                if writer is not None:
-                    writer.write_line(rec.to_dict())
-                    if isinstance(trace, RunTrace):
-                        trace.emit("checkpoint_write", item=index,
-                                   die=die, outcome=outcome)
-                completed[0] += 1
-                if progress is not None:
-                    progress(completed[0], n)
-
-            n_workers = (1 if workers is None
-                         else min(int(workers), max(len(pending), 1)))
-            run_supervised(
-                pending, self.evaluate_die, workers=n_workers,
-                policy=SupervisorPolicy(timeout=timeout,
-                                        max_retries=max_retries),
-                fallback=self._fallback_record, on_record=on_record,
-                trace=trace if isinstance(trace, RunTrace) else None)
-        return self.result([done[i] for i in indices])
+        indices = range(int(dies)) if isinstance(dies, int) else dies
+        return self.result(run_checkpointed(
+            [int(d) for d in indices], self.evaluate_die, key=int,
+            label=lambda die: {"die": die}, fallback=self._fallback_record,
+            checkpoints=self.checkpoints, checkpoint=checkpoint,
+            workers=workers, timeout=timeout, max_retries=max_retries,
+            progress=progress, trace=trace))
 
     @property
     def checkpoints(self) -> JsonlCheckpoint:

@@ -68,22 +68,9 @@ def format_mc_report(result: MCResult, confidence: float = 0.95) -> str:
     for label in sorted(by_kind):
         lines.append(f"  {label:<{kind_width}}  {_fmt(by_kind[label])}")
 
-    counts = result.outcome_counts()
-    unsolvable = counts.get("unsolvable", 0)
-    if unsolvable:
-        lines.append("")
-        lines.append(f"  numerics: {unsolvable} die(s) unsolvable "
-                     f"(resilience ladder exhausted) — counted as "
-                     f"screen failures and missed detections")
-    abnormal = {k: v for k, v in counts.items()
-                if k not in ("ok", "unsolvable")}
-    if abnormal:
-        body = ", ".join(f"{v} die(s) {k}"
-                         for k, v in sorted(abnormal.items()))
-        if not unsolvable:
-            lines.append("")
-        lines.append(f"  supervisor: {body} — counted as screen "
-                     f"failures and missed detections")
+    outcomes = result.outcome_lines()
+    if outcomes:
+        lines += ["", *outcomes]
 
     errors = result.error_count()
     if errors:

@@ -111,3 +111,53 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Test tier" in out
         assert "stratified sample" in out
+
+    def test_coverage_is_campaign(self, capsys):
+        """``coverage`` is another name for ``campaign``: its flags parse
+        to the same command, and a run prints what ``campaign`` prints,
+        the ``overall:`` line included."""
+        from repro.cli import cmd_campaign
+
+        args = build_parser().parse_args(
+            ["coverage", "--sample", "6", "--seed", "4", "--progress",
+             "--workers", "2"])
+        assert args.func is cmd_campaign
+        assert (args.sample, args.seed, args.progress, args.workers) == \
+            (6, 4, True, 2)
+        outs = []
+        for command in ("coverage", "campaign"):
+            assert main([command, "--sample", "6", "--tiers", "dc"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert "overall:" in outs[0]
+
+
+class TestOutcomeLines:
+    """``repro campaign`` words each abnormal outcome once, below the
+    tier rows, whatever the tier list."""
+
+    @pytest.mark.parametrize("tiers", [[], ["--tiers", "dc"]],
+                             ids=["default", "dc"])
+    def test_quarantined_fault_printed_once(self, tiers, monkeypatch,
+                                            capsys):
+        import os
+
+        from repro.core import failpoints
+
+        parent = os.getpid()
+
+        def kill_third_item(index):
+            if os.getpid() != parent and index == 2:
+                os._exit(3)
+
+        monkeypatch.setitem(failpoints._ARMED, "supervisor.pre_evaluate",
+                            kill_third_item)
+        assert main(["campaign", "--sample", "6", "--workers", "2",
+                     "--retries", "0", *tiers]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        outcome = [line for line in lines if "quarantined" in line]
+        assert outcome == ["  supervisor: 1 fault(s) quarantined — "
+                           "unreached tiers counted undetected"]
+        assert lines.index(outcome[0]) < \
+            next(i for i, line in enumerate(lines)
+                 if line.startswith("overall:"))

@@ -108,6 +108,37 @@ class TestTestableLinkTiers:
             assert ours == paper
 
 
+class TestCampaignSampling:
+    """The link's campaigns sample by the rule of ``repro campaign
+    --sample``: stratified, 0 keeps the universe, negative refused."""
+
+    @pytest.fixture
+    def link(self, monkeypatch):
+        link = TestableLink()
+        small = [f for f in link.fault_universe()
+                 if f.block == "termination"]
+        monkeypatch.setattr(link, "fault_universe", lambda: list(small))
+        return link
+
+    def test_zero_keeps_the_whole_universe(self, link):
+        summary = link.run_fault_campaign(sample=0, tiers=("dc",))
+        assert summary.result.total == len(link.fault_universe())
+        assert summary.dc_coverage < 1.0
+
+    def test_draws_the_stratified_sample(self, link):
+        from repro.faults import stratified_sample
+
+        summary = link.run_fault_campaign(sample=4, seed=3, tiers=("dc",))
+        assert [r.fault for r in summary.result.records] == \
+            stratified_sample(link.fault_universe(), 4, seed=3)
+
+    @pytest.mark.parametrize("method", ["run_fault_campaign",
+                                        "coverage_report"])
+    def test_negative_size_rejected(self, link, method):
+        with pytest.raises(ValueError, match="sample must be >= 0"):
+            getattr(link, method)(sample=-3)
+
+
 class TestReports:
     def test_render_headline(self):
         from repro.faults import CampaignResult, DetectionRecord

@@ -4,10 +4,12 @@ import pytest
 
 from repro.digital import (
     LogicCircuit,
+    SimulationError,
     StuckAtFault,
     apply_patterns_procedure,
     enumerate_stuck_at_faults,
     exhaustive_patterns,
+    golden_response,
     run_fault_simulation,
 )
 
@@ -85,18 +87,25 @@ class TestFaultSimulation:
 
         def factory():
             c = LogicCircuit()
-            c.add_input("en", 0)
-            # en=0 breaks the loop; forcing en=1 creates an oscillator
+            c.add_input("en", 1)
+            # en=1 breaks the loop; forcing en=0 closes it into an
+            # inverter ring, which oscillates from the known x=0
             c.add_gate("nor", ["en", "x"], "x2")
             c.add_gate("buf", ["x2"], "x")
+            c.values["x"] = 0
             return c
 
         def proc(circ, hooks):
             circ.settle()
             return [circ.peek("x")]
 
-        res = run_fault_simulation(factory, proc,
-                                   faults=[StuckAtFault("en", 1)])
+        fault = StuckAtFault("en", 0)
+        assert golden_response(factory, proc) == (0,)
+        faulted = factory()
+        fault.inject(faulted)
+        with pytest.raises(SimulationError, match="did not settle"):
+            proc(faulted, None)
+        res = run_fault_simulation(factory, proc, faults=[fault])
         assert res.coverage == 1.0
 
 

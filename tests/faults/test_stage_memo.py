@@ -153,6 +153,24 @@ class TestStageResults:
         assert counts["classes"] == len({collapser.class_key(f)
                                          for f in pair})
 
+    @pytest.mark.parametrize("device", ["win_hi_MINP", "vcdl_MBN"])
+    def test_lock_keys_hold_the_stimulus(self, goldens, device):
+        """The ``win_lock`` and ``vcdl_lock`` verdicts of one fault under
+        two stimuli are two representative evaluations, not a class hit,
+        although every window and VCDL verdict happens to agree across
+        the default stimuli."""
+        from repro.dft.bist import BISTTest
+        from repro.faults import FaultKind
+
+        fault, = [f for f in build_fault_universe() if f.device == device
+                  and f.kind is FaultKind.GATE_OPEN]
+        with profiled() as counters, stage_memo():
+            for pattern in ("prbs7", "isi"):
+                BISTTest(goldens, pattern=pattern).at_speed_detect(fault)
+            counts = _counts(counters)
+        assert counts["collapse_rep_evals"] == 2
+        assert counts["class_hits"] == 0
+
     def test_key_includes_extra_inputs(self, goldens, pair):
         with stage_memo():
             assert stage_result(goldens, "lock", pair[0], ("L",),

@@ -7,7 +7,6 @@ refuses anything a live job still references, and a writer racing an
 eviction always leaves either a complete fresh entry or none.
 """
 
-import dataclasses
 import json
 import os
 import time
