@@ -18,13 +18,13 @@ from repro.dft.dll_bist import (
     run_dll_bist,
 )
 from repro.link import LinkParams, VCDLBeh
-from repro.synchronizer import SynchronizerLoop, lock_sweep
+from repro.synchronizer import SynchronizerLoop, lock_sweep, stop_at_lock
 
 
 def run_with(params, phase=5, cycles=9000):
     loop = SynchronizerLoop(params=replace(params,
                                            initial_phase_index=phase))
-    return loop.run(max_cycles=cycles, stop_on_lock=True)
+    return loop.run(max_cycles=cycles, stop=stop_at_lock)
 
 
 class TestVCDLRangeAblation:

@@ -59,6 +59,14 @@ summary table (CI fails on any non-OK row).  Checks:
                      per-fault first difference committed in
                      ``tests/digital/reference_verdicts.json``; every
                      moved fault is named
+14. loop-shadow    — the per-component oracle loop of
+                     ``tests/synchronizer/reference_loop.py`` run to
+                     full length beside every ``SynchronizerLoop.run`` of
+                     a 4-fault pattern run, healthy lock summaries
+                     included (loop_shadow); a full-length run whose
+                     result fields differ, a stopped run that did not
+                     end where the oracle's run was decided, or a lock
+                     verdict that differs fails it, naming the run
 
 Run locally: ``python scripts/guard_suite.py`` (from the repo root).
 Select a subset: ``python scripts/guard_suite.py mc-parity pattern-parity``.
@@ -309,6 +317,11 @@ def check_newton_shadow(tmp: str) -> str:
     return "assemblies, solves and Newton loops bitwise equal to the oracle"
 
 
+def check_loop_shadow(tmp: str) -> str:
+    _script("loop_shadow.py", tmp)
+    return "loop runs and lock verdicts equal to the full-length oracle"
+
+
 def check_digital_golden(tmp: str) -> str:
     """The stuck-at and transition campaigns against their pin: the
     oracle (every procedure run to its end, whole responses compared)
@@ -436,6 +449,7 @@ CHECKS: List[Tuple[str, Callable[[str], str]]] = [
     ("result-golden", check_result_golden),
     ("newton-shadow", check_newton_shadow),
     ("digital-golden", check_digital_golden),
+    ("loop-shadow", check_loop_shadow),
 ]
 
 

@@ -21,7 +21,14 @@ the maximal cycle.
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Callable, Iterator, List
+
+#: widest word :meth:`PRBS.bits` steps at once
+_WORD = 8
+#: ``_WORD_BITS[m][w]`` -- the m-bit word *w* as a tuple of bits, MSB
+#: first (the order the LFSR emits them)
+_WORD_BITS = [[tuple((w >> (m - 1 - i)) & 1 for i in range(m))
+               for w in range(1 << m)] for m in range(_WORD + 1)]
 
 
 class PRBS:
@@ -59,12 +66,42 @@ class PRBS:
         return bit
 
     def bits(self, n: int) -> List[int]:
-        """The next *n* bits."""
-        return [self.next_bit() for _ in range(n)]
+        """The next *n* bits: exactly *n* :meth:`next_bit` calls.
+
+        Steps the register a word at a time (the word-per-``ce`` idiom
+        of the LiteSATA scrambler, SNIPPETS 2-3).  The register holds
+        the last ``order`` output bits, newest lowest, and each output
+        bit is the XOR of the bits ``t1`` and ``t2`` steps back, so the
+        next ``m <= t2`` bits depend on the current state alone: they
+        are the m-bit word ``(state >> (t1 - m)) ^ (state >> (t2 - m))``.
+        """
+        t1, t2 = self.TAPS[self.order]
+        width = min(t2, _WORD)
+        state, mask = self.state, self._mask
+        out: List[int] = []
+        while n > 0:
+            m = width if n >= width else n
+            word = ((state >> (t1 - m)) ^ (state >> (t2 - m))) \
+                & ((1 << m) - 1)
+            state = ((state << m) | word) & mask
+            out += _WORD_BITS[m][word]
+            n -= m
+        self.state = state
+        return out
 
     def __iter__(self) -> Iterator[int]:
         while True:
             yield self.next_bit()
+
+
+def bit_reader(source) -> Callable[[int], List[int]]:
+    """A ``bits(n)`` reader for any stimulus: the source's own
+    ``bits`` when it has one, else *n* ``next_bit()`` calls."""
+    bits = getattr(source, "bits", None)
+    if bits is not None:
+        return bits
+    next_bit = source.next_bit
+    return lambda n: [next_bit() for _ in range(n)]
 
 
 def transition_density(bits: List[int]) -> float:

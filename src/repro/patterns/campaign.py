@@ -91,8 +91,9 @@ def healthy_lock_summary(pattern: str) -> Dict[str, object]:
         params = LinkParams(initial_phase_index=phase)
         loop = SynchronizerLoop(params=params, source=source,
                                 aggressor=aggressor)
+        # full length and untraced: the summary reports counts
         result = loop.run(max_cycles=int(LOCK_TEST_CYCLES * scale),
-                          stop_on_lock=False)
+                          record_every=0)
         phases[str(phase)] = {
             "locked": bool(result.locked),
             "lock_time_s": result.lock_time,
@@ -334,7 +335,7 @@ def ber_vs_length_sweep(orders: Sequence[int] = (7, 15, 23, 31),
         params = LinkParams(initial_phase_index=phase)
         loop = SynchronizerLoop(params=params, source=source,
                                 aggressor=aggressor, checker=checker)
-        result = loop.run(max_cycles=n_cycles, stop_on_lock=False)
+        result = loop.run(max_cycles=n_cycles)
         report = checker.tally()
         points.append(BERSweepPoint(
             pattern=name,

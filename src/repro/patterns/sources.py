@@ -6,7 +6,10 @@ scrambler instead.  This module makes the stimulus a first-class axis:
 every source satisfies the tiny :class:`PatternSource` protocol —
 ``name`` / ``next_bit()`` / ``reset()`` — so the behavioural
 synchronizer loop, the checker FSM and the coverage-vs-pattern
-campaigns can swap stimulus classes freely.
+campaigns can swap stimulus classes freely.  The PRBS, ISI and
+aggressor stimuli also read a block at a time through ``bits(n)``
+(exactly *n* ``next_bit()`` calls), which the loop reads once per
+coarse period.
 
 Classes
 -------
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 from ..channel.rc_line import CoupledRCLines, default_coupled_lines
-from ..link.prbs import PRBS
+from ..link.prbs import PRBS, bit_reader
 
 #: seed every behavioural-loop stimulus starts from — the loop's
 #: historical PRBS7 seed, so ``PRBSSource(7)`` reproduces the legacy
@@ -37,7 +40,13 @@ LOOP_SEED = 7
 
 
 class PatternSource(Protocol):
-    """What a stimulus class must provide."""
+    """What a stimulus class must provide.
+
+    A source may also provide ``bits(n)``, the next *n* bits as a list
+    (exactly *n* ``next_bit()`` calls); readers fall back to
+    ``next_bit`` through :func:`repro.link.prbs.bit_reader` when it
+    does not.
+    """
 
     name: str
 
@@ -66,6 +75,9 @@ class PRBSSource:
 
     def next_bit(self) -> int:
         return self._gen.next_bit()
+
+    def bits(self, n: int) -> List[int]:
+        return self._gen.bits(n)
 
     def reset(self) -> None:
         self._gen = PRBS(order=self._order, seed=self._seed)
@@ -170,6 +182,12 @@ class ISISource:
         self._pos = (self._pos + 1) % len(self._template)
         return bit
 
+    def bits(self, n: int) -> List[int]:
+        start, period = self._pos, len(self._template)
+        self._pos = (start + n) % period
+        laps = (start + n) // period + 1
+        return (self._template * laps)[start:start + n]
+
     def reset(self) -> None:
         self._pos = 0
 
@@ -255,8 +273,27 @@ class CrosstalkAggressor:
         bit = self.pattern.next_bit()
         toggled = bit != self._last
         self._last = bit
-        if not toggled:
-            return 0.0
+        return self._edge(params) if toggled else 0.0
+
+    def penalties(self, params, n: int) -> List[float]:
+        """Margin losses [s] of the next *n* bit periods: exactly *n*
+        :meth:`penalty` calls."""
+        last = self._last
+        out = []
+        edge = None
+        for bit in bit_reader(self.pattern)(n):
+            if bit == last:
+                out.append(0.0)
+            else:
+                if edge is None:
+                    edge = self._edge(params)
+                out.append(edge)
+                last = bit
+        self._last = last
+        return out
+
+    def _edge(self, params) -> float:
+        """Margin loss of one aggressor edge under *params*."""
         key = (params.eye_amplitude, params.eye_half_width,
                params.sampling_jitter_rms)
         value = self._edge_penalty.get(key)
@@ -312,6 +349,9 @@ class AggressorSource:
 
     def next_bit(self) -> int:
         return self._victim.next_bit()
+
+    def bits(self, n: int) -> List[int]:
+        return self._victim.bits(n)
 
     def reset(self) -> None:
         self._victim.reset()

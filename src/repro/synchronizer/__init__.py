@@ -29,10 +29,12 @@ from .lock import (
 from .loop import (
     LOCK_PHASE_TOL,
     LOCK_QUIET_EVALS,
+    LockVerdict,
     LoopResult,
     LoopTrace,
     SynchronizerLoop,
     run_synchronizer,
+    stop_at_lock,
 )
 
 __all__ = [
@@ -44,6 +46,6 @@ __all__ = [
     "sampling_jitter_knob",
     "LOCK_BUDGET_S", "LockSweepResult",
     "coarse_correction_bound", "lock_sweep",
-    "LOCK_PHASE_TOL", "LOCK_QUIET_EVALS", "LoopResult", "LoopTrace",
-    "SynchronizerLoop", "run_synchronizer",
+    "LOCK_PHASE_TOL", "LOCK_QUIET_EVALS", "LockVerdict", "LoopResult",
+    "LoopTrace", "SynchronizerLoop", "run_synchronizer", "stop_at_lock",
 ]

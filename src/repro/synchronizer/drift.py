@@ -17,7 +17,7 @@ from typing import Callable, List, Optional
 from ..link.alexander_pd import wrap_phase
 from ..link.params import LinkParams
 from .baseline import ForegroundReceiver
-from .loop import SynchronizerLoop
+from .loop import SynchronizerLoop, stop_at_lock
 
 
 def linear_drift(rate_s_per_s: float) -> Callable[[float], float]:
@@ -82,7 +82,7 @@ def run_background_through_drift(drift: Callable[[float], float],
     p = (params or LinkParams())
     loop = SynchronizerLoop(params=p, seed=seed)
     # acquisition on the static eye
-    loop.run(max_cycles=4000, stop_on_lock=True)
+    loop.run(max_cycles=4000, stop=stop_at_lock)
 
     dt = p.bit_time
     n = int(duration / dt)

@@ -12,10 +12,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
 from ..link.params import LinkParams
-from .loop import LoopResult, SynchronizerLoop
-
-#: the paper's lock budget
-LOCK_BUDGET_S = 2e-6
+from .loop import LOCK_BUDGET_S, LoopResult, SynchronizerLoop
 
 
 @dataclass

@@ -120,15 +120,6 @@ class DieRecord:
                    errors=[tuple(e) for e in (data.get("errors") or [])],
                    outcome=str(data.get("outcome", "ok")))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DieRecord):
-            return NotImplemented
-        return (self.die == other.die and self.fault == other.fault
-                and self.healthy == other.healthy
-                and self.detected == other.detected
-                and self.errors == other.errors
-                and self.outcome == other.outcome)
-
 
 @dataclass
 class MCResult(ResultEnvelope):

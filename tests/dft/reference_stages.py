@@ -6,6 +6,9 @@ The product stages (``ScanTest._run_receiver`` / ``_run_toggle``,
 are the same stages run to completion: every scan condition, every
 receiver-check group, the whole 25 ns toggle transient and the whole
 1.6 ns VCDL characterisation, both window bounds always measured.
+``measure_window_thresholds`` is the window-comparator threshold sweep
+as it was before the product solved the 0.6 V capture its two brackets
+share only once: every bracket end solved on its own.
 ``tests/dft/test_stop_at_verdict.py`` holds the product stages to them.
 ``run_toggle(scan, None)`` is also the toggle golden as tier
 construction used to build it, eagerly and outside any die context;
@@ -115,3 +118,42 @@ def measure_vcdl_delays(bist, fault):
     p0 = LinkParams()
     return (measure_faulted_vcdl(bist, fault, p0.v_window_lo),
             measure_faulted_vcdl(bist, fault, p0.v_window_hi))
+
+
+def measure_window_thresholds(bist, fault):
+    """Window-comparator trip points, each bisection bracket's two
+    ends solved on their own (the shared 0.6 V bound twice)."""
+    dut = build_receiver_dut()
+    if fault is not None:
+        dut.circuit = inject_fault(
+            dut.circuit, fault, retention=bist.goldens.retention_receiver)
+    hold = dut.circuit["VHOLD"]
+
+    def win_bits(vc):
+        hold.voltage = vc
+        dut.set_condition(hold=True)
+        op = dut.solve()
+        if not op.converged:
+            return None
+        return (1 if op.v("win_hi") > 0.6 else 0,
+                1 if op.v("win_lo") > 0.6 else 0)
+
+    def bisect(side, lo, hi):
+        b_lo, b_hi = win_bits(lo), win_bits(hi)
+        if b_lo is None or b_hi is None:
+            return "nonconv"
+        i = 1 if side == "lo" else 0
+        if b_lo[i] == b_hi[i]:
+            return None
+        for _ in range(9):
+            mid = 0.5 * (lo + hi)
+            bm = win_bits(mid)
+            if bm is None:
+                return "nonconv"
+            if bm[i] == b_lo[i]:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    return bisect("lo", 0.02, 0.6), bisect("hi", 0.6, 1.18)

@@ -7,20 +7,32 @@
 takes one fault of every (block, kind) the stage applies to -- the last
 of its class in universe order -- plus the fault-free die where the
 stage takes one, and requires the oracle's verdict and exactly the
-oracle's samples up to the deciding one.
+oracle's samples up to the deciding one.  ``BISTTest._loop_passes``
+ends its behavioural lock run at the coarse period where the verdict
+is decided; its verdicts are held to the same loop run to full length.
+``BISTTest._measure_window_thresholds`` solves the 0.6 V capture its
+two bisection brackets share once; its thresholds are held to the
+sweep that solves it twice.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import reference_stages as ref
+from repro.dft import duts
+from repro.dft.bist import LOCK_BUDGET, LOCK_TEST_CYCLES
 from repro.dft.coverage import build_fault_universe
 from repro.dft.golden import GoldenSignatures
 from repro.dft.registry import create_tier
 from repro.dft.scan_test import SCAN_CONDITIONS, TOGGLE_THRESHOLD
+from repro.faults.behavior_map import map_fault_to_knobs
 from repro.link.params import LinkParams
+from repro.patterns.campaign import (DEFAULT_CAMPAIGN_PATTERNS,
+                                     bist_universe)
+from repro.synchronizer.loop import SynchronizerLoop, stop_at_lock
 
 #: receiver-check groups in the order the stage runs them: the hold
 #: point's V_p and slew flags, then each pump-current window
@@ -137,3 +149,70 @@ def test_screens_pass_the_fault_free_die(tiers):
     scan, bist = tiers
     assert scan.screen()
     assert bist.screen()
+
+
+@pytest.mark.parametrize("fault", RECEIVER_FAULTS)
+def test_window_thresholds_match_the_twice_solved_sweep(tiers, fault,
+                                                        monkeypatch):
+    _, bist = tiers
+    solves = []
+    solve = duts.ReceiverDUT.solve
+    monkeypatch.setattr(duts.ReceiverDUT, "solve",
+                        lambda dut: solves.append(1) or solve(dut))
+    full = ref.measure_window_thresholds(bist, fault)
+    full_solves = len(solves)
+    del solves[:]
+    assert bist._measure_window_thresholds(fault) == full
+    assert len(solves) == full_solves - 1
+
+
+def _universe_knob_sets():
+    seen = []
+    for fault in bist_universe():
+        knobs = map_fault_to_knobs(fault) or {}
+        if knobs not in seen:
+            seen.append(knobs)
+    return seen
+
+
+@pytest.mark.parametrize("pattern", DEFAULT_CAMPAIGN_PATTERNS)
+def test_lock_runs_stop_at_their_verdict(tiers, pattern, monkeypatch):
+    """``_loop_passes`` with its ``stop`` against the same loop run to
+    full length: ``LOCK_TEST_CYCLES`` x the stimulus scale, judged by
+    the rule ``_loop_passes`` used to spell out, or for the default
+    stimulus, whose verdict is ``bist_pass`` at lock, to lock."""
+    _, bist = tiers
+    tier = create_tier("bist" if pattern == "prbs7" else f"bist@{pattern}",
+                       bist.goldens)
+    cycles = []
+    run = SynchronizerLoop.run
+
+    def counted(loop, **kwargs):
+        result = run(loop, **kwargs)
+        cycles.append(result.cycles_run)
+        return result
+
+    monkeypatch.setattr(SynchronizerLoop, "run", counted)
+    moved, stopped = [], 0
+    for knobs in _universe_knob_sets():
+        for phase in (5, 6):
+            params = replace(LinkParams().with_faults(**knobs),
+                             initial_phase_index=phase)
+            del cycles[:]
+            got = tier._loop_passes(params)
+            loop, scale = tier._build_loop(params)
+            if pattern == "prbs7":
+                full = loop.run(max_cycles=LOCK_TEST_CYCLES,
+                                stop=stop_at_lock)
+                want = full.bist_pass
+            else:
+                full = loop.run(max_cycles=int(LOCK_TEST_CYCLES * scale))
+                want = (full.locked and full.lock_time is not None
+                        and full.lock_time <= LOCK_BUDGET * scale
+                        and full.coarse_corrections <= params.n_phases // 2
+                        and full.errors_after_lock == 0)
+            if got != want:
+                moved.append((knobs, phase))
+            stopped += cycles[0] < cycles[1]
+    assert moved == []
+    assert stopped > 0

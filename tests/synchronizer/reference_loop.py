@@ -7,12 +7,22 @@ one-hot vector, interpolates the VCDL curve, and calls
 hoisted kernel instead; ``test_loop_kernel.py`` holds the two to the
 same results, traces and post-run component state.
 
-It differs from the original body only by the two fixes the kernel
-also carries: ``max_cycles=0`` runs zero cycles instead of raising, and
-the result carries the bit period at which lock was declared.
+It differs from the original body only by what the kernel also
+carries: ``max_cycles=0`` runs zero cycles instead of raising, the
+result carries the bit period at which lock was declared,
+``record_every=0`` records no trace, and the ``stop`` predicate that
+replaced ``stop_on_lock`` is asked at the end of every full coarse
+period (every ``divider_ratio`` bits from the run's start).  It still
+reads the stimulus one ``next_bit()`` and one ``penalty()`` at a time.
+:func:`result_diff` names what two runs' results disagree on, for the
+kernel tests and ``scripts/loop_shadow.py``.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import fields
+from typing import List
 
 from repro.link.alexander_pd import wrap_phase
 from repro.synchronizer.loop import (LOCK_PHASE_TOL, LOCK_QUIET_EVALS,
@@ -20,7 +30,7 @@ from repro.synchronizer.loop import (LOCK_PHASE_TOL, LOCK_QUIET_EVALS,
 
 
 def reference_run(loop, max_cycles: int = 20000, record_every: int = 8,
-                  stop_on_lock: bool = False) -> LoopResult:
+                  stop=None) -> LoopResult:
     """Run *loop* (a ``SynchronizerLoop``) one component call at a time."""
     self = loop
     p = self.params
@@ -79,7 +89,7 @@ def reference_run(loop, max_cycles: int = 20000, record_every: int = 8,
         if not p.divider_dead and divider_count >= p.divider_ratio:
             divider_count = 0
             request, _ = self.fsm.evaluate(dt_slow)
-            if request:
+            if request and record_every:
                 trace.coarse_requests.append(t)
             # lock criterion: sampling phase pinned to the eye centre
             # for several consecutive coarse evaluations, the fine
@@ -99,14 +109,17 @@ def reference_run(loop, max_cycles: int = 20000, record_every: int = 8,
                 lock_time = t
                 lock_cycle = cycle
 
-        if cycle % record_every == 0:
+        if record_every and cycle % record_every == 0:
             trace.time.append(t)
             trace.vc.append(self.pump.vc)
             trace.phase_index.append(self.ring.position)
             trace.sampling_phase.append(
                 phase if phase is not None else float("nan"))
 
-        if locked and stop_on_lock:
+        if (stop is not None
+                and (cycle + 1) % max(p.divider_ratio, 1) == 0
+                and stop(cycle, lock_cycle, self.lock_detector.count,
+                         errors_after)):
             break
 
     final_phase = self.sampling_phase()
@@ -128,3 +141,21 @@ def reference_run(loop, max_cycles: int = 20000, record_every: int = 8,
         errors_before_lock=errors_before,
         errors_after_lock=errors_after,
         lock_cycles=lock_cycle)
+
+
+def same(a, b) -> bool:
+    """Equal values of one type, NaN equal to NaN."""
+    if isinstance(a, float) and isinstance(b, float):
+        return (math.isnan(a) and math.isnan(b)) or a == b
+    return type(a) is type(b) and a == b
+
+
+def result_diff(got: LoopResult, want: LoopResult) -> List[str]:
+    """Names of the result fields and trace lists that differ."""
+    bad = [f.name for f in fields(got) if f.name != "trace"
+           and not same(getattr(got, f.name), getattr(want, f.name))]
+    for f in fields(got.trace):
+        s1, s2 = getattr(got.trace, f.name), getattr(want.trace, f.name)
+        if len(s1) != len(s2) or not all(map(same, s1, s2)):
+            bad.append(f"trace.{f.name}")
+    return bad
