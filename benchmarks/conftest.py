@@ -10,21 +10,29 @@ Environment knobs:
 
 * ``REPRO_CAMPAIGN_SAMPLE=<n>`` — run the campaign on a random *n*-fault
   sample (coarser percentages, much faster smoke runs);
-* ``REPRO_CAMPAIGN_WORKERS=<n>`` — fan the campaign out over *n* worker
-  processes (results are identical to a serial run; each run reuses
-  stage results between faults of one structural equivalence class,
-  and only a serial run's reuse counters reach this process);
+* ``REPRO_CAMPAIGN_WORKERS=<n>`` — run the campaign over *n* worker
+  processes (default 1, in-process: the Table I bench gates the
+  whole-universe compression ratio, which only one stage memo over the
+  whole universe reaches).  Results are identical for every count;
+  each forked worker reuses stage results among the faults it
+  evaluates and sends its counters back with each record, so the
+  artifact's counters and ``collapse`` block then hold the workers'
+  sums;
 * ``REPRO_MC_DIES=<n>`` — die count for the Monte-Carlo variation bench
   (default 8);
-* ``REPRO_MC_WORKERS=<n>`` — fork the die sweep (default serial, which
-  keeps the per-die retune/reuse counters in this process for the
-  BENCH artifact).
+* ``REPRO_MC_WORKERS=<n>`` — worker processes of the die sweep (default:
+  the product's; the per-die retune/reuse counters come back from the
+  workers for the BENCH artifact).
 
-Every session writes a ``BENCH_PR<N>.json`` artifact next to this file
-(name from ``REPRO_BENCH_OUTPUT``; by default *N* is the highest
-``PR <N>:`` entry of the repository's ``CHANGES.md``):
-per-bench wall time, per-bench ``lu_factor`` deltas, and the engine's
-profiling counters, so performance PRs have a before/after record.
+A session that ran every bench module of this directory writes a
+``BENCH_PR<N>.json`` artifact next to this file (name from
+``REPRO_BENCH_OUTPUT``; by default *N* is the highest ``PR <N>:`` entry
+of the repository's ``CHANGES.md``): per-bench wall time, per-bench
+``lu_factor`` deltas, and the engine's profiling counters, so
+performance PRs have a before/after record.  A session over a subset
+(one module, a ``-k`` that leaves a module out) prints one line saying
+the artifact was not written, so it cannot cut the record down to its
+own benches.
 An output name that would overwrite an *older* PR's artifact is
 refused at collection time — the whole point of the artifacts is the
 history, and a stale hardcoded name silently destroying it is exactly
@@ -73,12 +81,20 @@ _mc_cache = {}
 _bench_times = {}
 _bench_lu = {}
 _patterns = {}
+#: why this session wrote no artifact (printed in the terminal summary)
+_unwritten = []
 
 
 def record_patterns(name, data):
     """Store a per-pattern coverage/BER/lock-time block for the BENCH
     artifact (see ``test_bench_patterns``)."""
     _patterns[name] = data
+
+
+def campaign_workers():
+    """The session campaign's worker count (``REPRO_CAMPAIGN_WORKERS``,
+    default 1)."""
+    return int(os.environ.get("REPRO_CAMPAIGN_WORKERS", "1"))
 
 
 def get_campaign_report():
@@ -92,10 +108,9 @@ def get_campaign_report():
         if sample:
             n = min(int(sample), len(universe))
             universe = random.Random(2016).sample(universe, n)
-        workers = int(os.environ.get("REPRO_CAMPAIGN_WORKERS", "0")) or None
         start = COUNTERS.snapshot()
         _campaign_cache["report"] = run_paper_campaign(
-            universe, workers=workers)
+            universe, workers=campaign_workers())
         end = COUNTERS.snapshot()
         _campaign_cache["collapse"] = {
             name: end[name] - start[name] for name in _COLLAPSE_COUNTERS}
@@ -116,9 +131,6 @@ def get_mc_result():
         from repro.variation import MonteCarloCampaign
 
         dies = int(os.environ.get("REPRO_MC_DIES", "8"))
-        # serial by default: the per-die retune/reuse counters recorded
-        # in the BENCH artifact live in the evaluating process, and a
-        # forked sweep would leave them in the (discarded) children
         workers = int(os.environ.get("REPRO_MC_WORKERS", "0")) or None
         _mc_cache["result"] = MonteCarloCampaign(seed=2016).run(
             dies, workers=workers)
@@ -207,8 +219,27 @@ def pytest_runtest_call(item):
     _bench_lu[item.nodeid] = COUNTERS.lu_factor - lu0
 
 
+def pytest_terminal_summary(terminalreporter):
+    for line in _unwritten:
+        terminalreporter.write_line(line)
+
+
+def _bench_modules():
+    """Every bench module of this directory, by file name."""
+    return {name for name in os.listdir(_HERE)
+            if name.startswith("test_bench_") and name.endswith(".py")}
+
+
 def pytest_sessionfinish(session, exitstatus):
     if not _bench_times:
+        return
+    ran = {os.path.basename(nodeid.split("::")[0])
+           for nodeid in _bench_times}
+    missing = sorted(_bench_modules() - ran)
+    if missing:
+        _unwritten.append(
+            f"{_OUTPUT_NAME} not written: this session left out "
+            f"{len(missing)} of the bench modules ({', '.join(missing)})")
         return
     from repro.core.profiling import COUNTERS
 

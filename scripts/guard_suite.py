@@ -10,12 +10,13 @@ summary table (CI fails on any non-OK row).  Checks:
 3. supervision     — hang/worker-kill isolation (supervision_smoke)
 4. numerics        — singular-circuit isolation ladder (numerics_smoke)
 5. mc-parity       — Monte-Carlo export invariant across worker counts
-6. collapse-parity — an in-process ``repro campaign --sample 48``
-                     (whose stages reuse results across the whole
-                     draw, class hits > 0 on its ``collapse:`` line)
-                     exports byte-identically to the same command with
-                     ``--workers 2`` (whose workers each reuse results
-                     only among the faults they evaluate)
+6. collapse-parity — an in-process ``repro campaign --sample 48
+                     --workers 1`` (whose stages reuse results across
+                     the whole draw, class hits > 0 on its
+                     ``collapse:`` line) exports byte-identically to
+                     the same command with ``--workers 2`` (whose
+                     workers each reuse results only among the faults
+                     they evaluate)
 7. pattern-parity  — coverage-vs-pattern JSON identical for
                      ``--workers 1`` and ``--workers 4``
 8. service-parity  — sharded service jobs (campaign, two mc seeds,
@@ -27,15 +28,16 @@ summary table (CI fails on any non-OK row).  Checks:
                      artifacts with zero re-simulated items
                      (chaos_smoke kill matrix + stale-lease reclaim)
 10. pattern-golden — the full-universe pattern campaign, run with
-                     ``--workers 2`` and in-process (where stage results
-                     are reused across the whole universe), matches the
+                     ``--workers 2`` and in-process (``--workers 1``,
+                     where stage results are reused across the whole
+                     universe), matches the
                      committed ``perfbench/reference/patterns.json``
                      (each fault's tiers and outcome, each stimulus's
                      healthy-lock summary) and the two exports are
                      byte-identical; every moved fault is named
-11. result-golden  — the full 336-fault campaign, run in-process and
-                     so reusing stage results across the whole
-                     universe, matches the committed
+11. result-golden  — the full 336-fault campaign, run in-process
+                     (``--workers 1``) and so reusing stage results
+                     across the whole universe, matches the committed
                      ``perfbench/reference/table1.json`` (each fault's
                      dc/scan/bist hits and outcome), and the 8-die
                      Monte-Carlo runs of seeds 1-4 match
@@ -191,7 +193,8 @@ def check_collapse_parity(tmp: str) -> str:
     two exports must be byte-identical, and the in-process run must
     have reused results (class hits > 0)."""
     out = _repro_out(
-        "campaign --sample 48 --seed 2016 --export in-process.json",
+        "campaign --sample 48 --seed 2016 --workers 1"
+        " --export in-process.json",
         cwd=tmp,
     )
     _repro(
@@ -340,7 +343,10 @@ def check_pattern_golden(tmp: str) -> str:
     with open(PATTERN_GOLDEN) as fh:
         want = json.load(fh)
     problems = []
-    for label, flags in (("workers-2", " --workers 2"), ("in-process", "")):
+    for label, flags in (
+        ("workers-2", " --workers 2"),
+        ("in-process", " --workers 1"),
+    ):
         export = f"patterns-{label}.json"
         _repro(f"patterns{flags} --no-ber-sweep --export {export}", cwd=tmp)
         got = _load(tmp, export)
@@ -391,7 +397,7 @@ def check_result_golden(tmp: str) -> str:
     problems = []
     for policy, flags in (("default", ""), ("strict", " --strict-numerics")):
         export = f"campaign-{policy}.json"
-        _repro(f"campaign{flags} --export {export}", cwd=tmp)
+        _repro(f"campaign --workers 1{flags} --export {export}", cwd=tmp)
         got = {}
         for rec in _load(tmp, export)["records"]:
             fault = rec["fault"]

@@ -129,7 +129,8 @@ class LoopShadow:
 
 
 def run_patterns():
-    records = PatternCampaign().run(sample=4).result.records
+    # one worker, in this process, where the shadow is installed
+    records = PatternCampaign().run(sample=4, workers=1).result.records
     errors = [e for r in records for e in r.errors]
     if errors:
         raise RuntimeError(f"tier error {errors[0]}")

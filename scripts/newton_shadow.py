@@ -9,9 +9,10 @@ every MNA assembly, linear solve and Newton loop of
 * ``MonteCarloCampaign(seed=1).run(2)``,
 * a 4-fault pattern campaign over the five default stimuli,
 
-and requires every ``A``, ``b``, ``x`` and ``SolveDiagnostics`` to be
-bitwise equal.  Exits 1 at the end of the run if anything differed,
-naming the first difference and its circuit.
+each run with one worker, in this process, and requires every ``A``,
+``b``, ``x`` and ``SolveDiagnostics`` to be bitwise equal.  Exits 1 at
+the end of the run if anything differed, naming the first difference
+and its circuit, or if no solve was shadowed at all.
 
 Used locally and as the CI guard-job ``newton-shadow`` check.
 """
@@ -41,17 +42,21 @@ def one_per_stratum(universe):
     return list(picks.values())
 
 
+# each workload evaluates in this process, where the shadow is
+# installed: a forked worker's solves would escape it
+
+
 def run_campaign():
     faults = one_per_stratum(build_fault_universe())
-    return run_paper_campaign(faults).result.records
+    return run_paper_campaign(faults, workers=1).result.records
 
 
 def run_mc():
-    return MonteCarloCampaign(seed=1).run(2).records
+    return MonteCarloCampaign(seed=1).run(2, workers=1).records
 
 
 def run_patterns():
-    return PatternCampaign().run(sample=4).result.records
+    return PatternCampaign().run(sample=4, workers=1).result.records
 
 
 WORKLOADS = (

@@ -132,7 +132,7 @@ def run_fault_layer():
         with tempfile.NamedTemporaryFile("r", suffix=".jsonl") as trace:
             result = make_campaign(poisoned=True).run(
                 faults,
-                workers=None if workers == 1 else workers,
+                workers=workers,
                 trace=trace.name,
             )
             events = [json.loads(line) for line in open(trace.name)]

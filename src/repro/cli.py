@@ -308,6 +308,7 @@ def cmd_bench(args) -> int:
     import time
 
     from .core.profiling import profiled
+    from .core.supervisor import resolve_workers
     from .dft.coverage import build_fault_universe, run_paper_campaign
     from .faults.sampling import stratified_sample
 
@@ -317,12 +318,13 @@ def cmd_bench(args) -> int:
     universe = build_fault_universe()
     if args.sample:
         universe = stratified_sample(universe, args.sample, seed=args.seed)
+    workers = resolve_workers(args.workers, len(universe))
     with profiled() as counters:
         t0 = time.perf_counter()
-        report = run_paper_campaign(universe, workers=args.workers)
+        report = run_paper_campaign(universe, workers=workers)
         wall = time.perf_counter() - t0
     print(f"campaign : {len(universe)} faults in {wall:.2f} s "
-          f"({args.workers or 1} worker(s))")
+          f"({workers} worker(s))")
     print(f"coverage : dc {report.dc * 100:.1f}%  "
           f"scan {report.scan * 100:.1f}%  bist {report.bist * 100:.1f}%")
     snap = counters.snapshot()
@@ -331,7 +333,7 @@ def cmd_bench(args) -> int:
         print(f"  {key:<{width}}  {value}")
     if args.json:
         payload = {"faults": len(universe), "wall_s": wall,
-                   "workers": args.workers or 1, "counters": snap,
+                   "workers": workers, "counters": snap,
                    "coverage": {"dc": report.dc, "scan": report.scan,
                                 "bist": report.bist}}
         with open(args.json, "w") as fh:
@@ -414,12 +416,8 @@ def _since(start: Dict[str, int]) -> Dict[str, int]:
 
 def _print_numerics(start: Dict[str, int]) -> None:
     """One line of fallback-ladder counters when any rescue engaged
-    since *start*.
-
-    Counters are process-local: a ``--workers N`` run increments them
-    in the forked workers, so this line reflects in-process (serial)
-    evaluation only.
-    """
+    since *start* (a forked run's workers send theirs back with each
+    record; an item that timed out or killed its worker sends none)."""
     c = _since(start)
     rungs = (("refined", c["rescue_refined"]),
              ("equilibrated", c["rescue_equilibrated"]),
@@ -436,9 +434,9 @@ def _print_collapse(start: Dict[str, int]) -> None:
     """One line of fault-collapse counters when the run since *start*
     reused a stage result.
 
-    Counters are process-local: a forked run (``--workers N``, or a
-    ``--timeout`` supervised worker) reuses results inside its workers,
-    so its counts never reach this process and no line is printed.
+    A forked run's workers each keep their own stage memo and send
+    their counts back with each record, so its line sums the workers':
+    a class that two workers met counts twice.
     """
     c = _since(start)
     if not c["classes"]:
@@ -450,6 +448,11 @@ def _print_collapse(start: Dict[str, int]) -> None:
     if rep:
         line += f" ({(rep + hits) / rep:.2f}x fewer simulations)"
     print(line)
+
+
+_WORKERS_HELP = ("{noun}-simulation worker processes; records, exports "
+                 "and checkpoints are the same for every count (default: "
+                 "every CPU this process may use)")
 
 
 def _add_supervision(p: argparse.ArgumentParser, noun: str) -> None:
@@ -753,7 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: dc,scan,bist)")
     p.add_argument("--progress", action="store_true")
     p.add_argument("--workers", type=int, default=None,
-                   help="fault-simulation worker processes (default: serial)")
+                   help=_WORKERS_HELP.format(noun="fault"))
     p.add_argument("--export", default=None, metavar="PATH",
                    help="write the CampaignResult as JSON")
     p.add_argument("--resume", default=None, metavar="PATH",
@@ -782,7 +785,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 2.0)")
     p.add_argument("--progress", action="store_true")
     p.add_argument("--workers", type=int, default=None,
-                   help="die-simulation worker processes (default: serial)")
+                   help=_WORKERS_HELP.format(noun="die"))
     p.add_argument("--export", default=None, metavar="PATH",
                    help="write the MCResult as JSON")
     p.add_argument("--resume", default=None, metavar="PATH",
@@ -799,8 +802,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=_sample_size, default=None,
                    help="deterministic fault-universe subsample size")
     p.add_argument("--workers", type=int, default=None,
-                   help="parallel campaign workers (records identical "
-                        "to a serial run)")
+                   help=_WORKERS_HELP.format(noun="fault"))
     p.add_argument("--no-ber-sweep", dest="ber_sweep",
                    action="store_false",
                    help="skip the BER-vs-pattern-length sweep")
@@ -815,7 +817,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stratified sample size (default 32; 0 = full)")
     p.add_argument("--seed", type=int, default=2016)
     p.add_argument("--workers", type=int, default=None,
-                   help="fault-simulation worker processes (default: serial)")
+                   help=_WORKERS_HELP.format(noun="fault"))
     p.add_argument("--json", default=None, metavar="PATH",
                    help="also dump the timings/counters as JSON")
     p.add_argument("--compare", nargs="?", const="benchmarks",

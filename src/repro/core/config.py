@@ -45,6 +45,8 @@ class LinkConfig:
             raise ValueError("length_m must be positive")
         if self.n_dll_phases < 2:
             raise ValueError("need at least 2 DLL phases")
+        if self.divider_ratio <= 0:
+            raise ValueError("divider_ratio must be positive")
         get_wire_model(self.wire)  # validate early
 
     # ------------------------------------------------------------------

@@ -77,11 +77,16 @@ class DurableJsonlWriter:
         the caller should write its header line."""
         return self._fh is not None and self._fh.tell() == 0
 
+    @property
+    def offset(self) -> int:
+        """The file's size so far: where the next line starts."""
+        return self._fh.tell()
+
     def write_line(self, payload: Mapping[str, Any]) -> None:
         # chaos seams: the harness kills the process here to prove an
         # interrupted run leaves either a complete line or a torn tail
         failpoint("jsonl.pre_line", path=self.path, payload=payload)
-        self._fh.write((json.dumps(payload) + "\n").encode())
+        self._fh.write(_line(payload))
         self._fh.flush()
         self._since_sync += 1
         if self._since_sync >= self._fsync_every:
@@ -104,6 +109,31 @@ class DurableJsonlWriter:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _line(payload: Mapping[str, Any]) -> bytes:
+    return (json.dumps(payload) + "\n").encode()
+
+
+def rewrite_tail(path: str, offset: int,
+                 payloads: Iterable[Mapping[str, Any]]) -> None:
+    """Replace what follows byte *offset* of the JSONL file at *path*
+    with *payloads*, one a line, in one atomic step.
+
+    The new file is written beside the old one, fsynced and moved over
+    it with ``os.replace`` (the result store's publish steps), so a
+    crash at any point leaves the old file or the new one.
+    """
+    with open(path, "rb") as fh:
+        head = fh.read(offset)
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, "wb") as fh:
+        fh.write(head)
+        for payload in payloads:
+            fh.write(_line(payload))
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
 
 
 class JsonlCheckpoint:

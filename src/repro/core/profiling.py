@@ -23,7 +23,7 @@ counters pulls in no link, report or supervisor code.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator
+from typing import Dict, Iterator, Mapping
 
 __all__ = ["COUNTERS", "Counters", "profiled"]
 
@@ -100,6 +100,18 @@ class Counters:
     def snapshot(self) -> Dict[str, int]:
         """Copy of all counters as a plain dict (JSON-friendly)."""
         return {name: getattr(self, name) for name in _FIELDS}
+
+    def since(self, before: Mapping[str, int]) -> Dict[str, int]:
+        """The counters that moved since the *before* snapshot, each by
+        how much (the unmoved ones left out)."""
+        return {name: getattr(self, name) - value
+                for name, value in before.items()
+                if getattr(self, name) != value}
+
+    def add(self, delta: Mapping[str, int]) -> None:
+        """Add a :meth:`since` delta, e.g. one a forked worker counted."""
+        for name, value in delta.items():
+            setattr(self, name, getattr(self, name) + value)
 
     def lu_reuse_fraction(self) -> float:
         """Fraction of linear solves served by a cached factorization."""

@@ -19,6 +19,12 @@ supervisor:
 * each worker is its own forked :class:`multiprocessing.Process` with a
   private duplex pipe, dispatched **one item at a time**, so the
   supervisor always knows which item each worker is executing;
+* each worker owns one contiguous share of the items in key order (a
+  fault campaign's keys lead with the device), so the faults of one
+  device meet in one worker's stage memo; a worker whose share is done
+  takes the last item of the longest share left;
+* each item's counter deltas travel back with its record and are added
+  to this process's :data:`~repro.core.profiling.COUNTERS`;
 * an item that exceeds its wall-clock budget gets its worker killed and
   is recorded as a ``timeout`` outcome — the campaign continues;
 * a worker that dies mid-item has the item retried on a fresh worker a
@@ -48,7 +54,9 @@ tier loops' ``except Exception`` capture cannot swallow it.
 
 The fault and Monte-Carlo campaigns share one run loop around the
 supervisor, :func:`run_checkpointed`: checkpoint resume, per-record
-appends and trace events, progress, and records in item order.
+appends and trace events, progress, and records in item order.  Its
+default worker count is every CPU the process may run on
+(:func:`default_workers`).
 """
 
 from __future__ import annotations
@@ -58,21 +66,24 @@ import os
 import signal
 import threading
 import time
+from collections import deque
 from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _wait_ready
-from typing import (Any, Callable, ContextManager, Dict, Hashable, Iterator,
-                    List, Optional, Sequence, Union)
+from typing import (Any, Callable, ContextManager, Deque, Dict, Hashable,
+                    Iterator, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 from .profiling import COUNTERS
 from .failpoints import failpoint
-from .jsonl import DurableJsonlWriter, JsonlCheckpoint
+from .jsonl import DurableJsonlWriter, JsonlCheckpoint, rewrite_tail
 
 __all__ = [
     "OUTCOME_OK", "OUTCOME_TIMEOUT", "OUTCOME_QUARANTINED",
-    "OUTCOME_UNSOLVABLE",
+    "OUTCOME_UNSOLVABLE", "ITEM_COUNTERS",
     "ItemDeadline", "RunTrace", "SupervisorError", "SupervisorPolicy",
-    "record_outcome", "run_checkpointed", "run_supervised",
+    "default_workers", "record_outcome", "resolve_workers",
+    "run_checkpointed", "run_supervised", "split_ranges",
 ]
 
 #: item outcome labels recorded on campaign records
@@ -98,6 +109,62 @@ def record_outcome(record: Any, default: str = OUTCOME_OK) -> str:
 
 #: pseudo-tier name used in fallback records' ``errors`` entries
 SUPERVISOR_TIER = "__supervisor__"
+
+#: the counter deltas each ``item_done`` event carries: what the item
+#: cost the solver, and the stage results it reused
+ITEM_COUNTERS = ("newton_iterations", "lu_factor", "class_hits")
+
+
+def _item_counters(delta: Mapping[str, int]) -> Dict[str, int]:
+    return {name: delta.get(name, 0) for name in ITEM_COUNTERS}
+
+
+def split_ranges(items: int, parts: int) -> List[Tuple[int, int]]:
+    """Contiguous, near-equal ``[lo, hi)`` ranges covering ``items``.
+
+    The first ``items % parts`` ranges are one longer, so sizes never
+    differ by more than one; empty ranges are never produced (the part
+    count is clamped to the item count).  Worker shares and service
+    shards are both cut this way.
+    """
+    if items < 0:
+        raise ValueError("items must be >= 0")
+    if parts < 1:
+        raise ValueError("parts must be >= 1")
+    parts = min(parts, items) or 1
+    base, extra = divmod(items, parts)
+    ranges: List[Tuple[int, int]] = []
+    lo = 0
+    for i in range(parts):
+        hi = lo + base + (1 if i < extra else 0)
+        ranges.append((lo, hi))
+        lo = hi
+    return ranges
+
+
+def default_workers() -> int:
+    """The worker count a campaign run gets when it names none.
+
+    Every CPU this process may run on, or 1 where fork is unavailable
+    or inside a worker of another supervised run (a service shard, a
+    campaign worker), which is already one of the CPUs' processes.
+    """
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.parent_process() is not None):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def resolve_workers(workers: Optional[int], items: int) -> int:
+    """The worker count of a run over *items* pending items: *workers*,
+    or :func:`default_workers` for ``None``, clamped to ``[1, items]``
+    (1 for no items)."""
+    if workers is None:
+        workers = default_workers()
+    return max(1, min(int(workers), items))
 
 
 class ItemDeadline(BaseException):
@@ -243,8 +310,9 @@ def _worker_main(evaluate: Callable[[Any], Any], items: Sequence[Any],
 
     ``evaluate`` and ``items`` arrive through the fork snapshot (never
     pickled), so workers inherit already-built detector state exactly
-    like the previous pool did.  Only indices and records cross the
-    pipe.
+    like the previous pool did.  Only indices go out; each record comes
+    back with the counters its evaluation moved, which would otherwise
+    die with the worker.
     """
     while True:
         try:
@@ -254,17 +322,18 @@ def _worker_main(evaluate: Callable[[Any], Any], items: Sequence[Any],
         if message is None:
             break
         index = message
+        before = COUNTERS.snapshot()
         try:
             failpoint("supervisor.pre_evaluate", index=index)
             record = evaluate(items[index])
         except BaseException as exc:  # noqa: BLE001 - reported to parent
             try:
-                conn.send((index, "error", repr(exc)))
+                conn.send((index, "error", repr(exc), {}))
             except (BrokenPipeError, OSError):
                 pass
             continue
         try:
-            conn.send((index, "ok", record))
+            conn.send((index, "ok", record, COUNTERS.since(before)))
         except (BrokenPipeError, OSError):
             break
     try:
@@ -276,11 +345,12 @@ def _worker_main(evaluate: Callable[[Any], Any], items: Sequence[Any],
 class _Worker:
     """Book-keeping for one supervised worker process."""
 
-    __slots__ = ("proc", "conn", "item", "deadline", "started")
+    __slots__ = ("proc", "conn", "slot", "item", "deadline", "started")
 
-    def __init__(self, proc, conn):
+    def __init__(self, proc, conn, slot: int):
         self.proc = proc
         self.conn = conn
+        self.slot = slot                    # whose share it works through
         self.item: Optional[int] = None     # index currently executing
         self.deadline: Optional[float] = None
         self.started: Optional[float] = None
@@ -304,7 +374,16 @@ class _Worker:
 # the supervisor proper
 # ----------------------------------------------------------------------
 class _Supervision:
-    """One supervised run over a list of items (parallel, fork)."""
+    """One supervised run over a list of items (parallel, fork).
+
+    Each of the ``max_workers`` slots owns one share of the items: with
+    two or more slots and a *key*, a contiguous run of the items in key
+    order (sizes by :func:`split_ranges`), else every item in item
+    order.  A slot's worker takes the next item of its own share, else
+    the last item of the longest share left; a worker that dies is
+    replaced in its slot, and the replacement goes on with the share
+    (a retried item first).
+    """
 
     def __init__(self, items: Sequence[Any],
                  evaluate: Callable[[Any], Any],
@@ -312,7 +391,8 @@ class _Supervision:
                  policy: SupervisorPolicy,
                  fallback: Callable[[Any, str, str], Any],
                  on_record: Optional[Callable[[int, Any, Any, str], None]],
-                 trace: Optional[RunTrace]):
+                 trace: Optional[RunTrace],
+                 key: Optional[Callable[[Any], Hashable]] = None):
         self.items = items
         self.evaluate = evaluate
         self.max_workers = max(1, min(workers, len(items)))
@@ -324,7 +404,12 @@ class _Supervision:
         self.results: List[Any] = [None] * len(items)
         self.settled: List[bool] = [False] * len(items)
         self.attempts: List[int] = [0] * len(items)
-        self.queue: List[int] = list(range(len(items)))
+        order = list(range(len(items)))
+        if key is not None and self.max_workers > 1:
+            order.sort(key=lambda i: key(items[i]))
+        self.shares: List[Deque[int]] = [
+            deque(order[lo:hi])
+            for lo, hi in split_ranges(len(order), self.max_workers)]
         self.workers: List[_Worker] = []
         self.completed = 0
         self.consecutive_failures = 0
@@ -344,7 +429,7 @@ class _Supervision:
         self._settle(index, record, outcome)
 
     # -- worker lifecycle ---------------------------------------------
-    def _spawn(self) -> Optional[_Worker]:
+    def _spawn(self, slot: int) -> Optional[_Worker]:
         parent_conn, child_conn = self.ctx.Pipe()
         proc = self.ctx.Process(
             target=_worker_main,
@@ -361,7 +446,7 @@ class _Supervision:
             self.consecutive_failures = self.policy.max_consecutive_failures
             return None
         child_conn.close()
-        worker = _Worker(proc, parent_conn)
+        worker = _Worker(proc, parent_conn, slot)
         self.workers.append(worker)
         COUNTERS.supervisor_spawns += 1
         _emit(self.trace, "worker_spawn", pid=proc.pid)
@@ -387,22 +472,34 @@ class _Supervision:
               attempt=self.attempts[index])
         worker.conn.send(index)
 
+    def _take(self, slot: int) -> Optional[int]:
+        """The next item of *slot*'s share, else the last item of the
+        longest share (None once every share is empty)."""
+        own = self.shares[slot]
+        if own:
+            return own.popleft()
+        longest = max(self.shares, key=len)
+        return longest.pop() if longest else None
+
     def _fill(self) -> None:
-        """Hand queued items to idle workers; spawn up to the cap."""
-        while self.queue:
-            idle = next((w for w in self.workers if w.idle), None)
-            if idle is None:
-                if len(self.workers) >= self.max_workers:
+        """Hand each idle worker an item; fork a worker into each empty
+        slot while items are left."""
+        for slot in range(self.max_workers):
+            if not any(self.shares):
+                return
+            worker = next((w for w in self.workers if w.slot == slot),
+                          None)
+            if worker is None:
+                worker = self._spawn(slot)
+                if worker is None:
                     return
-                idle = self._spawn()
-                if idle is None:
-                    return
-            self._dispatch(idle, self.queue.pop(0))
+            if worker.idle:
+                self._dispatch(worker, self._take(slot))
 
     # -- failure handling ---------------------------------------------
     def _handle_result(self, worker: _Worker) -> None:
         try:
-            index, status, payload = worker.conn.recv()
+            index, status, payload, counters = worker.conn.recv()
         except (EOFError, OSError):
             self._handle_death(worker)
             return
@@ -414,9 +511,11 @@ class _Supervision:
             raise SupervisorError(
                 f"item {index} ({self.items[index]!r}) raised in "
                 f"worker: {payload}")
+        COUNTERS.add(counters)
         outcome = record_outcome(payload)
         _emit(self.trace, "item_done", item=index, pid=worker.proc.pid,
-              duration_s=round(duration, 6), outcome=outcome)
+              duration_s=round(duration, 6), outcome=outcome,
+              **_item_counters(counters))
         self._settle(index, payload, outcome)
 
     def _handle_death(self, worker: _Worker) -> None:
@@ -442,7 +541,7 @@ class _Supervision:
             COUNTERS.supervisor_retries += 1
             _emit(self.trace, "retry", item=index,
                   attempt=self.attempts[index] + 1)
-            self.queue.insert(0, index)
+            self.shares[worker.slot].appendleft(index)
 
     def _handle_timeout(self, worker: _Worker) -> None:
         index = worker.item
@@ -498,15 +597,13 @@ class _Supervision:
         """Fork keeps failing: finish the remaining items in-process."""
         self.degraded = True
         COUNTERS.supervisor_serial_fallbacks += 1
-        # reclaim whatever was in flight on still-alive workers
+        # whatever was in flight on still-alive workers is unsettled,
+        # so it is among the remaining items below
         for worker in list(self.workers):
-            if worker.item is not None and not self.settled[worker.item]:
-                self.queue.append(worker.item)
             self._retire(worker, "serial_fallback")
-        remaining = sorted(set(self.queue)
-                           | {i for i, s in enumerate(self.settled)
-                              if not s})
-        self.queue = []
+        for share in self.shares:
+            share.clear()
+        remaining = [i for i, s in enumerate(self.settled) if not s]
         _emit(self.trace, "serial_fallback", remaining=len(remaining))
         run_serial(
             [(i, self.items[i]) for i in remaining],
@@ -544,6 +641,7 @@ def run_serial(items: Sequence[Any], evaluate: Callable[[Any], Any],
     results: List[Any] = []
     for position, item in enumerate(items):
         started = time.monotonic()
+        before = COUNTERS.snapshot()
         try:
             failpoint("supervisor.pre_evaluate", index=position)
             with _deadline(policy.timeout):
@@ -562,7 +660,7 @@ def run_serial(items: Sequence[Any], evaluate: Callable[[Any], Any],
         else:
             _emit(trace, "item_done", item=position, pid=os.getpid(),
                   duration_s=round(time.monotonic() - started, 6),
-                  outcome=outcome)
+                  outcome=outcome, **_item_counters(COUNTERS.since(before)))
         results.append(record)
         if settle is not None:
             settle(item, record, outcome)
@@ -592,7 +690,9 @@ def run_supervised(items: Sequence[Any],
                    fallback: Optional[Callable[[Any, str, str], Any]] = None,
                    on_record: Optional[
                        Callable[[int, Any, Any, str], None]] = None,
-                   trace: Optional[RunTrace] = None) -> List[Any]:
+                   trace: Optional[RunTrace] = None,
+                   key: Optional[Callable[[Any], Hashable]] = None
+                   ) -> List[Any]:
     """Evaluate *items* under supervision; returns records in item order.
 
     ``evaluate``
@@ -608,10 +708,17 @@ def run_supervised(items: Sequence[Any],
         item as it settles, in completion order.
     ``trace``
         Optional :class:`RunTrace` receiving the run-event stream.
+    ``key``
+        Orders the items into the workers' contiguous shares when two
+        or more workers run (see :class:`_Supervision`); without it
+        the shares follow item order.
 
     The forked path is engaged when fork is available and either
     ``workers > 1`` or a timeout is set (single supervised worker:
-    sequential execution that still survives crashes and hangs).
+    sequential execution, in item order, that still survives crashes
+    and hangs).  Every ``item_done`` event carries the item's
+    :data:`ITEM_COUNTERS` deltas, and a forked item's counters are
+    added to this process's.
     """
     policy = policy or SupervisorPolicy()
     items = list(items)
@@ -628,7 +735,7 @@ def run_supervised(items: Sequence[Any],
           timeout_s=policy.timeout, max_retries=policy.max_retries)
     if use_fork:
         supervision = _Supervision(items, evaluate, workers, policy,
-                                   fallback, on_record, trace)
+                                   fallback, on_record, trace, key)
         results = supervision.run()
         _emit(trace, "run_end", items=len(items),
               degraded=supervision.degraded)
@@ -663,10 +770,16 @@ def run_checkpointed(items: Sequence[Any],
     that file (in the ``checkpoints`` format, an item's record found by
     ``key(item)``) are read back instead of re-evaluated, and each
     settled record is appended as it settles, followed by a
-    ``checkpoint_write`` event carrying ``label(item)``.  ``progress``
-    gets ``(done, total)`` per settled item, resumed ones counted from
-    the start.  ``workers`` is clamped to the pending items.  ``scope``
-    is called with the trace and the pending items just before they are
+    ``checkpoint_write`` event carrying ``label(item)``.  Once every
+    pending item has settled, a run whose records settled out of item
+    order (a forked one) rewrites the lines it appended in item order,
+    atomically, so its checkpoint is byte-identical to a one-worker
+    run's; an interrupted run leaves its append-only file.
+    ``progress`` gets ``(done, total)`` per settled item, resumed ones
+    counted from the start.  ``workers`` is resolved by
+    :func:`resolve_workers` (``None``: every CPU), and two or more
+    workers share the pending items in ``key`` order.  ``scope`` is
+    called with the trace and the pending items just before they are
     evaluated, and returns the context they are evaluated in.
     """
     items = list(items)
@@ -680,26 +793,33 @@ def run_checkpointed(items: Sequence[Any],
         if checkpoint is not None:
             done, writer = checkpoints.resume(checkpoint)
             stack.enter_context(writer)
+            appended_from = writer.offset
         pending = [item for item in items if key(item) not in done]
         completed = [len(items) - len(pending)]
+        settled: List[int] = []         # pending positions, as they settle
 
         def on_record(index: int, item: Any, record: Any,
                       outcome: str) -> None:
             done[key(item)] = record
             if writer is not None:
                 writer.write_line(record.to_dict())
+                settled.append(index)
                 _emit(trace, "checkpoint_write", item=index, **label(item),
                       outcome=outcome)
             completed[0] += 1
             if progress is not None:
                 progress(completed[0], len(items))
 
-        n_workers = (1 if workers is None
-                     else min(int(workers), max(len(pending), 1)))
         with (nullcontext() if scope is None else scope(trace, pending)):
             run_supervised(
-                pending, evaluate, workers=n_workers,
+                pending, evaluate,
+                workers=resolve_workers(workers, len(pending)),
                 policy=SupervisorPolicy(timeout=timeout,
                                         max_retries=max_retries),
-                fallback=fallback, on_record=on_record, trace=trace)
+                fallback=fallback, on_record=on_record, trace=trace,
+                key=key)
+        if writer is not None and settled != sorted(settled):
+            writer.close()
+            rewrite_tail(checkpoint, appended_from,
+                         (done[key(item)].to_dict() for item in pending))
     return [done[key(item)] for item in items]

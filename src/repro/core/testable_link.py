@@ -182,9 +182,11 @@ class TestableLink:
         ``repro campaign --sample``; None or 0 keeps the whole universe
         and a negative size is a ``ValueError``.  The default pipeline
         is the paper's ``("dc", "scan", "bist")``; *tiers* selects any
-        ordered list of registered tier names instead.  ``workers`` > 1
-        fans the fault simulations out over forked worker processes; the
-        results are identical to a serial run.  ``checkpoint`` streams
+        ordered list of registered tier names instead.  The fault
+        simulations fan out over forked worker processes, ``workers``
+        of them (default: one per CPU this process may use; 1 evaluates
+        in-process); the results are identical for every count.
+        ``checkpoint`` streams
         completed records to a JSONL file an interrupted campaign
         resumes from.
         """

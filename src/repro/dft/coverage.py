@@ -125,15 +125,17 @@ def run_paper_campaign(universe: Optional[List[StructuralFault]] = None,
                        trace: Optional[str] = None) -> CoverageReport:
     """Run the complete three-tier campaign over the fault universe.
 
-    ``workers`` > 1 fans the universe out over supervised forked worker
-    processes (see :meth:`repro.faults.campaign.FaultCampaign.run`);
-    the tiers and their shared golden signatures are built once, before
-    the fork, so every worker inherits them for free.  ``checkpoint``
-    names a JSONL file to stream completed records into (and resume
-    from); ``timeout``/``max_retries``/``trace`` configure the
-    supervision layer.  An in-process run (one worker, no timeout)
-    simulates one representative per structural equivalence class
-    (DESIGN.md §14); the records are the same either way.
+    The universe fans out over ``workers`` supervised forked worker
+    processes (default: one per CPU this process may use; see
+    :meth:`repro.faults.campaign.FaultCampaign.run`); the tiers and
+    their shared golden signatures are built once, before the fork, so
+    every worker inherits them for free.  ``checkpoint`` names a JSONL
+    file to stream completed records into (and resume from);
+    ``timeout``/``max_retries``/``trace`` configure the supervision
+    layer.  An in-process run (``workers=1``, no timeout) simulates
+    one representative per structural equivalence class of the whole
+    universe, a forked one per class of each worker's share (DESIGN.md
+    §14); the records are the same either way.
     """
     if universe is None:
         universe = build_fault_universe()

@@ -11,9 +11,10 @@ evaluated against every applicable tier — the paper's headline numbers
 are *cumulative* (DC, DC+scan, DC+scan+BIST), and the set-algebra claim
 ("intersecting but not subsets") needs the per-tier sets.
 
-Faults are independent of each other, so :meth:`FaultCampaign.run` can
-fan the universe out over worker processes (``workers=N``).  Workers are
-forked *after* the detectors are built, so they inherit the golden
+Faults are independent of each other, so :meth:`FaultCampaign.run`
+fans the universe out over worker processes, by default one per CPU
+the process may run on (``workers=1`` evaluates in-process).  Workers
+are forked *after* the detectors are built, so they inherit the golden
 signatures without re-solving them, and results are reassembled in
 universe order — the records (and therefore every coverage number) are
 identical to a serial run.  Execution is *supervised*
@@ -143,8 +144,9 @@ class FaultCampaign:
     :class:`~repro.faults.collapse.StageMemo`, and the tiers' stages
     reuse the result of an earlier fault whose injected netlist change
     is structurally the same.  A forked run's workers each fill their
-    own copy.  Records are the same either way and do not say which
-    fault simulated a stage.
+    own copy over a contiguous share of the faults in key order, so
+    the faults of one device meet in one copy.  Records are the same
+    either way and do not say which fault simulated a stage.
     """
 
     def __init__(self, strict_numerics: bool = False):
@@ -227,10 +229,12 @@ class FaultCampaign:
         result.
 
         Execution is handed to the campaigns' shared run loop,
-        :func:`repro.core.supervisor.run_checkpointed`: with
-        ``workers`` > 1 (or a ``timeout`` set) and fork available,
-        faults are dispatched one at a time to supervised forked
-        workers.  Healthy faults produce records identical to a plain
+        :func:`repro.core.supervisor.run_checkpointed`: with fork
+        available and ``workers`` > 1 (by default one per CPU this
+        process may use) or a ``timeout`` set, faults are dispatched
+        one at a time to supervised forked workers, each working
+        through its share of the faults in key order and sending its
+        counters back with each record.  Healthy faults produce records identical to a plain
         serial loop — including the per-tier exception capture — while
         a fault that hangs past ``timeout`` seconds is settled as a
         ``timeout`` outcome and a fault that repeatedly kills its worker
@@ -244,7 +248,9 @@ class FaultCampaign:
         the file (from a previous, possibly interrupted run with the
         same :attr:`checkpoints` header) are *skipped* — their records
         are read back instead of re-simulated.  The returned result is
-        identical to an uninterrupted run either way.
+        identical to an uninterrupted run either way, and a finished
+        run's checkpoint holds its lines in universe order whatever the
+        worker count.
 
         ``trace`` (a path or an open :class:`RunTrace`) streams the
         structured run-event log: worker spawns/deaths, dispatches,

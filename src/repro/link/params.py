@@ -38,22 +38,26 @@ C_LOOP = 1.6e-12
 VCDL_KNOTS = ((0.45, 240e-12), (0.60, 196e-12), (0.75, 182e-12),
               (0.90, 176e-12))
 
+#: the curve's segments ``(v0, d0, v1, v1 - v0, d1 - d0)``, in knot order
+_VCDL_SEGMENTS = tuple((v0, d0, v1, v1 - v0, d1 - d0)
+                       for (v0, d0), (v1, d1) in zip(VCDL_KNOTS,
+                                                     VCDL_KNOTS[1:]))
+
 
 def default_vcdl_delay(vc: float) -> float:
     """Piecewise-linear interpolation of the measured VCDL curve.
 
-    Clamped at the knot ends; monotonically decreasing in ``vc``.
+    Clamped at the knot ends; monotonically decreasing in ``vc``.  A
+    ``vc`` on a shared knot takes the segment that ends there.
     """
-    knots = VCDL_KNOTS
-    if vc <= knots[0][0]:
-        return knots[0][1]
-    if vc >= knots[-1][0]:
-        return knots[-1][1]
-    for (v0, d0), (v1, d1) in zip(knots, knots[1:]):
-        if v0 <= vc <= v1:
-            f = (vc - v0) / (v1 - v0)
-            return d0 + f * (d1 - d0)
-    return knots[-1][1]  # pragma: no cover - unreachable
+    if vc <= VCDL_KNOTS[0][0]:
+        return VCDL_KNOTS[0][1]
+    if vc >= VCDL_KNOTS[-1][0]:
+        return VCDL_KNOTS[-1][1]
+    for v0, d0, v1, dv, dd in _VCDL_SEGMENTS:
+        if vc <= v1:
+            return d0 + ((vc - v0) / dv) * dd
+    return VCDL_KNOTS[-1][1]    # NaN: no comparison holds
 
 
 @dataclass

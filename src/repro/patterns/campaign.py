@@ -244,7 +244,9 @@ class PatternCampaign:
             timeout: Optional[float] = None,
             progress=None) -> PatternCampaignResult:
         """Run the sweep; ``sample`` keeps a deterministic subset of the
-        universe (identical for every worker count)."""
+        universe (identical for every worker count).  ``workers`` as in
+        :meth:`~repro.faults.campaign.FaultCampaign.run`: one per CPU
+        this process may use by default."""
         if universe is None:
             universe = bist_universe()
         universe = sampled_universe(universe, sample)

@@ -4,8 +4,9 @@ A shard is a contiguous index range over the campaign's item axis —
 fault indices for the ``campaign`` and ``patterns`` kinds, die indices
 for ``mc``.  Items are independent by construction (that is what lets
 the campaigns fork at all), so a shard runs through the *existing*
-supervised campaign path unchanged, writing its own durable JSONL
-checkpoint; the merge side re-reads every shard checkpoint and orders
+campaign path with one worker (the shard itself is the unit of
+parallelism, so its campaign forks nothing), writing its own durable
+JSONL checkpoint; the merge side re-reads every shard checkpoint and orders
 records by the full item axis, which makes the merged artifact
 byte-identical to an unsharded run (the ``service-parity`` guard pins
 all three kinds).
@@ -23,9 +24,12 @@ references.
 from __future__ import annotations
 
 import functools
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, Optional, Sequence
 
+from ..core.supervisor import split_ranges as shard_ranges
 from .spec import CampaignSpec
+
+__all__ = ["ShardedJob", "build_job", "shard_ranges", "shared_goldens"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -41,28 +45,6 @@ def shared_goldens():
     from ..dft.golden import GoldenSignatures
 
     return GoldenSignatures()
-
-
-def shard_ranges(items: int, shards: int) -> List[Tuple[int, int]]:
-    """Contiguous, near-equal ``[lo, hi)`` ranges covering ``items``.
-
-    The first ``items % shards`` ranges are one longer, so sizes never
-    differ by more than one; empty ranges are never produced (shard
-    count is clamped to the item count).
-    """
-    if items < 0:
-        raise ValueError("items must be >= 0")
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    shards = min(shards, items) or 1
-    base, extra = divmod(items, shards)
-    ranges: List[Tuple[int, int]] = []
-    lo = 0
-    for i in range(shards):
-        hi = lo + base + (1 if i < extra else 0)
-        ranges.append((lo, hi))
-        lo = hi
-    return ranges
 
 
 class ShardedJob:
@@ -95,8 +77,9 @@ class ShardedJob:
 
     def run_shard(self, lo: int, hi: int, checkpoint: str,
                   trace: Optional[str] = None) -> None:
-        self.campaign.run(self.axis[lo:hi], checkpoint=checkpoint,
-                          trace=trace)
+        # in-process: the shard is the service's unit of parallelism
+        self.campaign.run(self.axis[lo:hi], workers=1,
+                          checkpoint=checkpoint, trace=trace)
 
     def completed_items(self, lo: int, hi: int, checkpoint: str) -> int:
         done = self.campaign.checkpoints.load(checkpoint)

@@ -322,9 +322,11 @@ class MonteCarloCampaign:
         unsharded run.
 
         Execution goes through the run loop the fault campaign uses
-        (:func:`repro.core.supervisor.run_checkpointed`), so with
-        ``workers`` > 1 (or a ``timeout`` set) and fork available,
-        pending dies are dispatched to supervised forked workers —
+        (:func:`repro.core.supervisor.run_checkpointed`), so with fork
+        available and ``workers`` > 1 (by default one per CPU this
+        process may use) or a ``timeout`` set, pending dies are
+        dispatched to supervised forked workers, each a contiguous
+        share of the dies, sending their counters back —
         records reassemble in die order, identical to a serial run for
         every healthy die, while a hanging die settles as a ``timeout``
         outcome and a worker-killing die as ``quarantined`` after

@@ -912,8 +912,10 @@ class Shadow:
         """Product and oracle agree on rescue rungs, degraded and
         unsolvable solves, and the total number of LU solves (the
         oracle's sticky store turns some factorizations into reuses;
-        the product has one slot, so only the sum can match)."""
-        assert self.solves > 0
+        the product has one slot, so only the sum can match).  A shadow
+        that saw no solve checked nothing, and fails too."""
+        if not self.solves:
+            self.fail("no solve was shadowed")
         for name in ("rescue_refined", "rescue_equilibrated", "rescue_lstsq",
                      "degraded_solves", "unsolvable_systems"):
             if getattr(PRODUCT_COUNTERS, name) != getattr(COUNTERS, name):

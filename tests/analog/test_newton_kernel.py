@@ -386,3 +386,11 @@ class TestMutations:
                 dut.set_condition(**condition)
                 dut.solve()
         assert shadow.mismatches
+
+    def test_a_shadow_that_saw_nothing_fails(self, monkeypatch):
+        """No solve under the shadow is a mismatch, not a pass: the
+        guard check reports mismatches and nothing else."""
+        shadow = Shadow(monkeypatch)
+        with pytest.raises(AssertionError, match="no solve was shadowed"):
+            shadow.check_tallies()
+        assert shadow.mismatches == ["no solve was shadowed"]

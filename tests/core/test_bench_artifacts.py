@@ -4,10 +4,14 @@
 both order artifacts through :mod:`repro.core.artifacts` — numeric PR
 order, so ``BENCH_PR10`` beats ``BENCH_PR9`` despite sorting before it
 lexically.  The benchmark conftest additionally refuses an output name
-that would overwrite an older PR's artifact (the history is the point).
+that would overwrite an older PR's artifact (the history is the point),
+and writes the artifact only from a session that ran every bench
+module.
 """
 
+import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -109,3 +113,53 @@ class TestNoClobberGuard:
         # the default name during real bench sessions
         proc = _collect_benchmarks("BENCH_PR9935.json")
         assert proc.returncode == 0, proc.stdout
+
+
+class TestSubsetSessions:
+    """A bench session writes its artifact only when it ran every bench
+    module: a session over one module would otherwise cut the PR's
+    record down to that module's benches."""
+
+    @pytest.fixture
+    def tree(self, tmp_path):
+        bench = tmp_path / "benchmarks"
+        bench.mkdir()
+        shutil.copy(os.path.join(REPO_ROOT, "benchmarks", "conftest.py"),
+                    bench)
+        (bench / "__init__.py").write_text("")
+        for name in ("one", "two"):
+            (bench / f"test_bench_{name}.py").write_text(
+                f"def test_{name}():\n    pass\n")
+        (tmp_path / "CHANGES.md").write_text("PR 7: a change\n")
+        return tmp_path
+
+    @staticmethod
+    def _pytest(root, target):
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+        env.pop("REPRO_BENCH_OUTPUT", None)
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", target, "-q",
+             "-p", "no:cacheprovider"],
+            cwd=str(root), env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+
+    def test_a_subset_session_leaves_the_artifact_alone(self, tree):
+        artifact = tree / "benchmarks" / "BENCH_PR7.json"
+        artifact.write_text('{"kept": true}\n')
+        proc = self._pytest(tree, "benchmarks/test_bench_one.py")
+        assert proc.returncode == 0, proc.stdout
+        assert artifact.read_text() == '{"kept": true}\n'
+        said = [line for line in proc.stdout.splitlines()
+                if "not written" in line]
+        assert said == ["BENCH_PR7.json not written: this session left "
+                        "out 1 of the bench modules (test_bench_two.py)"]
+
+    def test_a_full_session_writes_it(self, tree):
+        proc = self._pytest(tree, "benchmarks")
+        assert proc.returncode == 0, proc.stdout
+        assert "not written" not in proc.stdout
+        with open(tree / "benchmarks" / "BENCH_PR7.json") as fh:
+            payload = json.load(fh)
+        assert sorted(nodeid.split("::")[-1]
+                      for nodeid in payload["bench_wall_s"]) == \
+            ["test_one", "test_two"]

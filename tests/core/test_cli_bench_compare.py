@@ -90,8 +90,8 @@ class TestBenchCompare:
 
 
 class TestCollapseFlag:
-    """``--collapse`` is retired: a fault campaign collapses exactly when
-    it evaluates in-process, and no record shows whether it did."""
+    """``--collapse`` is retired: every fault campaign run collapses,
+    and no record shows whether it did."""
 
     @pytest.mark.parametrize("command", ["coverage", "campaign", "mc",
                                          "submit"])
@@ -110,21 +110,22 @@ class TestCollapseFlag:
     @pytest.mark.parametrize("command", ["coverage", "campaign", "mc"])
     def test_default_is_off(self, command, tmp_path, capsys):
         """The flag's default, ``off``, evaluated every fault (die) on its
-        own, and a default run still reports exactly that: it collapses
-        in-process now, yet prints and exports what the per-item path
-        (``--workers 2``) does."""
+        own, and a run still reports exactly that: in-process
+        (``--workers 1``) it collapses across the whole draw, yet prints
+        and exports what ``--workers 2``, whose workers each collapse
+        only their own share, does."""
         from repro.core.profiling import profiled
 
         size = ["--dies", "2"] if command == "mc" else ["--sample", "12"]
         seen = []
-        for flags in ([], ["--workers", "2"]):
-            argv = [command, *size, *flags]
+        for workers in ("1", "2"):
+            argv = [command, *size, "--workers", workers]
             export = tmp_path / f"run{len(seen)}.json"
             if command != "coverage":
                 argv += ["--export", str(export)]
             with profiled() as counters:
                 assert main(argv) == 0
-            if not flags:
+            if workers == "1":
                 # the in-process run really went through the classes
                 assert (counters.class_hits > 0) == (command != "mc")
             out = [line for line in capsys.readouterr().out.splitlines()
@@ -135,15 +136,16 @@ class TestCollapseFlag:
 
 
 class TestCollapseLine:
-    """Only an in-process run collapses, so only it prints the
-    ``collapse:`` counter line."""
+    """Every run prints the ``collapse:`` counter line: a forked run's
+    workers send their counts back with each record."""
 
-    @pytest.mark.parametrize("flags, printed", [
-        ([], True),
-        (["--workers", "2"], False),
-        (["--timeout", "600"], False),
-    ], ids=["in-process", "workers-2", "timeout"])
-    def test_printed_only_in_process(self, flags, printed, capsys):
+    @pytest.mark.parametrize("flags", [
+        ["--workers", "1"],
+        ["--workers", "2"],
+        ["--timeout", "600"],
+        [],
+    ], ids=["in-process", "workers-2", "timeout", "default"])
+    def test_printed_at_every_worker_count(self, flags, capsys):
         from repro.core.profiling import profiled
 
         # a CLI process starts with zeroed counters; so does this run
@@ -151,12 +153,14 @@ class TestCollapseLine:
             assert main(["campaign", "--sample", "8", "--tiers", "dc",
                          *flags]) == 0
         out = capsys.readouterr().out
-        assert ("collapse:" in out) == printed
+        assert "collapse:" in out
 
     def test_each_command_reports_its_own_run(self, capsys):
         """The counter lines are deltas from the command's start: in one
-        interpreter a forked run after an in-process one prints no
-        collapse line, and a repeat prints the first run's counts."""
+        interpreter a forked run after an in-process one prints its own
+        workers' counts, one supervised worker (which takes the faults
+        in item order, with one memo) prints the in-process run's, and
+        a repeat prints the first run's."""
         argv = ["campaign", "--sample", "8", "--tiers", "dc"]
 
         def collapse_line(extra):
@@ -165,10 +169,11 @@ class TestCollapseLine:
                      if line.startswith("collapse:")]
             return lines[0] if lines else None
 
-        first = collapse_line([])
+        first = collapse_line(["--workers", "1"])
         assert first is not None
-        assert collapse_line(["--workers", "2"]) is None
-        assert collapse_line([]) == first
+        assert collapse_line(["--workers", "2"]) is not None
+        assert collapse_line(["--workers", "1", "--timeout", "600"]) == first
+        assert collapse_line(["--workers", "1"]) == first
 
 
 class TestBackendFlagRetired:

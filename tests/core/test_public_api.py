@@ -27,6 +27,14 @@ class TestLinkConfig:
         with pytest.raises(KeyError):
             LinkConfig(wire="unobtainium")
 
+    @pytest.mark.parametrize("ratio", [0, -16])
+    def test_divider_ratio_must_be_positive(self, ratio):
+        """A ratio <= 0 would give the coarse FSM a zero-length (or
+        negative) strong-pump pulse every bit."""
+        with pytest.raises(ValueError, match="divider_ratio"):
+            LinkConfig(divider_ratio=ratio)
+        assert LinkConfig(divider_ratio=1).link_params().divider_ratio == 1
+
     def test_channel_config_derivation(self):
         ch = LinkConfig(length_m=5e-3).channel_config()
         assert ch.length_m == 5e-3

@@ -99,11 +99,12 @@ class TestCheckpointResume:
 
         campaign = FaultCampaign()
         campaign.add_tier("only", counting)
-        # first run covers half the universe
-        first = campaign.run(universe[:4], checkpoint=ckpt)
+        # first run covers half the universe (in-process, so the
+        # calls are counted here)
+        first = campaign.run(universe[:4], workers=1, checkpoint=ckpt)
         assert len(calls) == 4
         # second run over the full universe only evaluates the rest
-        full = campaign.run(universe, checkpoint=ckpt)
+        full = campaign.run(universe, workers=1, checkpoint=ckpt)
         assert len(calls) == 8
         assert [r.fault for r in full.records] == universe
         assert first.records == full.records[:4]

@@ -41,7 +41,8 @@ def _campaign():
 
 
 def _run(universe, **kwargs):
-    return _campaign().run(universe, **kwargs)
+    """A run of the universe, in-process unless *kwargs* say otherwise."""
+    return _campaign().run(universe, **{"workers": 1, **kwargs})
 
 
 def _per_fault(universe):
@@ -105,16 +106,25 @@ class TestForkedRunsReuseInTheirWorkers:
                                         dict(timeout=600.0)],
                              ids=["workers-2", "timeout"])
     def test_parent_counts_and_traces_no_reuse(self, universe, per_fault,
-                                               kwargs, tmp_path):
+                                               traced, kwargs, tmp_path):
         """A forked run's stage results are reused inside its workers:
-        the parent evaluates nothing (its class counter stays 0), no
-        worker writes a reuse event to the trace, and the export is the
-        same."""
+        the parent counts what its workers send back with each record,
+        no worker writes a reuse event to the trace, and the export is
+        the same.  Every fault makes the same stage lookups whoever
+        evaluates it, so the lookups add up to the in-process run's;
+        one supervised worker takes the faults in item order with one
+        memo, so it counts exactly what the in-process run counts."""
         path = str(tmp_path / "run.jsonl")
         with profiled() as counters:
             result = _run(universe, trace=path, **kwargs)
-            classes = counters.classes
-        assert classes == 0
+            counts = counters.snapshot()
+        assert counts["class_hits"] > 0
+        assert counts["collapse_rep_evals"] + counts["class_hits"] == \
+            traced[2]["collapse_rep_evals"] + traced[2]["class_hits"]
+        if "timeout" in kwargs:
+            for name in ("classes", "collapse_rep_evals", "class_hits",
+                         "newton_iterations", "lu_factor"):
+                assert counts[name] == traced[2][name], name
         assert _reused(path) == []
         assert result.to_json() == per_fault.to_json()
 

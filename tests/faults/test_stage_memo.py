@@ -81,7 +81,7 @@ class TestInactiveOutsideARun:
         campaign = FaultCampaign()
         campaign.add_tier(create_tiers(("dc",), goldens)[0])
         with profiled() as counters:
-            campaign.run(pair)
+            campaign.run(pair, workers=1)
             counts = _counts(counters)
         assert calls == [pair[0]]
         assert counts["collapse_rep_evals"] == 1
@@ -92,7 +92,7 @@ class TestInactiveOutsideARun:
         from repro.variation import MonteCarloCampaign
 
         with profiled() as counters:
-            result = MonteCarloCampaign(seed=14).run([0, 11])
+            result = MonteCarloCampaign(seed=14).run([0, 11], workers=1)
             counts = _counts(counters)
         assert result.records[0].fault == result.records[1].fault
         assert counts == dict.fromkeys(COUNTS, 0)
@@ -105,7 +105,7 @@ class TestFreshMemoPerRun:
         runs = []
         for _ in range(2):
             with profiled() as counters:
-                result = campaign.run(termination)
+                result = campaign.run(termination, workers=1)
                 runs.append((_counts(counters), result.to_json()))
         assert runs[0] == runs[1]
         assert runs[0][0]["collapse_rep_evals"] > 0
@@ -200,7 +200,7 @@ class TestPatternCampaignReuse:
                     + by_block["vcdl"][:6])
         sweep = PatternCampaign(patterns=("prbs7", "scrambler"))
         with profiled() as counters:
-            run = sweep.run(universe)
+            run = sweep.run(universe, workers=1)
             counts = _counts(counters)
         assert counts["class_hits"] > 0
 

@@ -1,5 +1,8 @@
 """Tests for PRBS generators and the link parameter set."""
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +14,7 @@ from repro.link import (
     default_vcdl_delay,
     transition_density,
 )
+from repro.link.params import VCDL_KNOTS
 
 
 class TestPRBS:
@@ -60,7 +64,39 @@ class TestPRBS:
         assert transition_density([0, 1, 0, 1]) == 1.0
 
 
+def knot_loop_delay(vc):
+    """The curve as first written: walk ``zip(knots, knots[1:])`` from
+    the first segment on every call (the oracle of the precomputed
+    segments)."""
+    knots = VCDL_KNOTS
+    if vc <= knots[0][0]:
+        return knots[0][1]
+    if vc >= knots[-1][0]:
+        return knots[-1][1]
+    for (v0, d0), (v1, d1) in zip(knots, knots[1:]):
+        if v0 <= vc <= v1:
+            f = (vc - v0) / (v1 - v0)
+            return d0 + f * (d1 - d0)
+    return knots[-1][1]
+
+
 class TestVCDLCurve:
+    @pytest.mark.parametrize("vc", [v for v, _ in VCDL_KNOTS])
+    def test_bitwise_the_knot_loop_at_and_beside_each_knot(self, vc):
+        """On a knot, one ulp below it and one ulp above it: a shared
+        knot takes the segment that ends there, as the loop did."""
+        for v in (math.nextafter(vc, -math.inf), vc,
+                  math.nextafter(vc, math.inf)):
+            assert default_vcdl_delay(v) == knot_loop_delay(v), v
+
+    def test_bitwise_the_knot_loop_on_random_draws(self):
+        rng = random.Random(2016)
+        for _ in range(20000):
+            v = rng.uniform(0.3, 1.0)
+            assert default_vcdl_delay(v) == knot_loop_delay(v), v
+        nan = default_vcdl_delay(math.nan)
+        assert nan == knot_loop_delay(math.nan) == VCDL_KNOTS[-1][1]
+
     def test_monotone_decreasing(self):
         vs = [0.40, 0.50, 0.60, 0.70, 0.80, 0.95]
         ds = [default_vcdl_delay(v) for v in vs]

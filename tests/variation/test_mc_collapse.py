@@ -22,7 +22,7 @@ def in_process():
     """An in-process run (the path on which fault campaigns collapse)
     and the collapse counters it left."""
     with profiled() as counters:
-        result = MonteCarloCampaign(seed=2016).run(DIES)
+        result = MonteCarloCampaign(seed=2016).run(DIES, workers=1)
         formed = (counters.classes, counters.collapse_rep_evals,
                   counters.class_hits)
     return result, formed

@@ -41,10 +41,12 @@ def test_later_die_measures_its_own_netlist(monkeypatch, seed, dies,
     monkeypatch.setattr(BISTTest, measure, measured)
     monkeypatch.setattr(BISTTest, "_vcdl_lock_verdict", judged)
     later = dies[1]
-    together = MonteCarloCampaign(seed=seed).run(dies)
+    # one worker: the two dies share this process, as they would share
+    # any worker that evaluates both
+    together = MonteCarloCampaign(seed=seed).run(dies, workers=1)
     assert together.records[0].fault == together.records[1].fault
     shared = [event for event in seen if event[1] == later]
     seen.clear()
-    alone = MonteCarloCampaign(seed=seed).run([later])
+    alone = MonteCarloCampaign(seed=seed).run([later], workers=1)
     assert shared and shared == seen
     assert together.records[1] == alone.records[0]
