@@ -48,10 +48,11 @@ summary table (CI fails on any non-OK row).  Checks:
 12. newton-shadow  — the slow Newton oracle of
                      ``tests/analog/reference_newton.py`` beside every
                      assembly, solve and Newton loop of a one-fault-
-                     per-(block, kind) campaign, two Monte-Carlo dies
-                     and a 4-fault pattern run (newton_shadow); the
-                     first non-bitwise A, b, x or diagnostics fails it,
-                     naming its circuit
+                     per-(block, kind) campaign, two Monte-Carlo dies,
+                     a 4-fault pattern run, an AC sweep of the
+                     receiver bench and a linear RC-ladder transient
+                     (newton_shadow); the first non-bitwise A, b, x or
+                     diagnostics fails it, naming its circuit
 13. digital-golden — both default digital fault campaigns (scan chains
                      A and B under stuck-at faults, the coarse path
                      under launch-on-capture transition faults), run

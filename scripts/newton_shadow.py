@@ -8,6 +8,10 @@ every MNA assembly, linear solve and Newton loop of
   the paper's universe (dc, scan and bist tiers),
 * ``MonteCarloCampaign(seed=1).run(2)``,
 * a 4-fault pattern campaign over the five default stimuli,
+* an ``ac_analysis`` sweep of the receiver bench (its complex solves
+  go through ``resilient_solve``),
+* a short trapezoidal transient of a linear RC ladder (a matrix that
+  never changes, factored every iteration),
 
 each run with one worker, in this process, and requires every ``A``,
 ``b``, ``x`` and ``SolveDiagnostics`` to be bitwise equal.  Exits 1 at
@@ -28,8 +32,11 @@ sys.path.insert(0, str(REPO_ROOT / "tests" / "analog"))
 
 from reference_newton import Shadow  # noqa: E402
 
+from repro.analog import Circuit, ac_analysis, logspace_freqs  # noqa: E402
+from repro.analog import step_waveform, transient  # noqa: E402
 from repro.dft.coverage import build_fault_universe  # noqa: E402
 from repro.dft.coverage import run_paper_campaign  # noqa: E402
+from repro.dft.duts import build_receiver_dut  # noqa: E402
 from repro.patterns.campaign import PatternCampaign  # noqa: E402
 from repro.variation import MonteCarloCampaign  # noqa: E402
 
@@ -59,10 +66,32 @@ def run_patterns():
     return PatternCampaign().run(sample=4, workers=1).result.records
 
 
+def run_ac():
+    dut = build_receiver_dut()
+    dut.set_condition()
+    op = dut.solve()
+    freqs = logspace_freqs(1e6, 1e10, 21)
+    ac_analysis(dut.circuit, "VUP", freqs, op=op)
+    return []
+
+
+def run_rc_ladder():
+    c = Circuit("rc_ladder")
+    vs = c.add_vsource("n0", "0", 0.0, name="VS")
+    for i in range(8):
+        c.add_resistor(f"n{i}", f"n{i + 1}", 500.0)
+        c.add_capacitor(f"n{i + 1}", "0", 0.2e-12)
+    vs.waveform = step_waveform(0.0, 1.0, 0.1e-9)
+    transient(c, 1e-9, 10e-12, method="trap")
+    return []
+
+
 WORKLOADS = (
     ("campaign, one fault per (block, kind)", run_campaign),
     ("mc seed 1, 2 dies", run_mc),
     ("patterns, 4 faults", run_patterns),
+    ("ac sweep of the receiver bench", run_ac),
+    ("linear RC-ladder transient", run_rc_ladder),
 )
 
 

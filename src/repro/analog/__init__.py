@@ -7,7 +7,7 @@ why this substitutes for the paper's UMC 130 nm + commercial-SPICE flow.
 """
 
 from .ac import ACResult, ac_analysis, logspace_freqs
-from .assembly import CompiledAssembly, LinearSolverCache, get_compiled
+from .assembly import CompiledAssembly, get_compiled
 from .corners import (
     ALL_CORNERS,
     FF,
@@ -74,7 +74,7 @@ from .resilience import (
     relative_residual,
     resilient_solve,
 )
-from .solver import DEFAULT_GMIN, SolverError, solve_linear, solve_linear_diag
+from .solver import DEFAULT_GMIN, SolverError
 from .transient import (
     TransientResult,
     bit_waveform,
@@ -85,7 +85,7 @@ from .transient import (
 
 __all__ = [
     "ACResult", "ac_analysis", "logspace_freqs",
-    "CompiledAssembly", "LinearSolverCache", "get_compiled",
+    "CompiledAssembly", "get_compiled",
     "ALL_CORNERS", "FF", "FS", "MismatchSpec", "ProcessCorner", "SF",
     "SS", "TT", "get_corner", "monte_carlo", "sweep_corners",
     "EdgeSummary", "MeasureError", "crossings", "fall_time", "overshoot",
@@ -103,7 +103,7 @@ __all__ = [
     "NumericsPolicy", "SolveDiagnostics", "UnsolvableError",
     "condition_estimate_1norm", "get_policy", "numerics_policy",
     "relative_residual", "resilient_solve",
-    "DEFAULT_GMIN", "SolverError", "solve_linear", "solve_linear_diag",
+    "DEFAULT_GMIN", "SolverError",
     "TransientResult", "bit_waveform", "clock_waveform", "step_waveform",
     "transient",
 ]

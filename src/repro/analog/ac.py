@@ -15,8 +15,8 @@ import numpy as np
 from .dc import OperatingPoint, dc_operating_point
 from .devices import VoltageSource
 from .netlist import Circuit, is_ground
-from .resilience import SolveDiagnostics
-from .solver import SolverError, assemble, build_index, solve_linear_diag
+from .resilience import SolveDiagnostics, resilient_solve
+from .solver import SolverError, assemble, build_index
 
 
 @dataclass
@@ -99,8 +99,8 @@ def ac_analysis(circuit: Circuit, input_source: str,
         last = len(freqs) - 1
         for k, f in enumerate(freqs):
             omega = 2.0 * np.pi * f
-            x, diag = solve_linear_diag(A0 + (1j * omega) * cmat, b,
-                                        want_condition=k == last)
+            x, diag = resilient_solve(A0 + (1j * omega) * cmat, b,
+                                      want_condition=k == last)
             agg = diag.worst(agg)
             for name, i in node_index.items():
                 waves[name][k] = x[i]

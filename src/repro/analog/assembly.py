@@ -1,4 +1,4 @@
-"""Precompiled fast-path MNA assembly and cached LU solves.
+"""Precompiled fast-path MNA assembly and the Newton iterations' LU solves.
 
 The legacy :func:`repro.analog.solver.assemble` walks every element and
 calls its Python ``stamp`` method for every Newton iteration of every
@@ -15,10 +15,10 @@ pair:
   evaluated with vectorised NumPy expressions and scattered into the
   matrix through precompiled flat COO index arrays via ``np.add.at``.
 
-Linear solves go through :class:`LinearSolverCache`, which keeps the
-last LAPACK ``getrf`` factorization and replays ``getrs`` whenever the
-matrix is unchanged (always true for linear circuits; common in
-converged Newton tails and across the time steps of linear DUTs).
+Each Newton iteration's linear solve (:meth:`CompiledAssembly.solve_diag`)
+factors its matrix once with LAPACK ``getrf`` and keeps only that
+factorization, for the resilience ladder's refinement and the
+converged iterate's condition estimate.
 
 Cache invalidation contract: a :class:`~repro.analog.netlist.Circuit`
 stores compiled plans keyed by its ``_revision`` counter, which
@@ -33,7 +33,6 @@ caches start empty.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -56,93 +55,14 @@ from .devices import (
     is_ground,
 )
 from .mosfet import MOSFET, PHI_T
-from .resilience import (SolveDiagnostics, climb_ladder,
-                         condition_estimate_1norm, get_policy)
-from .solver import DEFAULT_GMIN, SolverError, factor, solve_factored
+from .resilience import solve_step
+from .solver import DEFAULT_GMIN
 
 #: element classes whose stamps never depend on x, t, or xprev
 _STATIC_TYPES = (Resistor, VoltageControlledVoltageSource)
 
 #: the EKV normalisation ``2 phi_t`` of (pinch-off - terminal) voltages
 _TWO_PHI_T = 2.0 * PHI_T
-
-
-class LinearSolverCache:
-    """LU factorization cache for repeated solves of slowly-changing A.
-
-    Mirrors ``np.linalg.solve`` semantics: an exactly-singular matrix
-    raises :class:`SolverError`; near-singular systems return whatever
-    LAPACK produces (faulted circuits rely on observing the resulting
-    non-convergence rather than an exception).
-
-    One slot holds the most recent factorization; it is hit when
-    consecutive solves see a bitwise-equal matrix (linear circuits,
-    converged Newton tails).  A hit replays ``getrs`` on the stored
-    factorization, so solutions are bit-identical to what a fresh
-    factorization would produce.
-
-    ``probe`` is the flat index of one entry that changes whenever the
-    linearisation point moves (a MOSFET- or switch-stamped entry).
-    Unequal values there settle a miss without comparing the whole
-    matrix; equal ones still go to the full comparison.
-    """
-
-    __slots__ = ("_last", "probe")
-
-    def __init__(self) -> None:
-        self._last = None     # (A, (lu, piv)) of the newest factorization
-        self.probe: Optional[int] = None
-
-    def invalidate(self) -> None:
-        self._last = None
-
-    # ------------------------------------------------------------------
-    def solve(self, A: np.ndarray, b: np.ndarray, *, reuse: bool = True,
-              assume_same: bool = False) -> np.ndarray:
-        """Solve ``A @ x = b``, reusing a cached factorization when *A*
-        is unchanged.
-
-        The caller must not mutate *A* after passing it in (the fast path
-        hands over a fresh array each assembly, so this holds by
-        construction).  ``assume_same`` skips the equality check for
-        circuits whose matrix is provably constant.
-        """
-        if A.shape[0] == 0:
-            return np.zeros(0, dtype=A.dtype)
-        if reuse:
-            if assume_same and self._last is not None:
-                lu_piv = self._last[1]
-            else:
-                lu_piv = self.last_factorization(A)
-            if lu_piv is not None:
-                COUNTERS.lu_reuse += 1
-                return solve_factored(lu_piv, b)
-        try:
-            lu_piv = factor(A)
-        except SolverError:
-            self.invalidate()
-            raise
-        self._last = (A, lu_piv)
-        COUNTERS.lu_factor += 1
-        return solve_factored(lu_piv, b)
-
-    def last_factorization(self, A: np.ndarray):
-        """``(lu, piv)`` when the cached factorization is of *A*, else
-        ``None`` (lets the resilience ladder refine and estimate the
-        condition number without re-factoring)."""
-        last = self._last
-        if last is None:
-            return None
-        cached = last[0]
-        if cached is A:
-            return last[1]
-        if cached.shape != A.shape:
-            return None
-        probe = self.probe
-        # NaN != NaN, like the full comparison below
-        if probe is not None and cached.item(probe) != A.item(probe):
-            return None
-        return last[1] if (cached == A).all() else None
 
 
 def _vccs_entries(op: int, on: int, cp: int, cn: int, src: int):
@@ -200,7 +120,9 @@ class CompiledAssembly:
         self.dt = dt
         self.method = method
         self.gmin = gmin
-        self.lu_cache = LinearSolverCache()
+        #: rung 0's ``(lu, piv)`` of the newest :meth:`solve_diag` that
+        #: returned (None when its ``getrf`` raised)
+        self.factorization = None
         self.param_revision = getattr(circuit, "_param_revision", 0)
         self._compile()
         COUNTERS.compile_count += 1
@@ -258,10 +180,6 @@ class CompiledAssembly:
         self._compile_mosfets(mosfets)
         self._compile_switches(switches)
         self._compile_caps(caps if self.mode == "tran" else [])
-        self.is_linear = not (mosfets or switches or fallback)
-        nonlinear = self._mos_A or self._sw_A
-        if nonlinear is not None:
-            self.lu_cache.probe = int(nonlinear[0][0])
 
     def _compile_mosfets(self, mosfets: List[MOSFET]) -> None:
         self._mosfets = mosfets
@@ -374,8 +292,7 @@ class CompiledAssembly:
         conductances, and capacitor companion conductances.  Callers
         signal the edit through :meth:`repro.analog.netlist.Circuit.retune`;
         :func:`get_compiled` then refreshes the cached plan instead of
-        recompiling it.  The LU cache is dropped — the matrix values
-        change even though its sparsity pattern does not.
+        recompiling it.
         """
         if self._mosfets:
             self._read_mosfet_params()
@@ -385,7 +302,6 @@ class CompiledAssembly:
             factor = 2.0 if self.method == "trap" else 1.0
             for j, c in enumerate(self._caps):
                 self._cap_geq[j] = factor * c.capacitance / self.dt
-        self.lu_cache.invalidate()
 
     # ------------------------------------------------------------------
     def solve_invariants(self, time: float = 0.0,
@@ -528,61 +444,18 @@ class CompiledAssembly:
                            minlength=self.n_total)
 
     # ------------------------------------------------------------------
-    def solve(self, A: np.ndarray, b: np.ndarray, *,
-              reuse: bool = True) -> np.ndarray:
-        """Solve through the cached-LU layer (see :class:`LinearSolverCache`)."""
-        return self.lu_cache.solve(A, b, reuse=reuse,
-                                   assume_same=self.is_linear)
-
     def solve_diag(self, A: np.ndarray, b: np.ndarray, *,
-                   reuse: bool = True, want_condition: bool = False):
-        """Like :meth:`solve` but returns ``(x, SolveDiagnostics)``.
+                   want_condition: bool = False):
+        """Solve one Newton iteration's system: ``(x, SolveDiagnostics)``.
 
-        This is :func:`~repro.analog.resilience.resilient_solve` with
-        :meth:`solve` as rung 0, inlined: a finite rung-0 answer whose
-        residual verifies returns at once, and only a miss climbs the
-        ladder (handed rung 0's answer, not solving again), where
-        refinement replays the cached factorization.
+        Counts one LU factorization, runs
+        :func:`~repro.analog.resilience.solve_step` and keeps its
+        factorization in :attr:`factorization`.
         """
-        policy = get_policy()
-        good = policy.residual_good
-        if A.shape[0] == 0:
-            return (np.zeros(0, dtype=A.dtype),
-                    SolveDiagnostics(residual=0.0, condition=1.0,
-                                     threshold=good))
-        try:
-            x0 = self.lu_cache.solve(A, b, reuse=reuse,
-                                     assume_same=self.is_linear)
-        except SolverError:
-            x0 = None
-        # a finite sum implies every element is finite
-        if x0 is not None and (math.isfinite(np.add.reduce(x0))
-                               or np.isfinite(x0).all()):
-            r = A @ x0
-            r -= b
-            res = float(np.maximum.reduce(np.abs(r, out=r)))
-            bnorm = float(np.maximum.reduce(np.abs(b)))
-            if bnorm > 0.0:
-                res /= bnorm
-            if res <= good and res <= policy.residual_unsolvable:
-                diag = SolveDiagnostics(residual=res, threshold=good)
-                if want_condition:
-                    diag.condition = condition_estimate_1norm(A)
-                return x0, diag
-
-        def refine(r):
-            lu_piv = self.lu_cache.last_factorization(A)
-            if lu_piv is None:
-                raise SolverError("no factorization available to refine")
-            return solve_factored(lu_piv, r)
-
-        return climb_ladder(A, b, x0, None, refine=refine,
-                            want_condition=want_condition, policy=policy)
-
-    def condition_estimate(self, A: np.ndarray) -> float:
-        """1-norm condition estimate of *A*, reusing the cached LU."""
-        return condition_estimate_1norm(
-            A, self.lu_cache.last_factorization(A))
+        COUNTERS.lu_factor += 1
+        x, diag, self.factorization = solve_step(
+            A, b, want_condition=want_condition)
+        return x, diag
 
 
 #: compiled-plan cache bound for a single circuit (gmin stepping can

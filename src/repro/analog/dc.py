@@ -12,7 +12,8 @@ for.  Every linear solve inside Newton goes through the
 :mod:`repro.analog.resilience` ladder, so the returned
 :class:`OperatingPoint` carries :class:`SolveDiagnostics` and a circuit
 no rung can solve raises :class:`UnsolvableError` instead of silently
-returning garbage.
+returning garbage.  The damped-Newton loop itself, :func:`newton`, is
+the engine's only one: every transient step runs it too.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .resilience import (
     RUNG_UNSOLVABLE,
     SolveDiagnostics,
     UnsolvableError,
+    condition_estimate_1norm,
     resilient_solve,
 )
 from .solver import DEFAULT_GMIN, SolverError, build_index, node_voltages
@@ -79,79 +81,85 @@ class OperatingPoint:
         return self.v(p) - self.v(n)
 
 
-def _newton(circuit: Circuit, node_index, n_total, x0, gmin: float,
-            source_scale: float = 1.0,
-            max_iter: int = MAX_NEWTON_ITER):
-    """Damped Newton iteration.
+def newton(plan, x0: np.ndarray, *, tol: float, max_iter: int,
+           time: float = 0.0, xprev: Optional[np.ndarray] = None,
+           want_condition: bool = True):
+    """The engine's one damped-Newton loop, over the compiled *plan*.
+
+    Each iteration assembles the system linearised at the iterate (with
+    the solve's invariants at *time* / *xprev*, computed once), solves
+    it through :meth:`~repro.analog.assembly.CompiledAssembly.solve_diag`
+    and moves the node rows by at most :data:`MAX_STEP` volts.  The loop
+    converges once a node step is below *tol*.
 
     Returns ``(x, converged, iterations, diagnostics)`` where
     ``diagnostics`` is the worst :class:`SolveDiagnostics` seen across
-    the run (condition estimated once, on the converged iteration) —
-    or the failing diagnostics when the ladder declared an iteration
+    the run, with the condition of the converged iterate's matrix when
+    *want_condition* (estimated on that solve's factorization) — or the
+    failing diagnostics when the ladder declared an iteration
     unsolvable.
     """
     x = x0.copy()
-    scaled = _scale_sources(circuit, source_scale)
-    compiled = get_compiled(circuit, "dc", node_index=node_index,
-                            n_total=n_total, gmin=gmin)
-    n_nodes = len(node_index)
+    n_nodes = plan.n_nodes
+    invariants = plan.solve_invariants(time, xprev)
     agg: Optional[SolveDiagnostics] = None
-    try:
-        invariants = compiled.solve_invariants()
-        for it in range(1, max_iter + 1):
-            COUNTERS.newton_iterations += 1
-            A, b = compiled.assemble(x, invariants=invariants)
-            try:
-                x_new, diag = compiled.solve_diag(A, b)
-            except UnsolvableError as exc:
-                return x, False, it, exc.diagnostics
-            except SolverError:
-                return x, False, it, agg
-            if agg is None:
-                agg = diag
-            else:
-                agg.absorb(diag)
-            dx = x_new - x
-            step = (float(np.maximum.reduce(np.abs(dx[:n_nodes])))
-                    if n_nodes else 0.0)
-            if step > MAX_STEP:
-                x = x + dx * (MAX_STEP / step)
-            else:
-                x = x_new
-            if step < VOLTAGE_TOL:
-                agg.condition = compiled.condition_estimate(A)
-                return x, True, it, agg
-        return x, False, max_iter, agg
-    finally:
-        _restore_sources(scaled)
-
-
-def _scale_sources(circuit: Circuit, scale: float):
-    """Temporarily scale all independent sources, waveform-driven ones
-    included (their ``value_at`` reads the waveform, not the level);
-    returns restore info."""
-    if scale == 1.0:
-        return []
-    saved = []
-    for elem in circuit:
-        if isinstance(elem, VoltageSource):
-            attr = "voltage"
-        elif isinstance(elem, CurrentSource):
-            attr = "current"
+    for it in range(1, max_iter + 1):
+        COUNTERS.newton_iterations += 1
+        A, b = plan.assemble(x, time=time, xprev=xprev,
+                             invariants=invariants)
+        try:
+            x_new, diag = plan.solve_diag(A, b)
+        except UnsolvableError as exc:
+            return x, False, it, exc.diagnostics
+        except SolverError:
+            return x, False, it, agg
+        if agg is None:
+            agg = diag
         else:
-            continue
-        value, waveform = getattr(elem, attr), elem.waveform
-        saved.append((elem, attr, value, waveform))
-        setattr(elem, attr, value * scale)
-        if waveform is not None:
-            elem.waveform = lambda t, wf=waveform: float(wf(t)) * scale
-    return saved
+            agg.absorb(diag)
+        dx = x_new - x
+        step = (float(np.maximum.reduce(np.abs(dx[:n_nodes])))
+                if n_nodes else 0.0)
+        if step > MAX_STEP:
+            x = x + dx * (MAX_STEP / step)
+        else:
+            x = x_new
+        if step < tol:
+            if want_condition:
+                agg.condition = condition_estimate_1norm(
+                    A, plan.factorization)
+            return x, True, it, agg
+    return x, False, max_iter, agg
 
 
-def _restore_sources(saved) -> None:
-    for elem, attr, value, waveform in saved:
-        setattr(elem, attr, value)
-        elem.waveform = waveform
+def _dc_solve(circuit: Circuit, node_index, n_total, x0, gmin: float,
+              source_scale: float = 1.0):
+    """:func:`newton` on the DC plan of shunt *gmin*, every independent
+    source scaled by *source_scale* (waveform-driven ones included:
+    their ``value_at`` reads the waveform, not the level)."""
+    saved = []
+    if source_scale != 1.0:
+        for elem in circuit:
+            if isinstance(elem, VoltageSource):
+                attr = "voltage"
+            elif isinstance(elem, CurrentSource):
+                attr = "current"
+            else:
+                continue
+            value, waveform = getattr(elem, attr), elem.waveform
+            saved.append((elem, attr, value, waveform))
+            setattr(elem, attr, value * source_scale)
+            if waveform is not None:
+                elem.waveform = (lambda t, wf=waveform:
+                                 float(wf(t)) * source_scale)
+    try:
+        plan = get_compiled(circuit, "dc", node_index=node_index,
+                            n_total=n_total, gmin=gmin)
+        return newton(plan, x0, tol=VOLTAGE_TOL, max_iter=MAX_NEWTON_ITER)
+    finally:
+        for elem, attr, value, waveform in saved:
+            setattr(elem, attr, value)
+            elem.waveform = waveform
 
 
 def _ptc_rescue(circuit: Circuit, node_index, n_total, gmin: float):
@@ -189,7 +197,7 @@ def _ptc_rescue(circuit: Circuit, node_index, n_total, gmin: float):
             if step < VOLTAGE_TOL:
                 break
     # Newton polish from the relaxed point (no alpha shunt)
-    x, ok, its, diag = _newton(circuit, node_index, n_total, x, gmin)
+    x, ok, its, diag = _dc_solve(circuit, node_index, n_total, x, gmin)
     if diag is None:
         diag = diag_seen
     if ok:
@@ -211,7 +219,8 @@ def dc_operating_point(circuit: Circuit,
     systems unsolvable (singular/inconsistent beyond rescue, or degraded
     under a strict :class:`~repro.analog.resilience.NumericsPolicy`),
     :class:`UnsolvableError` propagates so campaigns can record a
-    first-class ``unsolvable`` outcome instead of a silent miss.
+    first-class ``unsolvable`` outcome instead of a silent miss.  A
+    failed run reports the plain Newton's last iterate.
     """
     node_index, n_nodes, n_total = build_index(circuit)
     if x0 is None or len(x0) != n_total:
@@ -225,36 +234,27 @@ def dc_operating_point(circuit: Circuit,
             unsolvable = diag
 
     # 1. plain Newton from the supplied guess
-    x, ok, its, diag = _newton(circuit, node_index, n_total, x0, gmin)
-    total_its = its
+    x, ok, total_its, diag = _dc_solve(circuit, node_index, n_total, x0,
+                                       gmin)
     strategy = "newton"
     note(diag)
-    if not ok:
-        # 2. gmin stepping: solve with heavy shunt, tighten geometrically
-        x_g = np.zeros(n_total)
-        ok_g = True
-        for g in GMIN_STEPS + (gmin,):
-            x_g, ok_g, its, diag_g = _newton(circuit, node_index, n_total,
-                                             x_g, g)
+    # 2-3. the continuations, each from a quiescent circuit: gmin
+    # stepping (a heavy shunt tightened geometrically), then source
+    # stepping; a step that fails ends its continuation
+    for name, steps in (("gmin", [(g, 1.0) for g in GMIN_STEPS + (gmin,)]),
+                        ("source", [(gmin, s) for s in SOURCE_STEPS])):
+        if ok:
+            break
+        x_c = np.zeros(n_total)
+        for g, scale in steps:
+            x_c, ok_c, its, diag_c = _dc_solve(circuit, node_index,
+                                               n_total, x_c, g, scale)
             total_its += its
-            if not ok_g:
-                note(diag_g)
+            if not ok_c:
+                note(diag_c)
                 break
-        if ok_g:
-            x, ok, diag, strategy = x_g, True, diag_g, "gmin"
-    if not ok:
-        # 3. source stepping from a quiescent circuit
-        x_s = np.zeros(n_total)
-        ok_s = True
-        for scale in SOURCE_STEPS:
-            x_s, ok_s, its, diag_s = _newton(circuit, node_index, n_total,
-                                             x_s, gmin, source_scale=scale)
-            total_its += its
-            if not ok_s:
-                note(diag_s)
-                break
-        if ok_s:
-            x, ok, diag, strategy = x_s, True, diag_s, "source"
+        if ok_c:
+            x, ok, diag, strategy = x_c, True, diag_c, name
     if not ok:
         # 4. pseudo-transient continuation, the last-resort homotopy
         x_p, ok_p, its, diag_p = _ptc_rescue(circuit, node_index, n_total,

@@ -13,15 +13,16 @@ analysis:
   a solve: relative residual ``||Ax - b|| / ||b||`` (infinity norms),
   a 1-norm condition estimate, NaN/Inf detection, and which
   :data:`ladder <RUNG_SEVERITY>` rung produced the answer;
-* :func:`resilient_solve` — the fallback ladder.  Rung ``direct`` is the
-  caller's own solver (the cached-LU fast path, or ``np.linalg.solve``
-  in the legacy loop) so healthy solves keep their exact bit pattern;
-  on a large residual the ladder climbs through ``refined`` (iterative
-  refinement replaying the factorization), ``equilibrated`` (row/column
+* :func:`solve_step` — the engine's one linear solve, and the fallback
+  ladder.  Rung ``direct`` is one LAPACK ``getrf``/``getrs`` pair; on a
+  large residual the ladder climbs through ``refined`` (iterative
+  refinement replaying that factorization), ``equilibrated`` (row/column
   scaling before a fresh factorization), and ``lstsq`` (an SVD
   least-squares rescue that survives exact rank deficiency).  A system
   no rung can solve raises :class:`UnsolvableError` — NaN/Inf is never
-  returned silently;
+  returned silently.  The Newton iterations call it through
+  ``CompiledAssembly.solve_diag``, which keeps its factorization;
+  :func:`resilient_solve` is the same step without it;
 * :class:`NumericsPolicy` / :func:`numerics_policy` — the thresholds,
   including ``strict`` mode (the ``--strict-numerics`` CLI flag) where
   any solve that is not verified good escalates to
@@ -40,20 +41,20 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from ..core.profiling import COUNTERS
-from .solver import SolverError, factor, solve_factored
+from .solver import Factorization, SolverError, factor, solve_factored
 
 __all__ = [
     "RUNG_DIRECT", "RUNG_REFINED", "RUNG_EQUILIBRATED", "RUNG_LSTSQ",
     "RUNG_UNSOLVABLE", "RUNG_SEVERITY",
     "NumericsPolicy", "SolveDiagnostics", "UnsolvableError",
-    "climb_ladder", "condition_estimate_1norm", "get_policy",
-    "numerics_policy", "relative_residual", "resilient_solve",
+    "condition_estimate_1norm", "get_policy", "numerics_policy",
+    "relative_residual", "resilient_solve", "solve_step",
 ]
 
 #: ladder rungs, in escalation order
@@ -230,8 +231,8 @@ def relative_residual(A: np.ndarray, b: np.ndarray,
     """``||Ax - b||_inf / ||b||_inf`` (absolute residual for b == 0)."""
     if b.shape[0] == 0:
         return 0.0
-    rnorm = float(np.abs(A @ x - b).max())
-    bnorm = float(np.abs(b).max())
+    rnorm = float(np.maximum.reduce(np.abs(A @ x - b), axis=None))
+    bnorm = float(np.maximum.reduce(np.abs(b), axis=None))
     return rnorm / bnorm if bnorm > 0.0 else rnorm
 
 
@@ -266,80 +267,76 @@ def condition_estimate_1norm(A: np.ndarray,
 
 
 def _finite(x: Optional[np.ndarray]) -> bool:
-    return x is not None and bool(np.isfinite(x).all())
+    """*x* is an array whose every element is finite (a finite sum
+    says so at once; only a non-finite one needs the full scan)."""
+    if x is None:
+        return False
+    total = np.add.reduce(x, axis=None)
+    return ((math.isfinite(total.real) and math.isfinite(total.imag))
+            or bool(np.isfinite(x).all()))
 
 
 # ----------------------------------------------------------------------
 # the ladder
 # ----------------------------------------------------------------------
 def resilient_solve(A: np.ndarray, b: np.ndarray, *,
-                    direct: Optional[Callable[[np.ndarray, np.ndarray],
-                                              np.ndarray]] = None,
-                    refine: Optional[Callable[[np.ndarray], np.ndarray]]
-                    = None,
                     want_condition: bool = False,
                     policy: Optional[NumericsPolicy] = None,
                     ) -> Tuple[np.ndarray, SolveDiagnostics]:
     """Solve ``A @ x = b`` through the fallback ladder.
 
-    ``direct(A, b)`` is rung 0 — the caller's own solver, kept first so
-    a healthy solve returns the exact bits it always did; it may raise
-    :class:`SolverError`.  ``refine(r)`` solves ``A @ dx = r`` reusing
-    the direct rung's factorization (iterative refinement); when absent
-    the ladder factors *A* itself on demand.  Without a ``direct``
-    callable, rung 0 is a one-shot :func:`~repro.analog.solver.factor`
-    / :func:`~repro.analog.solver.solve_factored` LU.  A finite rung-0
-    answer whose residual verifies returns at once.  Returns the
-    accepted solution and its :class:`SolveDiagnostics`; raises
+    :func:`solve_step` without the factorization: returns the accepted
+    solution and its :class:`SolveDiagnostics`.
+    """
+    x, diag, _ = solve_step(A, b, want_condition=want_condition,
+                            policy=policy)
+    return x, diag
+
+
+def solve_step(A: np.ndarray, b: np.ndarray, *,
+               want_condition: bool = False,
+               policy: Optional[NumericsPolicy] = None,
+               ) -> Tuple[np.ndarray, SolveDiagnostics,
+                          Optional[Factorization]]:
+    """The engine's one linear solve: factor, solve, verify or climb.
+
+    Rung 0 is one LAPACK ``getrf`` / ``getrs`` pair
+    (:func:`~repro.analog.solver.factor` /
+    :func:`~repro.analog.solver.solve_factored`).  A finite rung-0
+    answer whose residual verifies returns at once; any other climbs
+    through ``refined`` (iterative refinement replaying rung 0's
+    factorization), ``equilibrated`` (row/column scaling before a
+    fresh factorization) and ``lstsq`` (an SVD least-squares rescue
+    that survives exact rank deficiency).  The condition estimate, when
+    asked for, reuses rung 0's factorization.
+
+    Returns ``(x, diagnostics, factorization)``, the last being rung
+    0's ``(lu, piv)`` or None when ``getrf`` raised.  Raises
     :class:`UnsolvableError` instead of ever returning NaN/Inf or a
     residual above ``policy.residual_unsolvable`` (or, under
     ``policy.strict``, anything short of verified good).
     """
     policy = policy or _POLICY
     good = policy.residual_good
-    n = A.shape[0]
-    if n == 0:
+    if A.shape[0] == 0:
         return (np.zeros(0, dtype=A.dtype),
                 SolveDiagnostics(residual=0.0, condition=1.0,
-                                 threshold=good))
+                                 threshold=good), None)
 
-    # -- rung 0: the caller's direct solver ----------------------------
-    lu_hint: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    # -- rung 0: one LU factorization ----------------------------------
     try:
-        if direct is not None:
-            x0 = direct(A, b)
-        else:
-            lu_hint = factor(A)
-            x0 = solve_factored(lu_hint, b)
+        lu_piv = factor(A)
+        x0 = solve_factored(lu_piv, b)
     except SolverError:
-        x0 = None
-        lu_hint = None
-    if x0 is not None and _finite(x0):
+        lu_piv = x0 = None
+    if _finite(x0):
         res = relative_residual(A, b, x0)
         if res <= good and res <= policy.residual_unsolvable:
             diag = SolveDiagnostics(residual=res, threshold=good)
             if want_condition:
-                diag.condition = condition_estimate_1norm(A, lu_hint)
-            return x0, diag
-    return climb_ladder(A, b, x0, lu_hint, refine=refine,
-                        want_condition=want_condition, policy=policy)
+                diag.condition = condition_estimate_1norm(A, lu_piv)
+            return x0, diag, lu_piv
 
-
-def climb_ladder(A: np.ndarray, b: np.ndarray, x0: Optional[np.ndarray],
-                 lu_hint: Optional[Tuple[np.ndarray, np.ndarray]], *,
-                 refine: Optional[Callable[[np.ndarray], np.ndarray]]
-                 = None,
-                 want_condition: bool = False,
-                 policy: NumericsPolicy) -> Tuple[np.ndarray,
-                                                  SolveDiagnostics]:
-    """Rungs 1-3 and the verdict of :func:`resilient_solve`, for a
-    rung-0 answer *x0* (None when rung 0 raised) that did not verify.
-
-    *lu_hint* is rung 0's own factorization of *A* when it made one.
-    A caller that runs rung 0 itself (the compiled fast path's
-    ``solve_diag``) enters here on a miss only.
-    """
-    good = policy.residual_good
     non_finite_seen = False
     best: Optional[Tuple[np.ndarray, float, str, int]] = None
 
@@ -361,31 +358,19 @@ def climb_ladder(A: np.ndarray, b: np.ndarray, x0: Optional[np.ndarray],
     # -- rung 1: iterative refinement on a large residual --------------
     if best is not None and res is not None and res > good:
         COUNTERS.rescue_refined += 1
-        if refine is None and lu_hint is None:
-            try:
-                lu_hint = factor(A)
-            except SolverError:
-                lu_hint = None
-        solver = (refine if refine is not None else
-                  (lambda r: solve_factored(lu_hint, r))
-                  if lu_hint is not None else None)
-        if solver is not None:
-            x = best[0]
-            prev = res
-            for it in range(1, policy.max_refinements + 1):
-                try:
-                    dx = solver(b - A @ x)
-                except SolverError:
-                    break
-                if not _finite(dx):
-                    break
-                x = x + dx
-                res_it = consider(x, RUNG_REFINED, refinements=it)
-                if res_it is None or res_it <= good:
-                    break
-                if res_it > 0.5 * prev:  # stalled
-                    break
-                prev = res_it
+        x = best[0]
+        prev = res
+        for it in range(1, policy.max_refinements + 1):
+            dx = solve_factored(lu_piv, b - A @ x)
+            if not _finite(dx):
+                break
+            x = x + dx
+            res_it = consider(x, RUNG_REFINED, refinements=it)
+            if res_it is None or res_it <= good:
+                break
+            if res_it > 0.5 * prev:  # stalled
+                break
+            prev = res_it
 
     # -- rung 2: equilibrated re-factorization -------------------------
     if best is None or best[1] > good:
@@ -419,7 +404,7 @@ def climb_ladder(A: np.ndarray, b: np.ndarray, x0: Optional[np.ndarray],
                             non_finite=non_finite_seen,
                             refinements=refinements, threshold=good)
     if want_condition:
-        diag.condition = condition_estimate_1norm(A, lu_hint)
+        diag.condition = condition_estimate_1norm(A, lu_piv)
     if res > policy.residual_unsolvable:
         COUNTERS.unsolvable_systems += 1
         diag.rung = RUNG_UNSOLVABLE
@@ -440,7 +425,7 @@ def climb_ladder(A: np.ndarray, b: np.ndarray, x0: Optional[np.ndarray],
                 f"strict numerics: best solve (rung {rung!r}, residual "
                 f"{res:.2e}) is degraded, not verified good "
                 f"(threshold {good:g})", diagnostics=diag)
-    return x, diag
+    return x, diag, lu_piv
 
 
 def _equilibrated_solve(A: np.ndarray, b: np.ndarray,

@@ -28,9 +28,9 @@ def factor(A: np.ndarray) -> Factorization:
     """LU-factor *A* with LAPACK ``getrf``.
 
     This pair (:func:`factor` / :func:`solve_factored`) is the engine's
-    one LU primitive: the cached-LU solves of the compiled fast path,
-    the resilience ladder's LU rungs and its condition estimate all go
-    through it.  It calls LAPACK directly (resolved once per dtype):
+    one LU primitive: rung 0 of every linear solve, the resilience
+    ladder's other LU rungs and its condition estimate all go through
+    it.  It calls LAPACK directly (resolved once per dtype):
     ``getrf`` / ``getrs`` are the routines scipy's ``lu_factor`` /
     ``lu_solve`` call with the same arguments, so the bits are scipy's
     without the per-call wrapper cost.
@@ -118,36 +118,6 @@ def assemble(circuit: Circuit, node_index: Dict[str, int], n_total: int,
     for i in range(n_nodes):
         A[i, i] += gmin
     return A, b
-
-
-def _direct_np_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The historical direct solve (``np.linalg.solve``), kept as rung 0
-    of the fallback ladder so healthy solves stay bit-identical."""
-    try:
-        return np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"singular MNA matrix: {exc}") from exc
-
-
-def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the assembled system, raising :class:`SolverError` if singular."""
-    x, _ = solve_linear_diag(A, b)
-    return x
-
-
-def solve_linear_diag(A: np.ndarray, b: np.ndarray, *,
-                      want_condition: bool = False):
-    """Like :func:`solve_linear` but returns ``(x, SolveDiagnostics)``.
-
-    Routes through the :func:`repro.analog.resilience.resilient_solve`
-    fallback ladder with ``np.linalg.solve`` as rung 0, so a healthy
-    solve is bit-identical to the historical behaviour and a degraded
-    one is rescued (or rejected) with an explicit diagnostics record.
-    """
-    from .resilience import resilient_solve  # lazy: avoids import cycle
-
-    return resilient_solve(A, b, direct=_direct_np_solve,
-                           want_condition=want_condition)
 
 
 def node_voltages(circuit: Circuit, node_index: Dict[str, int],

@@ -1,7 +1,8 @@
 """Fixed-step transient analysis on top of the MNA engine.
 
-Each time step solves the nonlinear companion-model system by Newton
-iteration, warm-started from the previous time point.  Sources may carry a
+Each time step solves the nonlinear companion-model system with the
+engine's one Newton loop (:func:`repro.analog.dc.newton`),
+warm-started from the previous time point.  Sources may carry a
 ``waveform`` callable (``t -> value``) for stimulus.  The step size is fixed
 (the circuits here are driven by known clocks, so adaptive stepping buys
 little) but a step whose Newton iteration stalls is rejected and retried
@@ -23,10 +24,10 @@ import numpy as np
 
 from ..core.profiling import COUNTERS
 from .assembly import get_compiled
-from .dc import MAX_STEP, VOLTAGE_TOL, dc_operating_point
+from .dc import VOLTAGE_TOL, dc_operating_point, newton
 from .netlist import Circuit, is_ground
 from .resilience import RUNG_UNSOLVABLE, SolveDiagnostics, UnsolvableError
-from .solver import SolverError, build_index
+from .solver import build_index
 
 MAX_NEWTON_ITER = 80
 #: Newton step (V) that ends a time step; looser than the DC tolerance
@@ -66,51 +67,10 @@ class TransientResult:
         return float(self.v(node)[-1])
 
 
-def _newton_step(compiled, x_guess, xprev, t, lu_reuse: bool = True,
-                 want_condition: bool = False):
-    """One implicit time step; returns ``(x, ok, diagnostics)``.
-
-    ``diagnostics`` aggregates the worst solve of the step (or carries
-    the ladder's failing diagnostics, rung ``unsolvable``, when it
-    rejected an iteration's system).
-    """
-    x = x_guess.copy()
-    n_nodes = compiled.n_nodes
-    invariants = compiled.solve_invariants(t, xprev)
-    agg: Optional[SolveDiagnostics] = None
-    for _ in range(MAX_NEWTON_ITER):
-        COUNTERS.newton_iterations += 1
-        A, b = compiled.assemble(x, time=t, xprev=xprev,
-                                 invariants=invariants)
-        try:
-            x_new, diag = compiled.solve_diag(A, b, reuse=lu_reuse)
-        except UnsolvableError as exc:
-            return x, False, exc.diagnostics
-        except SolverError:
-            return x, False, agg
-        if agg is None:
-            agg = diag
-        else:
-            agg.absorb(diag)
-        dx = x_new - x
-        step = (float(np.maximum.reduce(np.abs(dx[:n_nodes])))
-                if n_nodes else 0.0)
-        if step > MAX_STEP:
-            x = x + dx * (MAX_STEP / step)
-        else:
-            x = x_new
-        if step < _STEP_TOL:
-            if want_condition:
-                agg.condition = compiled.condition_estimate(A)
-            return x, True, agg
-    return x, False, agg
-
-
 def transient(circuit: Circuit, t_stop: float, dt: float,
               probes: Optional[Sequence[str]] = None,
               method: str = "be",
               x0: Optional[np.ndarray] = None,
-              lu_reuse: bool = True,
               stop: Optional[Callable[[float, Sequence[float]], bool]] = None
               ) -> TransientResult:
     """Integrate *circuit* from 0 to *t_stop* with step *dt*.
@@ -123,11 +83,6 @@ def transient(circuit: Circuit, t_stop: float, dt: float,
         ``'be'`` (robust default) or ``'trap'``.
     x0:
         Initial solution vector; default is the DC operating point at t=0.
-    lu_reuse:
-        Allow the solver to replay a cached LU factorization when the
-        assembled matrix is unchanged from the previous solve (always
-        true for linear circuits).  Disable to force a factorization
-        every solve, e.g. for numerical cross-checks.
     stop:
         Optional predicate ``stop(t, v)`` evaluated after each accepted
         step on its time and the recorded probe voltages (``v`` in
@@ -178,9 +133,10 @@ def transient(circuit: Circuit, t_stop: float, dt: float,
     t = 0.0
     for k in range(1, n_steps + 1):
         t_next = k * dt
-        want_cond = k == n_steps  # estimate condition once, at the end
-        x_new, ok, diag = _newton_step(compiled, x, x, t_next, lu_reuse,
-                                       want_condition=want_cond)
+        # estimate the condition once, at the end
+        x_new, ok, _, diag = newton(compiled, x, tol=_STEP_TOL,
+                                    max_iter=MAX_NEWTON_ITER, time=t_next,
+                                    xprev=x, want_condition=k == n_steps)
         unsolv_diag = (diag if diag is not None
                        and diag.rung == RUNG_UNSOLVABLE else None)
         if not ok:
@@ -197,8 +153,10 @@ def transient(circuit: Circuit, t_stop: float, dt: float,
                 x_sub = x
                 sub_ok = True
                 for j in range(1, level + 1):
-                    x_sub, sub_ok, diag = _newton_step(
-                        sub, x_sub, x_sub, t + j * dt / level, lu_reuse)
+                    x_sub, sub_ok, _, diag = newton(
+                        sub, x_sub, tol=_STEP_TOL, max_iter=MAX_NEWTON_ITER,
+                        time=t + j * dt / level, xprev=x_sub,
+                        want_condition=False)
                     if not sub_ok:
                         if diag is not None and diag.rung == RUNG_UNSOLVABLE:
                             unsolv_diag = diag

@@ -456,11 +456,11 @@ _WORKERS_HELP = ("{noun}-simulation worker processes; records, exports "
 
 
 def _add_supervision(p: argparse.ArgumentParser, noun: str) -> None:
-    p.add_argument("--timeout", type=float, default=None, metavar="S",
+    p.add_argument("--timeout", type=_timeout, default=None, metavar="S",
                    help=f"per-{noun} wall-clock budget in seconds; a "
                         f"{noun} that exceeds it is recorded as a "
                         f"timeout outcome (default: unbounded)")
-    p.add_argument("--retries", type=int, default=1, metavar="N",
+    p.add_argument("--retries", type=_retries, default=1, metavar="N",
                    help=f"re-dispatches of a {noun} whose worker died "
                         f"before it is quarantined (default 1)")
     p.add_argument("--trace", default=None, metavar="PATH",
@@ -653,15 +653,29 @@ def cmd_result(args) -> int:
 _TTL_UNITS = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0}
 
 
-def _sample_size(text: str) -> int:
-    """A ``--sample`` size: a non-negative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"sample must be >= 0, got {value}")
-    return value
+def _at_least(kind, name: str, low, *, strict: bool = False):
+    """An argparse type: a *kind* value of option *name* that is at
+    least *low* (above it when *strict*), so a bad value is a usage
+    error (exit 2) before anything runs."""
+    relation = ">" if strict else ">="
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}")
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(
+                f"{name} must be {relation} {low:g}, got {value}")
+        return value
+    return parse
+
+
+_sample_size = _at_least(int, "sample", 0)
+_dies = _at_least(int, "dies", 1)
+_retries = _at_least(int, "retries", 0)
+_timeout = _at_least(float, "timeout", 0.0, strict=True)
 
 
 def _parse_ttl(text: str) -> float:
@@ -768,7 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mc",
                        help="Monte-Carlo mismatch campaign "
                             "(yield loss / test escapes)")
-    p.add_argument("--dies", type=int, default=64,
+    p.add_argument("--dies", type=_dies, default=64,
                    help="number of sampled dies (default 64)")
     p.add_argument("--seed", type=int, default=2016)
     p.add_argument("--corner", default="TT",
@@ -855,7 +869,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated stimulus names, for the "
                         "patterns kind (default: "
                         "prbs7,prbs15,scrambler,isi,aggressor)")
-    p.add_argument("--dies", type=int, default=64,
+    p.add_argument("--dies", type=_dies, default=64,
                    help="mc kind: number of sampled dies (default 64)")
     p.add_argument("--corner", default="TT",
                    choices=("TT", "SS", "FF", "SF", "FS"),
@@ -881,30 +895,35 @@ def build_parser() -> argparse.ArgumentParser:
     _add_service_root(p)
     p.add_argument("--once", action="store_true",
                    help="drain the queue and exit instead of polling")
-    p.add_argument("--poll", type=float, default=0.2, metavar="S",
+    p.add_argument("--poll", type=_at_least(float, "poll", 0.0),
+                   default=0.2, metavar="S",
                    help="queue poll interval in seconds (default 0.2)")
     p.add_argument("--workers", type=int, default=None,
                    help="default shard worker processes for jobs that "
                         "do not set their own (default: 1)")
-    p.add_argument("--timeout", type=float, default=None, metavar="S",
+    p.add_argument("--timeout", type=_timeout, default=None, metavar="S",
                    help="per-shard wall-clock budget; an exceeded "
                         "shard fails its job (default: unbounded)")
-    p.add_argument("--retries", type=int, default=1, metavar="N",
+    p.add_argument("--retries", type=_retries, default=1, metavar="N",
                    help="re-dispatches of a shard whose worker died "
                         "(the fresh worker resumes the shard's "
                         "checkpoint; default 1)")
-    p.add_argument("--shard-retries", type=int, default=1, metavar="N",
+    p.add_argument("--shard-retries",
+                   type=_at_least(int, "shard-retries", 0), default=1,
+                   metavar="N",
                    help="backoff retry rounds for shards the "
                         "supervisor gave up on before the job is "
                         "marked failed (each round resumes the "
                         "shard's checkpoint; default 1)")
-    p.add_argument("--retry-backoff", type=float, default=0.25,
-                   metavar="S",
+    p.add_argument("--retry-backoff",
+                   type=_at_least(float, "retry-backoff", 0.0),
+                   default=0.25, metavar="S",
                    help="base delay of the exponential shard-retry "
                         "backoff; the jitter is deterministic per "
                         "spec digest (default 0.25)")
-    p.add_argument("--lease-ttl", type=float, default=30.0,
-                   metavar="S",
+    p.add_argument("--lease-ttl",
+                   type=_at_least(float, "lease-ttl", 0.0, strict=True),
+                   default=30.0, metavar="S",
                    help="claim lease time-to-live; a coordinator that "
                         "stops heartbeating for this long has its "
                         "job reclaimed and requeued (default 30)")

@@ -39,8 +39,9 @@ _FIELDS = (
                              # (Monte-Carlo die sweeps re-stamp values)
     # solves
     "newton_iterations",
-    "lu_factor",             # fresh LU factorizations
-    "lu_reuse",              # solves served by a cached factorization
+    "lu_factor",             # LU factorizations, one per Newton iteration
+    "lu_reuse",              # always 0: no solve reuses a factorization
+                             # (perfbench/layers.py still reads it)
     # campaign
     "campaign_faults",       # faults evaluated (serial or in a worker)
     # supervised execution (repro.core.supervisor)
@@ -112,11 +113,6 @@ class Counters:
         """Add a :meth:`since` delta, e.g. one a forked worker counted."""
         for name, value in delta.items():
             setattr(self, name, getattr(self, name) + value)
-
-    def lu_reuse_fraction(self) -> float:
-        """Fraction of linear solves served by a cached factorization."""
-        total = self.lu_factor + self.lu_reuse
-        return self.lu_reuse / total if total else 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         body = ", ".join(f"{k}={v}" for k, v in self.snapshot().items() if v)

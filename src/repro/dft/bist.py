@@ -360,12 +360,10 @@ class BISTTest:
     def _build_loop(self, params: LinkParams):
         """A loop wired for this tier's stimulus, plus its budget scale.
 
-        The default PRBS7 pattern keeps the legacy construction (no
-        source argument at all), so the default tier's runs stay
-        bit-identical to every pre-pattern-engine campaign record.
+        The default PRBS7 stimulus is ``PRBSSource(7)`` from
+        ``LOOP_SEED``: the legacy loop's own stream, bit for bit, with
+        scale 1.0 and no aggressor.
         """
-        if self.pattern == "prbs7":
-            return SynchronizerLoop(params=params), 1.0
         from ..patterns.sources import build_stimulus
 
         source, aggressor = build_stimulus(self.pattern)

@@ -138,27 +138,15 @@ class DLLBistTier:
     Makes the paper's deferred DLL integration (Section III) a campaign
     stage: a structural fault tagged ``block="dll"`` is projected onto
     the vernier tap-spacing model (see :func:`dll_for_fault`) and the
-    BIST's pass/fail verdict scores the fault.
+    BIST's pass/fail verdict scores the fault.  The tier takes no
+    stimulus pattern (``dll_bist@isi`` is refused): the vernier measures
+    tap spacing against a reference clock and no data traverses the
+    link, so no stimulus could change its verdict.
     """
 
-    def __init__(self, goldens: Optional[GoldenSignatures] = None,
-                 pattern: str = "prbs7"):
-        """*pattern* is accepted for registry uniformity
-        (``create_tier("dll_bist@isi")``) but cannot change the
-        verdict: the vernier measures tap spacing against a reference
-        clock — no data traverses the link, so the stimulus class is
-        irrelevant by construction.  The parameterised spelling is
-        still reflected in :attr:`name` so campaign records stay
-        self-describing.
-        """
-        from ..patterns.sources import PATTERN_NAMES
+    name = "dll_bist"
 
-        if pattern not in PATTERN_NAMES:
-            raise KeyError(f"unknown pattern {pattern!r}; choices: "
-                           f"{', '.join(PATTERN_NAMES)}")
-        self.pattern = pattern
-        self.name = ("dll_bist" if pattern == "prbs7"
-                     else f"dll_bist@{pattern}")
+    def __init__(self, goldens: Optional[GoldenSignatures] = None):
         goldens = goldens if goldens is not None else GoldenSignatures()
         self._golden_counts = goldens.get(
             "dll_bist_counts",

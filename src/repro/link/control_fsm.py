@@ -43,8 +43,6 @@ class CoarseFSM:
     state: str = "TRACK"
     #: direction of an in-progress strong correction (+1/-1), or None
     _correcting: Optional[int] = None
-    #: count of consecutive in-window evaluations (lock criterion)
-    quiet_evals: int = 0
 
     def evaluate(self, dt_slow: float) -> Tuple[bool, int]:
         """One divided-clock evaluation.
@@ -65,16 +63,12 @@ class CoarseFSM:
                 self._correcting = -1
                 self.state = "CORRECT"
                 request = True
-                self.quiet_evals = 0
             elif lo:
                 self.ring.shift(+1)
                 self.lock_detector.log_coarse_request()
                 self._correcting = +1
                 self.state = "CORRECT"
                 request = True
-                self.quiet_evals = 0
-            else:
-                self.quiet_evals += 1
         else:  # CORRECT: strong pump until V_c is back inside + margin
             direction = self._correcting
             self.pump.strong_step(direction, dt_slow)

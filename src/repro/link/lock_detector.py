@@ -22,7 +22,8 @@ from .params import LinkParams
 
 @dataclass
 class LockDetector:
-    """Behavioural saturating counter plus the BIST pass/fail rule."""
+    """Behavioural saturating counter; the BIST pass rule on its count
+    is :class:`repro.synchronizer.loop.LockVerdict`."""
 
     params: LinkParams
     count: int = 0
@@ -39,15 +40,6 @@ class LockDetector:
         if self.count < self.max_count:
             self.count += 1
         return self.count
-
-    @property
-    def bound(self) -> int:
-        """Maximum legal corrections: half the DLL phases."""
-        return self.params.n_phases // 2
-
-    def verdict(self, locked: bool) -> bool:
-        """BIST pass: locked within budget and corrections within bound."""
-        return locked and self.count <= self.bound
 
 
 def build_lock_detector(circuit: LogicCircuit, prefix: str, bits: int,

@@ -4,14 +4,15 @@ The product's ``CompiledAssembly.assemble`` stamps the EKV MOSFETs on a
 restacked ``(3, m)`` block with in-place numpy calls, reads its switch
 values from precompiled arrays and takes the source values and
 capacitor companion currents once per Newton solve;
-``solve_diag`` runs rung 0 of the resilience ladder inline over a
-one-slot LAPACK ``getrf``/``getrs`` cache; ``dc._newton`` and
-``transient._newton_step`` fold each solve's diagnostics into one
-running record.  This module keeps the code all of that replaced: the
-per-terminal MOSFET stamp, the switch, capacitor and source stamps as
-they were, the scipy ``lu_factor``/``lu_solve`` solver cache with its
-sticky store of repeated matrices, the resilience ladder that always
-walks to its verdict, and the Newton loops that build a new
+``solve_diag`` runs one LAPACK ``getrf``/``getrs`` pair as rung 0 of the
+resilience ladder and verifies it inline; one damped-Newton loop
+(``dc.newton``) serves every DC solve and every transient step and
+folds each solve's diagnostics into one running record.  This module
+keeps the code all of that replaced: the per-terminal MOSFET stamp, the
+switch, capacitor and source stamps as they were, the scipy
+``lu_factor``/``lu_solve`` solver that factors every solve, the
+resilience ladder that always walks to its verdict, and the two Newton
+loops (DC and transient step) that build a new
 ``SolveDiagnostics.worst`` record per solve.  The oracle reads every
 per-device value (EKV coefficients, switch thresholds and conductances,
 capacitor companions, source levels) from the elements themselves; it
@@ -19,13 +20,13 @@ borrows only what a plan compiles once: the static template, the
 scatter index plans and the element classification.
 
 :class:`Shadow` runs the oracle beside every product ``assemble``,
-``solve_diag``, ``resilient_solve``, ``_newton`` and ``_newton_step``
-call and requires bitwise-equal ``A``, ``b``, ``x``, equal
-``SolveDiagnostics`` fields and, for a raised ``SolverError``, the same
-type, message and diagnostics.  The Newton loops are checked by replay:
-the oracle loop runs over the product's recorded assemblies and solves,
-and must ask for the same iterates and return the same ``x``, verdict,
-iteration count and aggregated diagnostics.
+``solve_diag``, ``resilient_solve`` and ``newton`` call and requires
+bitwise-equal ``A``, ``b``, ``x``, equal ``SolveDiagnostics`` fields
+and, for a raised ``SolverError``, the same type, message and
+diagnostics.  The Newton loop is checked by replay: the oracle loop of
+the plan's mode runs over the product's recorded assemblies and
+solves, and must ask for the same iterates and return the same ``x``,
+verdict, iteration count (DC) and aggregated diagnostics.
 
 The oracle counts into its own :data:`COUNTERS`, so running it beside
 the product leaves the product's counters alone.
@@ -59,15 +60,13 @@ from repro.analog.resilience import (RUNG_DIRECT, RUNG_EQUILIBRATED,
                                      UnsolvableError, get_policy)
 from repro.analog.solver import SolverError
 
-#: the oracle's own tally (lu_factor, lu_reuse, rescue_*, ...)
+#: the oracle's own tally (lu_factor, rescue_*, ...)
 COUNTERS = Counters()
-
-_STICKY_MAX = 12
-_SEEN_MAX = 4096
 
 #: transient Newton iterations per time step
 TRAN_MAX_NEWTON_ITER = 80
 
+_ac = importlib.import_module("repro.analog.ac")
 _dc = importlib.import_module("repro.analog.dc")
 _transient = importlib.import_module("repro.analog.transient")
 _resilience = importlib.import_module("repro.analog.resilience")
@@ -245,100 +244,54 @@ def reference_assemble(plan, x: np.ndarray, *, time: float = 0.0,
 # ----------------------------------------------------------------------
 # the solver cache
 # ----------------------------------------------------------------------
-class ReferenceLinearSolverCache:
-    """The original ``LinearSolverCache``: scipy ``lu_factor``/
-    ``lu_solve``, the most recent factorization, and a sticky store of
-    matrices admitted at their second sighting."""
+class ReferenceLinearSolver:
+    """The original solver: scipy ``lu_factor``/``lu_solve``, a fresh
+    factorization for every solve, and the most recent one kept for
+    refinement and the condition estimate."""
 
     def __init__(self) -> None:
         self._last = None     # (A, lu, piv) of the newest factorization
-        self._seen = {}       # digest -> sightings (doorkeeper, counts only)
-        self._sticky = {}     # digest -> [A, lu, piv, last_hit_tick]
-        self._tick = 0
 
-    def invalidate(self) -> None:
-        self._last = None
-        self._seen.clear()
-        self._sticky.clear()
-
-    def _lookup(self, A: np.ndarray):
-        last = self._last
-        if last is not None and (last[0] is A or np.array_equal(last[0], A)):
-            return last[1], last[2]
-        if self._sticky:
-            entry = self._sticky.get(hash(A.tobytes()))
-            if entry is not None and np.array_equal(entry[0], A):
-                self._tick += 1
-                entry[3] = self._tick
-                return entry[1], entry[2]
-        return None
-
-    def _remember(self, A: np.ndarray, lu, piv) -> None:
-        self._last = (A, lu, piv)
-        if len(self._seen) >= _SEEN_MAX:
-            self._seen.clear()
-        digest = hash(A.tobytes())
-        count = self._seen.get(digest, 0) + 1
-        self._seen[digest] = count
-        if count >= 2 and digest not in self._sticky:
-            if len(self._sticky) >= _STICKY_MAX:
-                stalest = min(self._sticky, key=lambda d: self._sticky[d][3])
-                del self._sticky[stalest]
-            self._tick += 1
-            self._sticky[digest] = [A, lu, piv, self._tick]
-
-    def solve(self, A: np.ndarray, b: np.ndarray, *, reuse: bool = True,
-              assume_same: bool = False) -> np.ndarray:
+    def solve(self, A: np.ndarray, b: np.ndarray) -> np.ndarray:
         if A.shape[0] == 0:
             return np.zeros(0, dtype=A.dtype)
-        if reuse:
-            if assume_same and self._last is not None:
-                lu_piv = (self._last[1], self._last[2])
-            else:
-                lu_piv = self._lookup(A)
-            if lu_piv is not None:
-                COUNTERS.lu_reuse += 1
-                return lu_solve(lu_piv, b, check_finite=False)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", LinAlgWarning)
-                try:
-                    lu, piv = lu_factor(A, check_finite=False)
-                except (ValueError, np.linalg.LinAlgError) as exc:
-                    raise SolverError(
-                        f"MNA factorization failed: {exc}") from exc
-            if np.any(np.diagonal(lu) == 0.0):
-                raise SolverError("singular MNA matrix: exact zero pivot")
-        except SolverError:
-            self.invalidate()
-            raise
-        self._remember(A, lu, piv)
         COUNTERS.lu_factor += 1
+        self._last = None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LinAlgWarning)
+            try:
+                lu, piv = lu_factor(A, check_finite=False)
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                raise SolverError(
+                    f"MNA factorization failed: {exc}") from exc
+        if np.any(np.diagonal(lu) == 0.0):
+            raise SolverError("singular MNA matrix: exact zero pivot")
+        self._last = (A, lu, piv)
         return lu_solve((lu, piv), b, check_finite=False)
 
     def last_factorization(self, A: np.ndarray):
-        return self._lookup(A)
+        last = self._last
+        if last is not None and (last[0] is A or np.array_equal(last[0], A)):
+            return last[1], last[2]
+        return None
 
 
-def reference_solve_diag(plan, cache: ReferenceLinearSolverCache,
+def reference_solve_diag(solver: ReferenceLinearSolver,
                          A: np.ndarray, b: np.ndarray, *,
-                         reuse: bool = True, want_condition: bool = False):
-    """The original ``CompiledAssembly.solve_diag`` over *cache*."""
-
-    def direct(A_, b_):
-        return cache.solve(A_, b_, reuse=reuse, assume_same=plan.is_linear)
-
+                         want_condition: bool = False):
+    """The original ``CompiledAssembly.solve_diag`` over *solver*."""
     lu_piv = None
 
     def refine(r):
         nonlocal lu_piv
         if lu_piv is None:
-            lu_piv = cache.last_factorization(A)
+            lu_piv = solver.last_factorization(A)
         if lu_piv is None:
             raise SolverError("no factorization available to refine")
         return lu_solve(lu_piv, r, check_finite=False)
 
-    return reference_resilient_solve(A, b, direct=direct, refine=refine,
+    return reference_resilient_solve(A, b, direct=solver.solve,
+                                     refine=refine,
                                      want_condition=want_condition)
 
 
@@ -385,7 +338,7 @@ def _finite(x: Optional[np.ndarray]) -> bool:
     return x is not None and bool(np.all(np.isfinite(x)))
 
 
-def _plain_lu(A: np.ndarray, b: np.ndarray
+def plain_lu(A: np.ndarray, b: np.ndarray
               ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinAlgWarning)
@@ -435,7 +388,7 @@ def reference_resilient_solve(A: np.ndarray, b: np.ndarray, *,
         if direct is not None:
             x0 = direct(A, b)
         else:
-            x0, lu_hint = _plain_lu(A, b)
+            x0, lu_hint = plain_lu(A, b)
     except SolverError:
         x0 = None
         lu_hint = None
@@ -611,7 +564,7 @@ def reference_newton(tape: "Tape", x0: np.ndarray, n_nodes: int,
 
 
 def reference_newton_step(tape: "Tape", n_nodes: int, x_guess: np.ndarray,
-                          xprev: np.ndarray, t: float, lu_reuse: bool = True,
+                          xprev: np.ndarray, t: float,
                           want_condition: bool = False):
     """The original ``transient._newton_step`` over *tape*:
     ``(x, ok, diagnostics)``."""
@@ -620,7 +573,7 @@ def reference_newton_step(tape: "Tape", n_nodes: int, x_guess: np.ndarray,
     for _ in range(TRAN_MAX_NEWTON_ITER):
         A, b = tape.assemble(x, time=t, xprev=xprev)
         try:
-            x_new, diag = tape.solve_diag(A, b, reuse=lu_reuse)
+            x_new, diag = tape.solve_diag(A, b)
         except UnsolvableError as exc:
             return x, False, exc.diagnostics
         except SolverError:
@@ -712,11 +665,8 @@ class Tape:
                              f"another iterate than the oracle loop")
         return A.copy(), b.copy()
 
-    def solve_diag(self, A, b, *, reuse=True):
-        _, reuse_got, outcome = self._next("solve")
-        if reuse != reuse_got:
-            self.shadow.fail(f"{self.where}: solve reuse={reuse_got}, "
-                             f"oracle loop reuse={reuse}")
+    def solve_diag(self, A, b):
+        _, outcome = self._next("solve")
         if outcome[0] == "raise":
             _, exc_type, message, fields = outcome
             if exc_type is UnsolvableError:
@@ -726,8 +676,8 @@ class Tape:
         return x.copy(), _rebuilt(fields)
 
     def condition_estimate(self, A):
-        cache = self.shadow.cache_for(self.plan)
-        return condition_estimate_1norm(A, cache.last_factorization(A))
+        solver = self.shadow.solver_for(self.plan)
+        return condition_estimate_1norm(A, solver.last_factorization(A))
 
     def finish(self) -> None:
         if self._pos != len(self.events):
@@ -749,13 +699,12 @@ class Shadow:
     def __init__(self, patch):
         self.assemblies = self.solves = self.raised = self.loops = 0
         self.mismatches: List[str] = []
-        self._caches = weakref.WeakKeyDictionary()
+        self._solvers = weakref.WeakKeyDictionary()
         self._tape: Optional[Tape] = None
         assemble = CompiledAssembly.assemble
         solve_diag = CompiledAssembly.solve_diag
         resilient_solve = _resilience.resilient_solve
-        newton = _dc._newton
-        newton_step = _transient._newton_step
+        newton = _dc.newton
         shadow = self
 
         def checked_assemble(plan, x, *, time=0.0, xprev=None,
@@ -785,18 +734,17 @@ class Shadow:
                     A.copy(), b.copy()))
             return A, b
 
-        def checked_solve_diag(plan, A, b, *, reuse=True,
-                               want_condition=False):
-            cache = shadow.cache_for(plan)
+        def checked_solve_diag(plan, A, b, *, want_condition=False):
+            solver = shadow.solver_for(plan)
             outcome = shadow.compare(
                 f"solve_diag on {plan.circuit.name!r}",
-                lambda: solve_diag(plan, A, b, reuse=reuse,
+                lambda: solve_diag(plan, A, b,
                                    want_condition=want_condition),
-                lambda: reference_solve_diag(plan, cache, A, b, reuse=reuse,
+                lambda: reference_solve_diag(solver, A, b,
                                              want_condition=want_condition),
                 record=shadow._tape is not None)
             if shadow._tape is not None:
-                shadow._tape.events.append(("solve", reuse, outcome[0]))
+                shadow._tape.events.append(("solve", outcome[0]))
             if isinstance(outcome[1], BaseException):
                 raise outcome[1]
             return outcome[1]
@@ -810,48 +758,44 @@ class Shadow:
                 raise outcome[1]
             return outcome[1]
 
-        def checked_newton(circuit, node_index, n_total, x0, gmin,
-                           source_scale=1.0, max_iter=_dc.MAX_NEWTON_ITER):
-            where = f"dc Newton loop on {circuit.name!r}"
+        def checked_newton(plan, x0, *, tol, max_iter, time=0.0,
+                           xprev=None, want_condition=True):
+            name = plan.circuit.name
+            where = (f"dc Newton loop on {name!r}" if plan.mode == "dc"
+                     else f"transient Newton step at t={time!r} on "
+                          f"{name!r}")
             x_start = x0.copy()
+            xprev_start = None if xprev is None else xprev.copy()
             tape = shadow.open_tape(where)
             try:
-                got = newton(circuit, node_index, n_total, x0, gmin,
-                             source_scale, max_iter)
+                got = newton(plan, x0, tol=tol, max_iter=max_iter,
+                             time=time, xprev=xprev,
+                             want_condition=want_condition)
             finally:
                 shadow._tape = None
-            want = reference_newton(tape, x_start, len(node_index),
-                                    max_iter)
-            tape.finish()
-            shadow.check_loop(where, got, want)
-            return got
-
-        def checked_newton_step(compiled, x_guess, xprev, t,
-                                lu_reuse=True, want_condition=False):
-            where = (f"transient Newton step at t={t!r} on "
-                     f"{compiled.circuit.name!r}")
-            x_start, xprev_start = x_guess.copy(), xprev.copy()
-            tape = shadow.open_tape(where)
-            try:
-                got = newton_step(compiled, x_guess, xprev, t, lu_reuse,
-                                  want_condition=want_condition)
-            finally:
-                shadow._tape = None
-            want = reference_newton_step(tape, compiled.n_nodes, x_start,
-                                         xprev_start, t, lu_reuse,
-                                         want_condition)
-            tape.finish()
-            shadow.check_loop(where, got, want)
+            if plan.mode == "dc":
+                want = reference_newton(tape, x_start, plan.n_nodes,
+                                        max_iter)
+                tape.finish()
+                shadow.check_loop(where, got, want)
+            else:
+                want = reference_newton_step(tape, plan.n_nodes, x_start,
+                                             xprev_start, time,
+                                             want_condition)
+                tape.finish()
+                x, ok, _, diag = got
+                shadow.check_loop(where, (x, ok, diag), want)
             return got
 
         patch.setattr(CompiledAssembly, "assemble", checked_assemble)
         patch.setattr(CompiledAssembly, "solve_diag", checked_solve_diag)
-        # dc's pseudo-transient rescue and the legacy/AC solve path
-        patch.setattr(_dc, "resilient_solve", checked_resilient_solve)
-        patch.setattr(_resilience, "resilient_solve",
-                      checked_resilient_solve)
-        patch.setattr(_dc, "_newton", checked_newton)
-        patch.setattr(_transient, "_newton_step", checked_newton_step)
+        # dc's pseudo-transient rescue and the AC sweep
+        for module in (_ac, _dc, _resilience):
+            patch.setattr(module, "resilient_solve",
+                          checked_resilient_solve)
+        # the one Newton loop, at both of its names
+        for module in (_dc, _transient):
+            patch.setattr(module, "newton", checked_newton)
         PRODUCT_COUNTERS.reset()
         COUNTERS.reset()
 
@@ -866,12 +810,12 @@ class Shadow:
         self._tape = Tape(self, where)
         return self._tape
 
-    def cache_for(self, plan) -> ReferenceLinearSolverCache:
-        """The oracle's cache twin of *plan*'s (a retune drops both)."""
-        hit = self._caches.get(plan)
+    def solver_for(self, plan) -> ReferenceLinearSolver:
+        """The oracle's solver twin of *plan* (a retune drops it)."""
+        hit = self._solvers.get(plan)
         if hit is None or hit[0] != plan.param_revision:
-            hit = self._caches[plan] = (plan.param_revision,
-                                        ReferenceLinearSolverCache())
+            hit = self._solvers[plan] = (plan.param_revision,
+                                         ReferenceLinearSolver())
         return hit[1]
 
     def compare(self, where: str, product, oracle, record: bool = False):
@@ -910,19 +854,15 @@ class Shadow:
 
     def check_tallies(self) -> None:
         """Product and oracle agree on rescue rungs, degraded and
-        unsolvable solves, and the total number of LU solves (the
-        oracle's sticky store turns some factorizations into reuses;
-        the product has one slot, so only the sum can match).  A shadow
-        that saw no solve checked nothing, and fails too."""
+        unsolvable solves, and the number of Newton-solve LU
+        factorizations.  A shadow that saw no solve checked nothing,
+        and fails too."""
         if not self.solves:
             self.fail("no solve was shadowed")
         for name in ("rescue_refined", "rescue_equilibrated", "rescue_lstsq",
-                     "degraded_solves", "unsolvable_systems"):
+                     "degraded_solves", "unsolvable_systems", "lu_factor",
+                     "lu_reuse"):
             if getattr(PRODUCT_COUNTERS, name) != getattr(COUNTERS, name):
                 self.fail(f"counter {name}: product "
                           f"{getattr(PRODUCT_COUNTERS, name)}, oracle "
                           f"{getattr(COUNTERS, name)}")
-        product = PRODUCT_COUNTERS.lu_factor + PRODUCT_COUNTERS.lu_reuse
-        oracle = COUNTERS.lu_factor + COUNTERS.lu_reuse
-        if product != oracle:
-            self.fail(f"LU solves: product {product}, oracle {oracle}")

@@ -213,9 +213,9 @@ class TestSourceStepping:
 
     def _scaled(self, c, node, scale):
         node_index, _, n_total = build_index(c)
-        x, ok, _, _ = dc_module._newton(c, node_index, n_total,
-                                        np.zeros(n_total), DEFAULT_GMIN,
-                                        source_scale=scale)
+        x, ok, _, _ = dc_module._dc_solve(c, node_index, n_total,
+                                          np.zeros(n_total), DEFAULT_GMIN,
+                                          source_scale=scale)
         assert ok
         return x[node_index[node]]
 

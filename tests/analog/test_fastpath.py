@@ -2,9 +2,9 @@
 
 The compiled assembly (:mod:`repro.analog.assembly`) must reproduce the
 reference per-element stamp loop (:func:`repro.analog.solver.assemble`)
-to floating-point noise in every analysis mode, and the LU cache must
-actually serve repeated solves — these tests pin both properties so
-future engine work cannot silently drift from the reference physics.
+to floating-point noise in every analysis mode, and its plans must be
+cached per circuit — these tests pin both properties so future engine
+work cannot silently drift from the reference physics.
 """
 
 import numpy as np
@@ -16,8 +16,6 @@ from repro.analog import (
     clock_waveform,
     dc_operating_point,
     get_compiled,
-    step_waveform,
-    transient,
 )
 from repro.analog.devices import Capacitor
 from repro.analog.solver import assemble, build_index
@@ -121,40 +119,11 @@ class TestAssemblyEquivalence:
         node_index, _, n_total = build_index(ckt)
         compiled = get_compiled(ckt, "dc", node_index=node_index,
                                 n_total=n_total)
-        assert not compiled.is_linear
         x = random_x(n_total, 7) * 0.5
         a_ref, b_ref = assemble(ckt, node_index, n_total, x, "dc")
         a, b = compiled.assemble(x)
         np.testing.assert_allclose(a, a_ref, rtol=1e-9, atol=1e-15)
         np.testing.assert_allclose(b, b_ref, rtol=1e-9, atol=1e-15)
-
-
-class TestLUCache:
-    def test_linear_rc_line_reuses_factorization(self):
-        """On a linear RC line the matrix never changes, so nearly every
-        transient solve must replay the cached factorization."""
-        ckt = Circuit("rcline")
-        vs = ckt.add_vsource("n0", "0", 0.0, name="VS")
-        for i in range(8):
-            ckt.add_resistor(f"n{i}", f"n{i + 1}", 500.0)
-            ckt.add_capacitor(f"n{i + 1}", "0", 0.2e-12)
-        vs.waveform = step_waveform(0.0, 1.0, 0.1e-9)
-        COUNTERS.reset()
-        tr = transient(ckt, 5e-9, 10e-12, probes=["n8"])
-        assert tr.converged
-        assert COUNTERS.lu_factor >= 1
-        assert COUNTERS.lu_reuse_fraction() >= 0.5
-
-    def test_transient_lu_reuse_matches_refactor(self):
-        """lu_reuse=True must be numerically indistinguishable from
-        factoring every solve on a nonlinear switching circuit."""
-        tr_a = transient(inverter_circuit(), 4e-9, 5e-12, probes=["out"],
-                         lu_reuse=True)
-        tr_b = transient(inverter_circuit(), 4e-9, 5e-12, probes=["out"],
-                         lu_reuse=False)
-        assert tr_a.converged and tr_b.converged
-        np.testing.assert_allclose(tr_a.v("out"), tr_b.v("out"),
-                                   rtol=0, atol=1e-9)
 
 
 class TestCompiledPlanCache:

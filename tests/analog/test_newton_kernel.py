@@ -1,29 +1,28 @@
 """The Newton iterations of the compiled engine against their slow oracle.
 
 ``CompiledAssembly.assemble`` stamps the EKV MOSFETs on a restacked
-block, ``solve_diag`` runs rung 0 inline over a one-slot LAPACK LU
-cache, and the DC / transient Newton loops fold their diagnostics into
-one running record.  The code those replaced lives on in
-:mod:`reference_newton`, whose :class:`~reference_newton.Shadow` runs
-it beside every product ``assemble``, ``solve_diag``,
-``resilient_solve``, ``_newton`` and ``_newton_step`` call of a real
-analysis and requires bitwise-equal ``A``, ``b`` and ``x``, equal
-``SolveDiagnostics`` fields and, for a raised ``SolverError``, the same
-type, message and diagnostics.  At teardown the product and oracle
-tallies must agree.  A rewrite that is not exact (``TestMutations``)
-fails the shadow.
+block, ``solve_diag`` factors once per iteration and verifies rung 0
+inline, and one Newton loop serves DC and every transient step, folding
+its diagnostics into one running record.  The code those replaced lives
+on in :mod:`reference_newton`, whose :class:`~reference_newton.Shadow`
+runs it beside every product ``assemble``, ``solve_diag``,
+``resilient_solve`` and ``newton`` call of a real analysis and requires
+bitwise-equal ``A``, ``b`` and ``x``, equal ``SolveDiagnostics`` fields
+and, for a raised ``SolverError``, the same type, message and
+diagnostics.  At teardown the product and oracle tallies must agree.  A
+rewrite that is not exact (``TestMutations``) fails the shadow.
 """
 
 import numpy as np
 import pytest
 
-from reference_newton import (ReferenceLinearSolverCache, Shadow)
+from reference_newton import Shadow, plain_lu
 
 from repro.analog import (Circuit, ac_analysis, dc_operating_point,
                           get_compiled, logspace_freqs, numerics_policy,
                           step_waveform, transient)
 from repro.analog import resilience
-from repro.analog.assembly import CompiledAssembly, LinearSolverCache
+from repro.analog.assembly import CompiledAssembly
 from repro.analog.resilience import SolveDiagnostics, UnsolvableError
 from repro.analog.solver import (SolverError, build_index, factor,
                                  solve_factored)
@@ -111,13 +110,7 @@ class TestBenches:
         tr = transient(_link_toggle(), 0.6e-9, 0.05e-9, method=method)
         assert tr.converged
 
-    def test_reuse_false(self, shadow):
-        tr = transient(_vcdl_step(), 0.2e-9, 4e-12, probes=["clk_out"],
-                       lu_reuse=False)
-        assert tr.converged
-        assert COUNTERS.lu_reuse == 0
-
-    def test_linear_circuit_replays_one_slot(self, shadow):
+    def test_linear_circuit_factors_every_iteration(self, shadow):
         c = Circuit("rc")
         vs = c.add_vsource("n0", "0", 0.0, name="VS")
         for i in range(4):
@@ -125,7 +118,8 @@ class TestBenches:
             c.add_capacitor(f"n{i + 1}", "0", 0.2e-12)
         vs.waveform = step_waveform(0.0, 1.0, 0.1e-9)
         assert transient(c, 1e-9, 20e-12, method="trap").converged
-        assert COUNTERS.lu_reuse > COUNTERS.lu_factor
+        assert COUNTERS.lu_factor == COUNTERS.newton_iterations > 0
+        assert COUNTERS.lu_reuse == 0
 
 
 # ----------------------------------------------------------------------
@@ -204,9 +198,9 @@ class TestLadder:
         plan = get_compiled(c, "dc", node_index=node_index, n_total=n_total)
         A, b = plan.assemble(np.zeros(n_total))
         with pytest.raises(SolverError) as got:
-            LinearSolverCache().solve(A, b)
+            factor(A)
         with pytest.raises(SolverError) as want:
-            ReferenceLinearSolverCache().solve(A, b)
+            plain_lu(A, b)
         assert str(got.value) == str(want.value)
         with pytest.raises(UnsolvableError):
             plan.solve_diag(A, b)
@@ -250,13 +244,10 @@ class TestLadder:
         b = rng.normal(size=n)
         b_consistent = A @ rng.normal(size=n)
         for rhs in (b, b_consistent):
-            for direct in (None, np.linalg.solve):
-                kwargs = {} if direct is None else {"direct": direct}
-                try:
-                    resilience.resilient_solve(A, rhs, want_condition=True,
-                                               **kwargs)
-                except UnsolvableError:
-                    pass
+            try:
+                resilience.resilient_solve(A, rhs, want_condition=True)
+            except UnsolvableError:
+                pass
 
     def test_complex_ac(self, shadow):
         dut = _receiver()

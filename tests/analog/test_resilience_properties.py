@@ -3,16 +3,19 @@
 The fallback ladder (:mod:`repro.analog.resilience`) carries a
 three-part contract:
 
-* a *healthy* system solves on the ``direct`` rung with the caller's own
-  solver — bit-identical to what the engine always returned — and comes
-  back *verified* (small relative residual, finite, small condition);
+* a *healthy* system solves on the ``direct`` rung, one LAPACK
+  ``getrf``/``getrs`` pair — bit-identical to
+  :func:`~repro.analog.solver.factor` /
+  :func:`~repro.analog.solver.solve_factored` — and comes back
+  *verified* (small relative residual, finite, small condition);
 * a *pathological* system (rank-deficient, gross scaling) either gets
   rescued — and then the diagnostics name the rung that saved it — or
   raises :class:`UnsolvableError`; NaN/Inf is **never** returned
   silently;
-* the legacy stamp-loop path (:func:`solve_linear_diag`) and the
-  compiled fast path (:meth:`CompiledAssembly.solve_diag`) report
-  equivalent diagnostics for the same system.
+* the legacy stamp-loop assembly solved by :func:`resilient_solve`
+  (the AC path) and the compiled fast path
+  (:meth:`CompiledAssembly.solve_diag`) report equivalent diagnostics
+  for the same system.
 """
 
 import math
@@ -34,7 +37,6 @@ from repro.analog import (
     numerics_policy,
     relative_residual,
     resilient_solve,
-    solve_linear_diag,
     step_waveform,
     transient,
 )
@@ -46,7 +48,8 @@ from repro.analog.resilience import (
     SolveDiagnostics,
     condition_estimate_1norm,
 )
-from repro.analog.solver import build_index
+from repro.analog.solver import (assemble, build_index, factor,
+                                 solve_factored)
 
 dims = st.integers(min_value=2, max_value=12)
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -126,13 +129,12 @@ class TestLadder:
 
     @given(n=dims, seed=seeds)
     @settings(max_examples=20)
-    def test_direct_rung_is_bit_identical_to_callers_solver(self, n, seed):
-        """The whole point of rung 0: healthy systems keep the exact
-        bits the caller's historical solver produced."""
+    def test_direct_rung_is_bit_identical_to_one_lu(self, n, seed):
+        """Rung 0 is one ``getrf``/``getrs`` pair: a healthy system
+        keeps its exact bits."""
         A, b = well_conditioned(n, seed)
-        x, _ = resilient_solve(
-            A, b, direct=lambda A_, b_: np.linalg.solve(A_, b_))
-        assert np.array_equal(x, np.linalg.solve(A, b))
+        x, _ = resilient_solve(A, b)
+        assert x.tobytes() == solve_factored(factor(A), b).tobytes()
 
     @given(n=dims, seed=seeds)
     @settings(max_examples=40)
@@ -281,15 +283,18 @@ def divider_circuit():
 
 class TestEngineEquivalence:
     def test_legacy_and_compiled_report_equivalent_diagnostics(self):
-        """Same MNA system through the stamp-loop solver and the
-        compiled fast path: same answer, same solve-quality verdict."""
+        """Same MNA system through the stamp loop and the compiled fast
+        path: same answer, same solve-quality verdict."""
         circuit = divider_circuit()
         node_index, _, n_total = build_index(circuit)
         compiled = get_compiled(circuit, "dc", node_index=node_index,
                                 n_total=n_total)
-        A, b = compiled.assemble(np.zeros(n_total))
+        x = np.zeros(n_total)
+        A_legacy, b_legacy = assemble(circuit, node_index, n_total, x, "dc")
+        A, b = compiled.assemble(x)
 
-        x_legacy, d_legacy = solve_linear_diag(A, b, want_condition=True)
+        x_legacy, d_legacy = resilient_solve(A_legacy, b_legacy,
+                                             want_condition=True)
         x_fast, d_fast = compiled.solve_diag(A, b, want_condition=True)
 
         assert np.allclose(x_legacy, x_fast, rtol=1e-12, atol=1e-15)

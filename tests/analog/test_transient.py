@@ -169,17 +169,18 @@ class TestStepHalving:
 
     def _stall(self, monkeypatch, attempts):
         """Reject each listed ``(end time, step size)`` attempt once."""
-        real = transient_module._newton_step
+        real = transient_module.newton
         pending = list(attempts)
 
-        def newton_step(compiled, x_guess, xprev, t, *args, **kwargs):
+        def newton(plan, x0, **kwargs):
             for n, (t_end, h) in enumerate(pending):
-                if math.isclose(t, t_end) and math.isclose(compiled.dt, h):
+                if (math.isclose(kwargs["time"], t_end)
+                        and math.isclose(plan.dt, h)):
                     del pending[n]
-                    return x_guess.copy(), False, None
-            return real(compiled, x_guess, xprev, t, *args, **kwargs)
+                    return x0.copy(), False, 1, None
+            return real(plan, x0, **kwargs)
 
-        monkeypatch.setattr(transient_module, "_newton_step", newton_step)
+        monkeypatch.setattr(transient_module, "newton", newton)
         return pending
 
     def _run(self, method):

@@ -34,6 +34,57 @@ class TestParser:
         assert "sample must be >= 0" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (["campaign", "--timeout", "0"], "timeout must be > 0, got 0.0"),
+        (["campaign", "--retries", "-1"], "retries must be >= 0, got -1"),
+        (["mc", "--timeout", "-2"], "timeout must be > 0, got -2.0"),
+        (["mc", "--retries", "-1"], "retries must be >= 0, got -1"),
+        (["mc", "--dies", "0"], "dies must be >= 1, got 0"),
+        (["submit", "mc", "--dies", "0"], "dies must be >= 1, got 0"),
+        (["serve", "--timeout", "0"], "timeout must be > 0, got 0.0"),
+        (["serve", "--lease-ttl", "-1"], "lease-ttl must be > 0, got -1.0"),
+        (["serve", "--lease-ttl", "nan"], "lease-ttl must be > 0, got nan"),
+        (["serve", "--poll", "-0.5"], "poll must be >= 0, got -0.5"),
+        (["serve", "--retries", "-1"], "retries must be >= 0, got -1"),
+        (["serve", "--shard-retries", "-1"],
+         "shard-retries must be >= 0, got -1"),
+        (["serve", "--retry-backoff", "-1"],
+         "retry-backoff must be >= 0, got -1.0"),
+        (["serve", "--timeout", "soon"], "invalid float value: 'soon'"),
+    ])
+    def test_bad_supervision_value_is_a_usage_error(self, argv, message,
+                                                    capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--timeout", "0.5", "--retries", "0",
+         "--shard-retries", "0", "--retry-backoff", "0", "--poll", "0",
+         "--lease-ttl", "0.1"],
+        ["mc", "--dies", "1", "--timeout", "1e-3", "--retries", "0"],
+    ])
+    def test_boundary_supervision_values_parse(self, argv):
+        build_parser().parse_args(argv)
+
+    def test_serve_with_a_bad_timeout_claims_nothing(self, tmp_path,
+                                                     capsys):
+        """The bad value is refused before the serve loop claims the
+        queued job, which stays queued for a good serve loop."""
+        from repro.service import JobQueue
+
+        root = str(tmp_path / "svc")
+        assert main(["submit", "campaign", "--root", root,
+                     "--sample", "2"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--root", root, "--once", "--timeout", "0"])
+        assert exc.value.code == 2
+        assert [doc["state"] for doc in JobQueue(root).jobs()] == ["queued"]
+
+
 class TestCommands:
     def test_eye_passes_at_paper_point(self, capsys):
         assert main(["eye"]) == 0

@@ -17,6 +17,7 @@ from repro.link import (
     scan_frequency_verdict,
     wrap_phase,
 )
+from repro.synchronizer.loop import LockVerdict
 
 
 @pytest.fixture
@@ -219,17 +220,20 @@ class TestDividerLockDetectorCDC:
         assert ld.count == 7  # 3-bit saturating
 
     def test_lock_detector_bound_is_half_phases(self, p):
-        assert LockDetector(p).bound == 5
+        assert LockVerdict.lock_test(p).bound == 5
 
     def test_lock_detector_verdict(self, p):
+        """The lock test's pass rule on the detector's count: locked,
+        and within the bound."""
+        verdict = LockVerdict.lock_test(p)
         ld = LockDetector(p)
         for _ in range(3):
             ld.log_coarse_request()
-        assert ld.verdict(locked=True)
+        assert verdict.passes(100, ld.count, 0)
         for _ in range(5):
             ld.log_coarse_request()
-        assert not ld.verdict(locked=True)
-        assert not LockDetector(p).verdict(locked=False)
+        assert not verdict.passes(100, ld.count, 0)
+        assert not verdict.passes(None, LockDetector(p).count, 0)
 
     def test_cdc_half_cycle_selection(self, p):
         cdc = ClockDomainCrossing(p)

@@ -32,12 +32,6 @@ class TestTrackState:
         assert fsm.state == "TRACK"
         assert pos == 0
 
-    def test_quiet_evals_accumulate(self):
-        fsm, _ = make_fsm(vc=0.6)
-        for _ in range(5):
-            fsm.evaluate(DT)
-        assert fsm.quiet_evals == 5
-
 
 class TestCoarseRequest:
     def test_high_exit_steps_phase_down(self):

@@ -1,11 +1,11 @@
-"""Pattern-parameterised tier registration: ``bist@<pattern>`` and
-``dll_bist@<pattern>`` as campaign citizens."""
+"""Pattern-parameterised tier registration: ``bist@<pattern>`` as a
+campaign citizen, and ``dll_bist``, which takes no pattern."""
 
 import pytest
 
 from repro.dft.bist import BISTTest
 from repro.dft.golden import GoldenSignatures
-from repro.dft.registry import create_tier, create_tiers
+from repro.dft.registry import check_tier_names, create_tier, create_tiers
 from repro.faults import FaultKind, StructuralFault
 from repro.patterns.sources import PATTERN_NAMES
 
@@ -33,10 +33,15 @@ class TestRegistryParam:
         with pytest.raises(KeyError):
             create_tier("no_such_tier@isi")
 
-    def test_dll_bist_at_pattern_resolves(self):
-        tier = create_tier("dll_bist@scrambler")
-        assert tier.name == "dll_bist@scrambler"
-        assert tier.pattern == "scrambler"
+    def test_dll_bist_at_pattern_refused(self):
+        """No data crosses the link during the vernier test, so no
+        stimulus could change the DLL BIST's verdict: the tier takes
+        no pattern."""
+        with pytest.raises(ValueError, match="takes no pattern"):
+            check_tier_names(["dll_bist@scrambler"])
+        with pytest.raises(TypeError):
+            create_tier("dll_bist@scrambler")
+        assert create_tier("dll_bist").name == "dll_bist"
 
     def test_mixed_tier_listing_shares_goldens(self):
         goldens = GoldenSignatures()
@@ -115,13 +120,17 @@ class TestPatternAxis:
 class TestDLLBistPatternInvariance:
     def test_verdicts_invariant_across_patterns(self):
         """The vernier counting measurement never looks at the data
-        lane, so every stimulus yields the same verdict."""
+        lane, so every stimulus yields the same verdict: built beside
+        any ``bist@<pattern>`` over one golden cache, ``dll_bist``
+        scores each DLL fault as the stand-alone tier does."""
         plain = create_tier("dll_bist")
-        isi = create_tier("dll_bist@isi")
         faults = [
             F("vcdl_stage3", FaultKind.DRAIN_OPEN, "dll"),
             F("vcdl_stage7", FaultKind.GATE_DRAIN_SHORT, "dll"),
             F("bias_gen", FaultKind.DRAIN_OPEN, "dll"),
         ]
-        for fault in faults:
-            assert plain.detect(fault) == isi.detect(fault)
+        expected = [plain.detect(fault) for fault in faults]
+        for pattern in ("isi", "scrambler"):
+            _, dll = create_tiers((f"bist@{pattern}", "dll_bist"))
+            assert dll.golden == plain.golden
+            assert [dll.detect(fault) for fault in faults] == expected

@@ -119,14 +119,16 @@ class TestSpecValidation:
         ("campaign", "tiers", ("nope@isi",), "unknown tier 'nope@isi'"),
         ("mc", "tiers", ("bist@morse",), "unknown pattern 'morse'"),
         ("campaign", "tiers", ("dc@isi",), "tier 'dc' takes no pattern"),
+        ("mc", "tiers", ("dll_bist@aggressor",),
+         "tier 'dll_bist' takes no pattern"),
         ("mc", "tiers", ("bist@prbs7",), "is spelled 'bist'"),
         ("patterns", "patterns", ("prbs7", "morse"),
          "unknown pattern 'morse'"),
         ("patterns", "patterns", ("prbs7", "isi", "prbs7"),
          "duplicate pattern"),
     ], ids=["unknown-tier", "duplicate-tier", "unknown-base",
-            "unknown-tier-pattern", "no-pattern", "default-pattern",
-            "unknown-pattern", "duplicate-pattern"])
+            "unknown-tier-pattern", "no-pattern", "dll-bist-no-pattern",
+            "default-pattern", "unknown-pattern", "duplicate-pattern"])
     def test_rejects_what_the_direct_commands_refuse(self, kind, field,
                                                      names, message):
         """A list the direct command would refuse is refused here, also
@@ -138,7 +140,7 @@ class TestSpecValidation:
             CampaignSpec.from_dict(data)
 
     def test_accepts_pattern_tiers(self):
-        tiers = ("dc", "bist@isi", "dll_bist@aggressor")
+        tiers = ("dc", "bist@isi", "dll_bist")
         assert spec(kind="mc", tiers=tiers).tiers == tiers
 
     def test_ignores_the_item_list_of_another_kind(self):

@@ -129,7 +129,7 @@ def reference_run(loop, max_cycles: int = 20000, record_every: int = 8,
     bist_pass = (locked
                  and lock_time is not None
                  and lock_time <= cycles_budget * dt
-                 and self.lock_detector.count <= self.lock_detector.bound)
+                 and self.lock_detector.count <= p.n_phases // 2)
     return LoopResult(
         locked=locked, lock_time=lock_time,
         cycles_run=cycle + 1,
