@@ -35,11 +35,14 @@ def test_bench_lock_time_all_phases(benchmark):
 def test_bench_lock_detector_sizing(benchmark):
     """3-bit saturating counter suffices for a 10-phase DLL."""
     from repro.link import LockDetector
+    from repro.synchronizer.loop import LockVerdict
 
     def worst_case():
-        ld = LockDetector(LinkParams())
+        params = LinkParams()
+        ld = LockDetector(params)
         sweep = lock_sweep()
-        return sweep.max_coarse_corrections, ld.max_count, ld.bound
+        bound = LockVerdict.lock_test(params).bound
+        return sweep.max_coarse_corrections, ld.max_count, bound
 
     worst, sat, bound = benchmark.pedantic(worst_case, rounds=1,
                                            iterations=1)

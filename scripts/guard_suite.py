@@ -70,6 +70,13 @@ summary table (CI fails on any non-OK row).  Checks:
                      result fields differ, a stopped run that did not
                      end where the oracle's run was decided, or a lock
                      verdict that differs fails it, naming the run
+15. cone-shadow    — every probed transient of a one-fault-per-(block,
+                     kind) campaign and of two Monte-Carlo dies rerun on
+                     the whole netlist (``probes=None``) to full length
+                     (cone_shadow); probe waves more than 1e-12 V apart,
+                     a stop at a different sample or a different toggle
+                     verdict fails it, naming the run, and so does a
+                     run in which no transient was pruned
 
 Run locally: ``python scripts/guard_suite.py`` (from the repo root).
 Select a subset: ``python scripts/guard_suite.py mc-parity pattern-parity``.
@@ -326,6 +333,11 @@ def check_loop_shadow(tmp: str) -> str:
     return "loop runs and lock verdicts equal to the full-length oracle"
 
 
+def check_cone_shadow(tmp: str) -> str:
+    _script("cone_shadow.py", tmp)
+    return "probed transients agree with the whole netlist"
+
+
 def check_digital_golden(tmp: str) -> str:
     """The stuck-at and transition campaigns against their pin: the
     oracle (every procedure run to its end, whole responses compared)
@@ -457,6 +469,7 @@ CHECKS: List[Tuple[str, Callable[[str], str]]] = [
     ("newton-shadow", check_newton_shadow),
     ("digital-golden", check_digital_golden),
     ("loop-shadow", check_loop_shadow),
+    ("cone-shadow", check_cone_shadow),
 ]
 
 

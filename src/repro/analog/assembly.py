@@ -65,18 +65,6 @@ _STATIC_TYPES = (Resistor, VoltageControlledVoltageSource)
 _TWO_PHI_T = 2.0 * PHI_T
 
 
-def _vccs_entries(op: int, on: int, cp: int, cn: int, src: int):
-    """COO entries for a VCCS gm*V(cp,cn) flowing op -> on (-1 = ground)."""
-    for row, row_sign in ((op, 1.0), (on, -1.0)):
-        if row < 0:
-            continue
-        if cp >= 0:
-            yield row, cp, row_sign, src
-        if cn >= 0:
-            yield row, cn, -row_sign, src
-    return
-
-
 def _conductance_entries(p: int, n: int, src: int):
     """COO entries for a two-terminal conductance between p and n."""
     if p >= 0:
@@ -197,22 +185,25 @@ class CompiledAssembly:
         self._mos_sdgb = np.stack([term["s"], term["d"], term["g"],
                                    term["b"]])
 
-        entries = []
-        b_entries = []
-        for j in range(m):
-            d, g = int(term["d"][j]), int(term["g"][j])
-            s, b = int(term["s"][j]), int(term["b"][j])
-            entries.extend(_vccs_entries(d, s, g, b, j))          # gm
-            entries.extend(_vccs_entries(d, s, d, b, m + j))      # gds
-            entries.extend(_vccs_entries(d, s, s, b, 2 * m + j))  # gms
-            if d >= 0:
-                b_entries.append((d, 0, -1.0, j))
-            if s >= 0:
-                b_entries.append((s, 0, 1.0, j))
-        self._mos_A = _pack_matrix_entries(entries, self.n_total)
-        self._mos_brow = np.array([e[0] for e in b_entries], dtype=np.intp)
-        self._mos_bsign = np.array([e[2] for e in b_entries])
-        self._mos_bsrc = np.array([e[3] for e in b_entries], dtype=np.intp)
+        # each device's (gm, gds, gms) VCCS stamps d -> s, controlled by
+        # (g, d, s) against b: per device, 12 candidate entries in
+        # stamp order, the grounded ones masked out (row-major boolean
+        # indexing keeps device-major order, as np.add.at replays it)
+        d, g, s, b = (term[k] for k in ("d", "g", "s", "b"))
+        j = np.arange(m)
+        rows = np.stack([d, d, s, s] * 3, axis=1)
+        cols = np.stack([g, b, g, b, d, b, d, b, s, b, s, b], axis=1)
+        src = np.repeat(np.stack([j, m + j, 2 * m + j], axis=1), 4, axis=1)
+        sign = np.broadcast_to(np.tile([1.0, -1.0, -1.0, 1.0], 3), rows.shape)
+        keep = (rows >= 0) & (cols >= 0)
+        self._mos_A = ((rows * self.n_total + cols)[keep], sign[keep],
+                       src[keep]) if keep.any() else None
+        # residual currents: -i on the drain row, +i on the source row
+        rows = np.stack([d, s], axis=1)
+        keep = rows >= 0
+        self._mos_brow = rows[keep]
+        self._mos_bsign = np.broadcast_to([-1.0, 1.0], rows.shape)[keep]
+        self._mos_bsrc = np.stack([j, j], axis=1)[keep]
         self._mos_g = np.empty((3, m))   # the (gm, gds, gms) block
 
     def _read_mosfet_params(self) -> None:

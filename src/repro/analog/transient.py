@@ -13,18 +13,29 @@ step whose systems the ladder declares unsolvable raises
 :class:`UnsolvableError` when no halving level recovers it.  A caller
 whose answer is decided before *t_stop* passes a ``stop`` predicate and
 gets the samples up to the deciding step.
+
+A run given ``probes`` steps only the probes' cone of influence
+(:func:`probe_cone`): the elements whose stamps can move a probe's
+voltage, cloned into a smaller netlist.  The t = 0 operating point is
+still solved on the whole netlist and restricted to the cone by node and
+source name, so the first step starts from the whole netlist's bits; the
+probes then agree with the whole-netlist run (``probes=None``) to
+rounding, and a run whose cone is every element is that run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..core.profiling import COUNTERS
 from .assembly import get_compiled
 from .dc import VOLTAGE_TOL, dc_operating_point, newton
+from .devices import (Capacitor, Element, Switch,
+                      VoltageControlledVoltageSource, VoltageSource)
+from .mosfet import MOSFET
 from .netlist import Circuit, is_ground
 from .resilience import RUNG_UNSOLVABLE, SolveDiagnostics, UnsolvableError
 from .solver import build_index
@@ -67,6 +78,76 @@ class TransientResult:
         return float(self.v(node)[-1])
 
 
+def probe_cone(circuit: Circuit, probes: Sequence[str]) -> List[Element]:
+    """The elements whose stamps can move a probe's voltage, in netlist
+    order.
+
+    Influence follows the MNA stamps.  A MOSFET writes its drain and
+    source rows and reads all four terminals; a switch writes its two
+    rows and also reads its control.  A node pinned by a grounded
+    voltage source or VCVS takes influence only through that source
+    (plus, for a VCVS, its controls): the node's own row then only sets
+    the source's branch current, which no probe reads.  Every other
+    element, fallback elements included, couples all its terminals.
+    The cone is closed: every non-pinned node it reaches keeps every
+    element that writes its row, so its rows form a system of their own.
+    """
+    pins: Dict[str, List[Element]] = {}
+    writers: Dict[str, List[Element]] = {}
+    reads: Dict[str, tuple] = {}
+    for elem in circuit:
+        t = elem.terminals
+        if isinstance(elem, MOSFET):
+            rows, read = (t["d"], t["s"]), (t["d"], t["g"], t["s"], t["b"])
+        elif isinstance(elem, Switch):
+            rows, read = (t["p"], t["n"]), (t["p"], t["n"], t["ctrl"])
+        elif (isinstance(elem, (VoltageSource,
+                                VoltageControlledVoltageSource))
+              and is_ground(t["p"]) != is_ground(t["n"])):
+            node = t["n"] if is_ground(t["p"]) else t["p"]
+            pins.setdefault(node, []).append(elem)
+            reads[elem.name] = (node, t.get("cp", "0"), t.get("cn", "0"))
+            continue
+        else:
+            rows = read = tuple(t.values())
+        reads[elem.name] = read
+        for node in rows:
+            writers.setdefault(node, []).append(elem)
+
+    nodes, kept = set(), set()
+    todo = [p for p in probes if not is_ground(p)]
+    while todo:
+        node = todo.pop()
+        if node in nodes:
+            continue
+        nodes.add(node)
+        for elem in pins.get(node) or writers.get(node, ()):
+            if elem.name not in kept:
+                kept.add(elem.name)
+                todo.extend(n for n in reads[elem.name] if not is_ground(n))
+    return [elem for elem in circuit if elem.name in kept]
+
+
+def _restrict(circuit: Circuit, node_index: Dict[str, int],
+              cone: List[Element], x: np.ndarray):
+    """The netlist of *cone* (cloned elements) and the whole netlist's
+    solution *x* (indexed by *node_index*) mapped onto it by node and
+    source name: ``(sub, sub_index, n_total, x_sub)``."""
+    sub = Circuit(circuit.name)
+    for elem in cone:
+        sub.add(elem.clone())
+    sub_index, _, n_total = build_index(sub)
+    x_sub = np.zeros(n_total)
+    for node, i in sub_index.items():
+        x_sub[i] = x[node_index[node]]
+    for elem in sub:
+        if elem.num_aux:
+            base = circuit[elem.name].aux_base
+            x_sub[elem.aux_base:elem.aux_base + elem.num_aux] = \
+                x[base:base + elem.num_aux]
+    return sub, sub_index, n_total, x_sub
+
+
 def transient(circuit: Circuit, t_stop: float, dt: float,
               probes: Optional[Sequence[str]] = None,
               method: str = "be",
@@ -78,7 +159,8 @@ def transient(circuit: Circuit, t_stop: float, dt: float,
     Parameters
     ----------
     probes:
-        Node names to record; default records every node.
+        Node names to record; default records every node.  A probed
+        run steps only the probes' :func:`probe_cone`.
     method:
         ``'be'`` (robust default) or ``'trap'``.
     x0:
@@ -96,8 +178,11 @@ def transient(circuit: Circuit, t_stop: float, dt: float,
         x = op.x if op.x is not None and len(op.x) == n_total else np.zeros(n_total)
     else:
         x = x0.copy()
-
-    from .devices import Capacitor
+    if probes is not None:
+        cone = probe_cone(circuit, probes)
+        if len(cone) < len(circuit):
+            circuit, node_index, n_total, x = _restrict(
+                circuit, node_index, cone, x)
 
     caps = circuit.elements_of_type(Capacitor)
     for cap in caps:

@@ -676,6 +676,8 @@ _sample_size = _at_least(int, "sample", 0)
 _dies = _at_least(int, "dies", 1)
 _retries = _at_least(int, "retries", 0)
 _timeout = _at_least(float, "timeout", 0.0, strict=True)
+_sigma_vt = _at_least(float, "sigma-vt", 0.0)
+_sigma_kp = _at_least(float, "sigma-kp", 0.0)
 
 
 def _parse_ttl(text: str) -> float:
@@ -791,10 +793,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tiers", default="dc,scan,bist",
                    help="comma-separated ordered tier names "
                         "(default: dc,scan,bist)")
-    p.add_argument("--sigma-vt", type=float, default=5.0, metavar="MV",
+    p.add_argument("--sigma-vt", type=_sigma_vt, default=5.0, metavar="MV",
                    help="V_T sigma of the reference device [mV] "
                         "(default 5.0)")
-    p.add_argument("--sigma-kp", type=float, default=2.0, metavar="PCT",
+    p.add_argument("--sigma-kp", type=_sigma_kp, default=2.0, metavar="PCT",
                    help="relative KP sigma of the reference device [%%] "
                         "(default 2.0)")
     p.add_argument("--progress", action="store_true")
@@ -874,9 +876,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corner", default="TT",
                    choices=("TT", "SS", "FF", "SF", "FS"),
                    help="mc kind: global corner (default TT)")
-    p.add_argument("--sigma-vt", type=float, default=5.0, metavar="MV",
+    p.add_argument("--sigma-vt", type=_sigma_vt, default=5.0, metavar="MV",
                    help="mc kind: V_T sigma [mV] (default 5.0)")
-    p.add_argument("--sigma-kp", type=float, default=2.0, metavar="PCT",
+    p.add_argument("--sigma-kp", type=_sigma_kp, default=2.0, metavar="PCT",
                    help="mc kind: relative KP sigma [%%] (default 2.0)")
     p.add_argument("--strict-numerics", action="store_true",
                    help="escalate degraded solves to unsolvable "

@@ -98,6 +98,10 @@ class CampaignSpec:
             raise ValueError("mc spec needs dies >= 1")
         if self.sample is not None and self.sample < 0:
             raise ValueError("sample must be >= 0")
+        for name in ("sigma_vt_mv", "sigma_kp_pct"):
+            value = getattr(self, name)
+            if not value >= 0:  # NaN included
+                raise ValueError(f"{name} must be >= 0, got {value}")
         if self.kind == "patterns" and self.strict_numerics:
             raise ValueError("patterns spec does not support "
                              "strict_numerics")

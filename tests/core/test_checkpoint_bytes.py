@@ -163,14 +163,20 @@ class TestTruncateEveryByte:
 
     def test_fault_campaign_resumes_identically(self, fault_file,
                                                 tmp_path):
+        """Every cut resumes in-process; every record boundary and one
+        cut inside each record line resume with forked workers too."""
         written, uninterrupted = fault_file
         path = str(tmp_path / "cut.jsonl")
+        forked = {0} | {end for _, _, end in written.spans} | {
+            (start + end) // 2 for _, _, start, end in written.lines}
         for cut in range(len(written.data) + 1):
-            _write(path, written.data[:cut])
-            resumed = stub_campaign().run(UNIVERSE, checkpoint=path)
-            assert resumed.to_json() == uninterrupted, cut
-            with open(path, "rb") as fh:
-                assert fh.read() == written.data, cut
+            for workers in (1, 2) if cut in forked else (1,):
+                _write(path, written.data[:cut])
+                resumed = stub_campaign().run(UNIVERSE, checkpoint=path,
+                                              workers=workers)
+                assert resumed.to_json() == uninterrupted, (cut, workers)
+                with open(path, "rb") as fh:
+                    assert fh.read() == written.data, (cut, workers)
 
     def test_mc_checkpoint(self, mc_file, tmp_path):
         written, campaign = mc_file

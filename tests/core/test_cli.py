@@ -61,6 +61,36 @@ class TestParser:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["mc", "--dies", "2", "--sigma-vt", "-5"],
+         "sigma-vt must be >= 0, got -5.0"),
+        (["mc", "--dies", "2", "--sigma-kp", "-0.5"],
+         "sigma-kp must be >= 0, got -0.5"),
+        (["submit", "mc", "--sigma-vt", "-5"],
+         "sigma-vt must be >= 0, got -5.0"),
+        (["submit", "mc", "--sigma-kp", "nan"],
+         "sigma-kp must be >= 0, got nan"),
+    ])
+    def test_negative_mismatch_sigma_is_a_usage_error(self, argv, message,
+                                                      tmp_path, capsys):
+        """A negative sigma would mirror every draw: refused before
+        any die runs or any job is queued."""
+        root = str(tmp_path / "svc")
+        extra = ["--root", root] if argv[0] == "submit" else []
+        with pytest.raises(SystemExit) as exc:
+            main(argv + extra)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "svc").exists()
+
+    @pytest.mark.parametrize("command", [["mc"], ["submit", "mc"]])
+    def test_zero_mismatch_sigmas_parse(self, command):
+        args = build_parser().parse_args(
+            command + ["--sigma-vt", "0", "--sigma-kp", "0"])
+        assert (args.sigma_vt, args.sigma_kp) == (0.0, 0.0)
+
     @pytest.mark.parametrize("argv", [
         ["serve", "--timeout", "0.5", "--retries", "0",
          "--shard-retries", "0", "--retry-backoff", "0", "--poll", "0",

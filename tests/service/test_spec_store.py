@@ -152,6 +152,24 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="sample"):
             spec(sample=-1)
 
+    @pytest.mark.parametrize("field", ["sigma_vt_mv", "sigma_kp_pct"])
+    @pytest.mark.parametrize("value", [-5.0, -1e-9, float("nan")])
+    def test_rejects_a_negative_mismatch_sigma(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            spec(kind="mc", **{field: value})
+
+    @pytest.mark.parametrize("field", ["sigma_vt_mv", "sigma_kp_pct"])
+    def test_a_queue_file_cannot_carry_a_negative_sigma(self, field):
+        """A hand-written queue document goes through the same check
+        as the constructor."""
+        data = dict(spec(kind="mc").to_dict(), **{field: -5.0})
+        with pytest.raises(ValueError, match=field):
+            CampaignSpec.from_dict(data)
+
+    def test_accepts_zero_mismatch_sigmas(self):
+        s = spec(kind="mc", sigma_vt_mv=0.0, sigma_kp_pct=0.0)
+        assert CampaignSpec.from_dict(s.to_dict()) == s
+
 
 class TestDigest:
     def test_execution_knobs_do_not_change_digest(self):
