@@ -2,7 +2,10 @@
 """Newton-kernel shadow smoke: the oracle beside real campaign traffic.
 
 Runs the slow oracle of ``tests/analog/reference_newton.py`` beside
-every MNA assembly, linear solve and Newton loop of
+every MNA assembly (``CompiledAssembly.assemble``), every linear solve
+(each Newton iteration's rung 0, ``resilience.direct_solve``, or the
+``resilience.climb_ladder`` that follows its miss, and every
+``resilient_solve``) and every Newton loop (``dc.newton``) of
 
 * a fault campaign over one fault of every (block, kind) stratum of
   the paper's universe (dc, scan and bist tiers),

@@ -13,12 +13,10 @@ pair:
 * the **dynamic part** — MOSFET and switch linearisations, capacitor
   history currents, and (possibly waveform-driven) source values — is
   evaluated with vectorised NumPy expressions and scattered into the
-  matrix through precompiled flat COO index arrays via ``np.add.at``.
-
-Each Newton iteration's linear solve (:meth:`CompiledAssembly.solve_diag`)
-factors its matrix once with LAPACK ``getrf`` and keeps only that
-factorization, for the resilience ladder's refinement and the
-converged iterate's condition estimate.
+  matrix through precompiled flat COO index arrays via ``np.add.at``;
+  the right-hand side is one ``np.bincount`` over one precompiled row
+  list, whose per-solve terms (:meth:`CompiledAssembly.solve_invariants`)
+  are written once per Newton solve.
 
 Cache invalidation contract: a :class:`~repro.analog.netlist.Circuit`
 stores compiled plans keyed by its ``_revision`` counter, which
@@ -55,7 +53,7 @@ from .devices import (
     is_ground,
 )
 from .mosfet import MOSFET, PHI_T
-from .resilience import solve_step
+from .resilience import resilient_solve
 from .solver import DEFAULT_GMIN
 
 #: element classes whose stamps never depend on x, t, or xprev
@@ -108,9 +106,6 @@ class CompiledAssembly:
         self.dt = dt
         self.method = method
         self.gmin = gmin
-        #: rung 0's ``(lu, piv)`` of the newest :meth:`solve_diag` that
-        #: returned (None when its ``getrf`` raised)
-        self.factorization = None
         self.param_revision = getattr(circuit, "_param_revision", 0)
         self._compile()
         COUNTERS.compile_count += 1
@@ -168,10 +163,12 @@ class CompiledAssembly:
         self._compile_mosfets(mosfets)
         self._compile_switches(switches)
         self._compile_caps(caps if self.mode == "tran" else [])
+        self._compile_rhs()
 
     def _compile_mosfets(self, mosfets: List[MOSFET]) -> None:
         self._mosfets = mosfets
         self._mos_A = None
+        self._mos_brow = np.zeros(0, dtype=np.intp)
         m = len(mosfets)
         if not m:
             return
@@ -248,6 +245,7 @@ class CompiledAssembly:
 
     def _compile_caps(self, caps: List[Capacitor]) -> None:
         self._caps = caps
+        self._cap_brow = np.zeros(0, dtype=np.intp)
         if not caps:
             return
         factor = 2.0 if self.method == "trap" else 1.0
@@ -273,6 +271,33 @@ class CompiledAssembly:
         self._cap_bsign = np.array(sign)
         self._cap_bsrc = np.array(src, dtype=np.intp)
 
+    def _compile_rhs(self) -> None:
+        """One row list for ``b``, in the order ``b`` accumulates its
+        terms: the MOSFET residual rows, the capacitor companion rows,
+        the voltage-source aux rows, then per current source ``-i`` on
+        ``p`` and ``+i`` on ``n``.  ``np.bincount`` adds each row's
+        weights in array order starting from +0.0, so one call makes
+        the ``b`` those accumulations made one after another (and a
+        subtraction is the addition of the negated term)."""
+        rows, sign, src = [], [], []
+        for j, (_, p, n) in enumerate(self._isources):
+            if p >= 0:
+                rows.append(p)
+                sign.append(-1.0)
+                src.append(j)
+            if n >= 0:
+                rows.append(n)
+                sign.append(1.0)
+                src.append(j)
+        self._is_bsign = np.array(sign)
+        self._is_bsrc = np.array(src, dtype=np.intp)
+        self._n_mos_b = len(self._mos_brow)
+        rows = np.concatenate([self._mos_brow, self._cap_brow,
+                               self._vs_rows,
+                               np.array(rows, dtype=np.intp)])
+        # bincount of no rows at all returns integers: plain zeros then
+        self._b_rows = rows if len(rows) else None
+
     # ------------------------------------------------------------------
     def refresh_parameters(self) -> None:
         """Re-read tunable device parameters into the compiled arrays.
@@ -296,20 +321,19 @@ class CompiledAssembly:
 
     # ------------------------------------------------------------------
     def solve_invariants(self, time: float = 0.0,
-                         xprev: Optional[np.ndarray] = None):
-        """The right-hand-side terms a whole Newton solve keeps fixed.
+                         xprev: Optional[np.ndarray] = None) -> np.ndarray:
+        """The right-hand-side weights a whole Newton solve keeps fixed.
 
-        ``(values, companions)``: the voltage-source values at *time*,
-        and in transient mode the capacitors' signed companion currents
-        from the accepted step *xprev* (trapezoidal: plus each branch's
-        history, recorded on the capacitor here), or None where there
-        are none.  A Newton loop computes them once and hands them to
-        each :meth:`assemble` of the solve, which adds them to ``b`` in
-        the order it would have computed them in.
+        A weight vector over the row list of ``b``, its tail written
+        here: in transient mode the capacitors' signed companion
+        currents from the accepted step *xprev* (trapezoidal: plus each
+        branch's history, recorded on the capacitor here), the
+        voltage-source values at *time* and the signed current-source
+        values at *time*.  Each :meth:`assemble` of the solve writes the
+        MOSFET residual currents into its head.
         """
-        values = (np.array([e.value_at(time) for e in self._vsources])
-                  if self._vsources else None)
-        companions = None
+        weights = np.empty(0 if self._b_rows is None else len(self._b_rows))
+        k = self._n_mos_b
         if self.mode == "tran" and self._caps:
             xpp = self._xprev_pad
             xpp[:self.n_total] = xprev
@@ -321,8 +345,20 @@ class CompiledAssembly:
                     (c.history_current for c in caps), float, len(caps))
                 for c, g_used, i_used in zip(caps, self._cap_geq, ieq):
                     c.record_companion(g_used, i_used)
-            companions = self._cap_bsign * ieq[self._cap_bsrc]
-        return values, companions
+            end = k + len(self._cap_brow)
+            np.multiply(self._cap_bsign, ieq[self._cap_bsrc],
+                        out=weights[k:end])
+            k = end
+        if self._vsources:
+            end = k + len(self._vsources)
+            weights[k:end] = [e.value_at(time) for e in self._vsources]
+            k = end
+        if len(self._is_bsrc):
+            values = np.array([e.value_at(time) for e, _, _
+                               in self._isources], dtype=float)
+            np.multiply(self._is_bsign, values[self._is_bsrc],
+                        out=weights[k:])
+        return weights
 
     def assemble(self, x: np.ndarray, *, time: float = 0.0,
                  xprev: Optional[np.ndarray] = None, invariants=None
@@ -334,18 +370,15 @@ class CompiledAssembly:
         *xprev*, when the caller holds it; computed here otherwise.
         """
         COUNTERS.assemblies += 1
-        if invariants is None:
-            invariants = self.solve_invariants(time, xprev)
-        values, companions = invariants
+        weights = (self.solve_invariants(time, xprev) if invariants is None
+                   else invariants)
         n_total = self.n_total
         A = self._A_static.copy()
         xpad = self._xpad
         xpad[:n_total] = x  # xpad[-1] stays 0.0 so index -1 reads ground
 
         if self._mosfets:
-            b = self._stamp_mosfets(A, xpad)
-        else:
-            b = np.zeros(n_total)
+            self._stamp_mosfets(A, xpad, weights[:self._n_mos_b])
         if self._switches:
             flat, sign, src = self._sw_A
             arg = xpad[self._sw_ctrl] - self._sw_thr
@@ -354,16 +387,9 @@ class CompiledAssembly:
             g *= self._sw_gdiff
             g += self._sw_goff
             np.add.at(A.reshape(-1), flat, sign * g[src])
-        if companions is not None:
-            np.add.at(b, self._cap_brow, companions)
-        if values is not None:
-            b[self._vs_rows] += values
-        for elem, p, n in self._isources:
-            i = elem.value_at(time)
-            if p >= 0:
-                b[p] -= i
-            if n >= 0:
-                b[n] += i
+        rows = self._b_rows
+        b = (np.bincount(rows, weights=weights, minlength=n_total)
+             if rows is not None else np.zeros(n_total))
 
         if self._fallback:
             ctx = StampContext(A, b, x, self.node_index, self.mode,
@@ -374,9 +400,11 @@ class CompiledAssembly:
                 COUNTERS.fallback_elements += 1
         return A, b
 
-    def _stamp_mosfets(self, A: np.ndarray, xpad: np.ndarray) -> np.ndarray:
-        """Stamp every MOSFET's EKV linearisation into *A*; returns the
-        right-hand side holding their residual currents.
+    def _stamp_mosfets(self, A: np.ndarray, xpad: np.ndarray,
+                       out: np.ndarray) -> None:
+        """Stamp every MOSFET's EKV linearisation into *A* and write
+        their signed residual currents, one per row entry of ``b``'s
+        MOSFET head, into *out*.
 
         Each expression is the per-terminal EKV stamp's up to exact
         IEEE identities only (``a*b = b*a``, ``a+b = b+a``, in-place vs
@@ -429,24 +457,18 @@ class CompiledAssembly:
         i_res = i_core * clm                          # i_d
         i_res *= sign
         i_res -= i_lin
-        # b starts at zero, and bincount adds in index order like add.at
-        return np.bincount(self._mos_brow,
-                           weights=self._mos_bsign * i_res[self._mos_bsrc],
-                           minlength=self.n_total)
+        np.multiply(self._mos_bsign, i_res[self._mos_bsrc], out=out)
 
     # ------------------------------------------------------------------
     def solve_diag(self, A: np.ndarray, b: np.ndarray, *,
                    want_condition: bool = False):
-        """Solve one Newton iteration's system: ``(x, SolveDiagnostics)``.
+        """:func:`~repro.analog.resilience.resilient_solve` of *A*, *b*.
 
-        Counts one LU factorization, runs
-        :func:`~repro.analog.resilience.solve_step` and keeps its
-        factorization in :attr:`factorization`.
+        The Newton loop runs rung 0 and the ladder itself and does not
+        call this; it stays only because ``perfbench/layers.py`` wraps
+        it by name (ROADMAP item 7).
         """
-        COUNTERS.lu_factor += 1
-        x, diag, self.factorization = solve_step(
-            A, b, want_condition=want_condition)
-        return x, diag
+        return resilient_solve(A, b, want_condition=want_condition)
 
 
 #: compiled-plan cache bound for a single circuit (gmin stepping can

@@ -31,7 +31,10 @@ from .resilience import (
     RUNG_UNSOLVABLE,
     SolveDiagnostics,
     UnsolvableError,
+    climb_ladder,
     condition_estimate_1norm,
+    direct_solve,
+    get_policy,
     resilient_solve,
 )
 from .solver import DEFAULT_GMIN, SolverError, build_index, node_voltages
@@ -87,36 +90,48 @@ def newton(plan, x0: np.ndarray, *, tol: float, max_iter: int,
     """The engine's one damped-Newton loop, over the compiled *plan*.
 
     Each iteration assembles the system linearised at the iterate (with
-    the solve's invariants at *time* / *xprev*, computed once), solves
-    it through :meth:`~repro.analog.assembly.CompiledAssembly.solve_diag`
-    and moves the node rows by at most :data:`MAX_STEP` volts.  The loop
-    converges once a node step is below *tol*.
+    the solve's invariants at *time* / *xprev*, computed once), factors
+    and solves it once with rung 0 of the resilience ladder
+    (:func:`~repro.analog.resilience.direct_solve`, verified against the
+    active :class:`~repro.analog.resilience.NumericsPolicy`), climbs the
+    ladder (:func:`~repro.analog.resilience.climb_ladder`) only when
+    rung 0 misses, and moves the node rows by at most :data:`MAX_STEP`
+    volts.  The loop converges once a node step is below *tol*.
 
     Returns ``(x, converged, iterations, diagnostics)`` where
     ``diagnostics`` is the worst :class:`SolveDiagnostics` seen across
-    the run, with the condition of the converged iterate's matrix when
-    *want_condition* (estimated on that solve's factorization) — or the
-    failing diagnostics when the ladder declared an iteration
-    unsolvable.
+    the run, one record folded in place, with the condition of the
+    converged iterate's matrix when *want_condition* (estimated on that
+    iteration's factorization) — or the failing diagnostics when the
+    ladder declared an iteration unsolvable.
     """
     x = x0.copy()
     n_nodes = plan.n_nodes
     invariants = plan.solve_invariants(time, xprev)
+    policy = get_policy()
     agg: Optional[SolveDiagnostics] = None
     for it in range(1, max_iter + 1):
         COUNTERS.newton_iterations += 1
         A, b = plan.assemble(x, time=time, xprev=xprev,
                              invariants=invariants)
-        try:
-            x_new, diag = plan.solve_diag(A, b)
-        except UnsolvableError as exc:
-            return x, False, it, exc.diagnostics
-        except SolverError:
-            return x, False, it, agg
-        if agg is None:
-            agg = diag
+        COUNTERS.lu_factor += 1
+        x_new, res, lu_piv = direct_solve(A, b, policy)
+        if res is None:
+            try:
+                x_new, diag = climb_ladder(A, b, x_new, lu_piv, policy)
+            except UnsolvableError as exc:
+                return x, False, it, exc.diagnostics
+            except SolverError:
+                return x, False, it, agg
+            if agg is None:
+                agg = diag
+            else:
+                agg.absorb(diag)
+        elif agg is None:
+            agg = SolveDiagnostics(residual=res,
+                                   threshold=policy.residual_good)
         else:
-            agg.absorb(diag)
+            agg.absorb_residual(res)
         dx = x_new - x
         step = (float(np.maximum.reduce(np.abs(dx[:n_nodes])))
                 if n_nodes else 0.0)
@@ -126,8 +141,7 @@ def newton(plan, x0: np.ndarray, *, tol: float, max_iter: int,
             x = x_new
         if step < tol:
             if want_condition:
-                agg.condition = condition_estimate_1norm(
-                    A, plan.factorization)
+                agg.condition = condition_estimate_1norm(A, lu_piv)
             return x, True, it, agg
     return x, False, max_iter, agg
 

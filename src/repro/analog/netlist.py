@@ -48,6 +48,7 @@ class Circuit:
         self._revision = 0
         self._param_revision = 0
         self._compiled_cache: Dict = {}
+        self._cone_cache: Dict = {}
         #: :func:`repro.analog.solver.build_index`'s result for this
         #: structural revision (its only writer), None until a solve
         #: builds it; dropped by :meth:`touch` and on :meth:`clone`
@@ -75,6 +76,14 @@ class Circuit:
         the only writer.
         """
         return self._compiled_cache
+
+    @property
+    def cone_cache(self) -> Dict:
+        """Probe-cone netlists cut from this circuit, keyed by probes
+        and structural revision; dropped by :meth:`touch` and on
+        :meth:`clone`.  :func:`repro.analog.transient.transient` is the
+        only writer."""
+        return self._cone_cache
 
     # ------------------------------------------------------------------
     # element management
@@ -112,6 +121,7 @@ class Circuit:
         """
         self._revision += 1
         self._compiled_cache.clear()
+        self._cone_cache.clear()
         self.index = None
 
     def retune(self) -> None:
@@ -175,7 +185,7 @@ class Circuit:
         state.update(name=name or f"{self.name}_copy",
                      _elements={key: elem.clone()
                                 for key, elem in self._elements.items()},
-                     _compiled_cache={}, index=None)
+                     _compiled_cache={}, _cone_cache={}, index=None)
         dup = object.__new__(type(self))
         dup.__dict__.update(state)
         return dup

@@ -13,16 +13,17 @@ analysis:
   a solve: relative residual ``||Ax - b|| / ||b||`` (infinity norms),
   a 1-norm condition estimate, NaN/Inf detection, and which
   :data:`ladder <RUNG_SEVERITY>` rung produced the answer;
-* :func:`solve_step` — the engine's one linear solve, and the fallback
-  ladder.  Rung ``direct`` is one LAPACK ``getrf``/``getrs`` pair; on a
-  large residual the ladder climbs through ``refined`` (iterative
-  refinement replaying that factorization), ``equilibrated`` (row/column
-  scaling before a fresh factorization), and ``lstsq`` (an SVD
-  least-squares rescue that survives exact rank deficiency).  A system
-  no rung can solve raises :class:`UnsolvableError` — NaN/Inf is never
-  returned silently.  The Newton iterations call it through
-  ``CompiledAssembly.solve_diag``, which keeps its factorization;
-  :func:`resilient_solve` is the same step without it;
+* :func:`direct_solve` and :func:`climb_ladder` — the engine's one
+  linear solve, and the fallback ladder.  Rung ``direct`` is one LAPACK
+  ``getrf``/``getrs`` pair, verified inline; on a miss the ladder
+  climbs through ``refined`` (iterative refinement replaying that
+  factorization), ``equilibrated`` (row/column scaling before a fresh
+  factorization), and ``lstsq`` (an SVD least-squares rescue that
+  survives exact rank deficiency).  A system no rung can solve raises
+  :class:`UnsolvableError` — NaN/Inf is never returned silently.  The
+  Newton loop (:func:`repro.analog.dc.newton`) calls the two itself and
+  keeps rung 0's factorization; :func:`resilient_solve` is the same
+  pair for every other solve;
 * :class:`NumericsPolicy` / :func:`numerics_policy` — the thresholds,
   including ``strict`` mode (the ``--strict-numerics`` CLI flag) where
   any solve that is not verified good escalates to
@@ -53,8 +54,9 @@ __all__ = [
     "RUNG_DIRECT", "RUNG_REFINED", "RUNG_EQUILIBRATED", "RUNG_LSTSQ",
     "RUNG_UNSOLVABLE", "RUNG_SEVERITY",
     "NumericsPolicy", "SolveDiagnostics", "UnsolvableError",
-    "condition_estimate_1norm", "get_policy", "numerics_policy",
-    "relative_residual", "resilient_solve", "solve_step",
+    "climb_ladder", "condition_estimate_1norm", "direct_solve",
+    "get_policy", "numerics_policy", "relative_residual",
+    "resilient_solve",
 ]
 
 #: ladder rungs, in escalation order
@@ -209,6 +211,14 @@ class SolveDiagnostics:
         if not self.threshold < newer.threshold:
             self.threshold = newer.threshold
 
+    def absorb_residual(self, residual: float) -> None:
+        """:meth:`absorb` of a verified rung-0 solve of the same policy,
+        given only its *residual*: that record's other fields (no
+        condition, rung ``direct``, finite, no refinements, this
+        threshold) never win a field, so only the residual can move."""
+        if not self.residual > residual:
+            self.residual = residual
+
     def to_dict(self) -> Dict[str, object]:
         return {"residual": self.residual, "condition": self.condition,
                 "rung": self.rung, "non_finite": self.non_finite,
@@ -283,60 +293,74 @@ def resilient_solve(A: np.ndarray, b: np.ndarray, *,
                     want_condition: bool = False,
                     policy: Optional[NumericsPolicy] = None,
                     ) -> Tuple[np.ndarray, SolveDiagnostics]:
-    """Solve ``A @ x = b`` through the fallback ladder.
+    """Solve ``A @ x = b``: rung 0 (:func:`direct_solve`), then the
+    ladder (:func:`climb_ladder`) when it misses.
 
-    :func:`solve_step` without the factorization: returns the accepted
-    solution and its :class:`SolveDiagnostics`.
+    Returns the accepted solution and its :class:`SolveDiagnostics`;
+    the condition estimate, when asked for, reuses rung 0's
+    factorization.  Raises :class:`UnsolvableError` instead of ever
+    returning NaN/Inf or a residual above
+    ``policy.residual_unsolvable`` (or, under ``policy.strict``,
+    anything short of verified good).
     """
-    x, diag, _ = solve_step(A, b, want_condition=want_condition,
-                            policy=policy)
+    policy = policy or _POLICY
+    x, res, lu_piv = direct_solve(A, b, policy)
+    if res is None:
+        return climb_ladder(A, b, x, lu_piv, policy,
+                            want_condition=want_condition)
+    diag = SolveDiagnostics(residual=res, threshold=policy.residual_good)
+    if want_condition:
+        diag.condition = condition_estimate_1norm(A, lu_piv)
     return x, diag
 
 
-def solve_step(A: np.ndarray, b: np.ndarray, *,
-               want_condition: bool = False,
-               policy: Optional[NumericsPolicy] = None,
-               ) -> Tuple[np.ndarray, SolveDiagnostics,
-                          Optional[Factorization]]:
-    """The engine's one linear solve: factor, solve, verify or climb.
+def direct_solve(A: np.ndarray, b: np.ndarray, policy: NumericsPolicy
+                 ) -> Tuple[Optional[np.ndarray], Optional[float],
+                            Optional[Factorization]]:
+    """Rung 0 of every linear solve: one LAPACK ``getrf`` / ``getrs``
+    pair (:func:`~repro.analog.solver.factor` /
+    :func:`~repro.analog.solver.solve_factored`), verified inline.
 
-    Rung 0 is one LAPACK ``getrf`` / ``getrs`` pair
-    (:func:`~repro.analog.solver.factor` /
-    :func:`~repro.analog.solver.solve_factored`).  A finite rung-0
-    answer whose residual verifies returns at once; any other climbs
-    through ``refined`` (iterative refinement replaying rung 0's
-    factorization), ``equilibrated`` (row/column scaling before a
-    fresh factorization) and ``lstsq`` (an SVD least-squares rescue
-    that survives exact rank deficiency).  The condition estimate, when
-    asked for, reuses rung 0's factorization.
-
-    Returns ``(x, diagnostics, factorization)``, the last being rung
-    0's ``(lu, piv)`` or None when ``getrf`` raised.  Raises
-    :class:`UnsolvableError` instead of ever returning NaN/Inf or a
-    residual above ``policy.residual_unsolvable`` (or, under
-    ``policy.strict``, anything short of verified good).
+    Returns ``(x, residual, factorization)``.  ``residual`` is the
+    relative residual of a finite *x* that meets both thresholds of
+    *policy* (the solve is verified good and ends here), None
+    otherwise: the caller then hands *x* and the factorization to
+    :func:`climb_ladder` (both None when ``getrf`` raised, or for a
+    system of no unknowns, which LAPACK refuses and the ladder answers).
     """
-    policy = policy or _POLICY
+    if not len(b):
+        return None, None, None
+    try:
+        lu_piv = factor(A)
+        x = solve_factored(lu_piv, b)
+    except SolverError:
+        return None, None, None
+    if _finite(x):
+        res = relative_residual(A, b, x)
+        if res <= policy.residual_good and res <= policy.residual_unsolvable:
+            return x, res, lu_piv
+    return x, None, lu_piv
+
+
+def climb_ladder(A: np.ndarray, b: np.ndarray, x0: Optional[np.ndarray],
+                 lu_piv: Optional[Factorization], policy: NumericsPolicy,
+                 *, want_condition: bool = False
+                 ) -> Tuple[np.ndarray, SolveDiagnostics]:
+    """The ladder after rung 0 (:func:`direct_solve`) missed: its
+    answer *x0* and factorization *lu_piv* (None when ``getrf``
+    raised) climb through ``refined`` (iterative refinement replaying
+    that factorization), ``equilibrated`` (row/column scaling before a
+    fresh factorization) and ``lstsq`` (an SVD least-squares rescue
+    that survives exact rank deficiency).
+
+    Returns the best answer and its :class:`SolveDiagnostics`; raises
+    :class:`UnsolvableError` as :func:`resilient_solve` documents.
+    """
     good = policy.residual_good
     if A.shape[0] == 0:
         return (np.zeros(0, dtype=A.dtype),
                 SolveDiagnostics(residual=0.0, condition=1.0,
-                                 threshold=good), None)
-
-    # -- rung 0: one LU factorization ----------------------------------
-    try:
-        lu_piv = factor(A)
-        x0 = solve_factored(lu_piv, b)
-    except SolverError:
-        lu_piv = x0 = None
-    if _finite(x0):
-        res = relative_residual(A, b, x0)
-        if res <= good and res <= policy.residual_unsolvable:
-            diag = SolveDiagnostics(residual=res, threshold=good)
-            if want_condition:
-                diag.condition = condition_estimate_1norm(A, lu_piv)
-            return x0, diag, lu_piv
-
+                                 threshold=good))
     non_finite_seen = False
     best: Optional[Tuple[np.ndarray, float, str, int]] = None
 
@@ -425,7 +449,7 @@ def solve_step(A: np.ndarray, b: np.ndarray, *,
                 f"strict numerics: best solve (rung {rung!r}, residual "
                 f"{res:.2e}) is degraded, not verified good "
                 f"(threshold {good:g})", diagnostics=diag)
-    return x, diag, lu_piv
+    return x, diag
 
 
 def _equilibrated_solve(A: np.ndarray, b: np.ndarray,

@@ -20,7 +20,10 @@ voltage, cloned into a smaller netlist.  The t = 0 operating point is
 still solved on the whole netlist and restricted to the cone by node and
 source name, so the first step starts from the whole netlist's bits; the
 probes then agree with the whole-netlist run (``probes=None``) to
-rounding, and a run whose cone is every element is that run.
+rounding, and a run whose cone is every element is that run.  The cone's
+netlist is cut once per structural revision of the netlist and kept on
+it (``Circuit.cone_cache``); each run re-reads its elements' values, and
+a retune of the netlist retunes the cone's compiled plans.
 """
 
 from __future__ import annotations
@@ -128,24 +131,53 @@ def probe_cone(circuit: Circuit, probes: Sequence[str]) -> List[Element]:
     return [elem for elem in circuit if elem.name in kept]
 
 
-def _restrict(circuit: Circuit, node_index: Dict[str, int],
-              cone: List[Element], x: np.ndarray):
-    """The netlist of *cone* (cloned elements) and the whole netlist's
-    solution *x* (indexed by *node_index*) mapped onto it by node and
-    source name: ``(sub, sub_index, n_total, x_sub)``."""
-    sub = Circuit(circuit.name)
-    for elem in cone:
-        sub.add(elem.clone())
-    sub_index, _, n_total = build_index(sub)
-    x_sub = np.zeros(n_total)
-    for node, i in sub_index.items():
-        x_sub[i] = x[node_index[node]]
-    for elem in sub:
-        if elem.num_aux:
-            base = circuit[elem.name].aux_base
-            x_sub[elem.aux_base:elem.aux_base + elem.num_aux] = \
-                x[base:base + elem.num_aux]
-    return sub, sub_index, n_total, x_sub
+class _Cone:
+    """A probe cone's netlist: clones of the cone's elements in netlist
+    order, cut once from *circuit* (indexed by *node_index*), and the
+    map *take* from its unknowns to the whole netlist's (by node and
+    source name)."""
+
+    def __init__(self, circuit: Circuit, node_index: Dict[str, int],
+                 cone: List[Element]):
+        self.sub = Circuit(circuit.name)
+        self.pairs = [(elem, self.sub.add(elem.clone())) for elem in cone]
+        sub_index, _, n_total = build_index(self.sub)
+        take = np.empty(n_total, dtype=np.intp)
+        for node, i in sub_index.items():
+            take[i] = node_index[node]
+        for elem, dup in self.pairs:
+            if dup.num_aux:
+                take[dup.aux_base:dup.aux_base + dup.num_aux] = range(
+                    elem.aux_base, elem.aux_base + elem.num_aux)
+        self.take = take
+        self.param_revision = circuit.param_revision
+
+    def sync(self, circuit: Circuit) -> Circuit:
+        """The cone's netlist with every element's values (source levels
+        and waveforms, device parameters) re-read from *circuit*'s; a
+        retune of *circuit* since the last run retunes it too."""
+        for elem, dup in self.pairs:
+            terminals, aux_base = dup.terminals, dup.aux_base
+            dup.__dict__.update(elem.__dict__)
+            dup.terminals, dup.aux_base = terminals, aux_base
+        if self.param_revision != circuit.param_revision:
+            self.param_revision = circuit.param_revision
+            self.sub.retune()
+        return self.sub
+
+
+def _cone_of(circuit: Circuit, node_index: Dict[str, int],
+             probes: Sequence[str]) -> Optional[_Cone]:
+    """*circuit*'s cached :class:`_Cone` of *probes*, cut on the first
+    run of this structural revision; None when the cone is every
+    element."""
+    key = (circuit.revision, tuple(probes))
+    cache = circuit.cone_cache
+    if key not in cache:
+        cone = probe_cone(circuit, probes)
+        cache[key] = (_Cone(circuit, node_index, cone)
+                      if len(cone) < len(circuit) else None)
+    return cache[key]
 
 
 def transient(circuit: Circuit, t_stop: float, dt: float,
@@ -179,10 +211,11 @@ def transient(circuit: Circuit, t_stop: float, dt: float,
     else:
         x = x0.copy()
     if probes is not None:
-        cone = probe_cone(circuit, probes)
-        if len(cone) < len(circuit):
-            circuit, node_index, n_total, x = _restrict(
-                circuit, node_index, cone, x)
+        cone = _cone_of(circuit, node_index, probes)
+        if cone is not None:
+            x = x[cone.take]
+            circuit = cone.sync(circuit)
+            node_index, _, n_total = build_index(circuit)
 
     caps = circuit.elements_of_type(Capacitor)
     for cap in caps:
@@ -265,8 +298,10 @@ def transient(circuit: Circuit, t_stop: float, dt: float,
                     f"{len(HALVING_LEVELS)} dt halvings "
                     f"({unsolv_diag.summary()})", diagnostics=unsolv_diag)
             all_converged = False
-        if diag is not None:
-            run_diag = diag.worst(run_diag)
+        if run_diag is None:
+            run_diag = diag
+        elif diag is not None:
+            run_diag.absorb(diag)
         if trap:
             accept(x_new)
         x = x_new

@@ -27,7 +27,7 @@ from ..faults.model import StructuralFault
 from .duts import build_receiver_dut
 from .golden import GoldenSignatures
 from .registry import register_tier
-from .scan_test import link_static, run_link_static
+from .scan_test import link_static
 
 #: blocks whose faults the full-link netlist contains
 LINK_BLOCKS = ("tx", "termination")
@@ -69,9 +69,11 @@ class DCTest:
         programmed expectations); under an active die context the
         builders hand back variation-shifted netlists, so a die fails
         this screen exactly when mismatch pushes a DC observable past a
-        compare threshold — the DC tier's yield-loss contribution.
+        compare threshold — the DC tier's yield-loss contribution.  The
+        link observation is the healthy ``link_static`` stage, which the
+        scan screen shares.
         """
-        if run_link_static(self.goldens, None)[0] != self.goldens.dc_link:
+        if link_static(self.goldens, None)[0] != self.goldens.dc_link:
             return False
         dut = build_receiver_dut()
         dut.set_condition()
@@ -88,8 +90,7 @@ class DCTest:
         both tiers within a run).
         """
         if fault.block in LINK_BLOCKS:
-            dc_sig, _probe = link_static(self.goldens, fault)
-            return dc_sig != self.goldens.dc_link
+            return link_static(self.goldens, fault)[0] != self.goldens.dc_link
 
         if fault.block in RECEIVER_BLOCKS:
             observed = stage_result(self.goldens, "rx_dc", fault, ("R",),

@@ -16,10 +16,12 @@ campaign the tiers are constructed (and therefore the cache populated)
 without re-solving.
 
 Every reference is the *nominal* design's: a build runs with any
-active :class:`~repro.variation.context.DieContext` suspended, so a
-reference first read on a Monte-Carlo die never carries that die's
-mismatch.  That makes one cache valid for every campaign of a process
-(the service builds all its jobs' tiers over one).
+active :class:`~repro.variation.context.DieContext` and stage memo
+(:func:`repro.faults.collapse.stage_memo`) suspended, so a reference
+first read on a Monte-Carlo die never carries that die's mismatch or
+reads its stage results.  That makes one cache valid for every
+campaign of a process (the service builds all its jobs' tiers over
+one).
 
 Custom tiers can park their own build-once data in the same cache via
 :meth:`GoldenSignatures.get` with a namespaced key.
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Tuple
 
+from ..faults.collapse import no_stage_memo
 from ..variation.context import activated
 
 
@@ -47,13 +50,14 @@ class GoldenSignatures:
     def get(self, key: str, build: Callable[[], object]) -> object:
         """Memoized ``build()``: compute once per cache, reuse after.
 
-        ``build`` runs with any active die context suspended.
+        ``build`` runs with any active die context and stage memo
+        suspended.
         """
         return self._once(key, build)
 
     def _once(self, key: str, build: Callable[[], object]) -> object:
         if key not in self._store:
-            with activated(None):
+            with activated(None), no_stage_memo():
                 self._store[key] = build()
         return self._store[key]
 

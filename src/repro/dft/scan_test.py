@@ -28,7 +28,7 @@ import numpy as np
 
 from ..analog import dc_operating_point, transient
 from ..circuits.full_link import build_full_link
-from ..faults.collapse import stage_result
+from ..faults.collapse import stage_result, stored_stage_result
 from ..faults.inject import inject_fault
 from ..faults.model import StructuralFault
 from .duts import build_receiver_dut, build_toggle_dut
@@ -61,14 +61,18 @@ def _digitize(op, nodes, vdd=1.2) -> Tuple:
 
 
 def run_link_static(goldens: GoldenSignatures,
-                    fault: Optional[StructuralFault]) -> Tuple[Dict, Dict]:
+                    fault: Optional[StructuralFault]
+                    ) -> Tuple[Dict, Dict, np.ndarray]:
     """The link's static stage: both data values, one solve each.
 
     The DC tier's two-pattern link observation and the scan tier's
     probe-FF capture of the transmitter driver nodes drive identical
     source values on the same (optionally faulted) netlist, so one
     solve per data bit serves both.  Returns ``(dc_signature,
-    probe_capture)``.
+    probe_capture, x0)``, *x0* being the data = 0 solution vector: the
+    toggle bench is this netlist with clocks whose t = 0 values are
+    those of data = 0, so *x0* is the toggle transient's t = 0
+    operating point, bit for bit.
     """
     link = build_full_link()
     if fault is not None:
@@ -84,13 +88,15 @@ def run_link_static(goldens: GoldenSignatures,
         dc_sig[bit] = obs
         probe[bit] = (_digitize(op, ScanTest.PROBE_NODES, link.vdd)
                       if op.converged else ("no_convergence",))
-    return dc_sig, probe
+    return dc_sig, probe, op.x
 
 
 def link_static(goldens: GoldenSignatures,
-                fault: StructuralFault) -> Tuple[Dict, Dict]:
+                fault: Optional[StructuralFault]
+                ) -> Tuple[Dict, Dict, np.ndarray]:
     """:func:`run_link_static` through the run's stage memo, the one
-    lookup the DC and scan tiers share."""
+    lookup the DC and scan tiers (and their screens, with *fault*
+    None) share; the toggle test reads its start point from it."""
     return stage_result(goldens, "link_static", fault, ("L",),
                         lambda f: run_link_static(goldens, f))
 
@@ -148,7 +154,7 @@ class ScanTest:
         threshold the tester uses — the same compares ``detect`` runs,
         minus the fault injection.
         """
-        if run_link_static(self.goldens, None)[1] != self._golden_probe:
+        if link_static(self.goldens, None)[1] != self._golden_probe:
             return False
         if self._run_receiver(None) != self._golden_receiver:
             return False
@@ -160,8 +166,7 @@ class ScanTest:
             # pattern: a weakened driver that still reads correctly at
             # DC cannot deliver its capacitive kick, and the 100 MHz
             # window comparator sees the unbalanced bias glitch
-            _dc_sig, probe = link_static(self.goldens, fault)
-            if probe != self._golden_probe:
+            if link_static(self.goldens, fault)[1] != self._golden_probe:
                 return True
         if fault.block in ("tx", "termination"):
             excursion = stage_result(self.goldens, "toggle", fault, ("T",),
@@ -208,17 +213,25 @@ class ScanTest:
         whose excursion exceeds :data:`TOGGLE_THRESHOLD`: the peak is
         then over the threshold whatever the later samples read.
         ``full=True`` (the golden's own pass) integrates the whole run.
+        When the run's memo already holds the ``link_static`` stage
+        (a DC tier or a screen solved this link), the transient starts
+        from its data = 0 solve, the t = 0 operating point of the same
+        netlist; otherwise it solves that point itself, one solve where
+        the link stage would take two.
         """
         dut = build_toggle_dut()
         circuit = dut.circuit
         if fault is not None:
             circuit = inject_fault(circuit, fault,
                                    retention=self.goldens.retention_link)
+        link = stored_stage_result(self.goldens, "link_static", fault,
+                                   ("L",))
+        x0 = None if link is None else link[2]
         stop = None
         if not full:
             def stop(t, v):
                 return t > TOGGLE_MASK and abs(v[0] - v[1]) > TOGGLE_THRESHOLD
         tr = transient(circuit, 25e-9, 0.1e-9,
-                       probes=[dut.vcm_node, dut.ref_node], stop=stop)
+                       probes=[dut.vcm_node, dut.ref_node], x0=x0, stop=stop)
         mask = tr.time > TOGGLE_MASK
         return float(np.abs(tr.vdiff(dut.vcm_node, dut.ref_node))[mask].max())

@@ -220,10 +220,16 @@ class FaultCollapser:
         self._digests: Dict[Tuple, Tuple] = {}
 
     def _context(self, tag: str) -> Tuple:
-        """``(circuit, observed nodes, retention, incidence)``."""
+        """``(circuit, observed nodes, retention, incidence)``, built
+        from nominal netlists: any active die context is suspended, as
+        golden builds do, so a digest taken on a Monte-Carlo die never
+        touches that die's benches."""
         ctx = self._contexts.get(tag)
         if ctx is None:
-            circuit, observed, retention = self._build_context(tag)
+            from ..variation.context import activated
+
+            with activated(None):
+                circuit, observed, retention = self._build_context(tag)
             ctx = self._contexts[tag] = (circuit, observed, retention,
                                          build_incidence(circuit))
         return ctx
@@ -442,14 +448,20 @@ class StageMemo:
     to run a stage (its *representative*) supplies the result to every
     later one.
 
+    A fault of None stands for the fault-free netlist (a Monte-Carlo
+    die's healthy screens): its key is the stage and *extra* alone.
+
     Only a fault's outermost lookup counts: a fresh result ticks
     ``collapse_rep_evals``, a reused one ``class_hits``, and a lookup
     made while computing another stage (the thresholds and delays under
-    a lock verdict) ticks nothing.  ``classes`` counts the distinct
-    :meth:`FaultCollapser.class_key` values among the faults served.
-    With *trace* open each counted reuse is one ``stage_reused`` event,
-    written only by the process that opened the memo (never by a
-    forked worker that inherited it).
+    a lock verdict) or for the fault-free netlist ticks nothing.
+    ``classes`` counts the distinct :meth:`FaultCollapser.class_key`
+    values among the faults served.  With *trace* open each counted
+    reuse is one ``stage_reused`` event, written only by the process
+    that opened the memo (never by a forked worker that inherited it).
+    The digests come from one :class:`FaultCollapser` parked in the
+    golden cache: they are structural, so every memo over that cache
+    (every die of a Monte-Carlo campaign) shares them.
     """
 
     def __init__(self, trace=None):
@@ -460,19 +472,35 @@ class StageMemo:
         self._classes: Set[Tuple] = set()
         self._depth = 0
 
-    def result(self, goldens, stage: str, fault: StructuralFault,
-               tags: Sequence[str], run: Callable[[StructuralFault], Any],
+    def _key(self, goldens, stage: str, fault: Optional[StructuralFault],
+             tags: Sequence[str], extra: Any) -> Tuple:
+        if fault is None:
+            return (stage, None, extra)
+        if self._collapser is None:
+            self._collapser = goldens.get(
+                "faults.collapser", lambda: FaultCollapser(goldens))
+        return (stage,
+                tuple(self._collapser.digest(fault, t) for t in tags), extra)
+
+    def stored(self, goldens, stage: str, fault: Optional[StructuralFault],
+               tags: Sequence[str], extra: Any = None) -> Any:
+        """The result an equal-keyed lookup already stored, or None.
+        Runs nothing and counts nothing."""
+        hit = self._results.get(self._key(goldens, stage, fault, tags,
+                                          extra))
+        return None if hit is None else hit[0]
+
+    def result(self, goldens, stage: str,
+               fault: Optional[StructuralFault], tags: Sequence[str],
+               run: Callable[[Optional[StructuralFault]], Any],
                extra: Any = None) -> Any:
         """``run(fault)``, or the result an equal-keyed fault got.  A
         stage that raises stores nothing, so each fault with its key
         reproduces its own error."""
-        if self._collapser is None:
-            self._collapser = FaultCollapser(goldens=goldens)
-        collapser = self._collapser
-        key = (stage, tuple(collapser.digest(fault, t) for t in tags), extra)
-        outer = self._depth == 0
+        outer = self._depth == 0 and fault is not None
+        key = self._key(goldens, stage, fault, tags, extra)
         if outer:
-            cls = collapser.class_key(fault)
+            cls = self._collapser.class_key(fault)
             if cls not in self._classes:
                 self._classes.add(cls)
                 COUNTERS.classes += 1
@@ -502,11 +530,12 @@ _active: Optional[StageMemo] = None
 
 @contextmanager
 def stage_memo(trace=None) -> Iterator[StageMemo]:
-    """Activate a fresh :class:`StageMemo` for the duration of a run.
+    """Activate a fresh :class:`StageMemo` for the duration of a run
+    (a fault campaign's, or one Monte-Carlo die's).
 
     Forked workers inherit it and each fills its own copy.  Outside a
-    run none is active, so a direct ``detect`` call or a Monte-Carlo die
-    never sees another fault's (or die's) result.
+    run none is active, so a direct ``detect`` call never sees another
+    fault's result, and a die never sees another die's.
     """
     global _active
     outer, _active = _active, StageMemo(trace)
@@ -516,13 +545,39 @@ def stage_memo(trace=None) -> Iterator[StageMemo]:
         _active = outer
 
 
-def stage_result(goldens, stage: str, fault: StructuralFault,
-                 tags: Sequence[str], run: Callable[[StructuralFault], Any],
+@contextmanager
+def no_stage_memo() -> Iterator[None]:
+    """Suspend the active run's memo: a golden build solves nominal
+    netlists, so it neither reads nor fills a run's (or a die's)
+    results."""
+    global _active
+    outer, _active = _active, None
+    try:
+        yield
+    finally:
+        _active = outer
+
+
+def stored_stage_result(goldens, stage: str,
+                        fault: Optional[StructuralFault],
+                        tags: Sequence[str], extra: Any = None) -> Any:
+    """The result the active run's memo already holds for this key
+    (see :func:`stage_result`), or None when no run is active or no
+    equal-keyed lookup ran the stage yet (or it raised)."""
+    if _active is None:
+        return None
+    return _active.stored(goldens, stage, fault, tags, extra)
+
+
+def stage_result(goldens, stage: str, fault: Optional[StructuralFault],
+                 tags: Sequence[str],
+                 run: Callable[[Optional[StructuralFault]], Any],
                  extra: Any = None) -> Any:
     """``run(fault)`` through the active run's :class:`StageMemo`.
 
     *tags* name the contexts of the circuits the stage simulates (see
-    :meth:`FaultCollapser.digest`); *extra* is any other input it reads.
+    :meth:`FaultCollapser.digest`); *extra* is any other input it reads;
+    a *fault* of None is the fault-free netlist.
     """
     if _active is None:
         return run(fault)

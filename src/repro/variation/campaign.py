@@ -15,7 +15,10 @@ Each die evaluates as a pure function of ``(seed, die_index)``:
   of the same key;
 * the tier measurements start from cold solver state every time (the
   Newton iteration seeds from zeros, companion models reset per
-  transient, faults inject into clones).
+  transient, faults inject into clones), and the stage results the
+  tiers share (:func:`repro.faults.collapse.stage_memo`) live for one
+  die: its healthy screens solve the link once, its faulted DC and
+  scan tiers solve the faulted link once.
 
 Die independence is what lets :meth:`MonteCarloCampaign.run` run on the
 fault campaign's own run loop: supervised fork-parallel workers
@@ -40,6 +43,7 @@ from ..analog.resilience import numerics_policy
 from ..core.jsonl import JsonlCheckpoint
 from ..core.records import ARTIFACT_VERSION, ResultEnvelope, call_tier
 from ..core.supervisor import SUPERVISOR_TIER, RunTrace, run_checkpointed
+from ..faults.collapse import stage_memo
 from ..faults.model import StructuralFault
 from ..faults.sampling import SampledCoverage, pick_die_fault
 from .context import DieContext, activated
@@ -288,12 +292,16 @@ class MonteCarloCampaign:
         part) and the detection counts as *missed* (a broken test never
         inflates coverage), triaged by
         :func:`~repro.core.records.call_tier` as in the fault campaign.
+        The die runs under a fresh stage memo, so the tiers share its
+        stage results (the DC and scan screens' healthy link, the DC
+        and scan tiers' faulted one) and no other die's.
         """
         COUNTERS.mc_dies += 1
         fault = pick_die_fault(self.universe, self.seed, die_index)
         rec = DieRecord(die=die_index, fault=fault, healthy={}, detected={})
         with activated(self._ctx), \
-                numerics_policy(strict=self.strict_numerics):
+                numerics_policy(strict=self.strict_numerics), \
+                stage_memo():
             self._ctx.set_die(die_index)
             for tier in self._tiers:
                 screen = getattr(tier, "screen", None)

@@ -2,25 +2,30 @@
 
 The product's ``CompiledAssembly.assemble`` stamps the EKV MOSFETs on a
 restacked ``(3, m)`` block with in-place numpy calls, reads its switch
-values from precompiled arrays and takes the source values and
-capacitor companion currents once per Newton solve;
-``solve_diag`` runs one LAPACK ``getrf``/``getrs`` pair as rung 0 of the
-resilience ladder and verifies it inline; one damped-Newton loop
-(``dc.newton``) serves every DC solve and every transient step and
-folds each solve's diagnostics into one running record.  This module
-keeps the code all of that replaced: the per-terminal MOSFET stamp, the
-switch, capacitor and source stamps as they were, the scipy
-``lu_factor``/``lu_solve`` solver that factors every solve, the
-resilience ladder that always walks to its verdict, and the two Newton
-loops (DC and transient step) that build a new
-``SolveDiagnostics.worst`` record per solve.  The oracle reads every
-per-device value (EKV coefficients, switch thresholds and conductances,
-capacitor companions, source levels) from the elements themselves; it
-borrows only what a plan compiles once: the static template, the
-scatter index plans and the element classification.
+values from precompiled arrays, takes the source values and capacitor
+companion currents once per Newton solve and builds ``b`` with one
+``np.bincount``; one damped-Newton loop (``dc.newton``) serves every DC
+solve and every transient step, runs one LAPACK ``getrf``/``getrs``
+pair as rung 0 of the resilience ladder and verifies it itself
+(``resilience.direct_solve``), climbs the ladder
+(``resilience.climb_ladder``) only when rung 0 misses, and folds each
+solve's diagnostics into one running record.  This module keeps the
+code all of that replaced: the per-terminal MOSFET stamp, the switch,
+capacitor and source stamps accumulated into ``b`` one after another,
+the scipy ``lu_factor``/``lu_solve`` solver that factors every solve,
+the resilience ladder that always walks to its verdict (the original
+``CompiledAssembly.solve_diag``), and the two Newton loops (DC and
+transient step) that build a new ``SolveDiagnostics.worst`` record per
+solve.  The oracle reads every per-device value (EKV coefficients,
+switch thresholds and conductances, capacitor companions, source
+levels) from the elements themselves; it borrows only what a plan
+compiles once: the static template, the scatter index plans and the
+element classification.
 
-:class:`Shadow` runs the oracle beside every product ``assemble``,
-``solve_diag``, ``resilient_solve`` and ``newton`` call and requires
+:class:`Shadow` runs the oracle beside every product ``assemble``, every
+linear solve of a Newton loop (the rung-0 ``direct_solve`` that
+verifies, or the ``climb_ladder`` that follows a miss), every
+``resilient_solve`` and every ``newton`` call, and requires
 bitwise-equal ``A``, ``b``, ``x``, equal ``SolveDiagnostics`` fields
 and, for a raised ``SolverError``, the same type, message and
 diagnostics.  The Newton loop is checked by replay: the oracle loop of
@@ -702,7 +707,8 @@ class Shadow:
         self._solvers = weakref.WeakKeyDictionary()
         self._tape: Optional[Tape] = None
         assemble = CompiledAssembly.assemble
-        solve_diag = CompiledAssembly.solve_diag
+        direct_solve = _resilience.direct_solve
+        climb_ladder = _resilience.climb_ladder
         resilient_solve = _resilience.resilient_solve
         newton = _dc.newton
         shadow = self
@@ -734,20 +740,40 @@ class Shadow:
                     A.copy(), b.copy()))
             return A, b
 
-        def checked_solve_diag(plan, A, b, *, want_condition=False):
-            solver = shadow.solver_for(plan)
+        def loop_solve(where, product, A, b, want_condition=False):
+            """One Newton iteration's whole solve, product vs oracle,
+            recorded on the open tape."""
+            tape = shadow._tape
+            if tape is None or tape.plan is None:
+                shadow.fail(f"{where} outside a Newton loop")
+            solver = shadow.solver_for(tape.plan)
             outcome = shadow.compare(
-                f"solve_diag on {plan.circuit.name!r}",
-                lambda: solve_diag(plan, A, b,
-                                   want_condition=want_condition),
+                f"{where} on {tape.plan.circuit.name!r}", product,
                 lambda: reference_solve_diag(solver, A, b,
                                              want_condition=want_condition),
-                record=shadow._tape is not None)
-            if shadow._tape is not None:
-                shadow._tape.events.append(("solve", outcome[0]))
-            if isinstance(outcome[1], BaseException):
-                raise outcome[1]
+                record=True)
+            tape.events.append(("solve", outcome[0]))
             return outcome[1]
+
+        def checked_direct_solve(A, b, policy):
+            got = direct_solve(A, b, policy)
+            x, res, _ = got
+            if res is not None:
+                # verified: the iteration's solve ends at rung 0
+                loop_solve("rung 0", lambda: (x, SolveDiagnostics(
+                    residual=res, threshold=policy.residual_good)), A, b)
+            return got
+
+        def checked_climb_ladder(A, b, x0, lu_piv, policy, *,
+                                 want_condition=False):
+            result = loop_solve(
+                "ladder", lambda: climb_ladder(
+                    A, b, x0, lu_piv, policy,
+                    want_condition=want_condition),
+                A, b, want_condition)
+            if isinstance(result, BaseException):
+                raise result
+            return result
 
         def checked_resilient_solve(A, b, **kwargs):
             outcome = shadow.compare(
@@ -788,7 +814,9 @@ class Shadow:
             return got
 
         patch.setattr(CompiledAssembly, "assemble", checked_assemble)
-        patch.setattr(CompiledAssembly, "solve_diag", checked_solve_diag)
+        # the Newton loop's rung 0 and ladder, at the names it calls
+        patch.setattr(_dc, "direct_solve", checked_direct_solve)
+        patch.setattr(_dc, "climb_ladder", checked_climb_ladder)
         # dc's pseudo-transient rescue and the AC sweep
         for module in (_ac, _dc, _resilience):
             patch.setattr(module, "resilient_solve",

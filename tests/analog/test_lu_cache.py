@@ -1,31 +1,30 @@
 """LU accounting of the Newton solves: one factorization per iteration.
 
-No solve reuses a factorization: ``CompiledAssembly.solve_diag`` counts
-one ``lu_factor`` and factors its matrix, keeping only that
-factorization (one slot, for the ladder's refinement and the converged
-iterate's condition estimate), and ``lu_reuse`` never counts.  On a
-linear circuit, whose matrix never changes, every Newton iteration
-still factors once, and the condition estimate adds no ``getrf``.
+No solve reuses a factorization: each Newton iteration counts one
+``lu_factor`` and factors its matrix once in rung 0
+(``resilience.direct_solve``), keeping only that factorization (for the
+ladder's refinement and the converged iterate's condition estimate),
+and ``lu_reuse`` never counts.  On a linear circuit, whose matrix never
+changes, every Newton iteration still factors once, and the condition
+estimate adds no ``getrf``.
 """
 
 import numpy as np
 
-from repro.analog import (Circuit, get_compiled, step_waveform,
-                          transient)
+from repro.analog import (Circuit, dc_operating_point, get_policy,
+                          step_waveform, transient)
 from repro.analog import resilience
-from repro.analog.resilience import condition_estimate_1norm
-from repro.analog.solver import build_index, factor, solve_factored
+from repro.analog.resilience import condition_estimate_1norm, direct_solve
+from repro.analog.solver import factor, solve_factored
 from repro.core.profiling import COUNTERS
 
 
-def _plan():
-    """A DC plan to hand matrices to (solve_diag does not read its own
-    circuit)."""
+def _divider():
     c = Circuit("divider")
     c.add_vsource("a", "0", 1.0, name="V1")
-    c.add_resistor("a", "0", 1e3)
-    node_index, _, n_total = build_index(c)
-    return get_compiled(c, "dc", node_index=node_index, n_total=n_total)
+    c.add_resistor("a", "b", 1e3)
+    c.add_resistor("b", "0", 1e3)
+    return c
 
 
 def _rc_ladder(sections=8):
@@ -62,10 +61,9 @@ class TestLuReuseAccounting:
         assert COUNTERS.lu_reuse == 0
 
     def test_single_slot_hit_counts(self, monkeypatch):
-        """A hit on the plan's one slot is not a factorization: the
-        condition estimate asked of a solve, and one estimated later on
-        the kept factorization, run no ``getrf`` of their own, so
-        ``lu_factor`` counts the one solve and ``lu_reuse`` stays 0."""
+        """Rung 0's factorization serves the condition estimate: one
+        asked of a solve, and one estimated later on the factorization
+        ``direct_solve`` returned, run no ``getrf`` of their own."""
         getrf_calls = []
 
         def counted_factor(A):
@@ -74,55 +72,49 @@ class TestLuReuseAccounting:
 
         monkeypatch.setattr(resilience, "factor", counted_factor)
         A = np.array([[5.0, 1.0], [1.0, 4.0]])
-        plan = _plan()
-        COUNTERS.reset()
-        _, diag = plan.solve_diag(A.copy(), np.array([1.0, 0.0]),
-                                  want_condition=True)
-        assert COUNTERS.lu_factor == 1 and len(getrf_calls) == 1
-        cond = condition_estimate_1norm(A, plan.factorization)
+        b = np.array([1.0, 0.0])
+        _, diag = resilience.resilient_solve(A.copy(), b,
+                                             want_condition=True)
+        assert len(getrf_calls) == 1
+        _, res, lu_piv = direct_solve(A.copy(), b, get_policy())
+        assert res is not None and len(getrf_calls) == 2
+        cond = condition_estimate_1norm(A, lu_piv)
         assert cond == diag.condition and np.isfinite(cond)
-        assert COUNTERS.lu_factor == 1 and len(getrf_calls) == 1
-        assert COUNTERS.lu_reuse == 0
+        assert len(getrf_calls) == 2
 
     def test_single_slot_alternation_refactors(self):
-        """The plan keeps only the newest factorization: A-A-B-A-B-B
-        factors every solve, each answer is bitwise the one a fresh
-        factorization gives, and a repeated matrix gives the same bits
-        again."""
+        """Rung 0 factors every solve it is handed: A-A-B-A-B-B gives,
+        each time, bitwise the answer and factorization a fresh
+        ``getrf`` of that matrix gives."""
         A = np.array([[3.0, 1.0], [1.0, 3.0]])
         B = np.array([[7.0, 2.0], [2.0, 9.0]])
         b = np.array([1.0, 1.0])
-        plan = _plan()
-        COUNTERS.reset()
         for M in (A, A, B, A, B, B):
-            x, _ = plan.solve_diag(M.copy(), b)
+            x, res, lu_piv = direct_solve(M.copy(), b, get_policy())
+            assert res is not None
             assert x.tobytes() == solve_factored(factor(M), b).tobytes()
-            assert (plan.factorization[0].tobytes()
-                    == factor(M)[0].tobytes())
-        assert COUNTERS.lu_factor == 6
+            assert lu_piv[0].tobytes() == factor(M)[0].tobytes()
 
     def test_reuse_is_bit_identical(self):
-        """Replaying the kept factorization, as the refinement rung and
+        """Replaying rung 0's factorization, as the refinement rung and
         the condition estimate do, is bitwise the solve that made it and
         a fresh factorization of the same matrix."""
         rng = np.random.default_rng(3)
         A = rng.normal(size=(6, 6)) + 6 * np.eye(6)
         b = rng.normal(size=6)
-        plan = _plan()
-        fresh, _ = plan.solve_diag(A.copy(), b.copy())
-        replay = solve_factored(plan.factorization, b.copy())
+        fresh, _, lu_piv = direct_solve(A.copy(), b.copy(), get_policy())
+        replay = solve_factored(lu_piv, b.copy())
         assert fresh.tobytes() == replay.tobytes()
-        assert (condition_estimate_1norm(A, plan.factorization)
+        assert (condition_estimate_1norm(A, lu_piv)
                 == condition_estimate_1norm(A))
 
     def test_reuse_disabled_never_counts(self):
-        """No solve reuses a factorization: the counter stays 0 over
-        repeated solves of one matrix."""
-        A = np.array([[2.0, 0.0], [0.0, 2.0]])
-        b = np.array([1.0, 1.0])
-        plan = _plan()
+        """No solve reuses a factorization: over repeated DC solves of
+        one linear circuit ``lu_factor`` counts every Newton iteration
+        and ``lu_reuse`` stays 0."""
+        c = _divider()
         COUNTERS.reset()
-        plan.solve_diag(A.copy(), b)
-        plan.solve_diag(A.copy(), b)
-        assert COUNTERS.lu_factor == 2
+        dc_operating_point(c)
+        dc_operating_point(c)
+        assert COUNTERS.lu_factor == COUNTERS.newton_iterations >= 2
         assert COUNTERS.lu_reuse == 0

@@ -1,16 +1,19 @@
 """The Newton iterations of the compiled engine against their slow oracle.
 
 ``CompiledAssembly.assemble`` stamps the EKV MOSFETs on a restacked
-block, ``solve_diag`` factors once per iteration and verifies rung 0
-inline, and one Newton loop serves DC and every transient step, folding
-its diagnostics into one running record.  The code those replaced lives
-on in :mod:`reference_newton`, whose :class:`~reference_newton.Shadow`
-runs it beside every product ``assemble``, ``solve_diag``,
-``resilient_solve`` and ``newton`` call of a real analysis and requires
-bitwise-equal ``A``, ``b`` and ``x``, equal ``SolveDiagnostics`` fields
-and, for a raised ``SolverError``, the same type, message and
-diagnostics.  At teardown the product and oracle tallies must agree.  A
-rewrite that is not exact (``TestMutations``) fails the shadow.
+block and builds ``b`` with one ``np.bincount``, and one Newton loop
+serves DC and every transient step: it factors once per iteration,
+verifies rung 0 itself, climbs the ladder only when rung 0 misses and
+folds its diagnostics into one running record.  The code those replaced
+lives on in :mod:`reference_newton`, whose
+:class:`~reference_newton.Shadow` runs it beside every product
+``assemble``, Newton-loop solve (rung 0's ``direct_solve`` or the
+``climb_ladder`` after a miss), ``resilient_solve`` and ``newton`` call
+of a real analysis and requires bitwise-equal ``A``, ``b`` and ``x``,
+equal ``SolveDiagnostics`` fields and, for a raised ``SolverError``,
+the same type, message and diagnostics.  At teardown the product and
+oracle tallies must agree.  A rewrite that is not exact
+(``TestMutations``) fails the shadow.
 """
 
 import numpy as np
@@ -21,9 +24,11 @@ from reference_newton import Shadow, plain_lu
 from repro.analog import (Circuit, ac_analysis, dc_operating_point,
                           get_compiled, logspace_freqs, numerics_policy,
                           step_waveform, transient)
+from repro.analog import dc as _dc
 from repro.analog import resilience
 from repro.analog.assembly import CompiledAssembly
-from repro.analog.resilience import SolveDiagnostics, UnsolvableError
+from repro.analog.resilience import (RUNG_REFINED, SolveDiagnostics,
+                                     UnsolvableError)
 from repro.analog.solver import (SolverError, build_index, factor,
                                  solve_factored)
 from repro.circuits.full_link import build_full_link
@@ -203,7 +208,7 @@ class TestLadder:
             plain_lu(A, b)
         assert str(got.value) == str(want.value)
         with pytest.raises(UnsolvableError):
-            plan.solve_diag(A, b)
+            resilience.resilient_solve(A, b)
         assert shadow.raised == 1
 
     def test_singular_circuit(self, shadow):
@@ -267,6 +272,45 @@ class TestLadder:
         A[:, 0] = 0.0
         with pytest.raises(UnsolvableError):
             resilience.resilient_solve(A, b)
+
+
+# ----------------------------------------------------------------------
+# a loop that climbs, then verifies at rung 0
+# ----------------------------------------------------------------------
+def _stiff():
+    """1 mA into a node tied to ground only through a 1 mOhm resistor
+    and a diode-connected NMOS: from x = 0 the device is off, so the
+    first iteration's matrix is near singular and its rung-0 residual
+    misses; once the device conducts, every iteration verifies."""
+    c = Circuit("stiff")
+    c.add_isource("0", "a", 1e-3, name="I1")
+    c.add_resistor("a", "b", 1e-3)
+    c.add_nmos("b", "b", "0", w=1e-6, l=0.13e-6)
+    return c
+
+
+class TestMixedLoop:
+    def test_first_iteration_climbs_later_ones_hit(self, shadow,
+                                                   monkeypatch):
+        """The ladder's record of iteration 1 and the rung-0 residuals
+        of the later iterations fold into exactly the oracle's
+        aggregate (the shadow compares it at the loop's end)."""
+        misses = []
+        checked = _dc.direct_solve
+
+        def recorded(A, b, policy):
+            got = checked(A, b, policy)
+            misses.append(got[1] is None)
+            return got
+
+        monkeypatch.setattr(_dc, "direct_solve", recorded)
+        op = dc_operating_point(_stiff())
+        assert op.converged and op.strategy == "newton"
+        assert len(misses) == op.iterations > 2
+        assert misses[0] and not any(misses[1:])
+        assert op.diagnostics.rung == RUNG_REFINED
+        assert op.diagnostics.refinements > 0
+        assert shadow.loops == 1
 
 
 # ----------------------------------------------------------------------
@@ -355,24 +399,36 @@ def _absorb_newest_residual(absorb):
     return newest
 
 
+def _absorb_newest_rung0_residual(absorb_residual):
+    """The same for the residuals of iterations that verify at rung 0."""
+    def newest(agg, residual):
+        absorb_residual(agg, residual)
+        agg.residual = residual
+    return newest
+
+
 class TestMutations:
-    @pytest.mark.parametrize("owner, name, mutate, message", [
+    @pytest.mark.parametrize("owner, name, mutate, message, policy", [
         (CompiledAssembly, "_read_mosfet_params", _fold_beta_over_n,
-         "A differs"),
+         "A differs", {}),
         (CompiledAssembly, "_read_switch_params", _refactor_switch_gdiff,
-         "A differs"),
+         "A differs", {}),
         (CompiledAssembly, "solve_invariants", _invariants_kept_per_plan,
-         "b differs"),
+         "b differs", {}),
+        (SolveDiagnostics, "absorb_residual", _absorb_newest_rung0_residual,
+         "aggregated diagnostics", {}),
+        # every iteration climbs, so the ladder records fold by absorb
         (SolveDiagnostics, "absorb", _absorb_newest_residual,
-         "aggregated diagnostics"),
+         "aggregated diagnostics", {"residual_good": 0.0}),
     ], ids=["beta-over-n", "switch-gdiff", "stale-invariants",
-            "newest-residual"])
+            "newest-residual", "newest-ladder-residual"])
     def test_inexact_rewrite_fails(self, monkeypatch, owner, name, mutate,
-                                   message):
+                                   message, policy):
         monkeypatch.setattr(owner, name, mutate(getattr(owner, name)))
         shadow = Shadow(monkeypatch)
         dut = _receiver()
-        with pytest.raises(AssertionError, match=message):
+        with pytest.raises(AssertionError, match=message), \
+                numerics_policy(**policy):
             for condition in CONDITIONS:
                 dut.set_condition(**condition)
                 dut.solve()

@@ -199,3 +199,57 @@ def test_nothing_to_prune_is_bitwise_the_whole_run(name):
     assert np.array_equal(probed.time, whole.time)
     for p in probes:
         assert probed.v(p).tobytes() == whole.v(p).tobytes()
+
+
+# ----------------------------------------------------------------------
+# the cone's netlist, cut once per structural revision
+# ----------------------------------------------------------------------
+def _waves(tr, probes):
+    return [tr.v(p).tobytes() for p in probes]
+
+
+def _mosfet_run(circuit):
+    return transient(circuit, 2e-9, 20e-12, probes=["out"])
+
+
+def test_the_cone_is_cut_and_compiled_once_per_revision():
+    """A second probed run of one netlist reuses its cone's netlist and
+    plans (no compile) and is bitwise the first; a structural edit
+    cuts a new cone."""
+    c = mosfet_bulk()
+    with profiled() as counters:
+        first = _mosfet_run(c)
+        compiles = counters.compile_count
+    with profiled() as counters:
+        again = _mosfet_run(c)
+        assert counters.compile_count == 0
+    assert compiles > 1
+    assert _waves(again, ["out"]) == _waves(first, ["out"])
+    assert len(c.cone_cache) == 1
+    c.touch()
+    assert not c.cone_cache
+    assert _waves(_mosfet_run(c), ["out"]) == _waves(first, ["out"])
+
+
+def test_a_clone_does_not_inherit_the_cone():
+    c = mosfet_bulk()
+    _mosfet_run(c)
+    assert c.cone_cache and not c.clone().cone_cache
+
+
+def test_retunes_and_source_edits_reach_the_cached_cone():
+    """Device parameters changed through ``retune`` and a source's new
+    waveform reach the cached cone: each run is bitwise the run of a
+    fresh clone, whose cone is cut and compiled anew."""
+    c = mosfet_bulk()
+    _mosfet_run(c)
+    for step in range(3):
+        c["MPATH"].w *= 1.3
+        c.retune()
+        if step == 1:
+            c["VX"].waveform = step_waveform(0.1, 1.0, 0.5e-9)
+        with profiled() as counters:
+            cached = _mosfet_run(c)
+            assert counters.plan_retunes > 0
+        fresh = _mosfet_run(c.clone())
+        assert _waves(cached, ["out"]) == _waves(fresh, ["out"])

@@ -12,10 +12,10 @@ three-part contract:
   rescued — and then the diagnostics name the rung that saved it — or
   raises :class:`UnsolvableError`; NaN/Inf is **never** returned
   silently;
-* the legacy stamp-loop assembly solved by :func:`resilient_solve`
-  (the AC path) and the compiled fast path
-  (:meth:`CompiledAssembly.solve_diag`) report equivalent diagnostics
-  for the same system.
+* the legacy stamp-loop assembly and the compiled fast path
+  (:meth:`CompiledAssembly.assemble`), each solved by
+  :func:`resilient_solve`, report equivalent diagnostics for the same
+  system.
 """
 
 import math
@@ -295,7 +295,7 @@ class TestEngineEquivalence:
 
         x_legacy, d_legacy = resilient_solve(A_legacy, b_legacy,
                                              want_condition=True)
-        x_fast, d_fast = compiled.solve_diag(A, b, want_condition=True)
+        x_fast, d_fast = resilient_solve(A, b, want_condition=True)
 
         assert np.allclose(x_legacy, x_fast, rtol=1e-12, atol=1e-15)
         assert d_legacy.rung == d_fast.rung == RUNG_DIRECT

@@ -127,7 +127,9 @@ class TestCollapseFlag:
                 assert main(argv) == 0
             if workers == "1":
                 # the in-process run really went through the classes
-                assert (counters.class_hits > 0) == (command != "mc")
+                # (an mc die's own memo: its DC and scan tiers share
+                # the link stage)
+                assert counters.class_hits > 0
             out = [line for line in capsys.readouterr().out.splitlines()
                    if not line.startswith(("collapse:", "wrote "))]
             seen.append((out, export.read_bytes()

@@ -12,6 +12,7 @@ from repro.core.profiling import COUNTERS
 from repro.dft.golden import GoldenSignatures
 from repro.dft.registry import (create_tier, create_tiers, register_tier,
                                 unregister_tier)
+from repro.faults.collapse import stage_memo
 from repro.variation.context import DieContext, activated
 
 
@@ -62,6 +63,20 @@ def test_toggle_golden_first_read_on_a_die_stays_nominal():
     assert lazy == nominal
     # the die's mismatch does move the excursion: the context was live
     assert on_die != nominal
+
+
+def test_toggle_golden_first_read_under_a_die_memo_stays_nominal():
+    """A die's screens leave its own link stage in the die's memo; the
+    golden build suspends the memo, so it never starts from that die's
+    operating point."""
+    goldens = GoldenSignatures()
+    dc, scan = create_tiers(("dc", "scan"), goldens)
+    ctx = DieContext(seed=1)
+    with activated(ctx), stage_memo():
+        ctx.set_die(0)
+        dc.screen()
+        lazy = scan.golden["toggle"]
+    assert lazy == ref.run_toggle(scan, None)
 
 
 def test_references_built_on_a_die_are_nominal():

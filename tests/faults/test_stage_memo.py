@@ -3,9 +3,10 @@
 A campaign run activates a fresh :class:`~repro.faults.collapse.StageMemo`
 and each tier stage looks its result up there, keyed by the structural
 digest of the circuit it simulates.  Outside a run no memo is active,
-so a direct ``detect`` and a Monte-Carlo die simulate every stage.
-Pairs of faults below are chosen for equal digests, so a memo that
-leaked across runs, or outside one, would show as a reused result.
+so a direct ``detect`` simulates every stage; each Monte-Carlo die runs
+under a memo of its own.  Pairs of faults (and dies) below are chosen
+for equal digests, so a memo that leaked across runs or dies, or
+outside a run, would show as a reused result.
 """
 
 import pytest
@@ -88,14 +89,20 @@ class TestInactiveOutsideARun:
         assert counts["class_hits"] == 1
 
     def test_monte_carlo_dies_reuse_nothing(self):
-        """Dies 0 and 11 of seed 14 draw the same fault."""
+        """Dies 0 and 11 of seed 14 draw the same fault: each die's own
+        memo meets the fault's class and simulates its stages, so the
+        pair counts twice what die 0 alone counts."""
         from repro.variation import MonteCarloCampaign
 
         with profiled() as counters:
             result = MonteCarloCampaign(seed=14).run([0, 11], workers=1)
             counts = _counts(counters)
+        with profiled() as counters:
+            MonteCarloCampaign(seed=14).run([0], workers=1)
+            alone = _counts(counters)
         assert result.records[0].fault == result.records[1].fault
-        assert counts == dict.fromkeys(COUNTS, 0)
+        assert alone["classes"] == 1
+        assert counts == {name: 2 * n for name, n in alone.items()}
 
 
 class TestFreshMemoPerRun:

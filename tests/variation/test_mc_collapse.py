@@ -2,9 +2,11 @@
 
 Each die injects one fault, so the representative swap that
 ``collapse="on"`` once selected saved no simulation and is deleted:
-every run is what ``"off"`` was, in-process or forked.  What stays is
-the artifact contract — a config carries no collapse key, and one that
-an older run wrote with ``"collapse": "on"`` still loads.
+every run is what ``"off"`` was, in-process or forked.  A die shares
+stage results only between its own tiers, under a memo of its own.
+What stays is the artifact contract — a config carries no collapse
+key, and one that an older run wrote with ``"collapse": "on"`` still
+loads.
 """
 
 import json
@@ -17,15 +19,20 @@ from repro.variation.campaign import MCResult, MonteCarloCampaign
 DIES = 2
 
 
+def _formed(dies):
+    """The collapse counters an in-process run of *dies* leaves."""
+    with profiled() as counters:
+        result = MonteCarloCampaign(seed=2016).run(dies, workers=1)
+        formed = (counters.classes, counters.collapse_rep_evals,
+                  counters.class_hits)
+    return result, formed
+
+
 @pytest.fixture(scope="module")
 def in_process():
     """An in-process run (the path on which fault campaigns collapse)
     and the collapse counters it left."""
-    with profiled() as counters:
-        result = MonteCarloCampaign(seed=2016).run(DIES, workers=1)
-        formed = (counters.classes, counters.collapse_rep_evals,
-                  counters.class_hits)
-    return result, formed
+    return _formed(DIES)
 
 
 class TestMCCollapseParity:
@@ -46,10 +53,14 @@ class TestMCCollapseParity:
         assert back.to_json(indent=2) == result.to_json(indent=2)
 
     def test_off_builds_no_rep_map(self, in_process):
-        """No run builds a representative map: even in-process, no fault
-        class is formed and no representative simulated."""
+        """No run builds a representative map: even in-process, each
+        die forms only its own fault's class and reuses only its own
+        stages, so the run's counters are the sum of each die's run
+        alone."""
         _, formed = in_process
-        assert formed == (0, 0, 0)
+        alone = [_formed([die])[1] for die in range(DIES)]
+        assert formed == tuple(map(sum, zip(*alone)))
+        assert formed[0] == DIES
 
     def test_unknown_mode_rejected(self):
         """The campaign takes no collapse mode at all any more."""
