@@ -6,11 +6,12 @@ test signature on the transistor-level full link.
 
 from repro.analog import dc_operating_point
 from repro.circuits import build_full_link, measure_trip_offset
+from repro.dft.duts import run_link_static
 
 
 def characterise_link():
     link = build_full_link()
-    signatures = link.run_dc_test()
+    signatures = run_link_static(link)[0]
     link.apply_data(1)
     op = dc_operating_point(link.circuit)
     vcm = op.v(link.term.vcm)

@@ -12,11 +12,12 @@ summary table (CI fails on any non-OK row).  Checks:
 5. mc-parity       — Monte-Carlo export invariant across worker counts
 6. collapse-parity — an in-process ``repro campaign --sample 48
                      --workers 1`` (whose stages reuse results across
-                     the whole draw, class hits > 0 on its
-                     ``collapse:`` line) exports byte-identically to
-                     the same command with ``--workers 2`` (whose
-                     workers each reuse results only among the faults
-                     they evaluate)
+                     the whole draw; its ``collapse:`` line must read
+                     exactly 47 classes, 114 representative evals and
+                     15 class hits) exports byte-identically to the
+                     same command with ``--workers 2`` (whose workers
+                     each reuse results only among the faults they
+                     evaluate)
 7. pattern-parity  — coverage-vs-pattern JSON identical for
                      ``--workers 1`` and ``--workers 4``
 8. service-parity  — sharded service jobs (campaign, two mc seeds,
@@ -86,7 +87,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import subprocess
 import sys
 import tempfile
@@ -195,11 +195,19 @@ def check_mc_parity(tmp: str) -> str:
     return "byte-identical for --workers 1/2"
 
 
+#: the in-process run's counters on the collapse-parity draw (DESIGN.md
+#: §14): a bench, observed-node set or digest that drifts moves them,
+#: even where every verdict still agrees
+COLLAPSE_COUNTS = (
+    "collapse: 47 classes, 114 representative eval(s), 15 class hit(s)"
+)
+
+
 def check_collapse_parity(tmp: str) -> str:
     """An in-process run reuses stage results across the whole draw and
     a ``--workers 2`` run only within each worker's share of it: the
-    two exports must be byte-identical, and the in-process run must
-    have reused results (class hits > 0)."""
+    two exports must be byte-identical, and the in-process run's
+    ``collapse:`` line must read :data:`COLLAPSE_COUNTS`."""
     out = _repro_out(
         "campaign --sample 48 --seed 2016 --workers 1"
         " --export in-process.json",
@@ -217,10 +225,10 @@ def check_collapse_parity(tmp: str) -> str:
     line = next(
         (ln for ln in out.splitlines() if ln.startswith("collapse:")), ""
     )
-    hits = re.search(r"(\d+) class hit", line)
-    if hits is None or int(hits.group(1)) == 0:
+    if line.partition(" (")[0] != COLLAPSE_COUNTS:
         raise RuntimeError(
-            f"in-process run did not collapse: {line or 'no collapse line'}"
+            f"in-process collapse counts moved: "
+            f"{line or 'no collapse line'} (want {COLLAPSE_COUNTS})"
         )
     records = len(_load(tmp, "in-process.json")["records"])
     return f"{records} records byte-identical to --workers 2; {line}"

@@ -4,7 +4,8 @@ This is the circuit the paper's **DC test** runs on: the transmitter input
 is held at static logic 1 (then 0), and the receiver's offset comparators
 plus the bias window comparator are observed.  The builder returns every
 observable output node and the mission device inventory used by the fault
-campaign.
+campaign; the two-pattern solve itself is
+:func:`repro.dft.duts.run_link_static`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from ..analog import Capacitor, Circuit, OperatingPoint, dc_operating_point
+from ..analog import Capacitor, Circuit, OperatingPoint
 from ..analog.mosfet import MOSFET
 from ..channel import GLOBAL_MIN, RCLine, WireModel
 from ..variation.context import die_bench
@@ -62,22 +63,6 @@ class FullLinkPorts:
             "win_hi": bit(self.term.win_hi),
             "win_lo": bit(self.term.win_lo),
         }
-
-    def run_dc_test(self) -> Dict[str, object]:
-        """Both DC patterns (data=1, data=0); returns observables per bit.
-
-        Non-convergence is reported as an observable (``converged``): a
-        fault that makes the operating point unsolvable is detectable on
-        a tester as an out-of-range supply current / comparator flicker.
-        """
-        results = {}
-        for bit in (1, 0):
-            self.apply_data(bit)
-            op = dc_operating_point(self.circuit)
-            obs = self.observe(op) if op.converged else {}
-            obs["converged"] = op.converged
-            results[bit] = obs
-        return results
 
 
 @die_bench

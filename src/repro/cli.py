@@ -77,9 +77,9 @@ def cmd_lock(args) -> int:
 
 def cmd_dc(args) -> int:
     from .circuits import build_full_link
+    from .dft.duts import run_link_static
 
-    link = build_full_link()
-    res = link.run_dc_test()
+    res = run_link_static(build_full_link())[0]
     ok = True
     for bit in (1, 0):
         obs = res[bit]
@@ -673,6 +673,7 @@ def _at_least(kind, name: str, low, *, strict: bool = False):
 
 
 _sample_size = _at_least(int, "sample", 0)
+_workers = _at_least(int, "workers", 1)
 _dies = _at_least(int, "dies", 1)
 _retries = _at_least(int, "retries", 0)
 _timeout = _at_least(float, "timeout", 0.0, strict=True)
@@ -771,7 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated ordered tier names "
                         "(default: dc,scan,bist)")
     p.add_argument("--progress", action="store_true")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_workers, default=None,
                    help=_WORKERS_HELP.format(noun="fault"))
     p.add_argument("--export", default=None, metavar="PATH",
                    help="write the CampaignResult as JSON")
@@ -800,7 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="relative KP sigma of the reference device [%%] "
                         "(default 2.0)")
     p.add_argument("--progress", action="store_true")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_workers, default=None,
                    help=_WORKERS_HELP.format(noun="die"))
     p.add_argument("--export", default=None, metavar="PATH",
                    help="write the MCResult as JSON")
@@ -817,7 +818,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "prbs7,prbs15,scrambler,isi,aggressor)")
     p.add_argument("--sample", type=_sample_size, default=None,
                    help="deterministic fault-universe subsample size")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_workers, default=None,
                    help=_WORKERS_HELP.format(noun="fault"))
     p.add_argument("--no-ber-sweep", dest="ber_sweep",
                    action="store_false",
@@ -832,7 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=_sample_size, default=32,
                    help="stratified sample size (default 32; 0 = full)")
     p.add_argument("--seed", type=int, default=2016)
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_workers, default=None,
                    help=_WORKERS_HELP.format(noun="fault"))
     p.add_argument("--json", default=None, metavar="PATH",
                    help="also dump the timings/counters as JSON")
@@ -860,7 +861,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="campaign kind (matching the direct command of "
                         "the same name)")
     _add_service_root(p)
-    p.add_argument("--sample", type=int, default=None,
+    p.add_argument("--sample", type=_sample_size, default=None,
                    help="stratified (campaign) / deterministic "
                         "(patterns) sample size")
     p.add_argument("--seed", type=int, default=2016)
@@ -883,11 +884,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict-numerics", action="store_true",
                    help="escalate degraded solves to unsolvable "
                         "outcomes (part of the store key)")
-    p.add_argument("--shards", type=int, default=1,
+    p.add_argument("--shards", type=_at_least(int, "shards", 1),
+                   default=1,
                    help="independent shard jobs to split the campaign "
                         "into (execution-only: does not change the "
                         "artifact or the store key; default 1)")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_workers, default=None,
                    help="shard worker processes (execution-only; "
                         "default: the serve loop's setting)")
     p.set_defaults(func=cmd_submit)
@@ -900,7 +902,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poll", type=_at_least(float, "poll", 0.0),
                    default=0.2, metavar="S",
                    help="queue poll interval in seconds (default 0.2)")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_workers, default=None,
                    help="default shard worker processes for jobs that "
                         "do not set their own (default: 1)")
     p.add_argument("--timeout", type=_timeout, default=None, metavar="S",

@@ -33,11 +33,10 @@ from typing import Dict, Optional
 
 from ..faults.behavior_map import map_fault_to_knobs
 from ..faults.collapse import canon_knobs, stage_result
-from ..faults.inject import inject_fault
 from ..faults.model import StructuralFault
 from ..link.params import LinkParams
 from ..synchronizer.loop import LOCK_BUDGET_S, LockVerdict, SynchronizerLoop
-from .duts import build_receiver_dut, build_vcdl_dut
+from .duts import VCDL_CHAR_T_STEP, bench
 from .golden import GoldenSignatures
 from .registry import register_tier
 
@@ -50,27 +49,6 @@ LOCK_TEST_PHASE = 5
 LOCK_TEST_CYCLES = 7000
 #: the paper's lock-time budget [s]
 LOCK_BUDGET = LOCK_BUDGET_S
-#: step instant of the VCDL characterisation stimulus [s]
-VCDL_CHAR_T_STEP = 0.3e-9
-
-
-def vcdl_char_circuit(vctl: float):
-    """The healthy ad-hoc VCDL characterisation netlist at *vctl*: a
-    clock step into the line, the control voltage held by a source."""
-    from ..analog import Circuit, step_waveform
-    from ..circuits.vcdl import build_vcdl
-    from ..variation.context import tune_active
-
-    c = Circuit("vcdl_char")
-    c.add_vsource("vdd", "0", 1.2, name="VDD")
-    c.add_vsource("vctl", "0", vctl, name="VCTL")
-    vin = c.add_vsource("clk_in", "0", 0.0, name="VCLK")
-    vin.waveform = step_waveform(0.0, 1.2, VCDL_CHAR_T_STEP, t_rise=20e-12)
-    build_vcdl(c, "vcdl", "clk_in", "clk_out", "vctl")
-    # bypasses the wrapped builders, so apply the active die's
-    # mismatch explicitly
-    tune_active(c)
-    return c
 
 
 @register_tier("bist")
@@ -214,11 +192,7 @@ class BISTTest:
         whatever the later groups would read.  Calibration runs every
         group.
         """
-        dut = build_receiver_dut()
-        if fault is not None:
-            dut.circuit = inject_fault(
-                dut.circuit, fault,
-                retention=self.goldens.retention_receiver)
+        dut = bench("R", self.goldens, fault)
         out: Dict[str, object] = {}
 
         def decided(keys) -> bool:
@@ -284,20 +258,12 @@ class BISTTest:
 
     def _vcdl_alive(self, fault: Optional[StructuralFault]) -> bool:
         """Static aliveness: the line output must follow the input."""
-        dut = build_vcdl_dut()
-        if fault is not None:
-            dut.circuit = inject_fault(dut.circuit, fault,
-                                       retention=self.goldens.retention_vcdl)
+        dut = bench("V", self.goldens, fault)
         dut.set_input(0)
         lo = dut.observe()
         dut.set_input(1)
         hi = dut.observe()
         return lo == 0 and hi == 1
-
-    def _vcdl_char_circuit(self, fault: StructuralFault, vctl: float):
-        """Faulted ad-hoc characterisation netlist for one *vctl*."""
-        return inject_fault(vcdl_char_circuit(vctl), fault,
-                            retention=self.goldens.retention_vcdl)
 
     def _vcdl_delay_from(self, tr) -> float:
         """Propagation delay from a characterisation transient."""
@@ -318,7 +284,7 @@ class BISTTest:
 
         from ..analog import transient
 
-        faulted = self._vcdl_char_circuit(fault, vctl)
+        faulted = bench("C", self.goldens, fault, vctl).circuit
         t_step = VCDL_CHAR_T_STEP
         tr = transient(faulted, 1.6e-9, 2e-12, probes=["clk_out"],
                        stop=lambda t, v: t > t_step and v[0] > 0.6)
@@ -433,11 +399,7 @@ class BISTTest:
         loop capacitor) legitimately shift the measured thresholds —
         and are detected through them.
         """
-        dut = build_receiver_dut()
-        if fault is not None:
-            dut.circuit = inject_fault(
-                dut.circuit, fault,
-                retention=self.goldens.retention_receiver)
+        dut = bench("R", self.goldens, fault)
         hold = dut.circuit["VHOLD"]
 
         def win_bits(vc):

@@ -19,15 +19,13 @@ on a tester it shows as an out-of-spec supply current).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict
+from typing import ClassVar, Dict, Optional
 
 from ..faults.collapse import stage_result
-from ..faults.inject import inject_fault
 from ..faults.model import StructuralFault
-from .duts import build_receiver_dut
+from .duts import bench, link_static
 from .golden import GoldenSignatures
 from .registry import register_tier
-from .scan_test import link_static
 
 #: blocks whose faults the full-link netlist contains
 LINK_BLOCKS = ("tx", "termination")
@@ -73,14 +71,8 @@ class DCTest:
         link observation is the healthy ``link_static`` stage, which the
         scan screen shares.
         """
-        if link_static(self.goldens, None)[0] != self.goldens.dc_link:
-            return False
-        dut = build_receiver_dut()
-        dut.set_condition()
-        op = dut.solve()
-        if not op.converged:
-            return False
-        return dut.observe(op) == self.goldens.dc_receiver
+        return (link_static(self.goldens, None)[0] == self.goldens.dc_link
+                and self._observe_receiver(None) == self.goldens.dc_receiver)
 
     def detect(self, fault: StructuralFault) -> bool:
         """Run the DC tier against *fault*; True when detected.
@@ -99,10 +91,10 @@ class DCTest:
 
         return False
 
-    def _observe_receiver(self, fault: StructuralFault) -> Dict[str, int]:
-        """Quiescent receiver observation of the faulted bench."""
-        dut = build_receiver_dut()
-        dut.circuit = inject_fault(
-            dut.circuit, fault, retention=self.goldens.retention_receiver)
+    def _observe_receiver(self, fault: Optional[StructuralFault]
+                          ) -> Dict[str, int]:
+        """Quiescent receiver observation of the (faulted) bench; a
+        bench that does not converge reads ``converged`` 0."""
+        dut = bench("R", self.goldens, fault)
         dut.set_condition()
         return dut.observe(dut.solve())

@@ -1,32 +1,44 @@
-"""Device-under-test benches shared by the DC, scan, and BIST tiers.
+"""The device-under-test benches of the DC, scan, and BIST tiers.
 
-Three canonical netlists cover the whole analog fault universe:
+Five benches cover the whole analog fault universe, one
+:data:`BENCHES` entry each under the tag the stage memo
+(:func:`repro.faults.collapse.stage_result`) keys on:
 
-* :func:`build_full_link` (in ``repro.circuits``) — transmitter + wire +
-  termination; excited by the two static data patterns and by the probe
-  observation points.
-* :func:`build_receiver_dut` — charge pump + coarse-loop window
+* ``L`` :func:`build_full_link` (in ``repro.circuits``) — transmitter +
+  wire + termination; excited by the two static data patterns and read
+  by the line comparators and the probe flip-flops
+  (:func:`run_link_static`).
+* ``T`` :func:`build_toggle_dut` — the same link, data toggling at the
+  100 MHz scan frequency.
+* ``R`` :func:`build_receiver_dut` — charge pump + coarse-loop window
   comparator + CP-BIST comparator, with every control (UP/DN, strong
   pump, scan enable, window-input force, V_c hold) brought out as a
   source.  One netlist, many excitations: the quiet DC signature, the
   five scan conditions, and the BIST V_p/current checks all run here.
-* :func:`build_vcdl_dut` — the VCDL with a static input drive.
+* ``V`` :func:`build_vcdl_dut` — the VCDL with a static input drive.
+* ``C`` :func:`build_vcdl_char_dut` — the VCDL under a clock step, the
+  BIST lock test's delay characterisation.
 
-Device names are identical across all tests touching a block, so a
+Device names are identical across all benches touching a block, so a
 :class:`~repro.faults.model.StructuralFault` can be injected into any
-bench containing its device.
+bench containing its device; :func:`bench` is the one place that does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
-from ..analog import Circuit, OperatingPoint, dc_operating_point
+from ..analog import (Circuit, OperatingPoint, clock_waveform,
+                      dc_operating_point, step_waveform)
 from ..circuits.charge_pump import ChargePumpPorts, build_charge_pump
 from ..circuits.cp_bist_comparator import build_cp_bist_comparator
+from ..circuits.full_link import FullLinkPorts, build_full_link
 from ..circuits.vcdl import build_vcdl
 from ..circuits.window_comparator import build_window_comparator
+from ..faults.collapse import stage_result
+from ..faults.inject import inject_fault
+from ..faults.model import StructuralFault
 from ..variation.context import die_bench
 
 VDD = 1.2
@@ -166,10 +178,10 @@ def build_toggle_dut(toggle_freq: float = 100e6) -> ToggleDUT:
     cancels the kicks at the bias node; a transmission-gate open halves
     one arm's conductance and the bias node glitches by tens of mV on
     every edge — the dynamic mismatch of Section II-A.
-    """
-    from ..circuits.full_link import build_full_link
-    from ..analog import clock_waveform
 
+    The link comes from the die-bench builder, so the toggle bench
+    carries an active die's mismatch like every other bench.
+    """
     link = build_full_link(name="toggle_dut")
     c = link.circuit
     period = 1.0 / toggle_freq
@@ -201,12 +213,130 @@ class VCDLDUT:
         return 1 if op.v("clk_out") > VDD / 2 else 0
 
 
-@die_bench
-def build_vcdl_dut(vctl: float = 0.6) -> VCDLDUT:
-    """Assemble the standalone VCDL bench at control voltage *vctl*."""
-    c = Circuit("vcdl_dut")
+def _vcdl_dut(name: str, vctl: float) -> VCDLDUT:
+    c = Circuit(name)
     c.add_vsource("vdd", "0", VDD, name="VDD")
     c.add_vsource("vctl", "0", vctl, name="VCTL")
     c.add_vsource("clk_in", "0", 0.0, name="VCLK")
     ports = build_vcdl(c, "vcdl", "clk_in", "clk_out", "vctl")
     return VCDLDUT(circuit=c, ports=ports)
+
+
+@die_bench
+def build_vcdl_dut(vctl: float = 0.6) -> VCDLDUT:
+    """Assemble the standalone VCDL bench at control voltage *vctl*."""
+    return _vcdl_dut("vcdl_dut", vctl)
+
+
+#: step instant of the VCDL characterisation stimulus [s]
+VCDL_CHAR_T_STEP = 0.3e-9
+
+
+@die_bench
+def build_vcdl_char_dut(vctl: float = 0.6) -> VCDLDUT:
+    """The ad-hoc VCDL characterisation bench at *vctl*: a clock step
+    into the line, the control voltage held by a source."""
+    dut = _vcdl_dut("vcdl_char", vctl)
+    dut.circuit["VCLK"].waveform = step_waveform(
+        0.0, VDD, VCDL_CHAR_T_STEP, t_rise=20e-12)
+    return dut
+
+
+# ----------------------------------------------------------------------
+# the bench table
+# ----------------------------------------------------------------------
+#: probe-FF observation nodes in the full-link netlist
+PROBE_NODES = ("tx_p_drv", "tx_p_tap", "tx_n_drv", "tx_n_tap")
+
+
+@dataclass(frozen=True)
+class Bench:
+    """One bench: its builder, the healthy operating point a gate open
+    on it retains (a :class:`~repro.dft.golden.GoldenSignatures`
+    property) and the nodes its observations read."""
+
+    build: Callable[..., object]
+    retention: str
+    observed: FrozenSet[str]
+
+
+#: the bench behind each stage-memo tag
+BENCHES: Dict[str, Bench] = {
+    "L": Bench(build_full_link, "retention_link", frozenset(
+        PROBE_NODES + ("term_cmp_pos", "term_cmp_neg", "term_win_hi",
+                       "term_win_lo"))),
+    "T": Bench(build_toggle_dut, "retention_link",
+               frozenset(("term_vcm", "term_vcm_ref"))),
+    "R": Bench(build_receiver_dut, "retention_receiver",
+               frozenset(("win_hi", "win_lo", "bist_hi", "bist_lo"))),
+    "V": Bench(build_vcdl_dut, "retention_vcdl", frozenset(("clk_out",))),
+    "C": Bench(build_vcdl_char_dut, "retention_vcdl",
+               frozenset(("clk_out",))),
+}
+
+
+def bench(tag: str, goldens, fault: Optional[StructuralFault] = None,
+          *args):
+    """Bench *tag*, its builder called with *args*: under an active die
+    context, the die-tuned bench that context caches.
+
+    With a *fault*, a faulted clone of it in fresh ports instead, its
+    gate opens retaining *goldens*' healthy profile of the bench (a
+    healthy bench never reads *goldens*); the cached bench is never
+    rebound, so no clone reaches a later call.
+    """
+    entry = BENCHES[tag]
+    ports = entry.build(*args)
+    if fault is None:
+        return ports
+    return replace(ports, circuit=inject_fault(
+        ports.circuit, fault, retention=getattr(goldens, entry.retention)))
+
+
+# ----------------------------------------------------------------------
+# the link's static stage
+# ----------------------------------------------------------------------
+def digitize(op: OperatingPoint, nodes, vdd: float = VDD) -> Tuple:
+    """Logic levels of *nodes* at *op* (above half the supply = 1)."""
+    return tuple(1 if op.v(n) > vdd / 2 else 0 for n in nodes)
+
+
+def run_link_static(link: FullLinkPorts
+                    ) -> Tuple[Dict, Dict, Tuple[OperatingPoint, ...]]:
+    """Both static data values on *link*, one solve each.
+
+    The DC tier's two-pattern observation and the scan tier's probe-FF
+    capture of the transmitter driver nodes drive identical source
+    values on the same netlist, so one solve per data bit serves both.
+    Non-convergence is an observable (``converged``): on a tester it
+    shows as an out-of-range supply current.  Returns
+    ``(dc_signature, probe_capture, (op_1, op_0))``, the operating
+    points at data = 1 and data = 0.  The healthy link's data = 1 point
+    is its retention profile, and the data = 0 solution vector is the
+    toggle transient's t = 0 operating point, bit for bit: the toggle
+    bench is this netlist with clocks whose t = 0 values are those of
+    data = 0.
+    """
+    dc_sig: Dict = {}
+    probe: Dict = {}
+    ops = []
+    for bit in (1, 0):
+        link.apply_data(bit)
+        op = dc_operating_point(link.circuit)
+        obs = link.observe(op) if op.converged else {}
+        obs["converged"] = op.converged
+        dc_sig[bit] = obs
+        probe[bit] = (digitize(op, PROBE_NODES, link.vdd)
+                      if op.converged else ("no_convergence",))
+        ops.append(op)
+    return dc_sig, probe, tuple(ops)
+
+
+def link_static(goldens, fault: Optional[StructuralFault]
+                ) -> Tuple[Dict, Dict, Tuple[OperatingPoint, ...]]:
+    """:func:`run_link_static` on the (faulted) link bench through the
+    run's stage memo: the one lookup the DC and scan tiers (and their
+    screens, with *fault* None) share; the toggle test reads its start
+    point from it."""
+    return stage_result(goldens, "link_static", fault, ("L",),
+                        lambda f: run_link_static(bench("L", goldens, f)))

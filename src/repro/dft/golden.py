@@ -31,8 +31,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Tuple
 
+from ..analog import dc_operating_point
 from ..faults.collapse import no_stage_memo
 from ..variation.context import activated
+from .duts import bench, run_link_static
 
 
 class GoldenSignatures:
@@ -71,10 +73,15 @@ class GoldenSignatures:
         return self._once("link", _healthy_link)[0]
 
     @property
+    def probe_link(self) -> Dict:
+        """Probe-FF capture of the healthy full link, both data values."""
+        return self._once("link", _healthy_link)[1]
+
+    @property
     def retention_link(self) -> Dict[str, float]:
         """Healthy full-link operating point at data = 1 (the retention
         condition floating gates fall back to when opened)."""
-        return self._once("link", _healthy_link)[1]
+        return self._once("link", _healthy_link)[2]
 
     @property
     def dc_receiver(self) -> Dict:
@@ -93,31 +100,20 @@ class GoldenSignatures:
 
 
 # ----------------------------------------------------------------------
-def _healthy_link() -> Tuple[Dict, Dict[str, float]]:
-    from ..analog import dc_operating_point
-    from ..circuits.full_link import build_full_link
-
-    link = build_full_link()
-    dc = link.run_dc_test()
-    link.apply_data(1)
-    op = dc_operating_point(link.circuit)
-    return dc, dict(op.voltages)
+def _healthy_link() -> Tuple[Dict, Dict, Dict[str, float]]:
+    dc, probe, (op_1, _) = run_link_static(bench("L", None))
+    return dc, probe, dict(op_1.voltages)
 
 
 def _healthy_receiver() -> Tuple[Dict, Dict[str, float]]:
-    from .duts import build_receiver_dut
-
-    dut = build_receiver_dut()
+    dut = bench("R", None)
     dut.set_condition()
     op = dut.solve()
     return dut.observe(op), dict(op.voltages)
 
 
 def _healthy_vcdl() -> Dict[str, float]:
-    from ..analog import dc_operating_point
-    from .duts import build_vcdl_dut
-
-    dut = build_vcdl_dut()
+    dut = bench("V", None)
     dut.set_input(0)
     op = dc_operating_point(dut.circuit)
     return dict(op.voltages) if op.converged else {}

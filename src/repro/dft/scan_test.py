@@ -21,17 +21,15 @@ switch-matrix continuity) lives in :mod:`repro.dft.digital_scan`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import ClassVar, Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import ClassVar, Dict, Optional
 
 import numpy as np
 
-from ..analog import dc_operating_point, transient
-from ..circuits.full_link import build_full_link
+from ..analog import transient
 from ..faults.collapse import stage_result, stored_stage_result
-from ..faults.inject import inject_fault
 from ..faults.model import StructuralFault
-from .duts import build_receiver_dut, build_toggle_dut
+from .duts import bench, digitize, link_static
 from .golden import GoldenSignatures
 from .registry import register_tier
 
@@ -56,51 +54,6 @@ SCAN_CONDITIONS = (
 )
 
 
-def _digitize(op, nodes, vdd=1.2) -> Tuple:
-    return tuple(1 if op.v(n) > vdd / 2 else 0 for n in nodes)
-
-
-def run_link_static(goldens: GoldenSignatures,
-                    fault: Optional[StructuralFault]
-                    ) -> Tuple[Dict, Dict, np.ndarray]:
-    """The link's static stage: both data values, one solve each.
-
-    The DC tier's two-pattern link observation and the scan tier's
-    probe-FF capture of the transmitter driver nodes drive identical
-    source values on the same (optionally faulted) netlist, so one
-    solve per data bit serves both.  Returns ``(dc_signature,
-    probe_capture, x0)``, *x0* being the data = 0 solution vector: the
-    toggle bench is this netlist with clocks whose t = 0 values are
-    those of data = 0, so *x0* is the toggle transient's t = 0
-    operating point, bit for bit.
-    """
-    link = build_full_link()
-    if fault is not None:
-        link = replace(link, circuit=inject_fault(
-            link.circuit, fault, retention=goldens.retention_link))
-    dc_sig: Dict = {}
-    probe: Dict = {}
-    for bit in (1, 0):
-        link.apply_data(bit)
-        op = dc_operating_point(link.circuit)
-        obs = link.observe(op) if op.converged else {}
-        obs["converged"] = op.converged
-        dc_sig[bit] = obs
-        probe[bit] = (_digitize(op, ScanTest.PROBE_NODES, link.vdd)
-                      if op.converged else ("no_convergence",))
-    return dc_sig, probe, op.x
-
-
-def link_static(goldens: GoldenSignatures,
-                fault: Optional[StructuralFault]
-                ) -> Tuple[Dict, Dict, np.ndarray]:
-    """:func:`run_link_static` through the run's stage memo, the one
-    lookup the DC and scan tiers (and their screens, with *fault*
-    None) share; the toggle test reads its start point from it."""
-    return stage_result(goldens, "link_static", fault, ("L",),
-                        lambda f: run_link_static(goldens, f))
-
-
 @register_tier("scan")
 @dataclass
 class ScanTest:
@@ -112,19 +65,15 @@ class ScanTest:
 
     name: ClassVar[str] = "scan"
 
-    #: probe-FF observation nodes in the full-link netlist
-    PROBE_NODES = ("tx_p_drv", "tx_p_tap", "tx_n_drv", "tx_n_tap")
-
     def __post_init__(self):
         # retention references come from the shared cache (the DC tier's
         # healthy operating points); touch them here so they are built
-        # pre-fork even in campaigns without a DC tier
-        self.goldens.retention_link
+        # pre-fork even in campaigns without a DC tier.  The probe
+        # golden comes from the link's golden solve pair.
+        self._golden_probe = self.goldens.probe_link
         self.goldens.retention_receiver
         # the receiver stage stops at a decided verdict only once its
         # golden exists, so the golden build is a full pass
-        self._golden_probe = self.goldens.get(
-            "scan.probe", lambda: run_link_static(self.goldens, None)[1])
         self._golden_receiver = self.goldens.get(
             "scan.receiver", lambda: self._run_receiver(None))
 
@@ -187,11 +136,7 @@ class ScanTest:
         conditions would read.  Building the golden (no golden yet)
         runs every condition.
         """
-        dut = build_receiver_dut()
-        if fault is not None:
-            dut.circuit = inject_fault(
-                dut.circuit, fault,
-                retention=self.goldens.retention_receiver)
+        dut = bench("R", self.goldens, fault)
         golden = self._golden_receiver
         out = {}
         for label, kw in SCAN_CONDITIONS:
@@ -200,7 +145,7 @@ class ScanTest:
             if not op.converged:
                 out[label] = ("no_convergence",)
             else:
-                out[label] = _digitize(op, ("win_hi", "win_lo"))
+                out[label] = digitize(op, ("win_hi", "win_lo"))
             if golden and out[label] != golden[label]:
                 break
         return out
@@ -219,19 +164,15 @@ class ScanTest:
         netlist; otherwise it solves that point itself, one solve where
         the link stage would take two.
         """
-        dut = build_toggle_dut()
-        circuit = dut.circuit
-        if fault is not None:
-            circuit = inject_fault(circuit, fault,
-                                   retention=self.goldens.retention_link)
+        dut = bench("T", self.goldens, fault)
         link = stored_stage_result(self.goldens, "link_static", fault,
                                    ("L",))
-        x0 = None if link is None else link[2]
+        x0 = None if link is None else link[2][1].x
         stop = None
         if not full:
             def stop(t, v):
                 return t > TOGGLE_MASK and abs(v[0] - v[1]) > TOGGLE_THRESHOLD
-        tr = transient(circuit, 25e-9, 0.1e-9,
+        tr = transient(dut.circuit, 25e-9, 0.1e-9,
                        probes=[dut.vcm_node, dut.ref_node], x0=x0, stop=stop)
         mask = tr.time > TOGGLE_MASK
         return float(np.abs(tr.vdiff(dut.vcm_node, dut.ref_node))[mask].max())

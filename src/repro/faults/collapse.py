@@ -10,7 +10,7 @@ no-op.  This module maps each
 perturbation* its injection applies to the relevant golden circuit — a
 node-renaming-invariant digest of the added / rewired stamps restricted
 to the observation cone — and groups faults whose perturbations are
-identical per test tier.  During a campaign run
+identical on every bench their stages simulate.  During a campaign run
 (:meth:`repro.faults.campaign.FaultCampaign.run`) the tiers' stages
 look their results up in a per-run :class:`StageMemo` keyed by these
 digests, so a stage runs once per distinct perturbation and every
@@ -39,13 +39,11 @@ from ..analog.devices import Resistor, Switch, is_ground
 from ..analog.mosfet import MOSFET
 from ..core.profiling import COUNTERS
 from .behavior_map import map_fault_to_knobs
-from .inject import GATE_LEAK_DRIFT
+from .inject import SHORTED_TERMINALS, retained_gate_voltage
 from .model import FaultKind, R_SHORT, StructuralFault
 
-#: test tiers that consume structural signatures, in evaluation order
-SIGNATURE_TIERS = ("dc", "scan", "bist")
-
-#: context tags each block's faults digest under (see the report)
+#: the benches (:data:`repro.dft.duts.BENCHES` tags) each block's
+#: stages simulate, so its faults digest under
 BLOCK_TAGS = {
     "tx": ("L", "T"),
     "termination": ("L", "T"),
@@ -149,24 +147,6 @@ def chain_for(circuit, inc, observed, dev_name):
     return names, (_node_id(lo), _node_id(hi))
 
 
-def retention_v_keep(circuit, retention, fault) -> float:
-    """The voltage a gate-open retention source pins, replicating
-    :func:`repro.faults.inject.inject_fault`'s polarity-leak rule."""
-    elem = circuit[fault.device]
-    v_keep = 0.6
-    if retention:
-        vd = retention.get(elem.terminals["d"])
-        vs = retention.get(elem.terminals["s"])
-        if vd is not None and vs is not None:
-            v_keep = 0.5 * (vd + vs)
-        elif vd is not None:
-            v_keep = vd
-        elif vs is not None:
-            v_keep = vs
-    leak = -GATE_LEAK_DRIFT if elem.params.polarity == "n" else GATE_LEAK_DRIFT
-    return min(max(v_keep + leak, 0.0), 1.2)
-
-
 def canon_perturbation(circuit, inc, observed, retention, fault):
     """Canonical digest of the netlist change *fault* injects.
 
@@ -178,20 +158,15 @@ def canon_perturbation(circuit, inc, observed, retention, fault):
     * gate opens pin a retention voltage whose value is the whole
       observable effect, ``("gate_open", device, round(v_keep, 12))``;
     * anything unrecognised stays a singleton.
+
+    The bridged terminals and the retained voltage are the injector's
+    own (:data:`~repro.faults.inject.SHORTED_TERMINALS`,
+    :func:`~repro.faults.inject.retained_gate_voltage`).
     """
     elem = circuit[fault.device]
     k = fault.kind
-    if k == FaultKind.CAP_SHORT:
-        a, b = elem.terminals["p"], elem.terminals["n"]
-        if a == b or (is_ground(a) and is_ground(b)):
-            return ("null",)
-        return ("bridge", tuple(sorted((_node_id(a), _node_id(b)))), R_SHORT)
-    if k in (FaultKind.GATE_DRAIN_SHORT, FaultKind.GATE_SOURCE_SHORT,
-             FaultKind.DRAIN_SOURCE_SHORT):
-        pair = {FaultKind.GATE_DRAIN_SHORT: ("g", "d"),
-                FaultKind.GATE_SOURCE_SHORT: ("g", "s"),
-                FaultKind.DRAIN_SOURCE_SHORT: ("d", "s")}[k]
-        a, b = elem.terminals[pair[0]], elem.terminals[pair[1]]
+    if k in SHORTED_TERMINALS:
+        a, b = (elem.terminals[t] for t in SHORTED_TERMINALS[k])
         if a == b or (is_ground(a) and is_ground(b)):
             return ("null",)
         return ("bridge", tuple(sorted((_node_id(a), _node_id(b)))), R_SHORT)
@@ -200,16 +175,16 @@ def canon_perturbation(circuit, inc, observed, retention, fault):
         return ("cut", names, ends)
     if k == FaultKind.GATE_OPEN:
         return ("gate_open", fault.device,
-                round(retention_v_keep(circuit, retention, fault), 12))
+                round(retained_gate_voltage(elem, retention), 12))
     return ("unknown", fault.device, k.value)
 
 
 class FaultCollapser:
     """Digest faults against the golden DUT circuits and group them.
 
-    Each context is built from the cached benches (the same ones the
-    tiers use) the first time a digest needs it, so a run pays only for
-    the contexts its faults touch; a shared
+    Each context is a bench of :data:`repro.dft.duts.BENCHES`, built the
+    first time a digest needs it, so a run pays only for the contexts
+    its faults touch; a shared
     :class:`~repro.dft.golden.GoldenSignatures` may be passed so
     retention profiles are not re-solved.
     """
@@ -220,53 +195,28 @@ class FaultCollapser:
         self._digests: Dict[Tuple, Tuple] = {}
 
     def _context(self, tag: str) -> Tuple:
-        """``(circuit, observed nodes, retention, incidence)``, built
-        from nominal netlists: any active die context is suspended, as
+        """``(circuit, observed nodes, retention, incidence)`` of bench
+        *tag*, built nominal: any active die context is suspended, as
         golden builds do, so a digest taken on a Monte-Carlo die never
-        touches that die's benches."""
+        touches that die's benches.  Only source values differ between
+        builder arguments (the characterisation's lo/hi control points),
+        which a structural digest ignores, so each bench is built with
+        its builder's defaults."""
         ctx = self._contexts.get(tag)
         if ctx is None:
+            from ..dft.duts import BENCHES, bench
+            from ..dft.golden import GoldenSignatures
             from ..variation.context import activated
 
+            if self._goldens is None:
+                self._goldens = GoldenSignatures()
+            entry = BENCHES[tag]
             with activated(None):
-                circuit, observed, retention = self._build_context(tag)
-            ctx = self._contexts[tag] = (circuit, observed, retention,
+                circuit = bench(tag, self._goldens).circuit
+                retention = getattr(self._goldens, entry.retention)
+            ctx = self._contexts[tag] = (circuit, entry.observed, retention,
                                          build_incidence(circuit))
         return ctx
-
-    def _build_context(self, tag: str) -> Tuple:
-        from ..circuits.full_link import build_full_link
-        from ..dft.bist import vcdl_char_circuit
-        from ..dft.duts import (build_receiver_dut, build_toggle_dut,
-                                build_vcdl_dut)
-        from ..dft.golden import GoldenSignatures
-        from ..dft.scan_test import ScanTest
-        from ..link.params import LinkParams
-
-        goldens = self._goldens
-        if goldens is None:
-            goldens = self._goldens = GoldenSignatures()
-        if tag == "L":
-            link = build_full_link()
-            observed = set(ScanTest.PROBE_NODES) | {
-                link.term.cmp_pos_out, link.term.cmp_neg_out,
-                link.term.win_hi, link.term.win_lo}
-            return link.circuit, observed, goldens.retention_link
-        if tag == "T":
-            toggle = build_toggle_dut()
-            return (toggle.circuit, {toggle.vcm_node, toggle.ref_node},
-                    goldens.retention_link)
-        if tag == "R":
-            return (build_receiver_dut().circuit,
-                    {"win_hi", "win_lo", "bist_hi", "bist_lo"},
-                    goldens.retention_receiver)
-        if tag == "V":
-            return (build_vcdl_dut().circuit, {"clk_out"},
-                    goldens.retention_vcdl)
-        # only source values differ between the characterisation's
-        # lo/hi control points, which a structural digest ignores
-        return (vcdl_char_circuit(LinkParams().v_window_lo), {"clk_out"},
-                goldens.retention_vcdl)
 
     def digest(self, fault: StructuralFault, tag: str):
         """Canonical perturbation of *fault* in context *tag* (memoized):
@@ -288,47 +238,22 @@ class FaultCollapser:
             self._digests[key] = got
         return got
 
-    def tier_signature(self, fault: StructuralFault, tier: str):
-        """Equivalence signature of *fault* for *tier*, or ``None`` when
-        the pair is outside the collapser's knowledge (never collapsed).
-        """
-        b = fault.block
-        if tier == "dc":
-            if b in ("tx", "termination"):
-                return ("L", self.digest(fault, "L"))
-            if b in ("cp", "window_comp"):
-                return ("R", self.digest(fault, "R"))
-        elif tier == "scan":
-            if b == "tx":
-                return ("L", self.digest(fault, "L"),
-                        "T", self.digest(fault, "T"))
-            if b == "termination":
-                return ("T", self.digest(fault, "T"))
-            if b in ("cp", "window_comp"):
-                return ("R", self.digest(fault, "R"))
-        elif tier == "bist":
-            if b == "cp":
-                return ("R", self.digest(fault, "R"),
-                        canon_knobs(map_fault_to_knobs(fault)))
-            if b == "window_comp":
-                return ("R", self.digest(fault, "R"))
-            if b == "vcdl":
-                return ("V", self.digest(fault, "V"),
-                        "C", self.digest(fault, "C"))
-        return None
-
     def class_key(self, fault: StructuralFault):
-        """Fault-level equivalence class: block + every tier signature.
+        """Fault-level equivalence class: block + the digest of each
+        bench the block's stages simulate (:data:`BLOCK_TAGS`), and for
+        a charge-pump fault its knob set, through which alone it reaches
+        the lock test.
 
-        Faults no tier can sign stay singletons (keyed by identity)
-        rather than pooling into one catch-all class.
+        Faults of a block with no bench stay singletons (keyed by
+        identity) rather than pooling into one catch-all class.
         """
-        sigs = tuple((tier, sig) for tier in SIGNATURE_TIERS
-                     for sig in (self.tier_signature(fault, tier),)
-                     if sig is not None)
-        if not sigs:
+        tags = BLOCK_TAGS.get(fault.block)
+        if tags is None:
             return (fault.block, ("singleton", fault.key()))
-        return (fault.block, sigs)
+        key = (fault.block,) + tuple(self.digest(fault, t) for t in tags)
+        if fault.block == "cp":
+            key += (canon_knobs(map_fault_to_knobs(fault)),)
+        return key
 
     def classes(self, universe: Iterable[StructuralFault]):
         """class key -> members, in universe order."""

@@ -94,6 +94,8 @@ class CampaignSpec:
                              f"got {self.kind!r}")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError("workers must be >= 1")
         if self.kind == "mc" and self.dies < 1:
             raise ValueError("mc spec needs dies >= 1")
         if self.sample is not None and self.sample < 0:

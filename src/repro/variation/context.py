@@ -1,10 +1,9 @@
 """Active-die context: variation-aware bench building with plan reuse.
 
-The test tiers build their DUT netlists through a handful of builder
-functions (``build_full_link``, ``build_receiver_dut``,
-``build_vcdl_dut``).  To re-run a tier on a sampled die those builders
-must hand back *variation-shifted* circuits — without the tiers knowing
-anything about Monte-Carlo.  This module is that seam:
+The test tiers take every DUT netlist from the bench builders of
+:data:`repro.dft.duts.BENCHES`.  To re-run a tier on a sampled die those
+builders must hand back *variation-shifted* circuits — without the
+tiers knowing anything about Monte-Carlo.  This module is that seam:
 
 * builders are wrapped with :func:`die_bench`; with no active context
   the wrapper is a pass-through (zero behaviour change for every
@@ -54,7 +53,6 @@ class _Bench:
     """One cached DUT build plus its nominal-state snapshot."""
 
     ports: object
-    circuit: object
     mos_nominals: List[Tuple[MOSFET, MOSParams]]
     source_state: List[Tuple[object, str, float, Optional[Callable]]]
     tuned_for: Optional[int] = None
@@ -99,29 +97,16 @@ class DieContext:
         bench = self._benches.get(key)
         if bench is None:
             ports = builder()
-            circuit = ports.circuit
-            mos, sources = _snapshot(circuit)
-            bench = _Bench(ports=ports, circuit=circuit,
-                           mos_nominals=mos, source_state=sources)
+            mos, sources = _snapshot(ports.circuit)
+            bench = _Bench(ports=ports, mos_nominals=mos,
+                           source_state=sources)
             self._benches[key] = bench
         else:
             COUNTERS.mc_bench_reuse += 1
-        # tier code may rebind ports.circuit to a fault-injected clone
-        # (``dut.circuit = inject_fault(...)``); point it back at the
-        # cached netlist so the clone never leaks into the next call
-        if bench.ports.circuit is not bench.circuit:
-            bench.ports.circuit = bench.circuit
         if bench.tuned_for != self.die_index:
             self._tune(bench)
             bench.tuned_for = self.die_index
         return bench.ports
-
-    def tune_circuit(self, circuit) -> None:
-        """Apply the current die's transform to a fresh, uncached circuit."""
-        sample = self.sample()
-        for dev in circuit.elements_of_type(MOSFET):
-            dev.params = sample.params_for(dev)
-        circuit.retune()
 
     def _tune(self, bench: _Bench) -> None:
         sample = self.sample()
@@ -130,7 +115,7 @@ class DieContext:
         for elem, attr, value, waveform in bench.source_state:
             setattr(elem, attr, value)
             elem.waveform = waveform
-        bench.circuit.retune()
+        bench.ports.circuit.retune()
 
 
 # ----------------------------------------------------------------------
@@ -163,24 +148,14 @@ def active_context() -> Optional[DieContext]:
     return _ACTIVE
 
 
-def tune_active(circuit) -> None:
-    """Die-transform *circuit* in place when a context is active.
-
-    No-op otherwise — measurement code that assembles ad-hoc netlists
-    (rather than going through a wrapped builder) calls this so its
-    circuits carry the same die's mismatch as everything else.
-    """
-    if _ACTIVE is not None and _ACTIVE.die_index is not None:
-        _ACTIVE.tune_circuit(circuit)
-
-
 def die_bench(builder: Callable) -> Callable:
     """Wrap a DUT builder so campaigns reuse and re-tune its netlist.
 
     Without an active context the builder runs untouched.  With one,
-    calls are keyed by the builder identity plus its arguments; a key
-    that cannot be hashed falls back to a fresh build that is
-    die-transformed in place (correct, just uncached).
+    calls are keyed by the builder identity plus its (hashable)
+    arguments, and the built ports are the context's to keep: a caller
+    that needs a different netlist (a fault-injected clone) puts it in
+    ports of its own (:func:`repro.dft.duts.bench`).
     """
 
     @functools.wraps(builder)
@@ -190,12 +165,6 @@ def die_bench(builder: Callable) -> Callable:
             return builder(*args, **kwargs)
         key = (builder.__module__, builder.__qualname__,
                args, tuple(sorted(kwargs.items())))
-        try:
-            hash(key)
-        except TypeError:
-            ports = builder(*args, **kwargs)
-            ctx.tune_circuit(ports.circuit)
-            return ports
         return ctx.realize(key, lambda: builder(*args, **kwargs))
 
     return wrapper

@@ -26,9 +26,9 @@ from repro.analog.devices import is_ground
 from repro.analog.solver import build_index
 from repro.analog.transient import probe_cone
 from repro.circuits.full_link import build_full_link
-from repro.dft.bist import vcdl_char_circuit
 from repro.dft.coverage import build_fault_universe
-from repro.dft.duts import build_receiver_dut, build_toggle_dut, build_vcdl_dut
+from repro.dft.duts import (build_receiver_dut, build_toggle_dut,
+                             build_vcdl_char_dut, build_vcdl_dut)
 from repro.faults.inject import inject_fault
 
 
@@ -152,7 +152,7 @@ BENCHES = {
     "vcdl": lambda: build_vcdl_dut().circuit,
     "toggle": lambda: build_toggle_dut().circuit,
     "toggle_cone": toggle_cone,
-    "vcdl_char": lambda: vcdl_char_circuit(0.45),
+    "vcdl_char": lambda: build_vcdl_char_dut(0.45).circuit,
 }
 
 

@@ -33,7 +33,7 @@ from repro.analog.solver import (SolverError, build_index, factor,
                                  solve_factored)
 from repro.circuits.full_link import build_full_link
 from repro.core.profiling import COUNTERS
-from repro.dft.duts import build_receiver_dut, build_vcdl_dut
+from repro.dft.duts import build_receiver_dut, build_vcdl_dut, run_link_static
 from repro.faults.inject import inject_fault
 from repro.faults.model import FaultKind, StructuralFault
 from repro.analog.devices import Capacitor
@@ -107,8 +107,7 @@ class TestBenches:
         assert tr.converged
 
     def test_full_link_dc(self, shadow):
-        link = build_full_link()
-        assert link.run_dc_test() is not None
+        assert run_link_static(build_full_link()) is not None
 
     @pytest.mark.parametrize("method", ["be", "trap"])
     def test_full_link_tran(self, shadow, method):

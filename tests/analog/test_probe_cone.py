@@ -17,7 +17,7 @@ from repro.analog import Circuit, clock_waveform, step_waveform, transient
 from repro.analog.devices import Diode
 from repro.analog.transient import probe_cone
 from repro.core.profiling import profiled
-from repro.dft.bist import vcdl_char_circuit
+from repro.dft.duts import build_vcdl_char_dut
 
 #: how far a probed run's waves may sit from the whole-netlist run's [V]
 AGREE = 1e-12
@@ -178,8 +178,8 @@ def rc_ladder():
 
 
 UNPRUNED = {
-    "vcdl_char": (lambda: vcdl_char_circuit(0.45), ["clk_out"], 1.6e-9,
-                  2e-12, "be"),
+    "vcdl_char": (lambda: build_vcdl_char_dut(0.45).circuit, ["clk_out"],
+                  1.6e-9, 2e-12, "be"),
     "rc_ladder": (rc_ladder, ["n8"], 1e-9, 10e-12, "trap"),
 }
 

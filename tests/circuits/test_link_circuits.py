@@ -8,6 +8,7 @@ from repro.circuits import (
     build_termination,
     build_transmitter,
 )
+from repro.dft.duts import run_link_static
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +18,7 @@ def link():
 
 @pytest.fixture(scope="module")
 def golden(link):
-    res = link.run_dc_test()
+    res = run_link_static(link)[0]
     link.apply_data(1)  # restore a known state
     return res
 
@@ -84,7 +85,7 @@ class TestFaultResponses:
     def _run_with(self, mutate):
         link = build_full_link()
         mutate(link.circuit)
-        return link.run_dc_test()
+        return run_link_static(link)[0]
 
     def test_weak_driver_short_detected(self, golden):
         def f(c):

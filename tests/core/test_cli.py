@@ -51,6 +51,19 @@ class TestParser:
         (["serve", "--retry-backoff", "-1"],
          "retry-backoff must be >= 0, got -1.0"),
         (["serve", "--timeout", "soon"], "invalid float value: 'soon'"),
+        (["campaign", "--sample", "3", "--tiers", "dc", "--workers", "-2"],
+         "workers must be >= 1, got -2"),
+        (["campaign", "--workers", "0"], "workers must be >= 1, got 0"),
+        (["coverage", "--workers", "0"], "workers must be >= 1, got 0"),
+        (["mc", "--workers", "0"], "workers must be >= 1, got 0"),
+        (["patterns", "--workers", "0"], "workers must be >= 1, got 0"),
+        (["bench", "--workers", "0"], "workers must be >= 1, got 0"),
+        (["submit", "mc", "--workers", "0"], "workers must be >= 1, got 0"),
+        (["submit", "campaign", "--sample", "-1"],
+         "sample must be >= 0, got -1"),
+        (["submit", "campaign", "--shards", "0"],
+         "shards must be >= 1, got 0"),
+        (["serve", "--workers", "-1"], "workers must be >= 1, got -1"),
     ])
     def test_bad_supervision_value_is_a_usage_error(self, argv, message,
                                                     capsys):

@@ -26,18 +26,14 @@ import numpy as np
 
 from repro.analog import transient
 from repro.dft.bist import CURRENT_HI, CURRENT_LO
-from repro.dft.duts import build_receiver_dut, build_toggle_dut
-from repro.dft.scan_test import SCAN_CONDITIONS, _digitize
-from repro.faults.inject import inject_fault
+from repro.dft.duts import bench, digitize
+from repro.dft.scan_test import SCAN_CONDITIONS
 from repro.link.params import LinkParams
 
 
 def run_receiver(scan, fault) -> Dict:
     """Window-comparator captures across all five scan conditions."""
-    dut = build_receiver_dut()
-    if fault is not None:
-        dut.circuit = inject_fault(
-            dut.circuit, fault, retention=scan.goldens.retention_receiver)
+    dut = bench("R", scan.goldens, fault)
     out = {}
     for label, kw in SCAN_CONDITIONS:
         dut.set_condition(**kw)
@@ -45,19 +41,15 @@ def run_receiver(scan, fault) -> Dict:
         if not op.converged:
             out[label] = ("no_convergence",)
         else:
-            out[label] = _digitize(op, ("win_hi", "win_lo"))
+            out[label] = digitize(op, ("win_hi", "win_lo"))
     return out
 
 
 def toggle_transient(scan, fault):
     """The whole 25 ns toggle-bench transient and its two probe nodes."""
-    dut = build_toggle_dut()
-    circuit = dut.circuit
-    if fault is not None:
-        circuit = inject_fault(circuit, fault,
-                               retention=scan.goldens.retention_link)
+    dut = bench("T", scan.goldens, fault)
     probes = [dut.vcm_node, dut.ref_node]
-    return transient(circuit, 25e-9, 0.1e-9, probes=probes), probes
+    return transient(dut.circuit, 25e-9, 0.1e-9, probes=probes), probes
 
 
 def run_toggle(scan, fault) -> float:
@@ -69,10 +61,7 @@ def run_toggle(scan, fault) -> float:
 
 def run_receiver_checks(bist, fault) -> Dict:
     """V_p tracking, slew screens and every pump-current window."""
-    dut = build_receiver_dut()
-    if fault is not None:
-        dut.circuit = inject_fault(
-            dut.circuit, fault, retention=bist.goldens.retention_receiver)
+    dut = bench("R", bist.goldens, fault)
     out: Dict[str, object] = {}
     dut.set_condition(hold=True)
     op = dut.solve()
@@ -104,7 +93,7 @@ def run_receiver_checks(bist, fault) -> Dict:
 
 def vcdl_transient(bist, fault, vctl: float):
     """The whole 1.6 ns VCDL characterisation transient."""
-    faulted = bist._vcdl_char_circuit(fault, vctl)
+    faulted = bench("C", bist.goldens, fault, vctl).circuit
     return transient(faulted, 1.6e-9, 2e-12, probes=["clk_out"])
 
 
@@ -123,10 +112,7 @@ def measure_vcdl_delays(bist, fault):
 def measure_window_thresholds(bist, fault):
     """Window-comparator trip points, each bisection bracket's two
     ends solved on their own (the shared 0.6 V bound twice)."""
-    dut = build_receiver_dut()
-    if fault is not None:
-        dut.circuit = inject_fault(
-            dut.circuit, fault, retention=bist.goldens.retention_receiver)
+    dut = bench("R", bist.goldens, fault)
     hold = dut.circuit["VHOLD"]
 
     def win_bits(vc):

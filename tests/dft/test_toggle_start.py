@@ -20,13 +20,11 @@ import pytest
 from repro.analog import dc_operating_point
 from repro.analog.resilience import UnsolvableError
 from repro.analog.solver import build_index
-from repro.dft import scan_test
+from repro.dft import duts
 from repro.dft.coverage import build_fault_universe
-from repro.dft.duts import build_toggle_dut
 from repro.dft.golden import GoldenSignatures
 from repro.dft.registry import create_tiers
 from repro.faults.collapse import stage_memo
-from repro.faults.inject import inject_fault
 from repro.faults.sampling import pick_die_fault
 from repro.variation.context import DieContext, activated
 
@@ -40,11 +38,13 @@ def goldens():
 
 
 def _toggle_operating_point(goldens, fault):
-    circuit = build_toggle_dut().circuit
-    if fault is not None:
-        circuit = inject_fault(circuit, fault,
-                               retention=goldens.retention_link)
+    circuit = duts.bench("T", goldens, fault).circuit
     return circuit, dc_operating_point(circuit).x
+
+
+def _link_bit0_solve(goldens, fault):
+    link = duts.bench("L", goldens, fault)
+    return link.circuit, duts.run_link_static(link)[2][1].x
 
 
 def test_link_bit0_solve_is_the_toggle_operating_point(goldens):
@@ -53,11 +53,7 @@ def test_link_bit0_solve_is_the_toggle_operating_point(goldens):
     assert len(faults) == 100
     for fault in [None] + faults:
         circuit, want = _toggle_operating_point(goldens, fault)
-        got = scan_test.run_link_static(goldens, fault)[2]
-        link = scan_test.build_full_link().circuit
-        if fault is not None:
-            link = inject_fault(link, fault,
-                                retention=goldens.retention_link)
+        link, got = _link_bit0_solve(goldens, fault)
         assert build_index(link) == build_index(circuit), fault
         assert got.tobytes() == want.tobytes(), fault
 
@@ -89,15 +85,15 @@ def test_the_toggle_solves_no_operating_point(goldens, monkeypatch):
 
 
 def _count_link_stages(monkeypatch):
-    """Faults the link static stage runs for."""
+    """Links the link static stage runs on."""
     stages = []
-    original = scan_test.run_link_static
+    original = duts.run_link_static
 
-    def counted(goldens, fault):
-        stages.append(fault)
-        return original(goldens, fault)
+    def counted(link):
+        stages.append(link)
+        return original(link)
 
-    monkeypatch.setattr(scan_test, "run_link_static", counted)
+    monkeypatch.setattr(duts, "run_link_static", counted)
     return stages
 
 
@@ -125,16 +121,16 @@ def test_a_raising_link_stage_leaves_the_start_to_the_transient(
     solves its own t = 0 point and reports its own outcome."""
     _, scan = create_tiers(("dc", "scan"), goldens)
 
-    def unsolvable(goldens, fault):
+    def unsolvable(link):
         raise UnsolvableError("link unsolvable")
 
-    monkeypatch.setattr(scan_test, "run_link_static", unsolvable)
+    monkeypatch.setattr(duts, "run_link_static", unsolvable)
     solved = _count_operating_points(monkeypatch)
     fault = next(f for f in build_fault_universe()
                  if f.block == "termination")
     with stage_memo():
         with pytest.raises(UnsolvableError):
-            scan_test.link_static(goldens, fault)
+            duts.link_static(goldens, fault)
         excursion = scan._run_toggle(fault)
     assert len(solved) == 1 and solved[0].startswith("toggle_dut")
     assert np.isfinite(excursion)
@@ -147,7 +143,7 @@ def test_the_start_points_agree_under_a_die_mismatch(goldens, die):
     t = 0 point, healthy and with the die's own fault (seed 2: die 0
     termination, die 5 tx), a tx fault and a termination fault."""
     universe = build_fault_universe()
-    nominal = scan_test.run_link_static(goldens, None)[2]
+    nominal = _link_bit0_solve(goldens, None)[1]
     faults = [None, pick_die_fault(universe, 2, die),
               next(f for f in universe if f.block == "tx"),
               next(f for f in universe if f.block == "termination")]
@@ -159,7 +155,7 @@ def test_the_start_points_agree_under_a_die_mismatch(goldens, die):
                                                          "termination"):
                 continue
             _circuit, want = _toggle_operating_point(goldens, fault)
-            got = scan_test.run_link_static(goldens, fault)[2]
+            got = _link_bit0_solve(goldens, fault)[1]
             assert got.tobytes() == want.tobytes(), (die, fault)
             if fault is None:
                 # the die's mismatch is live: it moves the solve

@@ -188,8 +188,7 @@ class TestTraceProvenance:
             injected.add(str(fault))
             return original(circuit, fault, *args, **kwargs)
 
-        for module in ("repro.faults.inject", "repro.dft.dc_test",
-                       "repro.dft.scan_test", "repro.dft.bist"):
+        for module in ("repro.faults.inject", "repro.dft.duts"):
             monkeypatch.setattr(f"{module}.inject_fault", spy)
         path = str(tmp_path / "run.jsonl")
         _run(universe, trace=path)

@@ -9,10 +9,12 @@ by the campaign-integration tests; these pin the algebra.
 
 import pytest
 
+from repro.analog.devices import is_ground
 from repro.dft.coverage import build_fault_universe
-from repro.faults.collapse import FaultCollapser, universe_report
+from repro.faults.collapse import BLOCK_TAGS, FaultCollapser, universe_report
 from repro.faults.enumerate import universe_summary
-from repro.faults.model import FaultKind, StructuralFault
+from repro.faults.inject import inject_fault
+from repro.faults.model import FaultKind, R_SHORT, StructuralFault
 
 
 @pytest.fixture(scope="module")
@@ -102,8 +104,6 @@ class TestClassAlgebra:
     def test_unknown_tier_signature_is_none(self, collapser):
         foreign = StructuralFault("dev_x", FaultKind.DRAIN_OPEN,
                                   "not_a_block", "")
-        for tier in ("dc", "scan", "bist"):
-            assert collapser.tier_signature(foreign, tier) is None
         block, tag = collapser.class_key(foreign)
         assert block == "not_a_block"
         assert tag[0] == "singleton"
@@ -129,3 +129,63 @@ class TestReport:
 
     def test_ratio_exceeds_one(self, report):
         assert report.ratio > 1.0
+
+    def test_the_universe_partition_is_pinned(self, report):
+        """The class partition ``repro faults --classes`` prints, which
+        the campaign's ``classes`` counter and the stage memo's digests
+        follow: a bench, observed-node set or digest rule that drifts
+        moves these counts."""
+        assert (report.n_classes, report.n_faults) == (239, 336)
+        assert report.classes_by_block() == {
+            "cp": 73, "termination": 16, "tx": 50, "vcdl": 39,
+            "window_comp": 61}
+        assert report.histogram() == {1: 164, 2: 60, 3: 8, 4: 7}
+        assert len(report.null_faults) == 4
+        assert report.dominance_pairs == []
+
+
+class TestInjectorAgreement:
+    """A digest stands for the netlist change ``inject_fault`` makes, so
+    the two must read one rule: the voltage a gate open retains and the
+    node pair a short bridges, on every bench of the fault's block."""
+
+    @staticmethod
+    def _injected(collapser, fault, tag):
+        circuit, _observed, retention, _inc = collapser._context(tag)
+        return inject_fault(circuit, fault, retention=retention)
+
+    def test_gate_open_retention_matches_the_injected_source(
+            self, universe, collapser):
+        pairs = 0
+        for fault in universe:
+            if fault.kind != FaultKind.GATE_OPEN:
+                continue
+            for tag in BLOCK_TAGS[fault.block]:
+                kind, device, v_keep = collapser.digest(fault, tag)
+                faulted = self._injected(collapser, fault, tag)
+                source = faulted[f"FLT_{fault.device}_ret_src"]
+                assert (kind, device) == ("gate_open", fault.device)
+                assert v_keep == round(source.voltage, 12), (fault, tag)
+                pairs += 1
+        assert pairs == 81
+
+    def test_short_bridges_the_injected_node_pair(self, universe,
+                                                  collapser):
+        shorts = (FaultKind.CAP_SHORT, FaultKind.GATE_DRAIN_SHORT,
+                  FaultKind.GATE_SOURCE_SHORT, FaultKind.DRAIN_SOURCE_SHORT)
+        pairs = 0
+        for fault in universe:
+            if fault.kind not in shorts:
+                continue
+            for tag in BLOCK_TAGS[fault.block]:
+                faulted = self._injected(collapser, fault, tag)
+                resistor, = [e for e in faulted
+                             if e.name.startswith(f"FLT_{fault.device}_")
+                             and e.name.endswith("_short")]
+                a, b = ("0" if is_ground(n) else n
+                        for n in resistor.terminals.values())
+                want = (("null",) if a == b else
+                        ("bridge", tuple(sorted((a, b))), R_SHORT))
+                assert collapser.digest(fault, tag) == want, (fault, tag)
+                pairs += 1
+        assert pairs == 253

@@ -49,18 +49,19 @@ def _counts(counters):
 
 
 def _link_static_calls(monkeypatch):
-    """Count the link-stage simulations of faulted netlists."""
-    import repro.dft.scan_test as scan_test
+    """Count the link-stage simulations of faulted netlists (each one
+    takes its faulted link bench first)."""
+    import repro.dft.duts as duts
 
     calls = []
-    original = scan_test.run_link_static
+    original = duts.bench
 
-    def counted(goldens, fault):
-        if fault is not None:
+    def counted(tag, goldens, fault=None, *args):
+        if tag == "L" and fault is not None:
             calls.append(fault)
-        return original(goldens, fault)
+        return original(tag, goldens, fault, *args)
 
-    monkeypatch.setattr(scan_test, "run_link_static", counted)
+    monkeypatch.setattr(duts, "bench", counted)
     return calls
 
 

@@ -41,6 +41,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             spec(shards=0)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_bad_workers(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            spec(kind="mc", dies=2, workers=workers)
+
+    def test_workers_none_or_one_digest_alike(self):
+        assert spec(workers=None).digest() == spec(workers=1).digest()
+
     def test_rejects_bad_dies(self):
         with pytest.raises(ValueError):
             spec(kind="mc", dies=0)

@@ -268,11 +268,12 @@ class TestContextHygiene:
         """After a campaign, the undecorated world still sees nominal
         netlists (the context deactivates, builders pass through)."""
         from repro.circuits.full_link import build_full_link
+        from repro.dft.duts import run_link_static
         from repro.dft.golden import GoldenSignatures
 
-        before = build_full_link().run_dc_test()
+        before = run_link_static(build_full_link())[0]
         mc = MonteCarloCampaign(tiers=("dc",), seed=7,
                                 model=MismatchModel(sigma_vt=0.3))
         mc.run(2)
-        after = build_full_link().run_dc_test()
+        after = run_link_static(build_full_link())[0]
         assert after == before == GoldenSignatures().dc_link

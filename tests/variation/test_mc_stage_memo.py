@@ -13,7 +13,7 @@ from contextlib import nullcontext
 import pytest
 
 import repro.variation.campaign as mc_campaign
-from repro.dft import scan_test
+from repro.dft import duts
 from repro.variation import MonteCarloCampaign
 
 # the module, not the function ``repro.analog`` exports under its name
@@ -32,16 +32,22 @@ def _count(monkeypatch, module, name):
     return calls
 
 
+def _link_solves(monkeypatch):
+    """Names of the full-link netlists the bench module solves."""
+    solved = _count(monkeypatch, duts, "dc_operating_point")
+    return lambda: [n for n in solved if n.startswith("full_link")]
+
+
 def test_healthy_die_solves_the_link_twice_and_no_toggle_start(
         monkeypatch):
     """Seed 1 die 0 carries a window-comparator fault, so every link
     and toggle solve of it belongs to the healthy screens."""
     campaign = MonteCarloCampaign(seed=1)
-    link_solves = _count(monkeypatch, scan_test, "dc_operating_point")
+    link_solves = _link_solves(monkeypatch)
     starts = _count(monkeypatch, transient_module, "dc_operating_point")
     record = campaign.evaluate_die(0)
     assert record.fault.block == "window_comp"
-    assert len(link_solves) == 2
+    assert len(link_solves()) == 2
     assert "toggle_dut" not in starts
 
 
@@ -49,10 +55,10 @@ def test_faulted_link_is_solved_once_for_dc_and_scan(monkeypatch):
     """Seed 2 die 0 carries a termination fault: two healthy and two
     faulted link solves in all."""
     campaign = MonteCarloCampaign(seed=2)
-    link_solves = _count(monkeypatch, scan_test, "dc_operating_point")
+    link_solves = _link_solves(monkeypatch)
     record = campaign.evaluate_die(0)
     assert record.fault.block == "termination"
-    assert len(link_solves) == 4
+    assert len(link_solves()) == 4
 
 
 @pytest.mark.parametrize("seed", [2, 4])
